@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConsistencyError, NotApplicableError
 from .graph6 import encode_graph6
 from .graphs import compute_distance_data, transmission_regularity
-from .linalg import Spectrum, eig_symmetric, frobenius_norm
+from .linalg import Spectrum, eig_symmetric
 from .operators import build_operators
 
 SLACK_ABS = 1e-7
@@ -99,13 +99,16 @@ BOUND_META = {
 
 
 def _sqrt_guarded(radicand, what):
-    """sqrt with a tiny negative clamp; larger negatives are internal errors."""
-    if radicand < 0.0:
-        if radicand < -1e-9:
-            raise ConsistencyError(
-                f"{what}: radicand {radicand!r} is negative beyond tolerance")
-        radicand = 0.0
-    return math.sqrt(radicand)
+    """sqrt with a tiny negative clamp; larger negatives are internal errors.
+    A float64 array is clamped and rooted elementwise."""
+    batched = isinstance(radicand, np.ndarray)
+    low = float(radicand.min()) if batched else radicand
+    if low < -1e-9:
+        raise ConsistencyError(
+            f"{what}: radicand {low!r} is negative beyond tolerance")
+    if batched:
+        return np.sqrt(np.maximum(radicand, 0.0))
+    return math.sqrt(max(radicand, 0.0))
 
 
 def bound_L_i1(dd):
@@ -128,9 +131,9 @@ def bound_L_d2(dd, d_frob):
     """Strict upper bound max tr + sqrt(||D||_F^2 - sum(tr^2)/n)."""
     if dd.n < 2:
         raise NotApplicableError("needs n >= 2")
-    tr2 = float((dd.tr.astype(np.float64) ** 2).sum())
-    rad = d_frob * d_frob - tr2 / dd.n
-    return float(dd.tr.max()) + _sqrt_guarded(rad, "L_D2")
+    rad = d_frob * d_frob - dd.tr2 / dd.n
+    value = dd.tr.max(axis=-1) + _sqrt_guarded(rad, "L_D2")
+    return value if value.ndim else float(value)
 
 
 def bound_L_n1(dd):
@@ -146,13 +149,11 @@ def bound_L_n2(dd):
     d = dd.dist
     tr = dd.tr
     best = 0
-    for i in range(dd.n):
-        for j in range(i + 1, dd.n):
-            l1 = int(np.abs(d[i] - d[j]).sum())
-            # the k = i and k = j terms each contribute dist_ij to l1
-            s = int(tr[i]) + int(tr[j]) + 2 * int(d[i, j]) + (l1 - 2 * int(d[i, j]))
-            if s > best:
-                best = s
+    for i in range(dd.n - 1):
+        # row i against every later row j; the k = i and k = j terms of the
+        # l1 distance contribute dist_ij each, which is the 2 dist_ij term
+        l1 = np.abs(d[i + 1:] - d[i]).sum(axis=1)
+        best = max(best, int((tr[i] + tr[i + 1:] + l1).max()))
     return best / 2.0
 
 
@@ -316,15 +317,16 @@ def compute_all_bounds(g):
     radius_q = spectrum_q.largest
     t2 = time.perf_counter()
 
-    d_frob = frobenius_norm(bundle.d_mat)
-    l_frob = frobenius_norm(bundle.l_mat)
-    q_frob = frobenius_norm(bundle.q_mat)
+    d_frob = math.sqrt(dd.dist2)
+    # ||L||_F^2 = ||Q||_F^2 = sum(tr^2) + ||D||_F^2
+    lq_frob = math.sqrt(dd.tr2 + dd.dist2)
     regular = transmission_regularity(dd) is not None
     n = dd.n
 
     entries = []
 
-    entries.append(_entry(BoundId.L_I1, bound_L_i1(dd), radius_l))
+    i1 = bound_L_i1(dd)
+    entries.append(_entry(BoundId.L_I1, i1, radius_l))
     if n >= 4:
         entries.append(_entry(BoundId.L_D1, bound_L_d1(dd), radius_l))
     else:
@@ -339,7 +341,7 @@ def compute_all_bounds(g):
     if n >= 2:
         entries.append(_entry(BoundId.L_N2, bound_L_n2(dd), radius_l))
         entries.append(_entry(
-            BoundId.L_N3, bound_L_n3(dd, l_frob), radius_l,
+            BoundId.L_N3, bound_L_n3(dd, lq_frob), radius_l,
             diagnosis=diagnose_n3(spectrum_l, dd)))
     else:
         entries.append(_skip(BoundId.L_N2))
@@ -366,12 +368,13 @@ def compute_all_bounds(g):
     i5, i6 = bound_Q_hong_sqrt(dd)
     entries.append(_entry(BoundId.Q_I5, i5, radius_q))
     entries.append(_entry(BoundId.Q_I6, i6, radius_q))
-    entries.append(_entry(BoundId.Q_I2, bound_Q_i2(dd), radius_q))
+    # Q_I2 is the L_I1 expression (bound_Q_i2)
+    entries.append(_entry(BoundId.Q_I2, i1, radius_q))
     ci5, cs6 = bound_Q_quadratic(dd)
     entries.append(_entry(BoundId.Q_CI5, ci5, radius_q))
     entries.append(_entry(BoundId.Q_CS6, cs6, radius_q))
     entries.append(_entry(
-        BoundId.Q_CS7, bound_Q_cs7(dd, q_frob), radius_q,
+        BoundId.Q_CS7, bound_Q_cs7(dd, lq_frob), radius_q,
         diagnosis=diagnose_cs7(spectrum_q, dd)))
     t3 = time.perf_counter()
 

@@ -73,9 +73,7 @@ def diagnose_n3(spectrum_l, dd):
     n = dd.n
     if n < 2:
         raise NotApplicableError("needs n >= 2")
-    tr2 = int((dd.tr.astype(np.int64) ** 2).sum())
-    d2 = int((dd.dist.astype(np.int64) ** 2).sum())
-    value = bound_L_n3(dd, math.sqrt(tr2 + d2))
+    value = bound_L_n3(dd, math.sqrt(dd.tr2 + dd.dist2))
     radius = spectrum_l.largest
     eq = abs(value - radius) <= equality_tol(radius)
     if not eq:
@@ -100,9 +98,7 @@ def diagnose_n3(spectrum_l, dd):
 def diagnose_cs7(spectrum_q, dd):
     """Equality in the signless trace/Frobenius bound iff the graph is complete.
     Both directions are enforced."""
-    tr2 = int((dd.tr.astype(np.int64) ** 2).sum())
-    d2 = int((dd.dist.astype(np.int64) ** 2).sum())
-    value = bound_Q_cs7(dd, math.sqrt(tr2 + d2))
+    value = bound_Q_cs7(dd, math.sqrt(dd.tr2 + dd.dist2))
     radius = spectrum_q.largest
     eq = abs(value - radius) <= equality_tol(radius)
     complete = _is_complete(dd)

@@ -166,6 +166,11 @@ class DistanceData:
     wiener: sum of dist over unordered pairs
     p:      row maxima of dist (eccentricities)
     sdd:    distance-weighted transmission sums, sdd[i] = sum_k dist[i,k]*tr[k]
+    dist2:  squared Frobenius norm of dist, sum of dist^2
+    tr2:    sum of tr^2
+
+    Built from a (B, n, n) stack by distance_data, every field but n carries
+    the leading batch axis and the scalars become int64 arrays.
     """
 
     n: int
@@ -174,12 +179,22 @@ class DistanceData:
     wiener: int
     p: np.ndarray
     sdd: np.ndarray
+    dist2: int
+    tr2: int
+
+
+def disconnected_error(vertex):
+    """The error for a graph in which vertex cannot reach every vertex."""
+    return DisconnectedGraphError(
+        f"graph is disconnected (vertex {vertex} cannot reach every vertex)")
 
 
 def compute_distance_data(g):
-    """All-pairs BFS distances and the derived invariants.
+    """All-pairs BFS distances and the derived invariants of one graph.
 
-    Raises DisconnectedGraphError if any pair is unreachable.
+    Raises DisconnectedGraphError if any pair is unreachable. This bitmask
+    BFS is the path for one graph of any size: a batch_distances level costs
+    O(n^3), which pays off only over a stream of many small same-n graphs.
     """
     n = g.n
     adj = g.adjacency_masks()
@@ -206,15 +221,50 @@ def compute_distance_data(g):
                 row[b.bit_length() - 1] = d
                 f ^= b
         if seen != full:
-            raise DisconnectedGraphError(
-                f"graph is disconnected (vertex {s} cannot reach every vertex)")
+            raise disconnected_error(s)
         rows.append(row)
-    dist = np.array(rows, dtype=np.int64)
-    tr = dist.sum(axis=1)
-    wiener = int(tr.sum()) // 2
-    p = dist.max(axis=1) if n > 1 else np.zeros(1, dtype=np.int64)
-    sdd = dist @ tr
-    return DistanceData(n=n, dist=dist, tr=tr, wiener=wiener, p=p, sdd=sdd)
+    return distance_data(np.array(rows, dtype=np.int64))
+
+
+def distance_data(dist):
+    """DistanceData of an int64 distance matrix, or of a (B, n, n) stack of
+    them with every derived field computed along the leading batch axis."""
+    tr = dist.sum(axis=-1)
+    wiener = tr.sum(axis=-1) // 2
+    dist2 = (dist * dist).sum(axis=(-2, -1))
+    tr2 = (tr * tr).sum(axis=-1)
+    if dist.ndim == 2:
+        wiener, dist2, tr2 = int(wiener), int(dist2), int(tr2)
+    return DistanceData(
+        n=dist.shape[-1], dist=dist, tr=tr, wiener=wiener,
+        p=dist.max(axis=-1), sdd=(dist @ tr[..., None])[..., 0],
+        dist2=dist2, tr2=tr2)
+
+
+def batch_distances(adj, sources=None):
+    """BFS levels over a (B, n, n) boolean adjacency stack.
+
+    Expands the reach of sources 0..sources-1 (default: every vertex) one
+    level at a time for the whole stack; a level costs one batched
+    (B, sources, n) @ (B, n, n) product. Returns (dist, connected): int64
+    levels of shape (B, sources, n), 0 where a vertex is unreachable, and a
+    boolean flag per graph that is True when every source reaches every
+    vertex.
+    """
+    count, n, _ = adj.shape
+    sources = n if sources is None else sources
+    reach = np.zeros((count, sources, n), dtype=bool)
+    reach[:, np.arange(sources), np.arange(sources)] = True
+    dist = np.zeros((count, sources, n), dtype=np.int64)
+    step = adj.astype(np.float32)  # path counts <= n stay exact
+    frontier = reach
+    for level in range(1, n):
+        frontier = (frontier.astype(np.float32) @ step > 0) & ~reach
+        if not frontier.any():
+            break
+        dist[frontier] = level
+        reach |= frontier
+    return dist, reach.all(axis=(1, 2))
 
 
 def transmission_regularity(dd):
@@ -226,6 +276,8 @@ def transmission_regularity(dd):
 
 
 _ENUM_CAP = 7
+# candidate edge masks per connectivity batch; fixed, as it sets the memory
+_ENUM_CHUNK = 1024
 
 
 def _connected_mask(mask, pairs, n):
@@ -250,12 +302,28 @@ def _mask_to_graph(mask, pairs, n):
     return Graph(n, frozenset(edges))
 
 
+def _connected_masks(pairs, n):
+    """Edge masks of the connected labeled graphs on n vertices, ascending,
+    as one array per chunk of _ENUM_CHUNK candidate masks."""
+    shifts = np.arange(len(pairs), dtype=np.int64)
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    total = 1 << len(pairs)
+    for start in range(0, total, _ENUM_CHUNK):
+        masks = np.arange(start, min(start + _ENUM_CHUNK, total),
+                          dtype=np.int64)
+        bits = ((masks[:, None] >> shifts) & 1).astype(bool)
+        adj = np.zeros((len(masks), n, n), dtype=bool)
+        adj[:, rows, cols] = bits
+        adj[:, cols, rows] = bits
+        yield masks[batch_distances(adj, sources=1)[1]]
+
+
 def _canonical_masks(masks, pairs, n):
     """Minimum edge-bitmask over all vertex permutations, vectorized over masks."""
     npairs = len(pairs)
     index = {p: i for i, p in enumerate(pairs)}
     shifts = np.arange(npairs, dtype=np.int64)
-    masks = np.asarray(sorted(masks), dtype=np.int64)
+    masks = np.asarray(masks, dtype=np.int64)
     bits = (masks[:, None] >> shifts) & 1
     canon = masks.copy()
     for perm in itertools.permutations(range(n)):
@@ -282,15 +350,12 @@ def enumerate_connected(n, dedup=False):
             f"exhaustive enumeration is capped at n <= {_ENUM_CAP} (got n={n}); "
             "use a graph6 stream for larger graphs")
     pairs = list(itertools.combinations(range(n), 2))
+    chunks = _connected_masks(pairs, n)
     if dedup:
-        connected = [m for m in range(1 << len(pairs))
-                     if _connected_mask(m, pairs, n)]
-        canon = _canonical_masks(connected, pairs, n)
-        for mask in sorted(set(int(c) for c in canon)):
-            yield _mask_to_graph(mask, pairs, n)
-        return
-    for mask in range(1 << len(pairs)):
-        if _connected_mask(mask, pairs, n):
+        chunks = [np.unique(_canonical_masks(np.concatenate(list(chunks)),
+                                             pairs, n))]
+    for chunk in chunks:
+        for mask in chunk.tolist():
             yield _mask_to_graph(mask, pairs, n)
 
 

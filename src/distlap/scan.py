@@ -13,30 +13,27 @@ every graph and collects violations instead of raising.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    bound_L_d2, bound_L_n3, compute_all_bounds, slack_for)
+from .bounds import bound_L_d2, bound_L_n3, compute_all_bounds, slack_for
 from .certify import check_han_multiplicity
 from .errors import (
     ConsistencyError, DisconnectedGraphError, GraphParseError,
     NotApplicableError, TheoremViolationError)
 from .graph6 import encode_graph6
-from .graphs import compute_distance_data, transmission_regularity
+from .graphs import batch_distances, disconnected_error, distance_data
 from .operators import polynomial_row_sums
 
 HISTOGRAM_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
 HISTOGRAM_LABELS = ("< 0", "[0, 0.5)", "[0.5, 1)", "[1, 2)", "[2, 5)", ">= 5")
-
-
-def _bucket(margin):
-    for edge, label in zip(HISTOGRAM_EDGES, HISTOGRAM_LABELS):
-        if margin < edge:
-            return label
-    return HISTOGRAM_LABELS[-1]
+# A chunk of same-n graphs holds at most SCAN_CHUNK graphs and SCAN_CELLS
+# distance-matrix entries. Both are fixed, as they set the memory of a sweep.
+SCAN_CHUNK = 256
+SCAN_CELLS = SCAN_CHUNK * 8 * 8
 
 
 @dataclass
@@ -51,43 +48,77 @@ class ScanResult:
     slack: float = 0.0
 
 
+def _scan_chunk(result, graphs):
+    """Margins of a chunk of graphs with the same n >= 3, as array
+    expressions over the chunk; graph6 is encoded only for listed graphs."""
+    n = graphs[0].n
+    counts = [len(g.edges) for g in graphs]
+    ends = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.chain.from_iterable(g.edges for g in graphs)),
+        dtype=np.int64, count=2 * sum(counts))
+    owner = np.repeat(np.arange(len(graphs)), counts)
+    adj = np.zeros((len(graphs), n, n), dtype=bool)
+    adj[owner, ends[0::2], ends[1::2]] = True
+    adj[owner, ends[1::2], ends[0::2]] = True
+    dist, connected = batch_distances(adj)
+    # vertex 0 is the first source that misses a vertex, as one at a time
+    message = str(disconnected_error(0))
+    for g in itertools.compress(graphs, ~connected):
+        result.errors.append((encode_graph6(g), message))
+    dd = distance_data(dist[connected])
+    tested = ~(dd.tr == dd.tr[:, :1]).all(axis=1)
+    result.skipped_regular += len(tested) - int(tested.sum())
+    if not tested.any():
+        return
+    upper_strict = bound_L_d2(dd, np.sqrt(dd.dist2))[tested]
+    upper_trace = bound_L_n3(dd, np.sqrt(dd.tr2 + dd.dist2))[tested]
+    margin = upper_strict - upper_trace
+    result.graphs_tested += len(margin)
+    low = float(margin.min())
+    if result.min_margin is None or low < result.min_margin:
+        result.min_margin = low
+    buckets = np.bincount(
+        np.searchsorted(HISTOGRAM_EDGES, margin, side="right"),
+        minlength=len(HISTOGRAM_LABELS))
+    for label, count in zip(HISTOGRAM_LABELS, buckets.tolist()):
+        result.histogram[label] += count
+    strict = margin < -result.slack
+    kept = list(itertools.compress(
+        itertools.compress(graphs, connected), tested))
+    for found, listed in ((strict, result.counterexamples),
+                          (~strict & (margin <= 0.0), result.equalities)):
+        for i in np.flatnonzero(found).tolist():
+            listed.append((encode_graph6(kept[i]), float(upper_trace[i]),
+                           float(upper_strict[i])))
+
+
 def scan_conjecture(source, slack=1e-7):
     """Margin sweep of d2 - n3 over a stream of graphs.
 
     Transmission-regular graphs are skipped (the strict bound hypothesis
     excludes them). Disconnected or too-small graphs are recorded as
-    per-graph errors, not raised. Result lists are sorted by graph6 encoding
-    so the outcome is independent of stream order.
+    per-graph errors, not raised. The stream is grouped by n into chunks of
+    at most SCAN_CHUNK graphs and SCAN_CELLS matrix entries, each evaluated
+    as (B, n, n) arrays, so memory stays flat over any stream. Result lists
+    are sorted by graph6 encoding so the outcome is independent of stream
+    order.
     """
     result = ScanResult(slack=slack)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
+    pending = {}
     for g in source:
-        try:
-            if g.n < 3:
-                raise NotApplicableError(
-                    f"margin needs n >= 3, got n={g.n}")
-            dd = compute_distance_data(g)
-        except (DisconnectedGraphError, NotApplicableError) as exc:
-            result.errors.append((encode_graph6(g), str(exc)))
+        if g.n < 3:
+            result.errors.append(
+                (encode_graph6(g), f"margin needs n >= 3, got n={g.n}"))
             continue
-        if transmission_regularity(dd) is not None:
-            result.skipped_regular += 1
-            continue
-        d2 = int((dd.dist.astype(np.int64) ** 2).sum())
-        tr2 = int((dd.tr.astype(np.int64) ** 2).sum())
-        upper_strict = bound_L_d2(dd, math.sqrt(d2))
-        upper_trace = bound_L_n3(dd, math.sqrt(tr2 + d2))
-        margin = upper_strict - upper_trace
-        result.graphs_tested += 1
-        if result.min_margin is None or margin < result.min_margin:
-            result.min_margin = margin
-        result.histogram[_bucket(margin)] += 1
-        if margin < -slack:
-            result.counterexamples.append(
-                (encode_graph6(g), upper_trace, upper_strict))
-        elif margin <= 0.0:
-            result.equalities.append(
-                (encode_graph6(g), upper_trace, upper_strict))
+        chunk = pending.setdefault(g.n, [])
+        chunk.append(g)
+        if len(chunk) == min(SCAN_CHUNK, max(1, SCAN_CELLS // g.n ** 2)):
+            _scan_chunk(result, chunk)
+            del pending[g.n]
+    for chunk in pending.values():
+        _scan_chunk(result, chunk)
     result.counterexamples.sort(key=lambda item: item[0])
     result.equalities.sort(key=lambda item: item[0])
     result.errors.sort(key=lambda item: item[0])
@@ -111,13 +142,12 @@ def _soundness_identities(report, violations):
     dd = report.data
     n = dd.n
     tw = 2.0 * dd.wiener
-    d2 = int((dd.dist.astype(np.int64) ** 2).sum())
-    tr2 = int((dd.tr.astype(np.int64) ** 2).sum())
+    lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
 
     for spectrum, trace, frob2, name in (
-            (report.spectrum_d, 0.0, d2, "distance"),
-            (report.spectrum_l, tw, tr2 + d2, "laplacian"),
-            (report.spectrum_q, tw, tr2 + d2, "signless")):
+            (report.spectrum_d, 0.0, dd.dist2, "distance"),
+            (report.spectrum_l, tw, lq2, "laplacian"),
+            (report.spectrum_q, tw, lq2, "signless")):
         vals = spectrum.values
         if abs(float(vals.sum()) - trace) > 1e-8 * (1.0 + abs(trace)):
             violations.append(f"{name} eigenvalue sum misses the trace")
@@ -125,7 +155,7 @@ def _soundness_identities(report, violations):
             violations.append(f"{name} eigenvalue square sum misses the norm")
 
     lvals = report.spectrum_l.values
-    zero_slack = slack_for(math.sqrt(tr2 + d2))
+    zero_slack = slack_for(math.sqrt(lq2))
     if abs(float(lvals[-1])) > zero_slack:
         violations.append("laplacian smallest eigenvalue is not zero")
     # every other laplacian eigenvalue is at least n

@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from distlap import (
     BOUND_META, BoundId, Side, Target, bound_L_d1, bound_L_i1, bound_L_n1,
-    bound_L_transmission_regular, bound_Q_hong_ratio, bound_Q_i2,
+    bound_L_n2, bound_L_transmission_regular, bound_Q_hong_ratio, bound_Q_i2,
     compute_all_bounds, compute_distance_data, encode_graph6,
-    enumerate_connected, slack_for)
+    enumerate_connected, sample_connected, slack_for)
 from distlap.bounds import _sqrt_guarded
 from distlap.errors import ConsistencyError, NotApplicableError
 from distlap.named_graphs import fixture_graph, path_graph
@@ -135,11 +136,29 @@ def test_shared_expression_i2():
         assert bound_Q_i2(dd) == bound_L_i1(dd)
 
 
+def test_vertex_pair_bound_matches_pair_loop():
+    graphs = [fixture_graph(name) for name in ("ex1", "ex2", "g1", "g2")]
+    graphs += list(sample_connected(9, 30, seed=3))
+    for g in graphs:
+        dd = compute_distance_data(g)
+        d = dd.dist.tolist()
+        tr = dd.tr.tolist()
+        best = max(
+            tr[i] + tr[j] + 2 * d[i][j]
+            + sum(abs(d[i][k] - d[j][k]) for k in range(g.n) if k not in (i, j))
+            for i in range(g.n) for j in range(i + 1, g.n))
+        assert bound_L_n2(dd) == best / 2.0
+
+
 def test_sqrt_guard():
     assert _sqrt_guarded(4.0, "x") == 2.0
     assert _sqrt_guarded(-1e-12, "x") == 0.0
     with pytest.raises(ConsistencyError, match="negative beyond tolerance"):
         _sqrt_guarded(-1.0, "x")
+    roots = _sqrt_guarded(np.array([4.0, -1e-12, 2.0]), "x")
+    assert roots.tolist() == [2.0, 0.0, math.sqrt(2.0)]
+    with pytest.raises(ConsistencyError, match="radicand -1.0 is negative"):
+        _sqrt_guarded(np.array([4.0, -1.0]), "x")
 
 
 def test_slack_for():

@@ -1,5 +1,7 @@
 """Graph construction, edge-list parsing, distances, enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from distlap import (
     DisconnectedGraphError, Graph, GraphParseError, compute_distance_data,
     enumerate_connected, is_connected, is_tree, parse_edge_list,
     sample_connected, transmission_regularity)
-from distlap.graphs import format_edge_list
+from distlap.graphs import batch_distances, distance_data, format_edge_list
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
@@ -196,3 +198,85 @@ def test_distance_matrix_properties(data):
                 assert d[i, j] <= d[i, k] + d[k, j]
     assert dd.tr.tolist() == d.sum(axis=1).tolist()
     assert dd.wiener * 2 == int(d.sum())
+
+
+@st.composite
+def adjacency_stacks(draw):
+    """Same-n graphs with free edge sets, so both connected and disconnected
+    graphs occur, as a (B, n, n) boolean stack plus their edge lists."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edge_sets = draw(st.lists(
+        st.sets(st.sampled_from(pairs)) if pairs else st.just(set()),
+        min_size=1, max_size=12))
+    adj = np.zeros((len(edge_sets), n, n), dtype=bool)
+    for b, edges in enumerate(edge_sets):
+        for u, v in edges:
+            adj[b, u, v] = adj[b, v, u] = True
+    return n, [sorted(e) for e in edge_sets], adj
+
+
+@settings(max_examples=80, deadline=None)
+@given(adjacency_stacks())
+def test_batch_distances_match_oracle(stack):
+    n, edge_sets, adj = stack
+    dist, connected = batch_distances(adj)
+    assert dist.dtype == np.int64 and dist.shape == adj.shape
+    for b, edges in enumerate(edge_sets):
+        ref = oracles.bfs_distance_matrix(n, edges)
+        reachable = all(x != float("inf") for row in ref for x in row)
+        assert bool(connected[b]) == reachable
+        assert dist[b].tolist() == [
+            [0 if x == float("inf") else x for x in row] for row in ref]
+    # one source decides connectivity alike
+    assert (batch_distances(adj, sources=1)[1] == connected).all()
+
+
+def test_distance_data_batch_matches_single():
+    graphs = list(enumerate_connected(5))[::37]
+    singles = [compute_distance_data(g) for g in graphs]
+    batch = distance_data(np.stack([dd.dist for dd in singles]))
+    for b, dd in enumerate(singles):
+        assert dd.dist2 == int((dd.dist ** 2).sum())
+        assert dd.tr2 == int((dd.tr ** 2).sum())
+        for name in ("tr", "p", "sdd"):
+            assert getattr(batch, name)[b].tolist() == getattr(dd, name).tolist()
+        for name in ("wiener", "dist2", "tr2"):
+            assert type(getattr(dd, name)) is int
+            assert int(getattr(batch, name)[b]) == getattr(dd, name)
+
+
+def test_enumerate_yields_ascending_connected_masks():
+    for n in range(1, 6):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        expect = []
+        for mask in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            ref = oracles.bfs_distance_matrix(n, edges)
+            if all(x != float("inf") for row in ref for x in row):
+                expect.append(mask)
+        got = [sum(1 << pairs.index(e) for e in g.edges)
+               for g in enumerate_connected(n)]
+        assert got == expect, n
+    # n = 6 spans several connectivity chunks
+    pairs = list(itertools.combinations(range(6), 2))
+    got = [sum(1 << pairs.index(e) for e in g.edges)
+           for g in enumerate_connected(6)]
+    assert got == sorted(set(got))
+    assert len(got) == oracles.labeled_connected_count(6)
+
+
+def test_enumerate_dedup_yields_ascending_minimal_representatives():
+    for n in range(1, 6):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+        def mask_of(edges):
+            return sum(1 << pairs.index((min(e), max(e))) for e in edges)
+
+        reps = [mask_of(g.edges) for g in enumerate_connected(n, dedup=True)]
+        assert reps == sorted(reps)
+        for g, rep in zip(enumerate_connected(n, dedup=True), reps):
+            relabeled = min(
+                mask_of((perm[u], perm[v]) for u, v in g.edges)
+                for perm in itertools.permutations(range(n)))
+            assert relabeled == rep, (n, g.sorted_edges())

@@ -6,10 +6,14 @@ import random
 import pytest
 
 from distlap import (
-    Graph, enumerate_connected, scan_conjecture, scan_soundness)
-from distlap.errors import ConsistencyError
+    Graph, bound_L_d2, bound_L_n3, compute_distance_data, encode_graph6,
+    enumerate_connected, scan_conjecture, scan_soundness,
+    transmission_regularity)
+from distlap.errors import ConsistencyError, DisconnectedGraphError
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, star_graph)
+from distlap.scan import (
+    HISTOGRAM_EDGES, HISTOGRAM_LABELS, SCAN_CELLS, SCAN_CHUNK, ScanResult)
 from oracles import labeled_connected_count
 
 
@@ -123,3 +127,67 @@ def test_soundness_records_disconnected_as_error():
     rep = scan_soundness([Graph(4, frozenset({(0, 1), (2, 3)}))])
     assert rep.graphs_checked == 0
     assert len(rep.errors) == 1
+
+
+def per_graph_scan(graphs, slack=1e-7):
+    """The margin sweep one graph at a time: compute_distance_data and the
+    scalar bound_L_d2/bound_L_n3 on every graph of the stream."""
+    result = ScanResult(slack=slack)
+    result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
+    for g in graphs:
+        g6 = encode_graph6(g)
+        if g.n < 3:
+            result.errors.append((g6, f"margin needs n >= 3, got n={g.n}"))
+            continue
+        try:
+            dd = compute_distance_data(g)
+        except DisconnectedGraphError as exc:
+            result.errors.append((g6, str(exc)))
+            continue
+        if transmission_regularity(dd) is not None:
+            result.skipped_regular += 1
+            continue
+        upper_strict = bound_L_d2(dd, math.sqrt(dd.dist2))
+        upper_trace = bound_L_n3(dd, math.sqrt(dd.tr2 + dd.dist2))
+        margin = upper_strict - upper_trace
+        result.graphs_tested += 1
+        if result.min_margin is None or margin < result.min_margin:
+            result.min_margin = margin
+        result.histogram[next(
+            (label for edge, label in zip(HISTOGRAM_EDGES, HISTOGRAM_LABELS)
+             if margin < edge), HISTOGRAM_LABELS[-1])] += 1
+        if margin < -slack:
+            result.counterexamples.append((g6, upper_trace, upper_strict))
+        elif margin <= 0.0:
+            result.equalities.append((g6, upper_trace, upper_strict))
+    for listed in (result.counterexamples, result.equalities, result.errors):
+        listed.sort(key=lambda item: item[0])
+    return result
+
+
+def test_chunked_scan_equals_per_graph_evaluation():
+    rng = random.Random(5)
+    stream = []
+    for n, count in ((1, 5), (2, 5), (3, 30), (4, 40), (5, 60), (6, 300),
+                     (7, SCAN_CHUNK + 70), (8, 60),
+                     (12, SCAN_CELLS // 144 + 7)):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(count):
+            density = rng.uniform(0.15, 0.95)
+            stream.append(Graph(n, frozenset(
+                p for p in pairs if rng.random() < density)))
+    stream += [star_graph(n) for n in range(3, 9)]
+    stream += [cycle_graph(n) for n in range(3, 9)]
+    stream += [complete_graph(n) for n in range(1, 9)]
+    rng.shuffle(stream)
+    got = scan_conjecture(stream)
+    want = per_graph_scan(stream)
+    assert got.counterexamples and got.equalities and got.skipped_regular
+    assert {msg.split()[0] for _, msg in got.errors} == {"margin", "graph"}
+    for name in ("graphs_tested", "skipped_regular", "min_margin",
+                 "counterexamples", "equalities", "histogram", "errors",
+                 "slack"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert type(got.min_margin) is float
+    for _, trace_bound, strict_bound in got.counterexamples + got.equalities:
+        assert type(trace_bound) is float and type(strict_bound) is float

@@ -192,10 +192,21 @@ def disconnected_error(vertex):
 def compute_distance_data(g):
     """All-pairs BFS distances and the derived invariants of one graph.
 
-    Raises DisconnectedGraphError if any pair is unreachable. This bitmask
-    BFS is the path for one graph of any size: a batch_distances level costs
-    O(n^3), which pays off only over a stream of many small same-n graphs.
+    Raises DisconnectedGraphError if any pair is unreachable. One graph
+    runs the bitmask BFS, which stops at the first source that misses a
+    vertex; a batch_distances level costs O(n^3), so a batch of one loses on
+    long-diameter and on disconnected graphs.
     """
+    dist = _bitmask_distances(g)
+    if dist is None:
+        # vertex 0 is the first source that misses a vertex
+        raise disconnected_error(0)
+    return distance_data(dist)
+
+
+def _bitmask_distances(g):
+    """int64 all-pairs BFS distances of one graph over neighbour bitmasks,
+    or None as soon as a source misses a vertex."""
     n = g.n
     adj = g.adjacency_masks()
     full = (1 << n) - 1
@@ -221,9 +232,9 @@ def compute_distance_data(g):
                 row[b.bit_length() - 1] = d
                 f ^= b
         if seen != full:
-            raise disconnected_error(s)
+            return None
         rows.append(row)
-    return distance_data(np.array(rows, dtype=np.int64))
+    return np.array(rows, dtype=np.int64)
 
 
 def distance_data(dist):
@@ -265,6 +276,40 @@ def batch_distances(adj, sources=None):
         dist[frontier] = level
         reach |= frontier
     return dist, reach.all(axis=(1, 2))
+
+
+# Largest n at which connected_distances batches. A batched BFS level costs
+# O(n^3) per graph, and on paths the bitmask BFS catches up near n = 128.
+_BATCH_BFS_MAX_N = 96
+
+
+def connected_distances(graphs):
+    """Distances of the connected graphs in a list of same-n graphs.
+
+    Returns (connected, dist): a boolean flag per graph and the (C, n, n)
+    int64 stack of the C connected graphs' distance matrices, in list order.
+    Up to _BATCH_BFS_MAX_N vertices the list runs as one batch_distances
+    stack; above it each graph runs the bitmask BFS, which wins there on
+    long-diameter graphs.
+    """
+    n = graphs[0].n
+    if n > _BATCH_BFS_MAX_N:
+        singles = [_bitmask_distances(g) for g in graphs]
+        connected = np.array([d is not None for d in singles])
+        found = [d for d in singles if d is not None]
+        return connected, (np.stack(found) if found
+                           else np.zeros((0, n, n), dtype=np.int64))
+    counts = [len(g.edges) for g in graphs]
+    ends = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.chain.from_iterable(g.edges for g in graphs)),
+        dtype=np.int64, count=2 * sum(counts))
+    owner = np.repeat(np.arange(len(graphs)), counts)
+    adj = np.zeros((len(graphs), n, n), dtype=bool)
+    adj[owner, ends[0::2], ends[1::2]] = True
+    adj[owner, ends[1::2], ends[0::2]] = True
+    dist, connected = batch_distances(adj)
+    return connected, dist[connected]
 
 
 def transmission_regularity(dd):

@@ -25,7 +25,7 @@ from .errors import (
     ConsistencyError, DisconnectedGraphError, GraphParseError,
     NotApplicableError, TheoremViolationError)
 from .graph6 import encode_graph6
-from .graphs import batch_distances, disconnected_error, distance_data
+from .graphs import connected_distances, disconnected_error, distance_data
 from .operators import polynomial_row_sums
 
 HISTOGRAM_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
@@ -51,28 +51,20 @@ class ScanResult:
 def _scan_chunk(result, graphs):
     """Margins of a chunk of graphs with the same n >= 3, as array
     expressions over the chunk; graph6 is encoded only for listed graphs."""
-    n = graphs[0].n
-    counts = [len(g.edges) for g in graphs]
-    ends = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.chain.from_iterable(g.edges for g in graphs)),
-        dtype=np.int64, count=2 * sum(counts))
-    owner = np.repeat(np.arange(len(graphs)), counts)
-    adj = np.zeros((len(graphs), n, n), dtype=bool)
-    adj[owner, ends[0::2], ends[1::2]] = True
-    adj[owner, ends[1::2], ends[0::2]] = True
-    dist, connected = batch_distances(adj)
+    connected, dist = connected_distances(graphs)
     # vertex 0 is the first source that misses a vertex, as one at a time
     message = str(disconnected_error(0))
     for g in itertools.compress(graphs, ~connected):
         result.errors.append((encode_graph6(g), message))
-    dd = distance_data(dist[connected])
-    tested = ~(dd.tr == dd.tr[:, :1]).all(axis=1)
+    tr = dist.sum(axis=-1)
+    tested = ~(tr == tr[:, :1]).all(axis=1)
     result.skipped_regular += len(tested) - int(tested.sum())
     if not tested.any():
         return
-    upper_strict = bound_L_d2(dd, np.sqrt(dd.dist2))[tested]
-    upper_trace = bound_L_n3(dd, np.sqrt(dd.tr2 + dd.dist2))[tested]
+    # transmission-regular graphs never reach the bounds, as one at a time
+    dd = distance_data(dist[tested])
+    upper_strict = bound_L_d2(dd, np.sqrt(dd.dist2))
+    upper_trace = bound_L_n3(dd, np.sqrt(dd.tr2 + dd.dist2))
     margin = upper_strict - upper_trace
     result.graphs_tested += len(margin)
     low = float(margin.min())

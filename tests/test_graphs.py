@@ -1,6 +1,7 @@
 """Graph construction, edge-list parsing, distances, enumeration."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from distlap import (
     DisconnectedGraphError, Graph, GraphParseError, compute_distance_data,
     enumerate_connected, is_connected, is_tree, parse_edge_list,
     sample_connected, transmission_regularity)
-from distlap.graphs import batch_distances, distance_data, format_edge_list
+from distlap.graphs import (
+    _BATCH_BFS_MAX_N, batch_distances, connected_distances, distance_data,
+    format_edge_list)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
@@ -244,6 +247,26 @@ def test_distance_data_batch_matches_single():
         for name in ("wiener", "dist2", "tr2"):
             assert type(getattr(dd, name)) is int
             assert int(getattr(batch, name)[b]) == getattr(dd, name)
+
+
+def test_connected_distances_on_both_sides_of_the_switch():
+    rng = random.Random(3)
+    for n in (5, _BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 1):
+        graphs = [path_graph(n), cycle_graph(n),
+                  Graph(n, frozenset((v, v + 1) for v in range(1, n - 1))),
+                  Graph(n, frozenset((v, rng.randrange(v))
+                                     for v in range(1, n)))]
+        connected, dist = connected_distances(graphs)
+        assert connected.tolist() == [True, True, False, True]
+        assert dist.dtype == np.int64 and dist.shape == (3, n, n)
+        singles = [compute_distance_data(g).dist
+                   for g in itertools.compress(graphs, connected)]
+        assert (dist == np.stack(singles)).all(), n
+    connected, dist = connected_distances([Graph(4, frozenset([(0, 1)]))])
+    assert connected.tolist() == [False] and dist.shape == (0, 4, 4)
+    connected, dist = connected_distances(
+        [Graph(_BATCH_BFS_MAX_N + 1, frozenset([(0, 1)]))])
+    assert connected.tolist() == [False] and dist.shape[0] == 0
 
 
 def test_enumerate_yields_ascending_connected_masks():

@@ -10,10 +10,12 @@ from distlap import (
     enumerate_connected, scan_conjecture, scan_soundness,
     transmission_regularity)
 from distlap.errors import ConsistencyError, DisconnectedGraphError
+from distlap.graphs import _BATCH_BFS_MAX_N
 from distlap.named_graphs import (
-    complete_graph, cycle_graph, fixture_graph, star_graph)
+    complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 from distlap.scan import (
-    HISTOGRAM_EDGES, HISTOGRAM_LABELS, SCAN_CELLS, SCAN_CHUNK, ScanResult)
+    HISTOGRAM_EDGES, HISTOGRAM_LABELS, SCAN_CELLS, SCAN_CHUNK, ScanResult,
+    _scan_chunk)
 from oracles import labeled_connected_count
 
 
@@ -179,6 +181,12 @@ def test_chunked_scan_equals_per_graph_evaluation():
     stream += [star_graph(n) for n in range(3, 9)]
     stream += [cycle_graph(n) for n in range(3, 9)]
     stream += [complete_graph(n) for n in range(1, 9)]
+    # both sides of the batched/bitmask BFS switch, one graph per chunk
+    for n in (_BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 4):
+        stream += [path_graph(n), cycle_graph(n), star_graph(n),
+                   Graph(n, frozenset((v, rng.randrange(v))
+                                      for v in range(1, n))),
+                   Graph(n, frozenset((v, v + 1) for v in range(1, n - 1)))]
     rng.shuffle(stream)
     got = scan_conjecture(stream)
     want = per_graph_scan(stream)
@@ -191,3 +199,18 @@ def test_chunked_scan_equals_per_graph_evaluation():
     assert type(got.min_margin) is float
     for _, trace_bound, strict_bound in got.counterexamples + got.equalities:
         assert type(trace_bound) is float and type(strict_bound) is float
+
+
+def test_regular_graphs_in_a_chunk_never_reach_the_bounds():
+    # the L_N3 radicand of K_208 rounds to about -1.9e-9, beyond the sqrt
+    # guard's tolerance; a regular graph is skipped before the bounds, as
+    # one graph at a time, however the chunk is mixed
+    n = 208
+    result = ScanResult(slack=1e-7)
+    result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
+    _scan_chunk(result, [complete_graph(n), star_graph(n)])
+    want = per_graph_scan([complete_graph(n), star_graph(n)])
+    assert result.skipped_regular == want.skipped_regular == 1
+    assert result.graphs_tested == want.graphs_tested == 1
+    assert result.min_margin == want.min_margin
+    assert result.histogram == want.histogram

@@ -1,10 +1,11 @@
 """Spectral-radius bounds for distance Laplacian and signless Laplacian matrices.
 
 Each bound_* function takes precomputed DistanceData (plus a Frobenius norm
-where the formula needs one) and returns the bound value. compute_all_bounds
-runs the whole battery on a graph and reports applicability, satisfaction
-against the true radii, and equality diagnoses for the bounds that have
-characterized equality cases.
+where the formula needs one) of one graph or of a same-n batch and returns
+the bound value, a float or one per graph. bound_values runs the battery,
+with applicability read from BOUND_META; compute_all_bounds runs it on one
+graph and reports applicability, satisfaction against the true radii, and
+equality diagnoses for the bounds that have characterized equality cases.
 
 Upper bounds must sit above the radius and lower bounds below it, up to the
 soundness slack; compute_all_bounds records violations rather than raising,
@@ -23,7 +24,8 @@ import numpy as np
 
 from .errors import ConsistencyError, NotApplicableError
 from .graph6 import encode_graph6
-from .graphs import compute_distance_data, transmission_regularity
+from .graphs import (
+    compute_distance_data, distance_data, transmission_regularity)
 from .linalg import Spectrum, eig_symmetric
 from .operators import build_operators
 
@@ -47,6 +49,10 @@ class Side(enum.Enum):
 
 
 class BoundId(enum.Enum):
+    # members are singletons, so identity hashing is exact; it spares the
+    # many dict lookups by id Enum's hash, which runs Python code
+    __hash__ = object.__hash__
+
     L_I1 = "L_I1"
     L_D1 = "L_D1"
     L_D2 = "L_D2"
@@ -83,7 +89,8 @@ BOUND_META = {
     BoundId.L_N1: BoundMeta(Target.L, Side.UPPER),
     BoundId.L_N2: BoundMeta(Target.L, Side.UPPER, min_n=2),
     BoundId.L_N3: BoundMeta(Target.L, Side.UPPER, min_n=2),
-    BoundId.L_R1: BoundMeta(Target.L, Side.UPPER, strict=True, regular_only=True),
+    BoundId.L_R1: BoundMeta(Target.L, Side.UPPER, strict=True, min_n=2,
+                           regular_only=True),
     BoundId.L_R2: BoundMeta(Target.L, Side.UPPER, min_n=2, regular_only=True),
     BoundId.Q_TB_LO: BoundMeta(Target.Q, Side.LOWER),
     BoundId.Q_TB_UP: BoundMeta(Target.Q, Side.UPPER),
@@ -102,7 +109,7 @@ def _sqrt_guarded(radicand, what):
     """sqrt with a tiny negative clamp; larger negatives are internal errors.
     A float64 array is clamped and rooted elementwise."""
     batched = isinstance(radicand, np.ndarray)
-    low = float(radicand.min()) if batched else radicand
+    low = float(radicand.min()) if batched else float(radicand)
     if low < -1e-9:
         raise ConsistencyError(
             f"{what}: radicand {low!r} is negative beyond tolerance")
@@ -111,20 +118,45 @@ def _sqrt_guarded(radicand, what):
     return math.sqrt(max(radicand, 0.0))
 
 
+def _value(x):
+    """A bound's value: a float for one graph, the array for a batch."""
+    return x if getattr(x, "ndim", 0) else float(x)
+
+
+def _root(square):
+    """sqrt of a squared norm: a float for one graph, an array for a batch."""
+    if isinstance(square, np.ndarray):
+        return np.sqrt(square)
+    return math.sqrt(square)
+
+
+def _any(flags):
+    """Whether any graph's flag holds."""
+    if isinstance(flags, np.ndarray):
+        return flags.any()
+    return bool(flags)
+
+
+def _first(bad, *xs):
+    """Python floats of xs at the first graph where bad holds."""
+    i = int(np.argmax(bad))
+    return [float(np.ravel(x)[i]) for x in xs]
+
+
 def bound_L_i1(dd):
     """Upper bound from each vertex's transmission and distance-column energy:
     max over i of tr_i + sqrt((n-1) * sum_k dist_ki^2)."""
     n = dd.n
-    col2 = (dd.dist.astype(np.float64) ** 2).sum(axis=0)
+    col2 = (dd.dist.astype(np.float64) ** 2).sum(axis=-2)
     vals = dd.tr + np.sqrt((n - 1) * col2)
-    return float(vals.max())
+    return _value(vals.max(axis=-1))
 
 
 def bound_L_d1(dd):
     """Upper bound 2W - n(n-2); defined for n >= 4."""
     if dd.n < 4:
         raise NotApplicableError(f"needs n >= 4, got n={dd.n}")
-    return float(2 * dd.wiener - dd.n * (dd.n - 2))
+    return _value(2.0 * dd.wiener - dd.n * (dd.n - 2))
 
 
 def bound_L_d2(dd, d_frob):
@@ -132,40 +164,53 @@ def bound_L_d2(dd, d_frob):
     if dd.n < 2:
         raise NotApplicableError("needs n >= 2")
     rad = d_frob * d_frob - dd.tr2 / dd.n
-    value = dd.tr.max(axis=-1) + _sqrt_guarded(rad, "L_D2")
-    return value if value.ndim else float(value)
+    return _value(dd.tr.max(axis=-1) + _sqrt_guarded(rad, "L_D2"))
 
 
 def bound_L_n1(dd):
     """Upper bound: sum of row maxima of the distance matrix."""
-    return float(dd.p.sum())
+    return _value(1.0 * dd.p.sum(axis=-1))
+
+
+# Entries of each bound_L_n2 temporary, fixed so that its memory stays flat
+# in n and in the batch size.
+_PAIR_CELLS = 1 << 16
 
 
 def bound_L_n2(dd):
     """Upper bound over vertex pairs:
     max (tr_i + tr_j + 2 dist_ij + sum_{k != i,j} |dist_ik - dist_jk|) / 2."""
-    if dd.n < 2:
+    n = dd.n
+    if n < 2:
         raise NotApplicableError("needs n >= 2")
     d = dd.dist
     tr = dd.tr
+    first, second = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    step = max(1, _PAIR_CELLS * n // d.size)
     best = 0
-    for i in range(dd.n - 1):
-        # row i against every later row j; the k = i and k = j terms of the
-        # l1 distance contribute dist_ij each, which is the 2 dist_ij term
-        l1 = np.abs(d[i + 1:] - d[i]).sum(axis=1)
-        best = max(best, int((tr[i] + tr[i + 1:] + l1).max()))
-    return best / 2.0
+    for s in range(0, len(first), step):
+        i, j = first[s:s + step], second[s:s + step]
+        # the k = i and k = j terms of the l1 distance contribute dist_ij
+        # each, which is the 2 dist_ij term
+        l1 = np.abs(d[..., i, :] - d[..., j, :]).sum(axis=-1)
+        best = np.maximum(best, (tr[..., i] + tr[..., j] + l1).max(axis=-1))
+    return _value(best / 2.0)
 
 
 def bound_L_n3(dd, l_frob):
     """Upper bound from the Laplacian trace and Frobenius norm:
-    2W/(n-1) + sqrt((n-2)/(n-1) * (||L||_F^2 - (2W)^2/(n-1)))."""
+    2W/(n-1) + sqrt((n-2)/(n-1) * (||L||_F^2 - (2W)^2/(n-1))).
+    l_frob is ||L||_F, whose square is tr2 + dist2."""
     n = dd.n
     if n < 2:
         raise NotApplicableError("needs n >= 2")
     tw = 2.0 * dd.wiener
     rad = (n - 2) / (n - 1) * (l_frob * l_frob - tw * tw / (n - 1))
-    return tw / (n - 1) + _sqrt_guarded(rad, "L_N3")
+    # an exactly zero radicand (complete graphs) can round to below the
+    # sqrt guard's tolerance, so a zero is settled in integers
+    exact = (n - 1) * (dd.tr2 + dd.dist2) - 4 * dd.wiener * dd.wiener
+    rad = rad * (exact != 0)
+    return _value(tw / (n - 1) + _sqrt_guarded(rad, "L_N3"))
 
 
 def bound_L_transmission_regular(dd, d_frob):
@@ -186,14 +231,16 @@ def bound_L_transmission_regular(dd, d_frob):
     c1 = k + _sqrt_guarded(df2 - k * k, "L_R1")
     rad = (n - 2) / (n - 1) * (df2 - n * k * k / (n - 1))
     c2 = n * k / (n - 1) + _sqrt_guarded(rad, "L_R2")
-    if c2 > c1 + slack_for(c1):
+    bad = c2 > c1 + slack_for(c1)
+    if _any(bad):
+        c1, c2 = _first(bad, c1, c2)
         raise ConsistencyError(f"expected c2 <= c1, got c1={c1!r} c2={c2!r}")
-    return c1, c2
+    return _value(c1), _value(c2)
 
 
 def bound_Q_tb(dd):
     """Signless radius sits between twice the min and twice the max transmission."""
-    return 2.0 * float(dd.tr.min()), 2.0 * float(dd.tr.max())
+    return 2.0 * _value(dd.tr.min(axis=-1)), 2.0 * _value(dd.tr.max(axis=-1))
 
 
 def bound_Q_hong_ratio(dd):
@@ -201,13 +248,13 @@ def bound_Q_hong_ratio(dd):
     if dd.n < 2:
         raise NotApplicableError("needs n >= 2 (zero transmissions otherwise)")
     vals = dd.tr + dd.sdd / dd.tr
-    return float(vals.min()), float(vals.max())
+    return _value(vals.min(axis=-1)), _value(vals.max(axis=-1))
 
 
 def bound_Q_hong_sqrt(dd):
     """Lower/upper pair min/max over i of sqrt(2 sdd_i + 2 tr_i^2)."""
     vals = np.sqrt(2.0 * dd.sdd + 2.0 * dd.tr.astype(np.float64) ** 2)
-    return float(vals.min()), float(vals.max())
+    return _value(vals.min(axis=-1)), _value(vals.max(axis=-1))
 
 
 def bound_Q_i2(dd):
@@ -223,15 +270,17 @@ def _quadratic_root(x, n, wiener):
 def bound_Q_quadratic(dd):
     """Lower/upper pair from a quadratic row-sum argument, evaluated at the
     min and max transmission. Checks the pair stays inside [2t, 2T]."""
-    t = float(dd.tr.min())
-    big = float(dd.tr.max())
+    t = _value(dd.tr.min(axis=-1))
+    big = _value(dd.tr.max(axis=-1))
     lo = _quadratic_root(t, dd.n, dd.wiener)
     up = _quadratic_root(big, dd.n, dd.wiener)
-    if lo + slack_for(lo) < 2.0 * t or up > 2.0 * big + slack_for(up):
+    bad = (lo + slack_for(lo) < 2.0 * t) | (up > 2.0 * big + slack_for(up))
+    if _any(bad):
+        lo, up, t, big = _first(bad, lo, up, t, big)
         raise ConsistencyError(
             f"quadratic pair ({lo!r}, {up!r}) escapes [2t, 2T] = "
             f"({2 * t!r}, {2 * big!r})")
-    return lo, up
+    return _value(lo), _value(up)
 
 
 def bound_Q_cs7(dd, q_frob):
@@ -239,7 +288,58 @@ def bound_Q_cs7(dd, q_frob):
     n = dd.n
     tw = 2.0 * dd.wiener
     rad = (n - 1) / n * (q_frob * q_frob - tw * tw / n)
-    return tw / n + _sqrt_guarded(rad, "Q_CS7")
+    return _value(tw / n + _sqrt_guarded(rad, "Q_CS7"))
+
+
+# The battery in evaluation order: each function of the distance data and
+# the ids of the bounds whose values it returns. The lambdas look the
+# bound_* functions up when called, so every caller runs the current ones.
+_BATTERY = (
+    ((BoundId.L_I1, BoundId.Q_I2), lambda dd: (bound_L_i1(dd),) * 2),
+    ((BoundId.L_D1,), lambda dd: (bound_L_d1(dd),)),
+    ((BoundId.L_D2,), lambda dd: (bound_L_d2(dd, _root(dd.dist2)),)),
+    ((BoundId.L_N1,), lambda dd: (bound_L_n1(dd),)),
+    ((BoundId.L_N2,), lambda dd: (bound_L_n2(dd),)),
+    ((BoundId.L_N3,),
+     lambda dd: (bound_L_n3(dd, _root(dd.tr2 + dd.dist2)),)),
+    ((BoundId.L_R1, BoundId.L_R2),
+     lambda dd: bound_L_transmission_regular(dd, _root(dd.dist2))),
+    ((BoundId.Q_TB_LO, BoundId.Q_TB_UP), lambda dd: bound_Q_tb(dd)),
+    ((BoundId.Q_I3, BoundId.Q_I4), lambda dd: bound_Q_hong_ratio(dd)),
+    ((BoundId.Q_I5, BoundId.Q_I6), lambda dd: bound_Q_hong_sqrt(dd)),
+    ((BoundId.Q_CI5, BoundId.Q_CS6), lambda dd: bound_Q_quadratic(dd)),
+    ((BoundId.Q_CS7,),
+     lambda dd: (bound_Q_cs7(dd, _root(dd.tr2 + dd.dist2)),)),
+)
+
+
+def applies(bound_id, n, regular):
+    """Whether bound_id applies at n vertices: n >= its min_n and, for a
+    regular-only bound, the graph is transmission-regular. regular is one
+    flag, or one per graph of a batch; then a regular-only bound that
+    passes min_n applies where regular holds."""
+    meta = BOUND_META[bound_id]
+    return n >= meta.min_n and (regular if meta.regular_only else True)
+
+
+def bound_values(dd, regular):
+    """Value of every bound that applies to the graph or batch dd, by id.
+
+    regular flags the transmission-regular graphs (see applies). In a batch,
+    a bound that applies to some graphs only is evaluated on those and is
+    NaN on the others. A ConsistencyError of any bound propagates.
+    """
+    values = {}
+    for ids, evaluate in _BATTERY:
+        rows = applies(ids[0], dd.n, regular)
+        if not isinstance(rows, np.ndarray):
+            if rows:
+                values.update(zip(ids, evaluate(dd)))
+        elif rows.any():
+            found = np.full((len(ids), len(rows)), np.nan)
+            found[:, rows] = evaluate(distance_data(dd.dist[rows]))
+            values.update(zip(ids, found))
+    return values
 
 
 @dataclass(frozen=True)
@@ -277,8 +377,13 @@ class BoundReport:
         raise KeyError(bound_id)
 
 
-def _entry(bound_id, value, radius, diagnosis=None):
-    meta = BOUND_META[bound_id]
+def _entry(bound_id, meta, value, radius, diagnosis):
+    """The entry of a bound: inapplicable when value is None."""
+    if value is None:
+        return BoundEntry(
+            bound_id=bound_id, target=meta.target, side=meta.side,
+            applicable=False, value=None, satisfied=None, gap=None,
+            diagnosis=None)
     if meta.side is Side.UPPER:
         gap = value - radius
     else:
@@ -290,92 +395,36 @@ def _entry(bound_id, value, radius, diagnosis=None):
         gap=float(gap), diagnosis=diagnosis)
 
 
-def _skip(bound_id):
-    meta = BOUND_META[bound_id]
-    return BoundEntry(
-        bound_id=bound_id, target=meta.target, side=meta.side,
-        applicable=False, value=None, satisfied=None, gap=None, diagnosis=None)
-
-
 def compute_all_bounds(g):
     """Run every bound on one connected graph and diagnose equality cases.
 
     Bounds whose preconditions fail (small n, not transmission-regular) come
-    back as inapplicable entries, never as numbers. Diagnosis functions may
-    raise TheoremViolationError; that propagates.
+    back as inapplicable entries, never as numbers; BOUND_META decides which.
+    Every bound is evaluated before the diagnoses, so a ConsistencyError of
+    a bound takes precedence over a diagnosis's TheoremViolationError, which
+    propagates.
     """
-    from .certify import diagnose_cs7, diagnose_n1, diagnose_n3, diagnose_tb
+    from .certify import diagnose_all
 
     t0 = time.perf_counter()
     dd = compute_distance_data(g)
     t1 = time.perf_counter()
     bundle = build_operators(dd)
-    spectrum_d = eig_symmetric(bundle.d_mat.astype(np.float64))
-    spectrum_l = eig_symmetric(bundle.l_mat.astype(np.float64))
-    spectrum_q = eig_symmetric(bundle.q_mat.astype(np.float64))
+    spectra = eig_symmetric(np.array(
+        (bundle.d_mat, bundle.l_mat, bundle.q_mat), dtype=np.float64))
+    spectrum_d, spectrum_l, spectrum_q = (
+        Spectrum(values=v, tol=spectra.tol) for v in spectra.values)
     radius_l = spectrum_l.largest
     radius_q = spectrum_q.largest
     t2 = time.perf_counter()
 
-    d_frob = math.sqrt(dd.dist2)
-    # ||L||_F^2 = ||Q||_F^2 = sum(tr^2) + ||D||_F^2
-    lq_frob = math.sqrt(dd.tr2 + dd.dist2)
-    regular = transmission_regularity(dd) is not None
-    n = dd.n
-
-    entries = []
-
-    i1 = bound_L_i1(dd)
-    entries.append(_entry(BoundId.L_I1, i1, radius_l))
-    if n >= 4:
-        entries.append(_entry(BoundId.L_D1, bound_L_d1(dd), radius_l))
-    else:
-        entries.append(_skip(BoundId.L_D1))
-    if n >= 2:
-        entries.append(_entry(BoundId.L_D2, bound_L_d2(dd, d_frob), radius_l))
-    else:
-        entries.append(_skip(BoundId.L_D2))
-    entries.append(_entry(
-        BoundId.L_N1, bound_L_n1(dd), radius_l,
-        diagnosis=diagnose_n1(bundle, spectrum_l, dd)))
-    if n >= 2:
-        entries.append(_entry(BoundId.L_N2, bound_L_n2(dd), radius_l))
-        entries.append(_entry(
-            BoundId.L_N3, bound_L_n3(dd, lq_frob), radius_l,
-            diagnosis=diagnose_n3(spectrum_l, dd)))
-    else:
-        entries.append(_skip(BoundId.L_N2))
-        entries.append(_skip(BoundId.L_N3))
-    if regular and n >= 2:
-        c1, c2 = bound_L_transmission_regular(dd, d_frob)
-        entries.append(_entry(BoundId.L_R1, c1, radius_l))
-        entries.append(_entry(BoundId.L_R2, c2, radius_l))
-    else:
-        entries.append(_skip(BoundId.L_R1))
-        entries.append(_skip(BoundId.L_R2))
-
-    tb_lo, tb_up = bound_Q_tb(dd)
-    tb_diag = diagnose_tb(spectrum_q, dd)
-    entries.append(_entry(BoundId.Q_TB_LO, tb_lo, radius_q, diagnosis=tb_diag))
-    entries.append(_entry(BoundId.Q_TB_UP, tb_up, radius_q, diagnosis=tb_diag))
-    if n >= 2:
-        i3, i4 = bound_Q_hong_ratio(dd)
-        entries.append(_entry(BoundId.Q_I3, i3, radius_q))
-        entries.append(_entry(BoundId.Q_I4, i4, radius_q))
-    else:
-        entries.append(_skip(BoundId.Q_I3))
-        entries.append(_skip(BoundId.Q_I4))
-    i5, i6 = bound_Q_hong_sqrt(dd)
-    entries.append(_entry(BoundId.Q_I5, i5, radius_q))
-    entries.append(_entry(BoundId.Q_I6, i6, radius_q))
-    # Q_I2 is the L_I1 expression (bound_Q_i2)
-    entries.append(_entry(BoundId.Q_I2, i1, radius_q))
-    ci5, cs6 = bound_Q_quadratic(dd)
-    entries.append(_entry(BoundId.Q_CI5, ci5, radius_q))
-    entries.append(_entry(BoundId.Q_CS6, cs6, radius_q))
-    entries.append(_entry(
-        BoundId.Q_CS7, bound_Q_cs7(dd, lq_frob), radius_q,
-        diagnosis=diagnose_cs7(spectrum_q, dd)))
+    values = bound_values(dd, transmission_regularity(dd) is not None)
+    diagnoses = diagnose_all(bundle, spectrum_l, spectrum_q, dd)
+    entries = tuple(
+        _entry(bid, meta, values.get(bid),
+               radius_l if meta.target is Target.L else radius_q,
+               diagnoses.get(bid))
+        for bid, meta in BOUND_META.items())
     t3 = time.perf_counter()
 
     timing = {
@@ -387,5 +436,5 @@ def compute_all_bounds(g):
     return BoundReport(
         graph=g, graph6=encode_graph6(g), data=dd, bundle=bundle,
         spectrum_d=spectrum_d, spectrum_l=spectrum_l, spectrum_q=spectrum_q,
-        radius_l=radius_l, radius_q=radius_q, entries=tuple(entries),
+        radius_l=radius_l, radius_q=radius_q, entries=entries,
         timing_ms=timing)

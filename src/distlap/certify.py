@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundId, bound_L_n3, bound_Q_cs7, bound_Q_tb
+from .bounds import BOUND_META, BoundId, bound_L_n3, bound_Q_cs7, bound_Q_tb
 from .errors import NotApplicableError, TheoremViolationError
-from .graphs import is_tree, transmission_regularity
+from .graphs import is_transmission_regular, is_tree, transmission_regularity
 from .linalg import is_irreducible, multiplicity
 
 DIAG_ABS = 1e-6
@@ -34,6 +34,11 @@ def equality_tol(x):
     return DIAG_ABS + DIAG_REL * abs(x)
 
 
+def _meets(value, radius):
+    """Equality of a bound and its radius within the diagnosis tolerance."""
+    return abs(value - radius) <= equality_tol(radius)
+
+
 @dataclass(frozen=True)
 class EqualityDiagnosis:
     bound: BoundId
@@ -46,9 +51,10 @@ class EqualityDiagnosis:
                 "certificate must be 'none' exactly when equality is absent")
 
 
-def _is_complete(dd):
-    # complete iff every off-diagonal distance is 1
-    return dd.n == 1 or int(dd.p.max()) == 1
+def is_complete(dd):
+    """Whether every off-diagonal distance is 1, one flag per graph of a
+    batch."""
+    return (dd.n == 1) | (dd.p.max(axis=-1) == 1)
 
 
 def diagnose_n1(bundle, spectrum_l, dd):
@@ -56,8 +62,7 @@ def diagnose_n1(bundle, spectrum_l, dd):
     matrix to be reducible (necessary, not sufficient)."""
     value = float(dd.p.sum())
     radius = spectrum_l.largest
-    eq = abs(value - radius) <= equality_tol(radius)
-    if eq:
+    if _meets(value, radius):
         if is_irreducible(bundle.b_mat):
             raise TheoremViolationError(
                 "row-maxima bound met with an irreducible shifted matrix "
@@ -75,8 +80,7 @@ def diagnose_n3(spectrum_l, dd):
         raise NotApplicableError("needs n >= 2")
     value = bound_L_n3(dd, math.sqrt(dd.tr2 + dd.dist2))
     radius = spectrum_l.largest
-    eq = abs(value - radius) <= equality_tol(radius)
-    if not eq:
+    if not _meets(value, radius):
         return EqualityDiagnosis(BoundId.L_N3, False, CERT_NONE)
     vals = spectrum_l.values
     tol = equality_tol(radius)
@@ -100,8 +104,8 @@ def diagnose_cs7(spectrum_q, dd):
     Both directions are enforced."""
     value = bound_Q_cs7(dd, math.sqrt(dd.tr2 + dd.dist2))
     radius = spectrum_q.largest
-    eq = abs(value - radius) <= equality_tol(radius)
-    complete = _is_complete(dd)
+    eq = _meets(value, radius)
+    complete = is_complete(dd)
     if eq and not complete:
         raise TheoremViolationError(
             "signless trace/Frobenius equality on a non-complete graph "
@@ -122,8 +126,8 @@ def diagnose_tb(spectrum_q, dd):
     upper-bound id."""
     lo, up = bound_Q_tb(dd)
     radius = spectrum_q.largest
-    eq_lo = abs(radius - lo) <= equality_tol(radius)
-    eq_up = abs(radius - up) <= equality_tol(radius)
+    eq_lo = _meets(lo, radius)
+    eq_up = _meets(up, radius)
     regular = transmission_regularity(dd) is not None
     if (eq_lo or eq_up) and not regular:
         raise TheoremViolationError(
@@ -138,18 +142,51 @@ def diagnose_tb(spectrum_q, dd):
     return EqualityDiagnosis(BoundId.Q_TB_UP, False, CERT_NONE)
 
 
-def check_han_multiplicity(spectrum_l, g):
+def diagnose_all(bundle, spectrum_l, spectrum_q, dd):
+    """The equality diagnoses of one graph by bound id, run in the order n1,
+    n3 (where L_N3 applies), tb, cs7; the first TheoremViolationError
+    propagates."""
+    found = {BoundId.L_N1: diagnose_n1(bundle, spectrum_l, dd)}
+    if dd.n >= BOUND_META[BoundId.L_N3].min_n:
+        found[BoundId.L_N3] = diagnose_n3(spectrum_l, dd)
+    found[BoundId.Q_TB_LO] = found[BoundId.Q_TB_UP] = diagnose_tb(
+        spectrum_q, dd)
+    found[BoundId.Q_CS7] = diagnose_cs7(spectrum_q, dd)
+    return found
+
+
+def diagnosis_rows(dd, values, radius_l, radius_q):
+    """Flags the graphs of a batch on which diagnose_all has more to do than
+    find no equality: a diagnosed bound meets its radius, or the graph is
+    complete or transmission-regular. On every other graph each diagnosis is
+    'none' and none raises. values are the batch's bound values by id."""
+    fires = is_complete(dd) | is_transmission_regular(dd.tr)
+    for radius, ids in ((radius_l, (BoundId.L_N1, BoundId.L_N3)),
+                        (radius_q, (BoundId.Q_TB_LO, BoundId.Q_TB_UP,
+                                    BoundId.Q_CS7))):
+        for bid in ids:
+            if bid in values:
+                fires |= _meets(values[bid], radius)
+    return fires
+
+
+def han_multiplicity_holds(spectrum_l, complete):
     """Largest Laplacian eigenvalue has multiplicity at most n - 2 unless the
-    graph is complete, where it is exactly n - 1. Returns True when the
-    spectrum respects that. Needs n > 2."""
+    graph is complete, where it is exactly n - 1. For a stack of spectra,
+    complete and the result are one flag per spectrum."""
+    n = spectrum_l.values.shape[-1]
+    m = multiplicity(spectrum_l, spectrum_l.largest)
+    return np.where(complete, m == n - 1, m <= n - 2)
+
+
+def check_han_multiplicity(spectrum_l, g):
+    """han_multiplicity_holds for the spectrum of graph g. Returns True when
+    the spectrum respects it. Needs n > 2."""
     n = g.n
     if n <= 2:
         raise NotApplicableError("needs n > 2")
-    m = multiplicity(spectrum_l, spectrum_l.largest)
-    complete = g.edge_count == n * (n - 1) // 2
-    if complete:
-        return m == n - 1
-    return m <= n - 2
+    return bool(han_multiplicity_holds(
+        spectrum_l, g.edge_count == n * (n - 1) // 2))
 
 
 def check_tree_determinant(g, dd):

@@ -312,12 +312,19 @@ def connected_distances(graphs):
     return connected, dist[connected]
 
 
+def is_transmission_regular(tr):
+    """True where every vertex has the same transmission; tr holds one
+    graph's transmissions, or a batch's with one flag per graph."""
+    return (tr == tr[..., :1]).all(axis=-1)
+
+
 def transmission_regularity(dd):
-    """The common transmission k if every vertex has the same, else None."""
-    k = int(dd.tr[0])
-    if (dd.tr == k).all():
-        return k
-    return None
+    """The common transmission k if every vertex has the same, else None.
+    For a batch, the array of k if every graph of it is regular."""
+    if not is_transmission_regular(dd.tr).all():
+        return None
+    k = dd.tr[..., 0]
+    return k if k.ndim else int(k)
 
 
 _ENUM_CAP = 7
@@ -337,13 +344,20 @@ def _connected_mask(mask, pairs, n):
     return _bfs_reach(adj, 0, n) == (1 << n) - 1
 
 
-def _mask_to_graph(mask, pairs, n):
+def _edge_table(pairs):
+    """Edge tuples per byte of an edge mask: table[k][b] holds, ascending, the
+    pairs of the bits set in byte value b at byte k of the mask."""
+    return [[tuple(p for i, p in enumerate(pairs[8 * k:8 * k + 8])
+                   if b >> i & 1)
+             for b in range(256)]
+            for k in range((len(pairs) + 7) // 8)]
+
+
+def _mask_to_graph(mask, table, n):
     edges = []
-    m = mask
-    while m:
-        b = m & -m
-        edges.append(pairs[b.bit_length() - 1])
-        m ^= b
+    for row in table:
+        edges += row[mask & 255]
+        mask >>= 8
     return Graph(n, frozenset(edges))
 
 
@@ -399,9 +413,10 @@ def enumerate_connected(n, dedup=False):
     if dedup:
         chunks = [np.unique(_canonical_masks(np.concatenate(list(chunks)),
                                              pairs, n))]
+    table = _edge_table(pairs)
     for chunk in chunks:
         for mask in chunk.tolist():
-            yield _mask_to_graph(mask, pairs, n)
+            yield _mask_to_graph(mask, table, n)
 
 
 def sample_connected(n, count, seed):
@@ -415,10 +430,11 @@ def sample_connected(n, count, seed):
         raise ValueError(f"count must be nonnegative, got {count}")
     pairs = list(itertools.combinations(range(n), 2))
     npairs = len(pairs)
+    table = _edge_table(pairs)
     rng = random.Random(seed)
     produced = 0
     while produced < count:
         mask = rng.getrandbits(npairs) if npairs else 0
         if _connected_mask(mask, pairs, n):
             produced += 1
-            yield _mask_to_graph(mask, pairs, n)
+            yield _mask_to_graph(mask, table, n)

@@ -11,7 +11,8 @@ from .errors import ConsistencyError, ConvergenceError
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues in descending order.
+    """Real eigenvalues in descending order, along the last axis of values
+    for a stack of spectra.
 
     tol is the tolerance the values were computed/validated to; multiplicity
     queries default to a looser grouping tolerance of their own.
@@ -25,35 +26,42 @@ class Spectrum:
 
     @property
     def largest(self):
-        return float(self.values[0])
+        """The largest eigenvalue, one per spectrum of a stack."""
+        top = self.values[..., 0]
+        return top if top.ndim else float(top)
 
 
 def frobenius_norm(m):
+    """Frobenius norm of a matrix, or one per matrix of a (..., n, n) stack."""
     a = np.asarray(m, dtype=float)
-    return float(np.sqrt((a * a).sum()))
+    norm = np.sqrt((a * a).sum(axis=(-2, -1)))
+    return norm if norm.ndim else float(norm)
 
 
 def eig_symmetric(m, tol=1e-12):
-    """Full spectrum of an exactly symmetric real matrix, descending.
+    """Full spectrum of an exactly symmetric real matrix, descending, or the
+    spectra of a (..., n, n) stack of them in one eigvalsh call.
 
     Rejects non-square or non-symmetric input (entry-for-entry equality is
-    required, which integer-built matrices always satisfy). Cross-checks the
-    eigenvalue sum against the trace to 1e-9 * ||m||_F before returning.
+    required, which integer-built matrices always satisfy). Cross-checks each
+    matrix's eigenvalue sum against its trace to 1e-9 * ||m||_F before
+    returning; the first matrix of a stack that drifts raises.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
+    if a.shape[-1] == 0:
         raise ValueError("empty matrix")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
-    if not np.array_equal(a, a.T):
+    if not (a == np.swapaxes(a, -1, -2)).all():
         raise ValueError("matrix is not symmetric")
-    w = np.linalg.eigvalsh(a)[::-1].copy()
-    drift = abs(float(w.sum()) - float(np.trace(a)))
-    if drift > 1e-9 * frobenius_norm(a) + 1e-12:
+    w = np.ascontiguousarray(np.linalg.eigvalsh(a)[..., ::-1])
+    drift = np.abs(w.sum(axis=-1) - np.trace(a, axis1=-2, axis2=-1))
+    drifted = drift > 1e-9 * frobenius_norm(a) + 1e-12
+    if drifted.any():
         raise ConsistencyError(
-            f"eigenvalue sum drifted from trace by {drift:.3e}")
+            f"eigenvalue sum drifted from trace by {drift[drifted][0]:.3e}")
     return Spectrum(values=w, tol=tol)
 
 
@@ -122,10 +130,14 @@ def is_irreducible(m):
 
 
 def multiplicity(s, value, tol=None):
-    """Count of eigenvalues in s within tol of value.
+    """Count of eigenvalues in s within tol of value; for a stack of spectra,
+    one count per spectrum against one value per spectrum.
 
     Default tol is 1e-6 * (1 + |value|).
     """
     if tol is None:
-        tol = 1e-6 * (1.0 + abs(value))
-    return int((np.abs(s.values - value) <= tol).sum())
+        tol = 1e-6 * (1.0 + np.abs(value))
+    near = (np.abs(s.values - np.asarray(value)[..., None])
+            <= np.asarray(tol)[..., None])
+    count = near.sum(axis=-1)
+    return count if count.ndim else int(count)

@@ -26,12 +26,13 @@ class OperatorBundle:
 
 
 def build_operators(dd):
-    """Exact integer operator matrices for a connected graph's distance data."""
+    """Exact integer operator matrices for a connected graph's distance data,
+    or (B, n, n) stacks of them for a batch."""
     d = dd.dist
-    t = np.diag(dd.tr)
+    t = dd.tr[..., None] * np.eye(dd.n, dtype=d.dtype)
     l = t - d
     q = t + d
-    b = l + dd.p[None, :]
+    b = l + dd.p[..., None, :]
     return OperatorBundle(d_mat=d, l_mat=l, q_mat=q, b_mat=b)
 
 
@@ -39,6 +40,7 @@ def polynomial_row_sums(q_mat, coeffs):
     """Row sums of p(q_mat) for a polynomial p of degree at most 2.
 
     coeffs is (c0, c1, c2...) lowest degree first, at most three entries.
+    For a (B, n, n) stack each coefficient may also be one value per matrix.
     Computed with matrix-vector products against the all-ones vector only;
     the matrix power is never formed. Integer inputs give exact integer
     output.
@@ -47,15 +49,15 @@ def polynomial_row_sums(q_mat, coeffs):
         raise ValueError(
             f"need 1 to 3 coefficients (degree <= 2), got {len(coeffs)}")
     q = np.asarray(q_mat)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+    if q.ndim < 2 or q.shape[-1] != q.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {q.shape}")
     exact = q.dtype.kind in "iu" and all(
-        isinstance(c, (int, np.integer)) for c in coeffs)
+        np.asarray(c).dtype.kind in "iu" for c in coeffs)
     dtype = np.int64 if exact else np.float64
-    v = np.ones(q.shape[0], dtype=dtype)
-    out = coeffs[0] * v
+    v = np.ones(q.shape[:-1], dtype=dtype)
+    out = np.asarray(coeffs[0])[..., None] * v
     power = v
     for c in coeffs[1:]:
-        power = q @ power
-        out = out + c * power
+        power = (q @ power[..., None])[..., 0]
+        out = out + np.asarray(c)[..., None] * power
     return out

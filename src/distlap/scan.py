@@ -9,24 +9,29 @@ weak reading of "improves" can be answered from one result.
 
 scan_soundness runs the full bound battery plus the proven identities on
 every graph and collects violations instead of raising.
+
+Both group the stream by n into chunks of at most SCAN_CHUNK graphs and
+SCAN_CELLS matrix entries and evaluate each chunk as (B, n, n) arrays.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bound_L_d2, bound_L_n3, compute_all_bounds, slack_for
-from .certify import check_han_multiplicity
-from .errors import (
-    ConsistencyError, DisconnectedGraphError, GraphParseError,
-    NotApplicableError, TheoremViolationError)
+from .bounds import (
+    BOUND_META, Side, Target, bound_L_d2, bound_L_n3, bound_values, slack_for)
+from .certify import (
+    diagnose_all, diagnosis_rows, han_multiplicity_holds, is_complete)
+from .errors import ConsistencyError, NotApplicableError, TheoremViolationError
 from .graph6 import encode_graph6
-from .graphs import connected_distances, disconnected_error, distance_data
-from .operators import polynomial_row_sums
+from .graphs import (
+    connected_distances, disconnected_error, distance_data,
+    is_transmission_regular)
+from .linalg import Spectrum, eig_symmetric
+from .operators import build_operators, polynomial_row_sums
 
 HISTOGRAM_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
 HISTOGRAM_LABELS = ("< 0", "[0, 0.5)", "[0.5, 1)", "[1, 2)", "[2, 5)", ">= 5")
@@ -48,16 +53,41 @@ class ScanResult:
     slack: float = 0.0
 
 
-def _scan_chunk(result, graphs):
-    """Margins of a chunk of graphs with the same n >= 3, as array
-    expressions over the chunk; graph6 is encoded only for listed graphs."""
+def _each_chunk(source, evaluate):
+    """Calls evaluate on the graphs of source grouped by n, in lists of at
+    most SCAN_CHUNK graphs and SCAN_CELLS distance-matrix entries, in stream
+    order per n. A chunk is let go before the next one fills."""
+    pending = {}
+    for g in source:
+        chunk = pending.setdefault(g.n, [])
+        chunk.append(g)
+        if len(chunk) == min(SCAN_CHUNK, max(1, SCAN_CELLS // g.n ** 2)):
+            evaluate(pending.pop(g.n))
+    for chunk in pending.values():
+        evaluate(chunk)
+
+
+def _connected(errors, graphs):
+    """The connected graphs of a same-n list and the stack of their distance
+    matrices; each disconnected graph is recorded in errors."""
     connected, dist = connected_distances(graphs)
     # vertex 0 is the first source that misses a vertex, as one at a time
     message = str(disconnected_error(0))
     for g in itertools.compress(graphs, ~connected):
-        result.errors.append((encode_graph6(g), message))
-    tr = dist.sum(axis=-1)
-    tested = ~(tr == tr[:, :1]).all(axis=1)
+        errors.append((encode_graph6(g), message))
+    return list(itertools.compress(graphs, connected)), dist
+
+
+def _scan_chunk(result, graphs):
+    """Margins of a chunk of graphs with the same n, as array expressions
+    over the chunk; graph6 is encoded only for listed graphs."""
+    n = graphs[0].n
+    if n < 3:
+        result.errors += [(encode_graph6(g), f"margin needs n >= 3, got n={n}")
+                          for g in graphs]
+        return
+    kept, dist = _connected(result.errors, graphs)
+    tested = ~is_transmission_regular(dist.sum(axis=-1))
     result.skipped_regular += len(tested) - int(tested.sum())
     if not tested.any():
         return
@@ -76,8 +106,7 @@ def _scan_chunk(result, graphs):
     for label, count in zip(HISTOGRAM_LABELS, buckets.tolist()):
         result.histogram[label] += count
     strict = margin < -result.slack
-    kept = list(itertools.compress(
-        itertools.compress(graphs, connected), tested))
+    kept = list(itertools.compress(kept, tested))
     for found, listed in ((strict, result.counterexamples),
                           (~strict & (margin <= 0.0), result.equalities)):
         for i in np.flatnonzero(found).tolist():
@@ -90,27 +119,14 @@ def scan_conjecture(source, slack=1e-7):
 
     Transmission-regular graphs are skipped (the strict bound hypothesis
     excludes them). Disconnected or too-small graphs are recorded as
-    per-graph errors, not raised. The stream is grouped by n into chunks of
-    at most SCAN_CHUNK graphs and SCAN_CELLS matrix entries, each evaluated
-    as (B, n, n) arrays, so memory stays flat over any stream. Result lists
+    per-graph errors, not raised. The stream is evaluated in same-n chunks
+    (see _each_chunk), so memory stays flat over any stream. Result lists
     are sorted by graph6 encoding so the outcome is independent of stream
     order.
     """
     result = ScanResult(slack=slack)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
-    pending = {}
-    for g in source:
-        if g.n < 3:
-            result.errors.append(
-                (encode_graph6(g), f"margin needs n >= 3, got n={g.n}"))
-            continue
-        chunk = pending.setdefault(g.n, [])
-        chunk.append(g)
-        if len(chunk) == min(SCAN_CHUNK, max(1, SCAN_CELLS // g.n ** 2)):
-            _scan_chunk(result, chunk)
-            del pending[g.n]
-    for chunk in pending.values():
-        _scan_chunk(result, chunk)
+    _each_chunk(source, lambda chunk: _scan_chunk(result, chunk))
     result.counterexamples.sort(key=lambda item: item[0])
     result.equalities.sort(key=lambda item: item[0])
     result.errors.sort(key=lambda item: item[0])
@@ -129,90 +145,162 @@ class SoundnessReport:
     errors: list = field(default_factory=list)
 
 
-def _soundness_identities(report, violations):
-    """Proven identities checked on top of the bound battery."""
-    dd = report.data
+def _identity_failures(dd, q_mat, spectra):
+    """The proven identities checked on top of the bound battery, over a
+    batch: (failed, message) pairs in report order, failed one flag per
+    graph and message a function of a failed graph's row."""
     n = dd.n
     tw = 2.0 * dd.wiener
     lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
+    vals = spectra.values  # distance, laplacian, signless
+    trace = np.array((np.zeros_like(tw), tw, tw))
+    frob2 = np.array((dd.dist2, lq2, lq2))
+    sums = np.abs(vals.sum(axis=-1) - trace) > 1e-8 * (1.0 + np.abs(trace))
+    squares = (np.abs((vals * vals).sum(axis=-1) - frob2)
+               > 1e-8 * (1.0 + frob2))
+    failures = []
+    for k, name in enumerate(("distance", "laplacian", "signless")):
+        failures.append(
+            (sums[k], lambda i, name=name:
+             f"{name} eigenvalue sum misses the trace"))
+        failures.append(
+            (squares[k], lambda i, name=name:
+             f"{name} eigenvalue square sum misses the norm"))
 
-    for spectrum, trace, frob2, name in (
-            (report.spectrum_d, 0.0, dd.dist2, "distance"),
-            (report.spectrum_l, tw, lq2, "laplacian"),
-            (report.spectrum_q, tw, lq2, "signless")):
-        vals = spectrum.values
-        if abs(float(vals.sum()) - trace) > 1e-8 * (1.0 + abs(trace)):
-            violations.append(f"{name} eigenvalue sum misses the trace")
-        if abs(float((vals * vals).sum()) - frob2) > 1e-8 * (1.0 + frob2):
-            violations.append(f"{name} eigenvalue square sum misses the norm")
-
-    lvals = report.spectrum_l.values
-    zero_slack = slack_for(math.sqrt(lq2))
-    if abs(float(lvals[-1])) > zero_slack:
-        violations.append("laplacian smallest eigenvalue is not zero")
+    lvals = vals[1]
+    failures.append(
+        (np.abs(lvals[:, -1]) > slack_for(np.sqrt(lq2)),
+         lambda i: "laplacian smallest eigenvalue is not zero"))
     # every other laplacian eigenvalue is at least n
-    for i in range(n - 1):
-        if float(lvals[i]) < n - slack_for(n):
-            violations.append(
-                f"laplacian eigenvalue {i} below the vertex count")
-            break
+    below = lvals[:, :n - 1] < n - slack_for(n)
+    failures.append(
+        (below.any(axis=-1), lambda i:
+         f"laplacian eigenvalue {below[i].argmax()} below the vertex count"))
 
-    if n > 2 and not check_han_multiplicity(report.spectrum_l, report.graph):
-        violations.append("largest laplacian eigenvalue multiplicity escapes")
+    if n > 2:
+        holds = han_multiplicity_holds(
+            Spectrum(values=lvals, tol=spectra.tol), is_complete(dd))
+        failures.append(
+            (~holds,
+             lambda i: "largest laplacian eigenvalue multiplicity escapes"))
 
     # integer interval for the distance-weighted transmission sums
-    t = int(dd.tr.min())
-    big = int(dd.tr.max())
+    t = dd.tr.min(axis=-1)
+    big = dd.tr.max(axis=-1)
     w2 = 2 * dd.wiener
-    for u in range(n):
-        lo = w2 + (t - 1) * int(dd.tr[u]) - (n - 1) * t
-        up = w2 + (big - 1) * int(dd.tr[u]) - (n - 1) * big
-        s = int(dd.sdd[u])
-        if not lo <= s <= up:
-            violations.append(
-                f"weighted transmission sum at vertex {u} escapes [{lo}, {up}]")
-            break
+    lo = (w2 - (n - 1) * t)[:, None] + (t - 1)[:, None] * dd.tr
+    up = (w2 - (n - 1) * big)[:, None] + (big - 1)[:, None] * dd.tr
+    escapes = (dd.sdd < lo) | (dd.sdd > up)
+
+    def escaped(i):
+        u = escapes[i].argmax()
+        return (f"weighted transmission sum at vertex {u} escapes "
+                f"[{lo[i, u]}, {up[i, u]}]")
+    failures.append((escapes.any(axis=-1), escaped))
 
     # row sums of q^2 against the closed form, exact integers
-    rows = polynomial_row_sums(report.bundle.q_mat, (0, 0, 1))
-    closed = 2 * dd.tr.astype(np.int64) ** 2 + 2 * dd.sdd
-    if not np.array_equal(rows, closed):
-        violations.append("squared signless row sums break the closed form")
+    rows = polynomial_row_sums(q_mat, (0, 0, 1))
+    closed = 2 * dd.tr ** 2 + 2 * dd.sdd
+    failures.append(
+        ((rows != closed).any(axis=-1),
+         lambda i: "squared signless row sums break the closed form"))
 
     # quadratic row-sum sandwich for p(x) = x^2 - (t - 1) x at the radius
     rows_p = polynomial_row_sums(
-        report.bundle.q_mat, (0, -(t - 1), 1)).astype(np.float64)
-    rq = report.radius_q
+        q_mat, (0, -(t - 1), 1)).astype(np.float64)
+    rq = vals[2, :, 0]
     value = rq * rq - (t - 1) * rq
-    pad = slack_for(float(np.abs(rows_p).max()))
-    if not rows_p.min() - pad <= value <= rows_p.max() + pad:
-        violations.append("radius escapes the quadratic row-sum sandwich")
+    pad = slack_for(np.abs(rows_p).max(axis=-1))
+    inside = ((rows_p.min(axis=-1) - pad <= value)
+              & (value <= rows_p.max(axis=-1) + pad))
+    failures.append(
+        (~inside,
+         lambda i: "radius escapes the quadratic row-sum sandwich"))
+    return failures
+
+
+def _violations(dist):
+    """Violation messages of a (B, n, n) stack of connected graphs' distance
+    matrices, by row, for the rows that have any, each row's messages in the
+    order one graph reports them: a TheoremViolationError of its diagnoses
+    alone, else its unsatisfied bounds and then its failed identities. A
+    ConsistencyError of the eigensolve or of a bound propagates."""
+    dd = distance_data(dist)
+    bundle = build_operators(dd)
+    spectra = eig_symmetric(np.array(
+        (bundle.d_mat, bundle.l_mat, bundle.q_mat), dtype=np.float64))
+    radius_l, radius_q = spectra.largest[1], spectra.largest[2]
+    regular = is_transmission_regular(dd.tr)
+    values = bound_values(dd, regular)
+
+    found = {}
+    for i in np.flatnonzero(
+            diagnosis_rows(dd, values, radius_l, radius_q)).tolist():
+        row = distance_data(dist[i])
+        spectrum_l, spectrum_q = (Spectrum(values=v, tol=spectra.tol)
+                                  for v in spectra.values[1:, i])
+        try:
+            diagnose_all(build_operators(row), spectrum_l, spectrum_q, row)
+        except TheoremViolationError as exc:
+            found[i] = [str(exc)]
+
+    metas = [(bid, meta) for bid, meta in BOUND_META.items() if bid in values]
+    value = np.array([values[bid] for bid, _ in metas])
+    radius = np.where([[meta.target is Target.L] for _, meta in metas],
+                      radius_l, radius_q)
+    gap = np.where([[meta.side is Side.UPPER] for _, meta in metas],
+                   value - radius, radius - value)
+    # a NaN gap, where a bound does not apply, is never unsatisfied
+    unsatisfied = gap < -slack_for(radius)
+    failures = [
+        (unsatisfied[k], lambda i, k=k, bid=bid:
+         f"{bid.value} unsatisfied: value {float(value[k, i])!r} vs "
+         f"radius gap {float(gap[k, i])!r}")
+        for k, (bid, _) in enumerate(metas)]
+    failures += _identity_failures(dd, bundle.q_mat, spectra)
+
+    failed = np.array([bad for bad, _ in failures]).any(axis=0)
+    for i in np.flatnonzero(failed).tolist():
+        if i not in found:
+            found[i] = [message(i) for bad, message in failures if bad[i]]
+    return found
+
+
+def _check_soundness(report, graphs, dist):
+    """Soundness of connected same-n graphs with distance matrices dist. A
+    graph whose eigensolve or bounds raise is recorded as an error on its
+    own, as one at a time: a failing batch is split until it is found."""
+    try:
+        found = _violations(dist)
+    except (NotApplicableError, ConsistencyError) as exc:
+        if len(graphs) == 1:
+            report.errors.append((encode_graph6(graphs[0]), str(exc)))
+            return
+        half = len(graphs) // 2
+        _check_soundness(report, graphs[:half], dist[:half])
+        _check_soundness(report, graphs[half:], dist[half:])
+        return
+    report.graphs_checked += len(graphs)
+    for i in sorted(found):
+        g6 = encode_graph6(graphs[i])
+        report.violations += [(g6, message) for message in found[i]]
 
 
 def scan_soundness(source):
-    """Check every bound and identity on every graph in the stream."""
+    """Check every bound and identity on every graph in the stream.
+
+    Disconnected graphs, and graphs whose eigensolve or bounds fail an
+    internal check, are recorded as errors; everything else counts as
+    checked, with its violations. The stream is evaluated in same-n chunks
+    (see _each_chunk). Both lists are sorted by graph6 encoding.
+    """
     report = SoundnessReport()
-    for g in source:
-        try:
-            analysis = compute_all_bounds(g)
-        except TheoremViolationError as exc:
-            report.violations.append((encode_graph6(g), str(exc)))
-            report.graphs_checked += 1
-            continue
-        except (DisconnectedGraphError, GraphParseError, NotApplicableError,
-                ConsistencyError) as exc:
-            report.errors.append((encode_graph6(g), str(exc)))
-            continue
-        report.graphs_checked += 1
-        found = []
-        for entry in analysis.entries:
-            if entry.applicable and not entry.satisfied:
-                found.append(
-                    f"{entry.bound_id.value} unsatisfied: value "
-                    f"{entry.value!r} vs radius gap {entry.gap!r}")
-        _soundness_identities(analysis, found)
-        for msg in found:
-            report.violations.append((analysis.graph6, msg))
+
+    def check(chunk):
+        kept, dist = _connected(report.errors, chunk)
+        if kept:
+            _check_soundness(report, kept, dist)
+    _each_chunk(source, check)
     report.violations.sort(key=lambda item: item[0])
     report.errors.sort(key=lambda item: item[0])
     return report

@@ -4,15 +4,26 @@ Nothing here delegates to numpy.linalg for the quantity being checked: the
 eigenvalue oracle evaluates the characteristic polynomial with a hand-rolled
 partial-pivot LU determinant and brackets roots by sign changes, the counting
 oracle is a closed recurrence, and the tree generator walks Prufer sequences.
+The soundness oracle is the sweep one graph at a time, through
+compute_all_bounds and scalar identity checks, against which the chunked
+sweep is compared.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from math import comb, inf
 
 import numpy as np
+
+from distlap import (
+    SoundnessReport, check_han_multiplicity, compute_all_bounds,
+    encode_graph6, polynomial_row_sums, slack_for)
+from distlap.errors import (
+    ConsistencyError, DisconnectedGraphError, GraphParseError,
+    NotApplicableError, TheoremViolationError)
 
 
 def lu_determinant(a):
@@ -155,3 +166,94 @@ def brauer_shift_spectrum(l_mat, p):
     """Reference eigenvalues of l_mat + ones p^T via the general solver."""
     b = np.asarray(l_mat, dtype=float) + np.asarray(p, dtype=float)[None, :]
     return np.linalg.eigvals(b)
+
+
+def soundness_identities(report, violations):
+    """Proven identities of one graph's BoundReport, appended to violations
+    as messages in check order."""
+    dd = report.data
+    n = dd.n
+    tw = 2.0 * dd.wiener
+    lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
+
+    for spectrum, trace, frob2, name in (
+            (report.spectrum_d, 0.0, dd.dist2, "distance"),
+            (report.spectrum_l, tw, lq2, "laplacian"),
+            (report.spectrum_q, tw, lq2, "signless")):
+        vals = spectrum.values
+        if abs(float(vals.sum()) - trace) > 1e-8 * (1.0 + abs(trace)):
+            violations.append(f"{name} eigenvalue sum misses the trace")
+        if abs(float((vals * vals).sum()) - frob2) > 1e-8 * (1.0 + frob2):
+            violations.append(f"{name} eigenvalue square sum misses the norm")
+
+    lvals = report.spectrum_l.values
+    zero_slack = slack_for(math.sqrt(lq2))
+    if abs(float(lvals[-1])) > zero_slack:
+        violations.append("laplacian smallest eigenvalue is not zero")
+    # every other laplacian eigenvalue is at least n
+    for i in range(n - 1):
+        if float(lvals[i]) < n - slack_for(n):
+            violations.append(
+                f"laplacian eigenvalue {i} below the vertex count")
+            break
+
+    if n > 2 and not check_han_multiplicity(report.spectrum_l, report.graph):
+        violations.append("largest laplacian eigenvalue multiplicity escapes")
+
+    # integer interval for the distance-weighted transmission sums
+    t = int(dd.tr.min())
+    big = int(dd.tr.max())
+    w2 = 2 * dd.wiener
+    for u in range(n):
+        lo = w2 + (t - 1) * int(dd.tr[u]) - (n - 1) * t
+        up = w2 + (big - 1) * int(dd.tr[u]) - (n - 1) * big
+        s = int(dd.sdd[u])
+        if not lo <= s <= up:
+            violations.append(
+                f"weighted transmission sum at vertex {u} escapes [{lo}, {up}]")
+            break
+
+    # row sums of q^2 against the closed form, exact integers
+    rows = polynomial_row_sums(report.bundle.q_mat, (0, 0, 1))
+    closed = 2 * dd.tr.astype(np.int64) ** 2 + 2 * dd.sdd
+    if not np.array_equal(rows, closed):
+        violations.append("squared signless row sums break the closed form")
+
+    # quadratic row-sum sandwich for p(x) = x^2 - (t - 1) x at the radius
+    rows_p = polynomial_row_sums(
+        report.bundle.q_mat, (0, -(t - 1), 1)).astype(np.float64)
+    rq = report.radius_q
+    value = rq * rq - (t - 1) * rq
+    pad = slack_for(float(np.abs(rows_p).max()))
+    if not rows_p.min() - pad <= value <= rows_p.max() + pad:
+        violations.append("radius escapes the quadratic row-sum sandwich")
+
+
+def per_graph_soundness(source):
+    """The soundness sweep one graph at a time: compute_all_bounds and the
+    identities on every graph, violations and errors sorted by graph6."""
+    report = SoundnessReport()
+    for g in source:
+        try:
+            analysis = compute_all_bounds(g)
+        except TheoremViolationError as exc:
+            report.violations.append((encode_graph6(g), str(exc)))
+            report.graphs_checked += 1
+            continue
+        except (DisconnectedGraphError, GraphParseError, NotApplicableError,
+                ConsistencyError) as exc:
+            report.errors.append((encode_graph6(g), str(exc)))
+            continue
+        report.graphs_checked += 1
+        found = []
+        for entry in analysis.entries:
+            if entry.applicable and not entry.satisfied:
+                found.append(
+                    f"{entry.bound_id.value} unsatisfied: value "
+                    f"{entry.value!r} vs radius gap {entry.gap!r}")
+        soundness_identities(analysis, found)
+        for msg in found:
+            report.violations.append((analysis.graph6, msg))
+    report.violations.sort(key=lambda item: item[0])
+    report.errors.sort(key=lambda item: item[0])
+    return report

@@ -7,12 +7,14 @@ import pytest
 
 from distlap import (
     BOUND_META, BoundId, Side, Target, bound_L_d1, bound_L_i1, bound_L_n1,
-    bound_L_n2, bound_L_transmission_regular, bound_Q_hong_ratio, bound_Q_i2,
-    compute_all_bounds, compute_distance_data, encode_graph6,
+    bound_L_n2, bound_L_n3, bound_L_transmission_regular, bound_Q_hong_ratio,
+    bound_Q_i2, compute_all_bounds, compute_distance_data, encode_graph6,
     enumerate_connected, sample_connected, slack_for)
-from distlap.bounds import _sqrt_guarded
+from distlap.bounds import _sqrt_guarded, bound_values
 from distlap.errors import ConsistencyError, NotApplicableError
-from distlap.named_graphs import fixture_graph, path_graph
+from distlap.graphs import distance_data, is_transmission_regular
+from distlap.named_graphs import (
+    complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
 # printed-table precision for the 12-vertex fixtures
 TOL = 5e-4
@@ -148,6 +150,53 @@ def test_vertex_pair_bound_matches_pair_loop():
             + sum(abs(d[i][k] - d[j][k]) for k in range(g.n) if k not in (i, j))
             for i in range(g.n) for j in range(i + 1, g.n))
         assert bound_L_n2(dd) == best / 2.0
+
+
+def test_complete_graph_trace_bound_is_exact():
+    # the L_N3 radicand of K_n is exactly 0; in floats it rounds to about
+    # -1.85e-9 at n = 208, beyond the sqrt guard's tolerance
+    for n in (2, 3, 12, 208, 577, 1199):
+        dist = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
+        dd = distance_data(dist)
+        assert bound_L_n3(dd, math.sqrt(dd.tr2 + dd.dist2)) == float(n)
+    r = compute_all_bounds(complete_graph(208))
+    assert r.entry(BoundId.L_N3).value == 208.0
+    assert r.entry(BoundId.L_N3).diagnosis.certificate == "complete-graph"
+    assert all(e.satisfied for e in r.entries if e.applicable)
+
+
+def test_applicability_follows_the_table():
+    graphs = [path_graph(1), path_graph(2), path_graph(3), cycle_graph(3),
+              star_graph(4), cycle_graph(4), fixture_graph("ex1"),
+              fixture_graph("ex2")]
+    for g in graphs:
+        r = compute_all_bounds(g)
+        regular = bool(is_transmission_regular(r.data.tr))
+        for e in r.entries:
+            meta = BOUND_META[e.bound_id]
+            want = g.n >= meta.min_n and (regular or not meta.regular_only)
+            assert e.applicable is want, (g.n, e.bound_id)
+
+
+def test_bound_values_of_a_batch_match_single_graphs():
+    # every bound of a mixed same-n batch equals the one-graph value bit for
+    # bit; a regular-only bound is NaN on the graphs it does not apply to
+    for n in (1, 2, 3, 4, 6, 9):
+        graphs = list(sample_connected(n, 12, seed=n))
+        if n >= 3:
+            graphs += [complete_graph(n), cycle_graph(n), star_graph(n)]
+        singles = [compute_distance_data(g) for g in graphs]
+        batch = distance_data(np.stack([dd.dist for dd in singles]))
+        regular = is_transmission_regular(batch.tr)
+        values = bound_values(batch, regular)
+        for i, dd in enumerate(singles):
+            want = bound_values(dd, bool(regular[i]))
+            for bid in BoundId:
+                if bid in want:
+                    assert type(want[bid]) is float
+                    assert repr(float(values[bid][i])) == repr(want[bid])
+                elif bid in values:
+                    assert math.isnan(values[bid][i])
 
 
 def test_sqrt_guard():

@@ -183,6 +183,15 @@ def test_main_exit_codes(capsys):
     assert doc["scan"]["skipped_regular"] == 1
 
 
+def test_main_analyze_large_complete_graph(capsys):
+    # the L_N3 radicand of K_208 is exactly 0 but rounds below the sqrt
+    # guard's tolerance in floats
+    assert main(["analyze", "K208", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    n3 = next(b for b in doc["bounds"] if b["id"] == "L_N3")
+    assert n3["value"] == 208.0 and n3["satisfied"]
+
+
 def test_main_analyze_disconnected_edge_list(tmp_path, capsys):
     path = tmp_path / "split.txt"
     path.write_text("4\n0 1\n2 3\n", encoding="utf-8")

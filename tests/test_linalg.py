@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 import oracles
 from distlap import (
-    ConvergenceError, build_operators, compute_distance_data,
-    eig_symmetric, enumerate_connected, frobenius_norm, is_irreducible,
-    multiplicity, spectral_radius_nonneg)
+    ConsistencyError, ConvergenceError, build_operators,
+    compute_distance_data, eig_symmetric, enumerate_connected,
+    frobenius_norm, is_irreducible, multiplicity, sample_connected,
+    spectral_radius_nonneg)
+from distlap.graphs import distance_data
 from distlap.named_graphs import complete_graph, path_graph
 
 
@@ -34,6 +36,61 @@ def test_eig_symmetric_rejects_bad_input():
         eig_symmetric([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
     with pytest.raises(ValueError, match="finite"):
         eig_symmetric([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_eig_symmetric_stack_matches_single():
+    # the D, L and Q stacks of same-n graphs in one call give every matrix's
+    # spectrum bit for bit, and multiplicity counts per spectrum
+    for n in (1, 2, 5, 7, 12, 30):
+        dist = np.stack([compute_distance_data(g).dist
+                         for g in sample_connected(n, 6, seed=n)])
+        bundle = build_operators(distance_data(dist))
+        mats = np.stack((bundle.d_mat, bundle.l_mat, bundle.q_mat)).astype(
+            np.float64)
+        stacked = eig_symmetric(mats)
+        assert stacked.values.shape == (3, 6, n)
+        assert stacked.values.flags.c_contiguous
+        assert stacked.largest.tolist() == stacked.values[..., 0].tolist()
+        for k in range(3):
+            for i in range(6):
+                single = eig_symmetric(mats[k, i])
+                assert stacked.values[k, i].tolist() == single.values.tolist()
+                assert multiplicity(stacked, stacked.largest)[k, i] == \
+                    multiplicity(single, single.largest)
+
+
+def test_eig_symmetric_stack_rejects_bad_input():
+    good = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0])])
+    with pytest.raises(ValueError, match="square"):
+        eig_symmetric(np.ones((2, 2, 3)))
+    skew = good.copy()
+    skew[1, 0, 1] = 1e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        eig_symmetric(skew)
+    bad = good.copy()
+    bad[1, 2, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        eig_symmetric(bad)
+
+
+def test_eig_symmetric_stack_checks_drift_per_matrix(monkeypatch):
+    # the first matrix whose eigenvalue sum misses its trace raises, with
+    # the message one matrix alone gives
+    eigvalsh = np.linalg.eigvalsh
+
+    def drifting(a):
+        w = eigvalsh(a)
+        w[..., 0] += (np.trace(a, axis1=-2, axis2=-1) == 6.0) * 1e-3
+        return w
+    monkeypatch.setattr(np.linalg, "eigvalsh", drifting)
+    stack = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), 3 * np.eye(3)])
+    with pytest.raises(ConsistencyError) as many:
+        eig_symmetric(stack)
+    with pytest.raises(ConsistencyError) as one:
+        eig_symmetric(stack[1])
+    assert str(many.value) == str(one.value) == (
+        "eigenvalue sum drifted from trace by 1.000e-03")
+    assert eig_symmetric(stack[[0, 2]]).values.shape == (2, 3)
 
 
 @settings(max_examples=40, deadline=None)

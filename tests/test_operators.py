@@ -5,7 +5,8 @@ import pytest
 
 from distlap import (
     build_operators, compute_distance_data, enumerate_connected,
-    polynomial_row_sums)
+    polynomial_row_sums, sample_connected)
+from distlap.graphs import distance_data
 from distlap.named_graphs import fixture_graph, path_graph
 
 
@@ -35,6 +36,22 @@ def test_l_rows_vanish_and_b_rows_are_constant():
             dd = compute_distance_data(g)
             p_sum = int(dd.p.sum())
             assert (b.b_mat.sum(axis=1) == p_sum).all()
+
+
+def test_stacks_match_single_graphs():
+    graphs = list(sample_connected(6, 8, seed=4))
+    dist = np.stack([compute_distance_data(g).dist for g in graphs])
+    stacked = build_operators(distance_data(dist))
+    t = dist.sum(axis=-1).min(axis=-1)
+    rows = polynomial_row_sums(stacked.q_mat, (1, -(t - 1), 1))
+    assert rows.dtype == np.int64
+    for i, g in enumerate(graphs):
+        single = bundle_for(g)
+        for name in ("d_mat", "l_mat", "q_mat", "b_mat"):
+            assert np.array_equal(getattr(stacked, name)[i],
+                                  getattr(single, name)), name
+        want = polynomial_row_sums(single.q_mat, (1, -(int(t[i]) - 1), 1))
+        assert rows[i].tolist() == want.tolist()
 
 
 def test_polynomial_row_sums_examples():

@@ -3,20 +3,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from distlap import (
-    Graph, bound_L_d2, bound_L_n3, compute_distance_data, encode_graph6,
-    enumerate_connected, scan_conjecture, scan_soundness,
+    Graph, bound_L_d2, bound_L_n3, bounds, certify, compute_distance_data,
+    encode_graph6, enumerate_connected, scan, scan_conjecture, scan_soundness,
     transmission_regularity)
-from distlap.errors import ConsistencyError, DisconnectedGraphError
-from distlap.graphs import _BATCH_BFS_MAX_N
+from distlap.errors import DisconnectedGraphError
+from distlap.graphs import _BATCH_BFS_MAX_N, is_transmission_regular
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 from distlap.scan import (
     HISTOGRAM_EDGES, HISTOGRAM_LABELS, SCAN_CELLS, SCAN_CHUNK, ScanResult,
     _scan_chunk)
-from oracles import labeled_connected_count
+from oracles import labeled_connected_count, per_graph_soundness
 
 
 def test_star5_is_a_strict_counterexample():
@@ -201,16 +202,108 @@ def test_chunked_scan_equals_per_graph_evaluation():
         assert type(trace_bound) is float and type(strict_bound) is float
 
 
-def test_regular_graphs_in_a_chunk_never_reach_the_bounds():
-    # the L_N3 radicand of K_208 rounds to about -1.9e-9, beyond the sqrt
-    # guard's tolerance; a regular graph is skipped before the bounds, as
-    # one graph at a time, however the chunk is mixed
+def test_regular_graphs_in_a_chunk_never_reach_the_bounds(monkeypatch):
+    # a regular graph is skipped before the bounds, as one graph at a time,
+    # however the chunk is mixed: bound_L_n3 sees the star only
     n = 208
+    seen = []
+
+    def spy(dd, l_frob):
+        seen.append(is_transmission_regular(dd.tr).tolist())
+        return bound_L_n3(dd, l_frob)
+    monkeypatch.setattr(scan, "bound_L_n3", spy)
     result = ScanResult(slack=1e-7)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
     _scan_chunk(result, [complete_graph(n), star_graph(n)])
     want = per_graph_scan([complete_graph(n), star_graph(n)])
+    assert seen == [[False]]
     assert result.skipped_regular == want.skipped_regular == 1
     assert result.graphs_tested == want.graphs_tested == 1
     assert result.min_margin == want.min_margin
     assert result.histogram == want.histogram
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + spokes)
+
+
+def soundness_stream():
+    """A shuffled stream of n = 1..10 longer than one chunk: random graphs
+    (some disconnected), complete graphs, cycles, stars, paths, random trees,
+    the Petersen graph, the fixtures and K_208."""
+    rng = random.Random(9)
+    stream = []
+    for n, count in ((1, 4), (2, 6), (3, 20), (4, 30), (5, 40), (6, 60),
+                     (7, SCAN_CHUNK + 30), (8, 40), (9, 30), (10, 30)):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(count):
+            density = rng.uniform(0.15, 0.95)
+            stream.append(Graph(n, frozenset(
+                p for p in pairs if rng.random() < density)))
+    for n in range(3, 11):
+        stream += [complete_graph(n), cycle_graph(n), star_graph(n),
+                   path_graph(n),
+                   Graph(n, frozenset((v, rng.randrange(v))
+                                      for v in range(1, n)))]
+    stream += [complete_graph(1), complete_graph(2), petersen_graph(),
+               complete_graph(208)]
+    stream += [fixture_graph(name) for name in ("ex1", "ex2", "g1", "g2")]
+    rng.shuffle(stream)
+    return stream
+
+
+def test_chunked_soundness_equals_per_graph_evaluation():
+    stream = soundness_stream()
+    got = scan_soundness(stream)
+    want = per_graph_soundness(stream)
+    assert got.errors and not got.violations
+    assert got.graphs_checked + len(got.errors) == len(stream)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "mutation", ["bound", "certificate", "guard", "drift", "spectrum"])
+def test_chunked_soundness_reports_violations_as_per_graph(
+        monkeypatch, mutation):
+    # each mutation of shared code makes some graphs of the stream fail, so
+    # the chunked sweep has to single them out as one graph at a time does
+    eigvalsh = np.linalg.eigvalsh
+    if mutation == "bound":
+        # lower Q_I5 and raise Q_I6 above the radius on most graphs
+        hong_sqrt = bounds.bound_Q_hong_sqrt
+        monkeypatch.setattr(bounds, "bound_Q_hong_sqrt", lambda dd: tuple(
+            v * 1.001 for v in hong_sqrt(dd)))
+    elif mutation == "certificate":
+        # every diagnosis meets its radius, so certificates fail
+        monkeypatch.setattr(certify, "equality_tol",
+                            lambda x: 0.5 + 1e-8 * abs(x))
+    elif mutation == "guard":
+        # the L_N3 radicand goes negative on some graphs
+        trace_bound = bounds.bound_L_n3
+        monkeypatch.setattr(bounds, "bound_L_n3", lambda dd, l_frob: (
+            trace_bound(dd, 0.99 * l_frob)))
+    else:
+        # shift the spectra of the L and Q matrices whose trace is 3 mod 7:
+        # "drift" moves their eigenvalue sums off the trace, "spectrum"
+        # keeps the sums and breaks the identities instead
+        def shifted(a):
+            w = eigvalsh(a)
+            hit = np.trace(a, axis1=-2, axis2=-1) % 7 == 3
+            w[..., -1] += hit * 1e-3
+            if mutation == "spectrum":
+                w[..., 0] -= hit * 1e-3
+            return w
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    stream = soundness_stream()
+    got = scan_soundness(stream)
+    want = per_graph_soundness(stream)
+    assert got == want
+    found = {"bound": "Q_I5 unsatisfied", "certificate": "endpoint met",
+             "guard": "L_N3: radicand", "drift": "sum drifted",
+             "spectrum": "square sum misses"}[mutation]
+    assert any(found in message
+               for _, message in got.violations + got.errors)
+    assert got.graphs_checked > 100

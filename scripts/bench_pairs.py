@@ -1,17 +1,18 @@
 """Benchmark a working tree against a parent ref in alternating pairs.
 
     python3 scripts/bench_pairs.py LABEL --run WORKLOAD:FIRST-LAST \
-        [--run ...] [--trace WORKLOAD:SEED ...] [--parent REF] [--seconds S]
+        [--run ...] [--trace WORKLOAD:SEED ...] [--parent REF]
 
 Exports src/, bench/ and BENCHMARK.json of the parent ref (git archive) and
 of the working tree into two temporary directories, so that neither run
 touches the checkout. For every seed of every --run it runs
 `bench/run.py --trace 0` once per side, alternating which side runs first,
-and for every --trace one `--trace 1` run per side. It writes
-BENCH_<LABEL>.json in the repository root: the machine, the method, every
-run's record, and per workload and end-to-end metric the q1/median/q3 of
-each side, the change/parent ratio of the medians and the number of pairs
-the change won (ties count for neither side), plus failed/attempted units.
+and for every --trace (one seed) one `--trace 1` run per side; every run
+lasts BENCHMARK.json's run_seconds. It writes BENCH_<LABEL>.json in the
+repository root: the machine, the method, every run's record, and per
+workload and end-to-end metric the q1/median/q3 of each side, the
+change/parent ratio of the medians and the number of pairs the change won
+(ties count for neither side), plus failed/attempted units.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ def parse_run(text):
     return workload, list(range(int(first), int(last or first) + 1))
 
 
+def parse_trace(text):
+    workload, _, seed = text.partition(":")
+    return workload, int(seed)
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
@@ -102,18 +108,16 @@ def main():
     parser.add_argument("--run", action="append", default=[], type=parse_run,
                         help="WORKLOAD:FIRST-LAST, one pair per seed")
     parser.add_argument("--trace", action="append", default=[],
-                        type=parse_run, help="WORKLOAD:SEED, traced once "
+                        type=parse_trace, help="WORKLOAD:SEED, traced once "
                         "per side")
     parser.add_argument("--parent", default="HEAD",
                         help="git ref to compare against (default: HEAD)")
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default: BENCHMARK.json)")
     args = parser.parse_args()
     if not args.run and not args.trace:
         parser.error("give at least one --run or --trace")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
-    seconds = args.seconds or declared["run_seconds"]
+    seconds = declared["run_seconds"]
 
     result = {"label": args.label, "machine": None,
               "method": (f"python3 bench/run.py --workload W --seed S "
@@ -145,14 +149,13 @@ def main():
                     f"{side} {rate['value']:.6g}"
                     for side, rate in rates.items()), flush=True)
             result["summary"][workload] = summarize(pairs, declared)
-        for workload, seeds in args.trace:
-            for seed in seeds:
-                result["extra"][f"per_layer_{workload}_trace"] = {
-                    "method": (f"python3 bench/run.py --workload {workload} "
-                               f"--seed {seed} --seconds {seconds:g} "
-                               f"--trace 1, once per side"),
-                    **{side: bench(trees[side], workload, seed, seconds, 1)
-                       for side in ("parent", "change")}}
+        for workload, seed in args.trace:
+            result["extra"][f"per_layer_{workload}_seed{seed}_trace"] = {
+                "method": (f"python3 bench/run.py --workload {workload} "
+                           f"--seed {seed} --seconds {seconds:g} "
+                           f"--trace 1, once per side"),
+                **{side: bench(trees[side], workload, seed, seconds, 1)
+                   for side in ("parent", "change")}}
     first = (result["records"]["parent"]
              or [t["parent"] for t in result["extra"].values()])[0]
     result["machine"] = {key: first["machine"][key]

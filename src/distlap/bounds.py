@@ -123,20 +123,6 @@ def _value(x):
     return x if getattr(x, "ndim", 0) else float(x)
 
 
-def _root(square):
-    """sqrt of a squared norm: a float for one graph, an array for a batch."""
-    if isinstance(square, np.ndarray):
-        return np.sqrt(square)
-    return math.sqrt(square)
-
-
-def _any(flags):
-    """Whether any graph's flag holds."""
-    if isinstance(flags, np.ndarray):
-        return flags.any()
-    return bool(flags)
-
-
 def _first(bad, *xs):
     """Python floats of xs at the first graph where bad holds."""
     i = int(np.argmax(bad))
@@ -174,7 +160,7 @@ def bound_L_n1(dd):
 
 # Entries of each bound_L_n2 temporary, fixed so that its memory stays flat
 # in n and in the batch size.
-_PAIR_CELLS = 1 << 16
+_PAIR_CELLS = 1 << 12
 
 
 def bound_L_n2(dd):
@@ -191,8 +177,11 @@ def bound_L_n2(dd):
     for s in range(0, len(first), step):
         i, j = first[s:s + step], second[s:s + step]
         # the k = i and k = j terms of the l1 distance contribute dist_ij
-        # each, which is the 2 dist_ij term
-        l1 = np.abs(d[..., i, :] - d[..., j, :]).sum(axis=-1)
+        # each, which is the 2 dist_ij term; d[..., i, :] is a copy, so the
+        # difference and its absolute value reuse it
+        l1 = d[..., i, :]
+        l1 -= d[..., j, :]
+        l1 = np.abs(l1, out=l1).sum(axis=-1)
         best = np.maximum(best, (tr[..., i] + tr[..., j] + l1).max(axis=-1))
     return _value(best / 2.0)
 
@@ -232,7 +221,7 @@ def bound_L_transmission_regular(dd, d_frob):
     rad = (n - 2) / (n - 1) * (df2 - n * k * k / (n - 1))
     c2 = n * k / (n - 1) + _sqrt_guarded(rad, "L_R2")
     bad = c2 > c1 + slack_for(c1)
-    if _any(bad):
+    if np.any(bad):
         c1, c2 = _first(bad, c1, c2)
         raise ConsistencyError(f"expected c2 <= c1, got c1={c1!r} c2={c2!r}")
     return _value(c1), _value(c2)
@@ -275,7 +264,7 @@ def bound_Q_quadratic(dd):
     lo = _quadratic_root(t, dd.n, dd.wiener)
     up = _quadratic_root(big, dd.n, dd.wiener)
     bad = (lo + slack_for(lo) < 2.0 * t) | (up > 2.0 * big + slack_for(up))
-    if _any(bad):
+    if np.any(bad):
         lo, up, t, big = _first(bad, lo, up, t, big)
         raise ConsistencyError(
             f"quadratic pair ({lo!r}, {up!r}) escapes [2t, 2T] = "
@@ -297,19 +286,19 @@ def bound_Q_cs7(dd, q_frob):
 _BATTERY = (
     ((BoundId.L_I1, BoundId.Q_I2), lambda dd: (bound_L_i1(dd),) * 2),
     ((BoundId.L_D1,), lambda dd: (bound_L_d1(dd),)),
-    ((BoundId.L_D2,), lambda dd: (bound_L_d2(dd, _root(dd.dist2)),)),
+    ((BoundId.L_D2,), lambda dd: (bound_L_d2(dd, np.sqrt(dd.dist2)),)),
     ((BoundId.L_N1,), lambda dd: (bound_L_n1(dd),)),
     ((BoundId.L_N2,), lambda dd: (bound_L_n2(dd),)),
     ((BoundId.L_N3,),
-     lambda dd: (bound_L_n3(dd, _root(dd.tr2 + dd.dist2)),)),
+     lambda dd: (bound_L_n3(dd, np.sqrt(dd.tr2 + dd.dist2)),)),
     ((BoundId.L_R1, BoundId.L_R2),
-     lambda dd: bound_L_transmission_regular(dd, _root(dd.dist2))),
+     lambda dd: bound_L_transmission_regular(dd, np.sqrt(dd.dist2))),
     ((BoundId.Q_TB_LO, BoundId.Q_TB_UP), lambda dd: bound_Q_tb(dd)),
     ((BoundId.Q_I3, BoundId.Q_I4), lambda dd: bound_Q_hong_ratio(dd)),
     ((BoundId.Q_I5, BoundId.Q_I6), lambda dd: bound_Q_hong_sqrt(dd)),
     ((BoundId.Q_CI5, BoundId.Q_CS6), lambda dd: bound_Q_quadratic(dd)),
     ((BoundId.Q_CS7,),
-     lambda dd: (bound_Q_cs7(dd, _root(dd.tr2 + dd.dist2)),)),
+     lambda dd: (bound_Q_cs7(dd, np.sqrt(dd.tr2 + dd.dist2)),)),
 )
 
 

@@ -1,0 +1,105 @@
+"""Check that a working tree computes what a parent ref computes.
+
+    python3 scripts/identity_check.py [--parent REF]
+
+Exports the parent ref (default HEAD) and the working tree with
+bench_pairs.export, runs a fixed corpus in each tree through a subprocess
+that imports distlap from that tree's src/, and compares the reprs item by
+item. Exits 1 and prints a diff excerpt per item on any difference, else 0.
+
+The corpus:
+  - cmd_analyze JSON (without timing_ms) and table output for the five
+    fixtures, K5, P4, C6, S5, K12, P20, C30, S16, K208, P100 and C200;
+  - the ScanResult of labeled and of deduplicated n = 3..6;
+  - the SoundnessReport of all labeled graphs with n <= 6 plus the
+    fixtures.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from bench_pairs import export  # noqa: E402
+
+ANALYZED = ("ex1", "ex2", "g1", "g2", "g3", "K5", "P4", "C6", "S5", "K12",
+            "P20", "C30", "S16", "K208", "P100", "C200")
+
+
+def corpus():
+    """repr of every corpus item by name, from the distlap on sys.path."""
+    from distlap import enumerate_connected, scan_conjecture, scan_soundness
+    from distlap.cli import cmd_analyze
+    from distlap.named_graphs import FIXTURES, fixture_graph
+
+    out = {}
+    for name in ANALYZED:
+        doc = json.loads(cmd_analyze(name, fmt="json")[1])
+        del doc["timing_ms"]
+        out[f"analyze-json {name}"] = json.dumps(doc, sort_keys=True,
+                                                 indent=2)
+        out[f"analyze-table {name}"] = cmd_analyze(name)[1]
+    for n in range(3, 7):
+        for dedup in (False, True):
+            out[f"scan n={n} dedup={dedup}"] = repr(
+                scan_conjecture(enumerate_connected(n, dedup=dedup)))
+    graphs = itertools.chain.from_iterable(
+        enumerate_connected(n) for n in range(1, 7))
+    fixtures = (fixture_graph(name) for name in sorted(FIXTURES))
+    out["soundness n<=6 + fixtures"] = repr(
+        scan_soundness(itertools.chain(graphs, fixtures)))
+    return out
+
+
+def run_corpus(tree):
+    """The corpus of the distlap in tree/src, computed in a subprocess."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--emit"], cwd=tree,
+        env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"corpus failed in {tree}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--parent", default="HEAD",
+                        help="git ref to compare against (default: HEAD)")
+    parser.add_argument("--emit", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.emit:
+        json.dump(corpus(), sys.stdout)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        got = {}
+        for side, ref in (("parent", args.parent), ("change", None)):
+            export(ref, os.path.join(tmp, side))
+            got[side] = run_corpus(os.path.join(tmp, side))
+    parent, change = got["parent"], got["change"]
+    differ = [name for name in parent if parent[name] != change.get(name)]
+    differ += [name for name in change if name not in parent]
+    for name in differ:
+        print(f"DIFFERS: {name}")
+        diff = list(difflib.unified_diff(
+            parent.get(name, "").splitlines(),
+            change.get(name, "").splitlines(), "parent", "change", n=1,
+            lineterm=""))
+        for line in diff[:20] + (["..."] if len(diff) > 20 else []):
+            print(f"  {line}")
+    print(f"{len(parent)} items, {len(differ)} differ "
+          f"(parent {args.parent} vs working tree)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

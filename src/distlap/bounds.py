@@ -1,11 +1,12 @@
 """Spectral-radius bounds for distance Laplacian and signless Laplacian matrices.
 
-Each bound_* function takes precomputed DistanceData (plus a Frobenius norm
-where the formula needs one) of one graph or of a same-n batch and returns
-the bound value, a float or one per graph. bound_values runs the battery,
-with applicability read from BOUND_META; compute_all_bounds runs it on one
-graph and reports applicability, satisfaction against the true radii, and
-equality diagnoses for the bounds that have characterized equality cases.
+Each bound_* function takes the DistanceData of a same-n batch (plus a
+Frobenius norm per graph where the formula needs one) and returns the bound
+value of each graph. bound_values runs the battery, with applicability read
+from BOUND_META, and bound_checks compares its values with the radii.
+compute_all_bounds runs the same pipeline on one graph, a batch of one, and
+reports applicability, satisfaction against the true radii, and equality
+diagnoses for the bounds that have characterized equality cases.
 
 Upper bounds must sit above the radius and lower bounds below it, up to the
 soundness slack; compute_all_bounds records violations rather than raising,
@@ -15,7 +16,6 @@ so sweeps can aggregate them.
 from __future__ import annotations
 
 import enum
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -24,10 +24,9 @@ import numpy as np
 
 from .errors import ConsistencyError, NotApplicableError
 from .graph6 import encode_graph6
-from .graphs import (
-    compute_distance_data, distance_data, transmission_regularity)
-from .linalg import Spectrum, eig_symmetric
-from .operators import build_operators
+from .graphs import batch_of_one, distance_data, is_transmission_regular
+from .linalg import Spectrum
+from .operators import operator_spectra
 
 SLACK_ABS = 1e-7
 SLACK_REL = 1e-9
@@ -105,28 +104,26 @@ BOUND_META = {
 }
 
 
+# BOUND_META's targets and sides as arrays, by row
+_ROW = {bid: k for k, bid in enumerate(BOUND_META)}
+_ON_L = np.array([meta.target is Target.L for meta in BOUND_META.values()])
+_UPPER = np.array([meta.side is Side.UPPER for meta in BOUND_META.values()])
+
+
 def _sqrt_guarded(radicand, what):
-    """sqrt with a tiny negative clamp; larger negatives are internal errors.
-    A float64 array is clamped and rooted elementwise."""
-    batched = isinstance(radicand, np.ndarray)
-    low = float(radicand.min()) if batched else float(radicand)
+    """Elementwise sqrt of a float64 array with a tiny negative clamp;
+    larger negatives are internal errors."""
+    low = float(radicand.min())
     if low < -1e-9:
         raise ConsistencyError(
             f"{what}: radicand {low!r} is negative beyond tolerance")
-    if batched:
-        return np.sqrt(np.maximum(radicand, 0.0))
-    return math.sqrt(max(radicand, 0.0))
-
-
-def _value(x):
-    """A bound's value: a float for one graph, the array for a batch."""
-    return x if getattr(x, "ndim", 0) else float(x)
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
 def _first(bad, *xs):
     """Python floats of xs at the first graph where bad holds."""
     i = int(np.argmax(bad))
-    return [float(np.ravel(x)[i]) for x in xs]
+    return [float(x[i]) for x in xs]
 
 
 def bound_L_i1(dd):
@@ -135,14 +132,14 @@ def bound_L_i1(dd):
     n = dd.n
     col2 = (dd.dist.astype(np.float64) ** 2).sum(axis=-2)
     vals = dd.tr + np.sqrt((n - 1) * col2)
-    return _value(vals.max(axis=-1))
+    return vals.max(axis=-1)
 
 
 def bound_L_d1(dd):
     """Upper bound 2W - n(n-2); defined for n >= 4."""
     if dd.n < 4:
         raise NotApplicableError(f"needs n >= 4, got n={dd.n}")
-    return _value(2.0 * dd.wiener - dd.n * (dd.n - 2))
+    return 2.0 * dd.wiener - dd.n * (dd.n - 2)
 
 
 def bound_L_d2(dd, d_frob):
@@ -150,12 +147,12 @@ def bound_L_d2(dd, d_frob):
     if dd.n < 2:
         raise NotApplicableError("needs n >= 2")
     rad = d_frob * d_frob - dd.tr2 / dd.n
-    return _value(dd.tr.max(axis=-1) + _sqrt_guarded(rad, "L_D2"))
+    return dd.tr.max(axis=-1) + _sqrt_guarded(rad, "L_D2")
 
 
 def bound_L_n1(dd):
     """Upper bound: sum of row maxima of the distance matrix."""
-    return _value(1.0 * dd.p.sum(axis=-1))
+    return 1.0 * dd.p.sum(axis=-1)
 
 
 # Entries of each bound_L_n2 temporary, fixed so that its memory stays flat
@@ -183,7 +180,7 @@ def bound_L_n2(dd):
         l1 -= d[..., j, :]
         l1 = np.abs(l1, out=l1).sum(axis=-1)
         best = np.maximum(best, (tr[..., i] + tr[..., j] + l1).max(axis=-1))
-    return _value(best / 2.0)
+    return best / 2.0
 
 
 def bound_L_n3(dd, l_frob):
@@ -199,7 +196,7 @@ def bound_L_n3(dd, l_frob):
     # sqrt guard's tolerance, so a zero is settled in integers
     exact = (n - 1) * (dd.tr2 + dd.dist2) - 4 * dd.wiener * dd.wiener
     rad = rad * (exact != 0)
-    return _value(tw / (n - 1) + _sqrt_guarded(rad, "L_N3"))
+    return tw / (n - 1) + _sqrt_guarded(rad, "L_N3")
 
 
 def bound_L_transmission_regular(dd, d_frob):
@@ -210,9 +207,9 @@ def bound_L_transmission_regular(dd, d_frob):
       c2 = nk/(n-1) + sqrt((n-2)/(n-1)*(||D||_F^2 - nk^2/(n-1)))
     and checks c2 <= c1 before returning.
     """
-    k = transmission_regularity(dd)
-    if k is None:
+    if not is_transmission_regular(dd.tr).all():
         raise NotApplicableError("graph is not transmission-regular")
+    k = dd.tr[..., 0]
     n = dd.n
     if n < 2:
         raise NotApplicableError("needs n >= 2")
@@ -221,15 +218,15 @@ def bound_L_transmission_regular(dd, d_frob):
     rad = (n - 2) / (n - 1) * (df2 - n * k * k / (n - 1))
     c2 = n * k / (n - 1) + _sqrt_guarded(rad, "L_R2")
     bad = c2 > c1 + slack_for(c1)
-    if np.any(bad):
+    if bad.any():
         c1, c2 = _first(bad, c1, c2)
         raise ConsistencyError(f"expected c2 <= c1, got c1={c1!r} c2={c2!r}")
-    return _value(c1), _value(c2)
+    return c1, c2
 
 
 def bound_Q_tb(dd):
     """Signless radius sits between twice the min and twice the max transmission."""
-    return 2.0 * _value(dd.tr.min(axis=-1)), 2.0 * _value(dd.tr.max(axis=-1))
+    return 2.0 * dd.tr.min(axis=-1), 2.0 * dd.tr.max(axis=-1)
 
 
 def bound_Q_hong_ratio(dd):
@@ -237,13 +234,13 @@ def bound_Q_hong_ratio(dd):
     if dd.n < 2:
         raise NotApplicableError("needs n >= 2 (zero transmissions otherwise)")
     vals = dd.tr + dd.sdd / dd.tr
-    return _value(vals.min(axis=-1)), _value(vals.max(axis=-1))
+    return vals.min(axis=-1), vals.max(axis=-1)
 
 
 def bound_Q_hong_sqrt(dd):
     """Lower/upper pair min/max over i of sqrt(2 sdd_i + 2 tr_i^2)."""
     vals = np.sqrt(2.0 * dd.sdd + 2.0 * dd.tr.astype(np.float64) ** 2)
-    return _value(vals.min(axis=-1)), _value(vals.max(axis=-1))
+    return vals.min(axis=-1), vals.max(axis=-1)
 
 
 def bound_Q_i2(dd):
@@ -251,25 +248,24 @@ def bound_Q_i2(dd):
     return bound_L_i1(dd)
 
 
-def _quadratic_root(x, n, wiener):
-    rad = (x - 1.0) ** 2 + 8.0 * (x * x + 2.0 * wiener - (n - 1.0) * x)
-    return (x - 1.0 + _sqrt_guarded(rad, "Q_quadratic")) / 2.0
-
-
 def bound_Q_quadratic(dd):
     """Lower/upper pair from a quadratic row-sum argument, evaluated at the
     min and max transmission. Checks the pair stays inside [2t, 2T]."""
-    t = _value(dd.tr.min(axis=-1))
-    big = _value(dd.tr.max(axis=-1))
-    lo = _quadratic_root(t, dd.n, dd.wiener)
-    up = _quadratic_root(big, dd.n, dd.wiener)
-    bad = (lo + slack_for(lo) < 2.0 * t) | (up > 2.0 * big + slack_for(up))
-    if np.any(bad):
+    # both ends in one (2, B) stack; integer transmissions are exact floats
+    ends = np.stack((dd.tr.min(axis=-1), dd.tr.max(axis=-1))).astype(float)
+    shifted = ends - 1.0
+    rad = shifted ** 2 + 8.0 * (
+        ends * ends + 2.0 * dd.wiener - (dd.n - 1.0) * ends)
+    roots = (shifted + _sqrt_guarded(rad, "Q_quadratic")) / 2.0
+    (lo, up), (t, big) = roots, ends
+    pad, twice = slack_for(roots), 2.0 * ends
+    bad = (lo + pad[0] < twice[0]) | (up > twice[1] + pad[1])
+    if bad.any():
         lo, up, t, big = _first(bad, lo, up, t, big)
         raise ConsistencyError(
             f"quadratic pair ({lo!r}, {up!r}) escapes [2t, 2T] = "
             f"({2 * t!r}, {2 * big!r})")
-    return _value(lo), _value(up)
+    return lo, up
 
 
 def bound_Q_cs7(dd, q_frob):
@@ -277,58 +273,67 @@ def bound_Q_cs7(dd, q_frob):
     n = dd.n
     tw = 2.0 * dd.wiener
     rad = (n - 1) / n * (q_frob * q_frob - tw * tw / n)
-    return _value(tw / n + _sqrt_guarded(rad, "Q_CS7"))
+    return tw / n + _sqrt_guarded(rad, "Q_CS7")
 
 
 # The battery in evaluation order: each function of the distance data and
-# the ids of the bounds whose values it returns. The lambdas look the
-# bound_* functions up when called, so every caller runs the current ones.
+# its Frobenius norms ||D||_F and ||L||_F = ||Q||_F, and the ids of the
+# bounds whose values it returns. The lambdas look the bound_* functions up
+# when called, so every caller runs the current ones.
 _BATTERY = (
-    ((BoundId.L_I1, BoundId.Q_I2), lambda dd: (bound_L_i1(dd),) * 2),
-    ((BoundId.L_D1,), lambda dd: (bound_L_d1(dd),)),
-    ((BoundId.L_D2,), lambda dd: (bound_L_d2(dd, np.sqrt(dd.dist2)),)),
-    ((BoundId.L_N1,), lambda dd: (bound_L_n1(dd),)),
-    ((BoundId.L_N2,), lambda dd: (bound_L_n2(dd),)),
-    ((BoundId.L_N3,),
-     lambda dd: (bound_L_n3(dd, np.sqrt(dd.tr2 + dd.dist2)),)),
+    ((BoundId.L_I1, BoundId.Q_I2), lambda dd, d, l: (bound_L_i1(dd),) * 2),
+    ((BoundId.L_D1,), lambda dd, d, l: (bound_L_d1(dd),)),
+    ((BoundId.L_D2,), lambda dd, d, l: (bound_L_d2(dd, d),)),
+    ((BoundId.L_N1,), lambda dd, d, l: (bound_L_n1(dd),)),
+    ((BoundId.L_N2,), lambda dd, d, l: (bound_L_n2(dd),)),
+    ((BoundId.L_N3,), lambda dd, d, l: (bound_L_n3(dd, l),)),
     ((BoundId.L_R1, BoundId.L_R2),
-     lambda dd: bound_L_transmission_regular(dd, np.sqrt(dd.dist2))),
-    ((BoundId.Q_TB_LO, BoundId.Q_TB_UP), lambda dd: bound_Q_tb(dd)),
-    ((BoundId.Q_I3, BoundId.Q_I4), lambda dd: bound_Q_hong_ratio(dd)),
-    ((BoundId.Q_I5, BoundId.Q_I6), lambda dd: bound_Q_hong_sqrt(dd)),
-    ((BoundId.Q_CI5, BoundId.Q_CS6), lambda dd: bound_Q_quadratic(dd)),
-    ((BoundId.Q_CS7,),
-     lambda dd: (bound_Q_cs7(dd, np.sqrt(dd.tr2 + dd.dist2)),)),
+     lambda dd, d, l: bound_L_transmission_regular(dd, d)),
+    ((BoundId.Q_TB_LO, BoundId.Q_TB_UP), lambda dd, d, l: bound_Q_tb(dd)),
+    ((BoundId.Q_I3, BoundId.Q_I4), lambda dd, d, l: bound_Q_hong_ratio(dd)),
+    ((BoundId.Q_I5, BoundId.Q_I6), lambda dd, d, l: bound_Q_hong_sqrt(dd)),
+    ((BoundId.Q_CI5, BoundId.Q_CS6), lambda dd, d, l: bound_Q_quadratic(dd)),
+    ((BoundId.Q_CS7,), lambda dd, d, l: (bound_Q_cs7(dd, l),)),
 )
 
 
-def applies(bound_id, n, regular):
-    """Whether bound_id applies at n vertices: n >= its min_n and, for a
-    regular-only bound, the graph is transmission-regular. regular is one
-    flag, or one per graph of a batch; then a regular-only bound that
-    passes min_n applies where regular holds."""
-    meta = BOUND_META[bound_id]
-    return n >= meta.min_n and (regular if meta.regular_only else True)
-
-
 def bound_values(dd, regular):
-    """Value of every bound that applies to the graph or batch dd, by id.
+    """Value of every bound that applies to some graph of the batch dd, by
+    id, one per graph.
 
-    regular flags the transmission-regular graphs (see applies). In a batch,
-    a bound that applies to some graphs only is evaluated on those and is
-    NaN on the others. A ConsistencyError of any bound propagates.
+    BOUND_META decides where a bound applies: n >= its min_n and, for a
+    regular-only bound, the graphs that regular flags; elsewhere it is NaN.
+    A ConsistencyError of any bound propagates.
     """
+    some = np.count_nonzero(regular)
+    every = some == len(regular)
+    d_frob, l_frob = np.sqrt(dd.dist2), np.sqrt(dd.tr2 + dd.dist2)
     values = {}
     for ids, evaluate in _BATTERY:
-        rows = applies(ids[0], dd.n, regular)
-        if not isinstance(rows, np.ndarray):
-            if rows:
-                values.update(zip(ids, evaluate(dd)))
-        elif rows.any():
-            found = np.full((len(ids), len(rows)), np.nan)
-            found[:, rows] = evaluate(distance_data(dd.dist[rows]))
-            values.update(zip(ids, found))
+        meta = BOUND_META[ids[0]]
+        if dd.n < meta.min_n or (meta.regular_only and not some):
+            continue
+        if every or not meta.regular_only:
+            values.update(zip(ids, evaluate(dd, d_frob, l_frob)))
+            continue
+        found = np.full((len(ids), len(regular)), np.nan)
+        found[:, regular] = evaluate(distance_data(dd.dist[regular]),
+                                     d_frob[regular], l_frob[regular])
+        values.update(zip(ids, found))
     return values
+
+
+def bound_checks(values, radius_l, radius_q):
+    """(value, satisfied, gap) of each bound of bound_values against its
+    radius per graph, as (K, B) arrays in the order of values. The gap is
+    value - radius for an upper bound, radius - value for a lower one, and
+    at least -slack_for(radius) where satisfied; a NaN value, where a bound
+    does not apply, is never unsatisfied."""
+    rows = [_ROW[bid] for bid in values]
+    value = np.array(list(values.values()))
+    radius = np.where(_ON_L[rows, None], radius_l, radius_q)
+    gap = np.where(_UPPER[rows, None], value - radius, radius - value)
+    return value, ~(gap < -slack_for(radius)), gap
 
 
 @dataclass(frozen=True)
@@ -366,53 +371,37 @@ class BoundReport:
         raise KeyError(bound_id)
 
 
-def _entry(bound_id, meta, value, radius, diagnosis):
-    """The entry of a bound: inapplicable when value is None."""
-    if value is None:
-        return BoundEntry(
-            bound_id=bound_id, target=meta.target, side=meta.side,
-            applicable=False, value=None, satisfied=None, gap=None,
-            diagnosis=None)
-    if meta.side is Side.UPPER:
-        gap = value - radius
-    else:
-        gap = radius - value
-    satisfied = gap >= -slack_for(radius)
-    return BoundEntry(
-        bound_id=bound_id, target=meta.target, side=meta.side,
-        applicable=True, value=float(value), satisfied=bool(satisfied),
-        gap=float(gap), diagnosis=diagnosis)
-
-
 def compute_all_bounds(g):
     """Run every bound on one connected graph and diagnose equality cases.
 
-    Bounds whose preconditions fail (small n, not transmission-regular) come
-    back as inapplicable entries, never as numbers; BOUND_META decides which.
-    Every bound is evaluated before the diagnoses, so a ConsistencyError of
-    a bound takes precedence over a diagnosis's TheoremViolationError, which
-    propagates.
+    The graph runs the soundness sweep's pipeline as a batch of one, and
+    the diagnoses read the battery's values. Bounds whose preconditions
+    fail (small n, not transmission-regular) come back as inapplicable
+    entries, never as numbers; BOUND_META decides which. Every bound is
+    evaluated before the diagnoses, so a ConsistencyError of a bound takes
+    precedence over a diagnosis's TheoremViolationError, which propagates.
     """
     from .certify import diagnose_all
 
     t0 = time.perf_counter()
-    dd = compute_distance_data(g)
+    dd = distance_data(batch_of_one(g))
     t1 = time.perf_counter()
-    bundle = build_operators(dd)
-    spectra = eig_symmetric(np.array(
-        (bundle.d_mat, bundle.l_mat, bundle.q_mat), dtype=np.float64))
+    bundle, spectra = operator_spectra(dd)
     spectrum_d, spectrum_l, spectrum_q = (
-        Spectrum(values=v, tol=spectra.tol) for v in spectra.values)
+        Spectrum(values=v) for v in spectra.values[:, 0])
     radius_l = spectrum_l.largest
     radius_q = spectrum_q.largest
     t2 = time.perf_counter()
 
-    values = bound_values(dd, transmission_regularity(dd) is not None)
-    diagnoses = diagnose_all(bundle, spectrum_l, spectrum_q, dd)
+    values = bound_values(dd, is_transmission_regular(dd.tr))
+    found = dict(zip(values, zip(*(a[:, 0].tolist() for a in bound_checks(
+        values, spectra.largest[1], spectra.largest[2])))))
+    data = dd.row(0)
+    diagnoses = diagnose_all({bid: v for bid, (v, _, _) in found.items()},
+                             spectrum_l, radius_q, bundle.b_mat[0], data)
     entries = tuple(
-        _entry(bid, meta, values.get(bid),
-               radius_l if meta.target is Target.L else radius_q,
-               diagnoses.get(bid))
+        BoundEntry(bid, meta.target, meta.side, bid in found,
+                   *found.get(bid, (None, None, None)), diagnoses.get(bid))
         for bid, meta in BOUND_META.items())
     t3 = time.perf_counter()
 
@@ -423,7 +412,7 @@ def compute_all_bounds(g):
         "total": round((t3 - t0) * 1000.0, 3),
     }
     return BoundReport(
-        graph=g, graph6=encode_graph6(g), data=dd, bundle=bundle,
+        graph=g, graph6=encode_graph6(g), data=data, bundle=bundle.row(0),
         spectrum_d=spectrum_d, spectrum_l=spectrum_l, spectrum_q=spectrum_q,
         radius_l=radius_l, radius_q=radius_q, entries=entries,
         timing_ms=timing)

@@ -1,6 +1,7 @@
 """Equality-case diagnosis and proven-identity checks.
 
-The diagnose_* functions compare a bound against the relevant spectral radius
+The diagnose_* functions compare one graph's bound values, as the battery
+(bounds.bound_values) computed them, against the relevant spectral radius
 at the diagnosis tolerance and attach the structural certificate that the
 equality characterization predicts. When a characterization is an iff, both
 directions are enforced and a failure raises TheoremViolationError: that
@@ -10,14 +11,13 @@ exception firing on a valid connected graph would mean the implementation
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BOUND_META, BoundId, bound_L_n3, bound_Q_cs7, bound_Q_tb
+from .bounds import BoundId
 from .errors import NotApplicableError, TheoremViolationError
-from .graphs import is_transmission_regular, is_tree, transmission_regularity
+from .graphs import is_transmission_regular, is_tree
 from .linalg import is_irreducible, multiplicity
 
 DIAG_ABS = 1e-6
@@ -57,13 +57,12 @@ def is_complete(dd):
     return (dd.n == 1) | (dd.p.max(axis=-1) == 1)
 
 
-def diagnose_n1(bundle, spectrum_l, dd):
-    """Equality in the row-maxima sum bound requires the rank-one-shifted
-    matrix to be reducible (necessary, not sufficient)."""
-    value = float(dd.p.sum())
-    radius = spectrum_l.largest
+def diagnose_n1(value, radius, b_mat):
+    """Equality of the row-maxima sum bound's value and the Laplacian
+    radius requires the rank-one-shifted matrix b_mat to be reducible
+    (necessary, not sufficient)."""
     if _meets(value, radius):
-        if is_irreducible(bundle.b_mat):
+        if is_irreducible(b_mat):
             raise TheoremViolationError(
                 "row-maxima bound met with an irreducible shifted matrix "
                 f"(value {value!r}, radius {radius!r})")
@@ -71,14 +70,11 @@ def diagnose_n1(bundle, spectrum_l, dd):
     return EqualityDiagnosis(BoundId.L_N1, False, CERT_NONE)
 
 
-def diagnose_n3(spectrum_l, dd):
-    """Equality in the Laplacian trace/Frobenius bound happens exactly for the
-    complete graph or a spectrum with three distinct values
-    {r, (2W - r)/(n - 2), 0}."""
-    n = dd.n
-    if n < 2:
-        raise NotApplicableError("needs n >= 2")
-    value = bound_L_n3(dd, math.sqrt(dd.tr2 + dd.dist2))
+def diagnose_n3(value, spectrum_l, wiener):
+    """Equality of the Laplacian trace/Frobenius bound's value and the
+    radius of spectrum_l happens exactly for the complete graph or a
+    spectrum with three distinct values {r, (2W - r)/(n - 2), 0}."""
+    n = len(spectrum_l)
     radius = spectrum_l.largest
     if not _meets(value, radius):
         return EqualityDiagnosis(BoundId.L_N3, False, CERT_NONE)
@@ -90,7 +86,7 @@ def diagnose_n3(spectrum_l, dd):
             f"{vals[-1]!r}")
     if multiplicity(spectrum_l, radius, tol) >= n - 1:
         return EqualityDiagnosis(BoundId.L_N3, True, CERT_COMPLETE)
-    mid = (2.0 * dd.wiener - radius) / (n - 2)
+    mid = (2.0 * wiener - radius) / (n - 2)
     middle = vals[1:n - 1]
     if np.abs(middle - mid).max() > equality_tol(mid):
         raise TheoremViolationError(
@@ -99,13 +95,11 @@ def diagnose_n3(spectrum_l, dd):
     return EqualityDiagnosis(BoundId.L_N3, True, CERT_THREE_L)
 
 
-def diagnose_cs7(spectrum_q, dd):
-    """Equality in the signless trace/Frobenius bound iff the graph is complete.
-    Both directions are enforced."""
-    value = bound_Q_cs7(dd, math.sqrt(dd.tr2 + dd.dist2))
-    radius = spectrum_q.largest
+def diagnose_cs7(value, radius, complete):
+    """Equality of the signless trace/Frobenius bound's value and the
+    signless radius iff the graph is complete. Both directions are
+    enforced."""
     eq = _meets(value, radius)
-    complete = is_complete(dd)
     if eq and not complete:
         raise TheoremViolationError(
             "signless trace/Frobenius equality on a non-complete graph "
@@ -119,16 +113,13 @@ def diagnose_cs7(spectrum_q, dd):
     return EqualityDiagnosis(BoundId.Q_CS7, False, CERT_NONE)
 
 
-def diagnose_tb(spectrum_q, dd):
-    """The signless radius hits either transmission endpoint iff the graph is
-    transmission-regular (in which case it hits both). Both directions are
-    enforced. One diagnosis covers the interval pair; it carries the
-    upper-bound id."""
-    lo, up = bound_Q_tb(dd)
-    radius = spectrum_q.largest
+def diagnose_tb(lo, up, radius, regular):
+    """The signless radius hits either transmission endpoint, lo or up, iff
+    the graph is transmission-regular (in which case it hits both). Both
+    directions are enforced. One diagnosis covers the interval pair; it
+    carries the upper-bound id."""
     eq_lo = _meets(lo, radius)
     eq_up = _meets(up, radius)
-    regular = transmission_regularity(dd) is not None
     if (eq_lo or eq_up) and not regular:
         raise TheoremViolationError(
             "transmission endpoint met by a non-transmission-regular graph "
@@ -142,25 +133,31 @@ def diagnose_tb(spectrum_q, dd):
     return EqualityDiagnosis(BoundId.Q_TB_UP, False, CERT_NONE)
 
 
-def diagnose_all(bundle, spectrum_l, spectrum_q, dd):
-    """The equality diagnoses of one graph by bound id, run in the order n1,
-    n3 (where L_N3 applies), tb, cs7; the first TheoremViolationError
-    propagates."""
-    found = {BoundId.L_N1: diagnose_n1(bundle, spectrum_l, dd)}
-    if dd.n >= BOUND_META[BoundId.L_N3].min_n:
-        found[BoundId.L_N3] = diagnose_n3(spectrum_l, dd)
+def diagnose_all(values, spectrum_l, radius_q, b_mat, dd):
+    """The equality diagnoses of one graph by bound id, from the battery's
+    values for it (a float by id), its Laplacian spectrum, signless radius,
+    shifted matrix and DistanceData. They run in the order n1, n3 (where
+    L_N3 applies), tb, cs7; the first TheoremViolationError propagates."""
+    found = {BoundId.L_N1: diagnose_n1(
+        values[BoundId.L_N1], spectrum_l.largest, b_mat)}
+    if BoundId.L_N3 in values:
+        found[BoundId.L_N3] = diagnose_n3(
+            values[BoundId.L_N3], spectrum_l, dd.wiener)
     found[BoundId.Q_TB_LO] = found[BoundId.Q_TB_UP] = diagnose_tb(
-        spectrum_q, dd)
-    found[BoundId.Q_CS7] = diagnose_cs7(spectrum_q, dd)
+        values[BoundId.Q_TB_LO], values[BoundId.Q_TB_UP], radius_q,
+        bool(is_transmission_regular(dd.tr)))
+    found[BoundId.Q_CS7] = diagnose_cs7(
+        values[BoundId.Q_CS7], radius_q, bool(is_complete(dd)))
     return found
 
 
-def diagnosis_rows(dd, values, radius_l, radius_q):
+def diagnosis_rows(dd, regular, values, radius_l, radius_q):
     """Flags the graphs of a batch on which diagnose_all has more to do than
     find no equality: a diagnosed bound meets its radius, or the graph is
-    complete or transmission-regular. On every other graph each diagnosis is
-    'none' and none raises. values are the batch's bound values by id."""
-    fires = is_complete(dd) | is_transmission_regular(dd.tr)
+    complete or transmission-regular (regular). On every other graph each
+    diagnosis is 'none' and none raises. values are the batch's bound values
+    by id."""
+    fires = is_complete(dd) | regular
     for radius, ids in ((radius_l, (BoundId.L_N1, BoundId.L_N3)),
                         (radius_q, (BoundId.Q_TB_LO, BoundId.Q_TB_UP,
                                     BoundId.Q_CS7))):

@@ -160,9 +160,10 @@ def is_tree(g):
 
 @dataclass(frozen=True)
 class DistanceData:
-    """Distance matrix of a connected graph plus derived vertex invariants.
+    """Distance matrices of a (B, n, n) stack of connected graphs plus
+    derived vertex invariants, every field but n along the batch axis:
 
-    dist:   n x n shortest-path distances (int64)
+    dist:   shortest-path distances (int64)
     tr:     row sums of dist (transmissions)
     wiener: sum of dist over unordered pairs
     p:      row maxima of dist (eccentricities)
@@ -170,18 +171,24 @@ class DistanceData:
     dist2:  squared Frobenius norm of dist, sum of dist^2
     tr2:    sum of tr^2
 
-    Built from a (B, n, n) stack by distance_data, every field but n carries
-    the leading batch axis and the scalars become int64 arrays.
+    row(i) is graph i alone: n x n dist, length-n fields and int scalars.
     """
 
     n: int
     dist: np.ndarray
     tr: np.ndarray
-    wiener: int
+    wiener: np.ndarray
     p: np.ndarray
     sdd: np.ndarray
-    dist2: int
-    tr2: int
+    dist2: np.ndarray
+    tr2: np.ndarray
+
+    def row(self, i):
+        """Graph i of the batch as its own DistanceData."""
+        return DistanceData(
+            n=self.n, dist=self.dist[i], tr=self.tr[i],
+            wiener=int(self.wiener[i]), p=self.p[i], sdd=self.sdd[i],
+            dist2=int(self.dist2[i]), tr2=int(self.tr2[i]))
 
 
 def disconnected_error(vertex):
@@ -190,19 +197,19 @@ def disconnected_error(vertex):
         f"graph is disconnected (vertex {vertex} cannot reach every vertex)")
 
 
-def compute_distance_data(g):
-    """All-pairs BFS distances and the derived invariants of one graph.
-
-    Raises DisconnectedGraphError if any pair is unreachable. One graph
-    runs the bitmask BFS, which stops at the first source that misses a
-    vertex; a batch_distances level costs O(n^3), so a batch of one loses on
-    long-diameter and on disconnected graphs.
-    """
-    dist = _bitmask_distances(g)
-    if dist is None:
+def batch_of_one(g):
+    """The (1, n, n) distance stack of connected graph g. Raises
+    DisconnectedGraphError if any pair is unreachable."""
+    connected, dist = connected_distances([g])
+    if not connected[0]:
         # vertex 0 is the first source that misses a vertex
         raise disconnected_error(0)
-    return distance_data(dist)
+    return dist
+
+
+def compute_distance_data(g):
+    """DistanceData of one connected graph, row 0 of its batch of one."""
+    return distance_data(batch_of_one(g)).row(0)
 
 
 def _bitmask_distances(g):
@@ -239,18 +246,13 @@ def _bitmask_distances(g):
 
 
 def distance_data(dist):
-    """DistanceData of an int64 distance matrix, or of a (B, n, n) stack of
-    them with every derived field computed along the leading batch axis."""
+    """DistanceData of a (B, n, n) int64 stack of distance matrices, every
+    derived field computed along the leading batch axis."""
     tr = dist.sum(axis=-1)
-    wiener = tr.sum(axis=-1) // 2
-    dist2 = (dist * dist).sum(axis=(-2, -1))
-    tr2 = (tr * tr).sum(axis=-1)
-    if dist.ndim == 2:
-        wiener, dist2, tr2 = int(wiener), int(dist2), int(tr2)
     return DistanceData(
-        n=dist.shape[-1], dist=dist, tr=tr, wiener=wiener,
+        n=dist.shape[-1], dist=dist, tr=tr, wiener=tr.sum(axis=-1) // 2,
         p=dist.max(axis=-1), sdd=(dist @ tr[..., None])[..., 0],
-        dist2=dist2, tr2=tr2)
+        dist2=(dist * dist).sum(axis=(-2, -1)), tr2=(tr * tr).sum(axis=-1))
 
 
 def batch_distances(adj, sources=None):
@@ -289,28 +291,35 @@ def connected_distances(graphs):
 
     Returns (connected, dist): a boolean flag per graph and the (C, n, n)
     int64 stack of the C connected graphs' distance matrices, in list order.
-    Up to _BATCH_BFS_MAX_N vertices the list runs as one batch_distances
-    stack; above it each graph runs the bitmask BFS, which wins there on
-    long-diameter graphs.
+    A graph with fewer than n - 1 edges is disconnected and reaches no BFS,
+    whose memory grows with n. Up to _BATCH_BFS_MAX_N vertices the other
+    graphs run as one batch_distances stack; above it each runs the bitmask
+    BFS, which wins there on long-diameter graphs.
     """
     n = graphs[0].n
+    counts = np.array([len(g.edges) for g in graphs])
+    connected = counts >= n - 1
+    if not connected.all():
+        graphs = list(itertools.compress(graphs, connected))
+        counts = counts[connected]
+    if not graphs:
+        return connected, np.zeros((0, n, n), dtype=np.int64)
     if n > _BATCH_BFS_MAX_N:
         singles = [_bitmask_distances(g) for g in graphs]
-        connected = np.array([d is not None for d in singles])
+        connected[connected] = [d is not None for d in singles]
         found = [d for d in singles if d is not None]
-        return connected, (np.stack(found) if found
-                           else np.zeros((0, n, n), dtype=np.int64))
-    counts = [len(g.edges) for g in graphs]
+        return connected, np.array(found, dtype=np.int64).reshape(-1, n, n)
     ends = np.fromiter(
         itertools.chain.from_iterable(
             itertools.chain.from_iterable(g.edges for g in graphs)),
-        dtype=np.int64, count=2 * sum(counts))
+        dtype=np.int64, count=2 * int(counts.sum()))
     owner = np.repeat(np.arange(len(graphs)), counts)
     adj = np.zeros((len(graphs), n, n), dtype=bool)
     adj[owner, ends[0::2], ends[1::2]] = True
     adj[owner, ends[1::2], ends[0::2]] = True
-    dist, connected = batch_distances(adj)
-    return connected, dist[connected]
+    dist, reached = batch_distances(adj)
+    connected[connected] = reached
+    return connected, dist[reached]
 
 
 def is_transmission_regular(tr):
@@ -320,12 +329,11 @@ def is_transmission_regular(tr):
 
 
 def transmission_regularity(dd):
-    """The common transmission k if every vertex has the same, else None.
-    For a batch, the array of k if every graph of it is regular."""
-    if not is_transmission_regular(dd.tr).all():
+    """The common transmission k of one graph's DistanceData if every vertex
+    has the same, else None."""
+    if not is_transmission_regular(dd.tr):
         return None
-    k = dd.tr[..., 0]
-    return k if k.ndim else int(k)
+    return int(dd.tr[0])
 
 
 _ENUM_CAP = 7

@@ -12,14 +12,9 @@ from .errors import ConsistencyError, ConvergenceError
 @dataclass(frozen=True)
 class Spectrum:
     """Real eigenvalues in descending order, along the last axis of values
-    for a stack of spectra.
-
-    tol is the tolerance the values were computed/validated to; multiplicity
-    queries default to a looser grouping tolerance of their own.
-    """
+    for a stack of spectra."""
 
     values: np.ndarray
-    tol: float
 
     def __len__(self):
         return len(self.values)
@@ -38,7 +33,7 @@ def frobenius_norm(m):
     return norm if norm.ndim else float(norm)
 
 
-def eig_symmetric(m, tol=1e-12):
+def eig_symmetric(m):
     """Full spectrum of an exactly symmetric real matrix, descending, or the
     spectra of a (..., n, n) stack of them in one eigvalsh call.
 
@@ -62,7 +57,7 @@ def eig_symmetric(m, tol=1e-12):
     if drifted.any():
         raise ConsistencyError(
             f"eigenvalue sum drifted from trace by {drift[drifted][0]:.3e}")
-    return Spectrum(values=w, tol=tol)
+    return Spectrum(values=w)
 
 
 def spectral_radius_nonneg(m, tol=1e-12, max_iter=200000):

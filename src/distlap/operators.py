@@ -6,10 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import eig_symmetric
+
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """Integer matrices built from one distance matrix.
+    """Integer matrices built from one distance matrix, or (B, n, n) stacks
+    of them built from a batch.
 
     d_mat: the distance matrix itself
     l_mat: diag(tr) - d_mat (singular, row sums zero)
@@ -24,6 +27,11 @@ class OperatorBundle:
     q_mat: np.ndarray
     b_mat: np.ndarray
 
+    def row(self, i):
+        """Matrix i of each stack, as one graph's bundle."""
+        return OperatorBundle(d_mat=self.d_mat[i], l_mat=self.l_mat[i],
+                              q_mat=self.q_mat[i], b_mat=self.b_mat[i])
+
 
 def build_operators(dd):
     """Exact integer operator matrices for a connected graph's distance data,
@@ -34,6 +42,15 @@ def build_operators(dd):
     q = t + d
     b = l + dd.p[..., None, :]
     return OperatorBundle(d_mat=d, l_mat=l, q_mat=q, b_mat=b)
+
+
+def operator_spectra(dd):
+    """The operator stacks of a batch's distance data and their spectra:
+    (bundle, spectra), with D, L and Q solved in one stacked eigensolve, so
+    spectra.values has shape (3, B, n)."""
+    bundle = build_operators(dd)
+    return bundle, eig_symmetric(np.array(
+        (bundle.d_mat, bundle.l_mat, bundle.q_mat), dtype=np.float64))
 
 
 def polynomial_row_sums(q_mat, coeffs):

@@ -8,7 +8,8 @@ positive. Strict counterexamples (margin < -slack) and near-equalities
 weak reading of "improves" can be answered from one result.
 
 scan_soundness runs the full bound battery plus the proven identities on
-every graph and collects violations instead of raising.
+every graph and collects violations instead of raising; compute_all_bounds
+runs the same pipeline on one graph as a batch of one.
 
 Both group the stream by n into chunks of at most SCAN_CHUNK graphs and
 SCAN_CELLS matrix entries and evaluate each chunk as (B, n, n) arrays.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
-    BOUND_META, Side, Target, bound_L_d2, bound_L_n3, bound_values, slack_for)
+    bound_checks, bound_L_d2, bound_L_n3, bound_values, slack_for)
 from .certify import (
     diagnose_all, diagnosis_rows, han_multiplicity_holds, is_complete)
 from .errors import ConsistencyError, NotApplicableError, TheoremViolationError
@@ -30,8 +31,8 @@ from .graph6 import encode_graph6
 from .graphs import (
     connected_distances, disconnected_error, distance_data,
     is_transmission_regular)
-from .linalg import Spectrum, eig_symmetric
-from .operators import build_operators, polynomial_row_sums
+from .linalg import Spectrum
+from .operators import operator_spectra, polynomial_row_sums
 
 HISTOGRAM_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
 HISTOGRAM_LABELS = ("< 0", "[0, 0.5)", "[0.5, 1)", "[1, 2)", "[2, 5)", ">= 5")
@@ -178,8 +179,7 @@ def _identity_failures(dd, q_mat, spectra):
          f"laplacian eigenvalue {below[i].argmax()} below the vertex count"))
 
     if n > 2:
-        holds = han_multiplicity_holds(
-            Spectrum(values=lvals, tol=spectra.tol), is_complete(dd))
+        holds = han_multiplicity_holds(Spectrum(values=lvals), is_complete(dd))
         failures.append(
             (~holds,
              lambda i: "largest laplacian eigenvalue multiplicity escapes"))
@@ -226,37 +226,27 @@ def _violations(dist):
     alone, else its unsatisfied bounds and then its failed identities. A
     ConsistencyError of the eigensolve or of a bound propagates."""
     dd = distance_data(dist)
-    bundle = build_operators(dd)
-    spectra = eig_symmetric(np.array(
-        (bundle.d_mat, bundle.l_mat, bundle.q_mat), dtype=np.float64))
+    bundle, spectra = operator_spectra(dd)
     radius_l, radius_q = spectra.largest[1], spectra.largest[2]
     regular = is_transmission_regular(dd.tr)
     values = bound_values(dd, regular)
+    value, satisfied, gap = bound_checks(values, radius_l, radius_q)
 
     found = {}
     for i in np.flatnonzero(
-            diagnosis_rows(dd, values, radius_l, radius_q)).tolist():
-        row = distance_data(dist[i])
-        spectrum_l, spectrum_q = (Spectrum(values=v, tol=spectra.tol)
-                                  for v in spectra.values[1:, i])
+            diagnosis_rows(dd, regular, values, radius_l, radius_q)).tolist():
         try:
-            diagnose_all(build_operators(row), spectrum_l, spectrum_q, row)
+            diagnose_all(dict(zip(values, value[:, i].tolist())),
+                         Spectrum(values=spectra.values[1, i]),
+                         float(radius_q[i]), bundle.b_mat[i], dd.row(i))
         except TheoremViolationError as exc:
             found[i] = [str(exc)]
 
-    metas = [(bid, meta) for bid, meta in BOUND_META.items() if bid in values]
-    value = np.array([values[bid] for bid, _ in metas])
-    radius = np.where([[meta.target is Target.L] for _, meta in metas],
-                      radius_l, radius_q)
-    gap = np.where([[meta.side is Side.UPPER] for _, meta in metas],
-                   value - radius, radius - value)
-    # a NaN gap, where a bound does not apply, is never unsatisfied
-    unsatisfied = gap < -slack_for(radius)
     failures = [
-        (unsatisfied[k], lambda i, k=k, bid=bid:
+        (~satisfied[k], lambda i, k=k, bid=bid:
          f"{bid.value} unsatisfied: value {float(value[k, i])!r} vs "
          f"radius gap {float(gap[k, i])!r}")
-        for k, (bid, _) in enumerate(metas)]
+        for k, bid in enumerate(values)]
     failures += _identity_failures(dd, bundle.q_mat, spectra)
 
     failed = np.array([bad for bad, _ in failures]).any(axis=0)

@@ -1,18 +1,22 @@
 """Bound values on fixtures, applicability rules, report structure."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
 from distlap import (
+    bounds, certify, linalg, operators, scan)
+from distlap import (
     BOUND_META, BoundId, Side, Target, bound_L_d1, bound_L_i1, bound_L_n1,
     bound_L_n2, bound_L_n3, bound_L_transmission_regular, bound_Q_hong_ratio,
-    bound_Q_i2, compute_all_bounds, compute_distance_data, encode_graph6,
-    enumerate_connected, sample_connected, slack_for)
+    bound_Q_i2, compute_all_bounds, encode_graph6, enumerate_connected,
+    sample_connected, slack_for)
 from distlap.bounds import _sqrt_guarded, bound_values
 from distlap.errors import ConsistencyError, NotApplicableError
-from distlap.graphs import distance_data, is_transmission_regular
+from distlap.graphs import (
+    batch_of_one, distance_data, is_transmission_regular)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
@@ -22,6 +26,11 @@ TOL = 5e-4
 
 def values_of(report):
     return {e.bound_id: e.value for e in report.entries}
+
+
+def one_graph(g):
+    """The DistanceData of g as a batch of one, the bound functions' input."""
+    return distance_data(batch_of_one(g))
 
 
 def test_ex1_bounds_hand_derived():
@@ -121,44 +130,44 @@ def test_ex2_transmission_regular_collapses():
 
 
 def test_not_applicable_raises():
-    dd3 = compute_distance_data(path_graph(3))
+    dd3 = one_graph(path_graph(3))
     with pytest.raises(NotApplicableError, match="n >= 4"):
         bound_L_d1(dd3)
-    dd4 = compute_distance_data(path_graph(4))
+    dd4 = one_graph(path_graph(4))
     with pytest.raises(NotApplicableError, match="transmission-regular"):
-        bound_L_transmission_regular(dd4, 1.0)
-    dd1 = compute_distance_data(path_graph(1))
+        bound_L_transmission_regular(dd4, np.ones(1))
+    dd1 = one_graph(path_graph(1))
     with pytest.raises(NotApplicableError):
         bound_Q_hong_ratio(dd1)
 
 
 def test_shared_expression_i2():
     for name in ("ex1", "g2"):
-        dd = compute_distance_data(fixture_graph(name))
-        assert bound_Q_i2(dd) == bound_L_i1(dd)
+        dd = one_graph(fixture_graph(name))
+        assert bound_Q_i2(dd).tolist() == bound_L_i1(dd).tolist()
 
 
 def test_vertex_pair_bound_matches_pair_loop():
     graphs = [fixture_graph(name) for name in ("ex1", "ex2", "g1", "g2")]
     graphs += list(sample_connected(9, 30, seed=3))
     for g in graphs:
-        dd = compute_distance_data(g)
-        d = dd.dist.tolist()
-        tr = dd.tr.tolist()
+        dd = one_graph(g)
+        d = dd.dist[0].tolist()
+        tr = dd.tr[0].tolist()
         best = max(
             tr[i] + tr[j] + 2 * d[i][j]
             + sum(abs(d[i][k] - d[j][k]) for k in range(g.n) if k not in (i, j))
             for i in range(g.n) for j in range(i + 1, g.n))
-        assert bound_L_n2(dd) == best / 2.0
+        assert bound_L_n2(dd).tolist() == [best / 2.0]
 
 
 def test_complete_graph_trace_bound_is_exact():
     # the L_N3 radicand of K_n is exactly 0; in floats it rounds to about
     # -1.85e-9 at n = 208, beyond the sqrt guard's tolerance
     for n in (2, 3, 12, 208, 577, 1199):
-        dist = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
+        dist = np.ones((1, n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
         dd = distance_data(dist)
-        assert bound_L_n3(dd, math.sqrt(dd.tr2 + dd.dist2)) == float(n)
+        assert bound_L_n3(dd, np.sqrt(dd.tr2 + dd.dist2)).tolist() == [n]
     r = compute_all_bounds(complete_graph(208))
     assert r.entry(BoundId.L_N3).value == 208.0
     assert r.entry(BoundId.L_N3).diagnosis.certificate == "complete-graph"
@@ -179,31 +188,53 @@ def test_applicability_follows_the_table():
 
 
 def test_bound_values_of_a_batch_match_single_graphs():
-    # every bound of a mixed same-n batch equals the one-graph value bit for
-    # bit; a regular-only bound is NaN on the graphs it does not apply to
+    # every bound of a mixed same-n batch equals the graph's value as a
+    # batch of one (compute_all_bounds), bit for bit; a regular-only bound
+    # is NaN on the graphs it does not apply to
     for n in (1, 2, 3, 4, 6, 9):
         graphs = list(sample_connected(n, 12, seed=n))
         if n >= 3:
             graphs += [complete_graph(n), cycle_graph(n), star_graph(n)]
-        singles = [compute_distance_data(g) for g in graphs]
-        batch = distance_data(np.stack([dd.dist for dd in singles]))
+        batch = distance_data(np.concatenate([batch_of_one(g) for g in graphs]))
         regular = is_transmission_regular(batch.tr)
         values = bound_values(batch, regular)
-        for i, dd in enumerate(singles):
-            want = bound_values(dd, bool(regular[i]))
+        if n >= 3:
+            assert math.isnan(values[BoundId.L_R1][-1])  # the star
+        for i, g in enumerate(graphs):
+            want = {e.bound_id: e.value for e in compute_all_bounds(g).entries
+                    if e.applicable}
             for bid in BoundId:
                 if bid in want:
-                    assert type(want[bid]) is float
                     assert repr(float(values[bid][i])) == repr(want[bid])
                 elif bid in values:
                     assert math.isnan(values[bid][i])
 
 
+def test_one_graph_computes_each_bound_once(monkeypatch):
+    # one eigensolve for D, L and Q, and the diagnoses read the values the
+    # battery computed instead of evaluating their bounds again
+    calls = collections.Counter()
+
+    def counted(name, func):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return spy
+    names = ("eig_symmetric", "bound_L_n1", "bound_L_n3", "bound_Q_tb",
+             "bound_Q_cs7")
+    for module in (linalg, operators, bounds, certify, scan):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(
+                    module, name, counted(name, getattr(module, name)))
+    for g in (fixture_graph("ex1"), complete_graph(5), path_graph(3)):
+        calls.clear()
+        r = compute_all_bounds(g)
+        assert r.entry(BoundId.L_N3).diagnosis is not None
+        assert calls == dict.fromkeys(names, 1), g
+
+
 def test_sqrt_guard():
-    assert _sqrt_guarded(4.0, "x") == 2.0
-    assert _sqrt_guarded(-1e-12, "x") == 0.0
-    with pytest.raises(ConsistencyError, match="negative beyond tolerance"):
-        _sqrt_guarded(-1.0, "x")
     roots = _sqrt_guarded(np.array([4.0, -1e-12, 2.0]), "x")
     assert roots.tolist() == [2.0, 0.0, math.sqrt(2.0)]
     with pytest.raises(ConsistencyError, match="radicand -1.0 is negative"):

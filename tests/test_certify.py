@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from distlap import (
-    BoundId, EqualityDiagnosis, Spectrum, build_operators,
-    check_han_multiplicity, check_tree_determinant, compute_all_bounds,
-    compute_distance_data, diagnose_cs7, diagnose_n1, diagnose_n3,
-    diagnose_tb, equality_tol)
+    BoundId, EqualityDiagnosis, Spectrum, check_han_multiplicity,
+    check_tree_determinant, compute_all_bounds, compute_distance_data,
+    diagnose_cs7, diagnose_n1, diagnose_n3, diagnose_tb, equality_tol,
+    transmission_regularity)
+from distlap.certify import is_complete
 from distlap.errors import NotApplicableError, TheoremViolationError
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
 
 def spectrum_of(values):
-    return Spectrum(values=np.array(values, dtype=float), tol=1e-12)
+    return Spectrum(values=np.array(values, dtype=float))
 
 
 def test_equality_tol():
@@ -80,61 +81,69 @@ def test_fixture_non_equalities():
 
 
 def doctored(g):
-    dd = compute_distance_data(g)
-    return dd, build_operators(dd)
+    """The battery's report of g, whose bound values and structure the
+    diagnoses take next to a doctored spectrum."""
+    return compute_all_bounds(g)
+
+
+def value(report, bound_id):
+    return report.entry(bound_id).value
 
 
 def test_n1_violation_on_doctored_spectrum():
     # P4's shifted matrix is irreducible, so pretending the radius hits the
     # row-maxima sum (10) must trip the necessary condition
-    dd, bundle = doctored(path_graph(4))
+    r = doctored(path_graph(4))
     fake = spectrum_of([10.0, 5.0, 4.0, 0.0])
     with pytest.raises(TheoremViolationError, match="irreducible"):
-        diagnose_n1(bundle, fake, dd)
+        diagnose_n1(value(r, BoundId.L_N1), fake.largest, r.bundle.b_mat)
 
 
 def test_n3_violation_nonzero_smallest():
-    dd, _ = doctored(path_graph(4))
+    r = doctored(path_graph(4))
     fake = spectrum_of([28 / 3, 6.0, 4.0, 0.5])
     with pytest.raises(TheoremViolationError, match="smallest"):
-        diagnose_n3(fake, dd)
+        diagnose_n3(value(r, BoundId.L_N3), fake, r.data.wiener)
 
 
 def test_n3_violation_wrong_middle_block():
-    dd, _ = doctored(path_graph(4))
+    r = doctored(path_graph(4))
     fake = spectrum_of([28 / 3, 6.0, 4.0, 0.0])
     with pytest.raises(TheoremViolationError, match="three-value"):
-        diagnose_n3(fake, dd)
+        diagnose_n3(value(r, BoundId.L_N3), fake, r.data.wiener)
 
 
 def test_n3_doctored_consistent_spectrum_passes():
     # middle block pinned to (2W - r)/(n - 2) = 16/3 satisfies the shape check
-    dd, _ = doctored(path_graph(4))
+    r = doctored(path_graph(4))
     fake = spectrum_of([28 / 3, 16 / 3, 16 / 3, 0.0])
-    d = diagnose_n3(fake, dd)
+    d = diagnose_n3(value(r, BoundId.L_N3), fake, r.data.wiener)
     assert d.equality_within_tol and d.certificate == "three-distinct-L-eigenvalues"
 
 
 def test_cs7_violations_both_directions():
-    dd, _ = doctored(path_graph(3))
+    r = doctored(path_graph(3))
     fake = spectrum_of([(8 + 2 * math.sqrt(19)) / 3, 1.0, 0.5])
     with pytest.raises(TheoremViolationError, match="non-complete"):
-        diagnose_cs7(fake, dd)
-    dd3, _ = doctored(complete_graph(3))
+        diagnose_cs7(value(r, BoundId.Q_CS7), fake.largest,
+                     is_complete(r.data))
+    r3 = doctored(complete_graph(3))
     fake = spectrum_of([5.0, 1.0, 1.0])
     with pytest.raises(TheoremViolationError, match="missed"):
-        diagnose_cs7(fake, dd3)
+        diagnose_cs7(value(r3, BoundId.Q_CS7), fake.largest,
+                     is_complete(r3.data))
 
 
 def test_tb_violations_both_directions():
-    dd, _ = doctored(path_graph(4))
-    fake = spectrum_of([12.0, 5.0, 4.0, 1.0])
-    with pytest.raises(TheoremViolationError, match="non-transmission-regular"):
-        diagnose_tb(fake, dd)
-    ddc, _ = doctored(cycle_graph(4))
-    fake = spectrum_of([9.0, 5.0, 4.0, 1.0])
-    with pytest.raises(TheoremViolationError, match="missed"):
-        diagnose_tb(fake, ddc)
+    for g, fake, match in (
+            (path_graph(4), spectrum_of([12.0, 5.0, 4.0, 1.0]),
+             "non-transmission-regular"),
+            (cycle_graph(4), spectrum_of([9.0, 5.0, 4.0, 1.0]), "missed")):
+        r = doctored(g)
+        with pytest.raises(TheoremViolationError, match=match):
+            diagnose_tb(value(r, BoundId.Q_TB_LO), value(r, BoundId.Q_TB_UP),
+                        fake.largest,
+                        transmission_regularity(r.data) is not None)
 
 
 def test_han_multiplicity():

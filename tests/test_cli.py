@@ -199,6 +199,17 @@ def test_main_analyze_disconnected_edge_list(tmp_path, capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+def test_main_analyze_sparse_edge_list_with_a_huge_header(tmp_path, capsys):
+    # fewer than n - 1 edges is disconnected before any BFS, whose memory
+    # would grow with the header's n
+    path = tmp_path / "sparse.txt"
+    path.write_text(f"{10 ** 9}\n0 1\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "distlap: error: graph is disconnected "
+        "(vertex 0 cannot reach every vertex)\n")
+
+
 def test_main_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from distlap import graphs as graphs_module
 from distlap import (
     DisconnectedGraphError, Graph, GraphParseError, compute_distance_data,
     enumerate_connected, is_connected, is_tree, parse_edge_list,
@@ -259,14 +260,31 @@ def test_connected_distances_on_both_sides_of_the_switch():
         connected, dist = connected_distances(graphs)
         assert connected.tolist() == [True, True, False, True]
         assert dist.dtype == np.int64 and dist.shape == (3, n, n)
-        singles = [compute_distance_data(g).dist
+        singles = [oracles.bfs_distance_matrix(g.n, g.edges)
                    for g in itertools.compress(graphs, connected)]
-        assert (dist == np.stack(singles)).all(), n
+        assert (dist == np.array(singles)).all(), n
     connected, dist = connected_distances([Graph(4, frozenset([(0, 1)]))])
     assert connected.tolist() == [False] and dist.shape == (0, 4, 4)
     connected, dist = connected_distances(
         [Graph(_BATCH_BFS_MAX_N + 1, frozenset([(0, 1)]))])
     assert connected.tolist() == [False] and dist.shape[0] == 0
+
+
+def test_too_few_edges_is_disconnected_before_any_bfs(monkeypatch):
+    # n - 1 edges are needed to connect n vertices; a sparser graph never
+    # reaches a BFS, on either side of the switch
+    def no_bfs(*args):
+        raise AssertionError("BFS on a graph with fewer than n - 1 edges")
+    monkeypatch.setattr(graphs_module, "batch_distances", no_bfs)
+    monkeypatch.setattr(graphs_module, "_bitmask_distances", no_bfs)
+    for n in (3, _BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 1, 10 ** 9):
+        path = frozenset((v, v + 1) for v in range(1, min(n, 40) - 1))
+        sparse = [Graph(n, path), Graph(n, frozenset([(0, 1)]))]
+        connected, dist = connected_distances(sparse)
+        assert connected.tolist() == [False, False]
+        assert dist.shape == (0, n, n)
+        with pytest.raises(DisconnectedGraphError, match="vertex 0"):
+            compute_distance_data(sparse[1])
 
 
 def test_enumerate_yields_ascending_connected_masks():

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from distlap import (
-    Graph, bound_L_d2, bound_L_n3, bounds, certify, compute_distance_data,
-    encode_graph6, enumerate_connected, scan, scan_conjecture, scan_soundness,
-    transmission_regularity)
+    Graph, bound_L_d2, bound_L_n3, bounds, certify, encode_graph6,
+    enumerate_connected, scan, scan_conjecture, scan_soundness)
 from distlap.errors import DisconnectedGraphError
-from distlap.graphs import _BATCH_BFS_MAX_N, is_transmission_regular
+from distlap.graphs import (
+    _BATCH_BFS_MAX_N, batch_of_one, distance_data, is_transmission_regular)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 from distlap.scan import (
@@ -133,8 +133,8 @@ def test_soundness_records_disconnected_as_error():
 
 
 def per_graph_scan(graphs, slack=1e-7):
-    """The margin sweep one graph at a time: compute_distance_data and the
-    scalar bound_L_d2/bound_L_n3 on every graph of the stream."""
+    """The margin sweep one graph at a time: bound_L_d2/bound_L_n3 on every
+    graph of the stream as a batch of one."""
     result = ScanResult(slack=slack)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
     for g in graphs:
@@ -143,15 +143,15 @@ def per_graph_scan(graphs, slack=1e-7):
             result.errors.append((g6, f"margin needs n >= 3, got n={g.n}"))
             continue
         try:
-            dd = compute_distance_data(g)
+            dd = distance_data(batch_of_one(g))
         except DisconnectedGraphError as exc:
             result.errors.append((g6, str(exc)))
             continue
-        if transmission_regularity(dd) is not None:
+        if is_transmission_regular(dd.tr)[0]:
             result.skipped_regular += 1
             continue
-        upper_strict = bound_L_d2(dd, math.sqrt(dd.dist2))
-        upper_trace = bound_L_n3(dd, math.sqrt(dd.tr2 + dd.dist2))
+        upper_strict = float(bound_L_d2(dd, np.sqrt(dd.dist2))[0])
+        upper_trace = float(bound_L_n3(dd, np.sqrt(dd.tr2 + dd.dist2))[0])
         margin = upper_strict - upper_trace
         result.graphs_tested += 1
         if result.min_margin is None or margin < result.min_margin:

@@ -10,7 +10,8 @@ item. Exits 1 and prints a diff excerpt per item on any difference, else 0.
 The corpus:
   - cmd_analyze JSON (without timing_ms) and table output for the five
     fixtures, K5, P4, C6, S5, K12, P20, C30, S16, K208, P100 and C200;
-  - the ScanResult of labeled and of deduplicated n = 3..6;
+  - the ScanResult of labeled and of deduplicated n = 3..6, and the
+    `scan --enumerate` JSON and table output of the same sweeps;
   - the SoundnessReport of all labeled graphs with n <= 6 plus the
     fixtures.
 """
@@ -36,7 +37,7 @@ ANALYZED = ("ex1", "ex2", "g1", "g2", "g3", "K5", "P4", "C6", "S5", "K12",
 def corpus():
     """repr of every corpus item by name, from the distlap on sys.path."""
     from distlap import enumerate_connected, scan_conjecture, scan_soundness
-    from distlap.cli import cmd_analyze
+    from distlap.cli import cmd_analyze, cmd_scan
     from distlap.named_graphs import FIXTURES, fixture_graph
 
     out = {}
@@ -50,6 +51,9 @@ def corpus():
         for dedup in (False, True):
             out[f"scan n={n} dedup={dedup}"] = repr(
                 scan_conjecture(enumerate_connected(n, dedup=dedup)))
+            for fmt in ("json", "table"):
+                out[f"scan-{fmt} n={n} dedup={dedup}"] = cmd_scan(
+                    enumerate_n=n, dedup=dedup, fmt=fmt)[1]
     graphs = itertools.chain.from_iterable(
         enumerate_connected(n) for n in range(1, 7))
     fixtures = (fixture_graph(name) for name in sorted(FIXTURES))

@@ -22,7 +22,7 @@ from .errors import (
     GraphParseError, NotApplicableError, TheoremViolationError)
 from .graph6 import parse_graph6, read_graph6_stream
 from .graphs import (
-    enumerate_connected, parse_edge_list, transmission_regularity)
+    connected_stacks, parse_edge_list, transmission_regularity)
 from .named_graphs import FIXTURES, builtin_graph, fixture_graph
 from .scan import scan_conjecture
 
@@ -58,8 +58,11 @@ def resolve_graph_input(arg):
     graph6 string.
     """
     if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(arg, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(f"{arg} is not UTF-8 text: {exc}") from None
         if arg.endswith((".g6", ".graph6")):
             for _, g in read_graph6_stream(text.splitlines()):
                 return g
@@ -259,14 +262,18 @@ def cmd_scan(enumerate_n=None, graph6_path=None, slack=1e-7, dedup=False,
         if enumerate_n < 3:
             raise ValueError(
                 f"margin scan needs n >= 3, got n={enumerate_n}")
-        source = enumerate_connected(enumerate_n, dedup=dedup)
+        source = connected_stacks(enumerate_n, dedup=dedup)
         params = {"enumerate": enumerate_n, "dedup": dedup, "slack": slack}
         result = scan_conjecture(source, slack=slack)
     else:
         params = {"graph6": os.path.basename(graph6_path), "slack": slack}
         with open(graph6_path, encoding="utf-8") as fh:
             source = (g for _, g in read_graph6_stream(fh))
-            result = scan_conjecture(source, slack=slack)
+            try:
+                result = scan_conjecture(source, slack=slack)
+            except UnicodeDecodeError as exc:
+                raise GraphParseError(
+                    f"{graph6_path} is not UTF-8 text: {exc}") from None
     if fmt == "json":
         return 0, to_canonical_json(scan_document(result, params))
     return 0, scan_table(result, params)

@@ -85,10 +85,15 @@ def parse_edge_list(text):
             continue
         parts = line.split()
         if n is None:
-            if not parts[0].lstrip("-").isdigit():
+            try:
+                # isdigit also admits digits int rejects, such as "²"
+                if not parts[0].lstrip("-").isdigit():
+                    raise ValueError
+                n = int(parts[0])
+            except ValueError:
                 raise GraphParseError(
-                    f"expected vertex count, got {parts[0]!r}", line=lineno)
-            n = int(parts[0])
+                    f"expected vertex count, got {parts[0]!r}",
+                    line=lineno) from None
             if n < 1:
                 raise GraphParseError("vertex count must be positive", line=lineno)
             if len(parts) == 2:
@@ -199,10 +204,13 @@ def disconnected_error(vertex):
 
 def batch_of_one(g):
     """The (1, n, n) distance stack of connected graph g. Raises
-    DisconnectedGraphError if any pair is unreachable."""
-    connected, dist = connected_distances([g])
+    DisconnectedGraphError if any pair is unreachable; a graph with fewer
+    than n - 1 edges raises it before its adjacency stack is allocated."""
+    # vertex 0 is the first source that misses a vertex
+    if g.edge_count < g.n - 1:
+        raise disconnected_error(0)
+    connected, dist = connected_distances(adjacency_stack([g]))
     if not connected[0]:
-        # vertex 0 is the first source that misses a vertex
         raise disconnected_error(0)
     return dist
 
@@ -212,11 +220,13 @@ def compute_distance_data(g):
     return distance_data(batch_of_one(g)).row(0)
 
 
-def _bitmask_distances(g):
-    """int64 all-pairs BFS distances of one graph over neighbour bitmasks,
-    or None as soon as a source misses a vertex."""
-    n = g.n
-    adj = g.adjacency_masks()
+def _bitmask_distances(a):
+    """int64 all-pairs BFS distances of one graph, given as its (n, n)
+    boolean adjacency matrix, over neighbour bitmasks, or None as soon as a
+    source misses a vertex."""
+    n = len(a)
+    adj = [int.from_bytes(row.tobytes(), "little")
+           for row in np.packbits(a, axis=-1, bitorder="little")]
     full = (1 << n) - 1
     rows = []
     for s in range(n):
@@ -286,37 +296,51 @@ def batch_distances(adj, sources=None):
 _BATCH_BFS_MAX_N = 96
 
 
-def connected_distances(graphs):
-    """Distances of the connected graphs in a list of same-n graphs.
-
-    Returns (connected, dist): a boolean flag per graph and the (C, n, n)
-    int64 stack of the C connected graphs' distance matrices, in list order.
-    A graph with fewer than n - 1 edges is disconnected and reaches no BFS,
-    whose memory grows with n. Up to _BATCH_BFS_MAX_N vertices the other
-    graphs run as one batch_distances stack; above it each runs the bitmask
-    BFS, which wins there on long-diameter graphs.
-    """
+def adjacency_stack(graphs):
+    """The (B, n, n) boolean adjacency stack of a list of same-n graphs."""
     n = graphs[0].n
-    counts = np.array([len(g.edges) for g in graphs])
-    connected = counts >= n - 1
-    if not connected.all():
-        graphs = list(itertools.compress(graphs, connected))
-        counts = counts[connected]
-    if not graphs:
-        return connected, np.zeros((0, n, n), dtype=np.int64)
-    if n > _BATCH_BFS_MAX_N:
-        singles = [_bitmask_distances(g) for g in graphs]
-        connected[connected] = [d is not None for d in singles]
-        found = [d for d in singles if d is not None]
-        return connected, np.array(found, dtype=np.int64).reshape(-1, n, n)
+    counts = [len(g.edges) for g in graphs]
     ends = np.fromiter(
         itertools.chain.from_iterable(
             itertools.chain.from_iterable(g.edges for g in graphs)),
-        dtype=np.int64, count=2 * int(counts.sum()))
+        dtype=np.int64, count=2 * sum(counts))
     owner = np.repeat(np.arange(len(graphs)), counts)
     adj = np.zeros((len(graphs), n, n), dtype=bool)
     adj[owner, ends[0::2], ends[1::2]] = True
     adj[owner, ends[1::2], ends[0::2]] = True
+    return adj
+
+
+def adjacency_graph(a):
+    """The Graph of one (n, n) boolean adjacency matrix: the pairs i < j
+    that are set."""
+    rows, cols = np.nonzero(a)
+    return Graph(len(a), frozenset(
+        (u, v) for u, v in zip(rows.tolist(), cols.tolist()) if u < v))
+
+
+def connected_distances(adj):
+    """Distances of the connected graphs of a (B, n, n) boolean adjacency
+    stack.
+
+    Returns (connected, dist): a boolean flag per graph and the (C, n, n)
+    int64 stack of the C connected graphs' distance matrices, in stack
+    order. A graph with fewer than n - 1 edges is disconnected and reaches
+    no BFS. Up to _BATCH_BFS_MAX_N vertices the other graphs run as one
+    batch_distances stack; above it each runs the bitmask BFS, which wins
+    there on long-diameter graphs.
+    """
+    n = adj.shape[-1]
+    connected = adj.sum(axis=(1, 2)) >= 2 * (n - 1)
+    if not connected.all():
+        adj = adj[connected]
+    if not len(adj):
+        return connected, np.zeros((0, n, n), dtype=np.int64)
+    if n > _BATCH_BFS_MAX_N:
+        singles = [_bitmask_distances(a) for a in adj]
+        connected[connected] = [d is not None for d in singles]
+        found = [d for d in singles if d is not None]
+        return connected, np.array(found, dtype=np.int64).reshape(-1, n, n)
     dist, reached = batch_distances(adj)
     connected[connected] = reached
     return connected, dist[reached]
@@ -339,6 +363,15 @@ def transmission_regularity(dd):
 _ENUM_CAP = 7
 # candidate edge masks per connectivity batch; fixed, as it sets the memory
 _ENUM_CHUNK = 1024
+# A chunk of same-n graphs holds at most SCAN_CHUNK graphs and SCAN_CELLS
+# distance-matrix entries. Both are fixed, as they set the memory of a sweep.
+SCAN_CHUNK = 256
+SCAN_CELLS = SCAN_CHUNK * 8 * 8
+
+
+def chunk_limit(n):
+    """Graphs per chunk of a sweep over graphs on n vertices."""
+    return min(SCAN_CHUNK, max(1, SCAN_CELLS // n ** 2))
 
 
 def _connected_mask(mask, pairs, n):
@@ -378,28 +411,41 @@ def _mask_to_graph(mask, table, n):
     return Graph(n, frozenset(edges))
 
 
-def _connected_masks(pairs, n):
+@functools.cache
+def _pair_ends(n):
+    """The pairs (0,1), (0,2), ..., (n-2,n-1) of an edge mask's bits, as
+    arrays of their ends, and each pair's bit position."""
+    rows, cols = np.triu_indices(n, 1)
+    return rows, cols, np.arange(len(rows), dtype=np.int64)
+
+
+def _mask_stack(masks, n):
+    """The (B, n, n) boolean adjacency stack of an int64 array of edge masks
+    over the pairs of _pair_ends(n), scattered from the bits."""
+    rows, cols, shifts = _pair_ends(n)
+    bits = ((masks[:, None] >> shifts) & 1).astype(bool)
+    adj = np.zeros((len(masks), n, n), dtype=bool)
+    adj[:, rows, cols] = bits
+    adj[:, cols, rows] = bits
+    return adj
+
+
+def _connected_masks(n):
     """Edge masks of the connected labeled graphs on n vertices, ascending,
     as one array per chunk of _ENUM_CHUNK candidate masks."""
-    shifts = np.arange(len(pairs), dtype=np.int64)
-    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    total = 1 << len(pairs)
+    total = 1 << n * (n - 1) // 2
     for start in range(0, total, _ENUM_CHUNK):
         masks = np.arange(start, min(start + _ENUM_CHUNK, total),
                           dtype=np.int64)
-        bits = ((masks[:, None] >> shifts) & 1).astype(bool)
-        adj = np.zeros((len(masks), n, n), dtype=bool)
-        adj[:, rows, cols] = bits
-        adj[:, cols, rows] = bits
-        yield masks[batch_distances(adj, sources=1)[1]]
+        yield masks[batch_distances(_mask_stack(masks, n), sources=1)[1]]
 
 
-def _canonical_masks(masks, pairs, n):
+def _canonical_masks(masks, n):
     """Minimum edge-bitmask over all vertex permutations, vectorized over masks."""
+    pairs = list(itertools.combinations(range(n), 2))
     npairs = len(pairs)
     index = {p: i for i, p in enumerate(pairs)}
     shifts = np.arange(npairs, dtype=np.int64)
-    masks = np.asarray(masks, dtype=np.int64)
     bits = (masks[:, None] >> shifts) & 1
     canon = masks.copy()
     for perm in itertools.permutations(range(n)):
@@ -412,8 +458,31 @@ def _canonical_masks(masks, pairs, n):
     return canon
 
 
-def enumerate_connected(n, dedup=False):
-    """Yield every connected labeled graph on n vertices, 1 <= n <= 7.
+def _mask_chunks(n, dedup):
+    """The edge masks of connected_stacks(n, dedup), one int64 array per
+    chunk of chunk_limit(n) masks."""
+    if not 1 <= n <= _ENUM_CAP:
+        raise ValueError(
+            f"exhaustive enumeration is capped at n <= {_ENUM_CAP} (got n={n}); "
+            "use a graph6 stream for larger graphs")
+    found = _connected_masks(n)
+    if dedup:
+        found = [np.unique(_canonical_masks(np.concatenate(list(found)), n))]
+    size = chunk_limit(n)
+    held = np.zeros(0, dtype=np.int64)
+    for masks in found:
+        held = np.concatenate((held, masks))
+        while len(held) >= size:
+            yield held[:size]
+            held = held[size:]
+    if len(held):
+        yield held
+
+
+def connected_stacks(n, dedup=False):
+    """Yield every connected labeled graph on n vertices, 1 <= n <= 7, as
+    (B, n, n) boolean adjacency stacks of chunk_limit(n) graphs (the last
+    one may hold fewer).
 
     Deterministic: ascending edge-bitmask order over the pair sequence
     (0,1), (0,2), ..., (n-2,n-1). With dedup=True, isomorphic duplicates are
@@ -421,18 +490,16 @@ def enumerate_connected(n, dedup=False):
     relabelings, yielded in ascending canonical order. Beyond n = 7 the
     labeled space is too large; feed a graph6 stream instead.
     """
-    if not 1 <= n <= _ENUM_CAP:
-        raise ValueError(
-            f"exhaustive enumeration is capped at n <= {_ENUM_CAP} (got n={n}); "
-            "use a graph6 stream for larger graphs")
-    pairs = list(itertools.combinations(range(n), 2))
-    chunks = _connected_masks(pairs, n)
-    if dedup:
-        chunks = [np.unique(_canonical_masks(np.concatenate(list(chunks)),
-                                             pairs, n))]
-    table = _enumeration_table(n)
-    for chunk in chunks:
-        for mask in chunk.tolist():
+    for masks in _mask_chunks(n, dedup):
+        yield _mask_stack(masks, n)
+
+
+def enumerate_connected(n, dedup=False):
+    """Yield the graphs of connected_stacks(n, dedup) one Graph at a time,
+    in the same order."""
+    for masks in _mask_chunks(n, dedup):
+        table = _enumeration_table(n)
+        for mask in masks.tolist():
             yield _mask_to_graph(mask, table, n)
 
 

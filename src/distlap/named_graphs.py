@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from importlib import resources
 
+from .errors import GraphParseError
 from .graphs import Graph, parse_edge_list
 
 FIXTURES = ("ex1", "ex2", "g1", "g2", "g3")
@@ -45,7 +47,10 @@ def fixture_text(name):
         "data", f"{name}.edges").read_text(encoding="utf-8")
 
 
+@functools.cache
 def fixture_graph(name):
+    """The Graph of a shipped fixture, parsed once per name. A Graph is
+    immutable, so every caller can share it."""
     return parse_edge_list(fixture_text(name))
 
 
@@ -53,11 +58,15 @@ _BUILTIN = re.compile(r"^([KPCS])(\d+)$")
 
 
 def builtin_graph(name):
-    """Resolve K<n>, P<n>, C<n>, S<n> shorthand; None if it is not one."""
+    """Resolve K<n>, P<n>, C<n>, S<n> shorthand; None if it is not one.
+    Raises GraphParseError for a size the family does not have, like K0."""
     m = _BUILTIN.match(name.strip())
     if not m:
         return None
     kind, n = m.group(1), int(m.group(2))
     maker = {"K": complete_graph, "P": path_graph,
              "C": cycle_graph, "S": star_graph}[kind]
-    return maker(n)
+    try:
+        return maker(n)
+    except ValueError as exc:
+        raise GraphParseError(f"{name.strip()}: {exc}") from None

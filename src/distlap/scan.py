@@ -11,8 +11,10 @@ scan_soundness runs the full bound battery plus the proven identities on
 every graph and collects violations instead of raising; compute_all_bounds
 runs the same pipeline on one graph as a batch of one.
 
-Both group the stream by n into chunks of at most SCAN_CHUNK graphs and
-SCAN_CELLS matrix entries and evaluate each chunk as (B, n, n) arrays.
+A stream holds Graphs, (B, n, n) boolean adjacency stacks of same-n graphs
+(such as graphs.connected_stacks yields), or both. Both sweeps group it by n
+into chunks of graphs.chunk_limit(n) graphs and evaluate each chunk as
+(B, n, n) arrays; a Graph and its graph6 are built only for a listed graph.
 """
 
 from __future__ import annotations
@@ -29,17 +31,13 @@ from .certify import (
 from .errors import ConsistencyError, NotApplicableError, TheoremViolationError
 from .graph6 import encode_graph6
 from .graphs import (
-    connected_distances, disconnected_error, distance_data,
-    is_transmission_regular)
+    Graph, adjacency_graph, adjacency_stack, chunk_limit, connected_distances,
+    disconnected_error, distance_data, is_transmission_regular)
 from .linalg import Spectrum
 from .operators import operator_spectra, polynomial_row_sums
 
 HISTOGRAM_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
 HISTOGRAM_LABELS = ("< 0", "[0, 0.5)", "[0.5, 1)", "[1, 2)", "[2, 5)", ">= 5")
-# A chunk of same-n graphs holds at most SCAN_CHUNK graphs and SCAN_CELLS
-# distance-matrix entries. Both are fixed, as they set the memory of a sweep.
-SCAN_CHUNK = 256
-SCAN_CELLS = SCAN_CHUNK * 8 * 8
 
 
 @dataclass
@@ -55,39 +53,69 @@ class ScanResult:
 
 
 def _each_chunk(source, evaluate):
-    """Calls evaluate on the graphs of source grouped by n, in lists of at
-    most SCAN_CHUNK graphs and SCAN_CELLS distance-matrix entries, in stream
-    order per n. A chunk is let go before the next one fills."""
-    pending = {}
-    for g in source:
-        chunk = pending.setdefault(g.n, [])
-        chunk.append(g)
-        if len(chunk) == min(SCAN_CHUNK, max(1, SCAN_CELLS // g.n ** 2)):
-            evaluate(pending.pop(g.n))
-    for chunk in pending.values():
-        evaluate(chunk)
+    """Calls evaluate on the graphs of source grouped by n, as (B, n, n)
+    boolean adjacency stacks of at most chunk_limit(n) graphs, in stream
+    order per n. An item of source is a Graph or a same-n adjacency stack,
+    which may span chunks. A chunk is let go before the next one fills."""
+    pending = {}  # n -> [Graphs and stacks held in order, graphs held]
+
+    def hold(n, part, rows):
+        held = pending.get(n)
+        if held is None:
+            held = pending[n] = [[], 0]
+        held[0].append(part)
+        held[1] += rows
+        if held[1] == chunk_limit(n):
+            evaluate(_stack(pending.pop(n)[0]))
+
+    for item in source:
+        if isinstance(item, Graph):
+            hold(item.n, item, 1)
+            continue
+        n = item.shape[-1]
+        while len(item):
+            part = item[:chunk_limit(n) - pending.get(n, ((), 0))[1]]
+            item = item[len(part):]
+            hold(n, part, len(part))
+    for parts, _ in pending.values():
+        evaluate(_stack(parts))
 
 
-def _connected(errors, graphs):
-    """The connected graphs of a same-n list and the stack of their distance
-    matrices; each disconnected graph is recorded in errors."""
-    connected, dist = connected_distances(graphs)
+def _stack(parts):
+    """One adjacency stack of same-n Graphs and stacks, in order."""
+    stacks = [adjacency_stack(list(group)) if graphs
+              else np.concatenate(list(group))
+              for graphs, group in itertools.groupby(
+                  parts, lambda part: isinstance(part, Graph))]
+    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+
+
+def _graph6(adj):
+    """graph6 of the graph of one (n, n) boolean adjacency matrix. A
+    connected graph's adjacency is its distance matrix == 1."""
+    return encode_graph6(adjacency_graph(adj))
+
+
+def _connected(errors, adj):
+    """The distance matrices of the connected graphs of a same-n adjacency
+    stack, in stack order; each disconnected graph is recorded in errors."""
+    connected, dist = connected_distances(adj)
     # vertex 0 is the first source that misses a vertex, as one at a time
     message = str(disconnected_error(0))
-    for g in itertools.compress(graphs, ~connected):
-        errors.append((encode_graph6(g), message))
-    return list(itertools.compress(graphs, connected)), dist
+    if not connected.all():
+        errors += [(_graph6(a), message) for a in adj[~connected]]
+    return dist
 
 
-def _scan_chunk(result, graphs):
-    """Margins of a chunk of graphs with the same n, as array expressions
-    over the chunk; graph6 is encoded only for listed graphs."""
-    n = graphs[0].n
+def _scan_chunk(result, adj):
+    """Margins of a same-n adjacency stack, as array expressions over the
+    stack; graph6 is encoded only for listed graphs."""
+    n = adj.shape[-1]
     if n < 3:
-        result.errors += [(encode_graph6(g), f"margin needs n >= 3, got n={n}")
-                          for g in graphs]
+        result.errors += [(_graph6(a), f"margin needs n >= 3, got n={n}")
+                          for a in adj]
         return
-    kept, dist = _connected(result.errors, graphs)
+    dist = _connected(result.errors, adj)
     tested = ~is_transmission_regular(dist.sum(axis=-1))
     result.skipped_regular += len(tested) - int(tested.sum())
     if not tested.any():
@@ -107,11 +135,10 @@ def _scan_chunk(result, graphs):
     for label, count in zip(HISTOGRAM_LABELS, buckets.tolist()):
         result.histogram[label] += count
     strict = margin < -result.slack
-    kept = list(itertools.compress(kept, tested))
     for found, listed in ((strict, result.counterexamples),
                           (~strict & (margin <= 0.0), result.equalities)):
         for i in np.flatnonzero(found).tolist():
-            listed.append((encode_graph6(kept[i]), float(upper_trace[i]),
+            listed.append((_graph6(dd.dist[i] == 1), float(upper_trace[i]),
                            float(upper_strict[i])))
 
 
@@ -256,23 +283,23 @@ def _violations(dist):
     return found
 
 
-def _check_soundness(report, graphs, dist):
-    """Soundness of connected same-n graphs with distance matrices dist. A
-    graph whose eigensolve or bounds raise is recorded as an error on its
+def _check_soundness(report, dist):
+    """Soundness of the connected same-n graphs with distance matrices dist.
+    A graph whose eigensolve or bounds raise is recorded as an error on its
     own, as one at a time: a failing batch is split until it is found."""
     try:
         found = _violations(dist)
     except (NotApplicableError, ConsistencyError) as exc:
-        if len(graphs) == 1:
-            report.errors.append((encode_graph6(graphs[0]), str(exc)))
+        if len(dist) == 1:
+            report.errors.append((_graph6(dist[0] == 1), str(exc)))
             return
-        half = len(graphs) // 2
-        _check_soundness(report, graphs[:half], dist[:half])
-        _check_soundness(report, graphs[half:], dist[half:])
+        half = len(dist) // 2
+        _check_soundness(report, dist[:half])
+        _check_soundness(report, dist[half:])
         return
-    report.graphs_checked += len(graphs)
+    report.graphs_checked += len(dist)
     for i in sorted(found):
-        g6 = encode_graph6(graphs[i])
+        g6 = _graph6(dist[i] == 1)
         report.violations += [(g6, message) for message in found[i]]
 
 
@@ -286,10 +313,10 @@ def scan_soundness(source):
     """
     report = SoundnessReport()
 
-    def check(chunk):
-        kept, dist = _connected(report.errors, chunk)
-        if kept:
-            _check_soundness(report, kept, dist)
+    def check(adj):
+        dist = _connected(report.errors, adj)
+        if len(dist):
+            _check_soundness(report, dist)
     _each_chunk(source, check)
     report.violations.sort(key=lambda item: item[0])
     report.errors.sort(key=lambda item: item[0])

@@ -21,9 +21,9 @@ import pytest
 
 from distlap import (
     BoundId, check_tree_determinant, compute_all_bounds,
-    compute_distance_data, enumerate_connected, eig_symmetric,
-    encode_graph6, parse_graph6, sample_connected, scan_conjecture,
-    scan_soundness, Graph)
+    compute_distance_data, connected_stacks, enumerate_connected,
+    eig_symmetric, encode_graph6, parse_graph6, sample_connected,
+    scan_conjecture, scan_soundness, Graph)
 from distlap.named_graphs import (
     complete_graph, fixture_graph, path_graph, star_graph)
 from oracles import all_labeled_trees, brauer_shift_spectrum, charpoly_eigenvalues
@@ -137,7 +137,7 @@ def test_criterion_2_twelve_vertex_tables(report):
 def test_criterion_3_soundness_sweep(report):
     t0 = time.perf_counter()
     source = itertools.chain.from_iterable(
-        enumerate_connected(n) for n in range(1, 7))
+        connected_stacks(n) for n in range(1, 7))
     rep = scan_soundness(source)
     exhaustive = rep.graphs_checked
     rep7 = scan_soundness(sample_connected(7, 100000, seed=7))
@@ -165,7 +165,7 @@ def test_criterion_4_conjecture_sweep(report):
     per_n = {}
     worst = None
     for n in (4, 5, 6, 7):
-        result = scan_conjecture(enumerate_connected(n))
+        result = scan_conjecture(connected_stacks(n))
         per_n[n] = result
         if result.min_margin is not None and (
                 worst is None or result.min_margin < worst):

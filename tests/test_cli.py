@@ -7,15 +7,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distlap
-from distlap import Graph, encode_graph6, format_edge_list
+from distlap import (
+    Graph, encode_graph6, format_edge_list, parse_edge_list, parse_graph6)
 from distlap.cli import (
     cmd_analyze, cmd_scan, fmt4, main, report_document, resolve_graph_input,
     to_canonical_json)
 from distlap.errors import GraphParseError
 from distlap.named_graphs import (
-    complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
+    _BUILTIN, complete_graph, cycle_graph, fixture_graph, path_graph,
+    star_graph)
 
 
 def test_fmt4():
@@ -53,6 +57,48 @@ def test_resolve_files(tmp_path):
 def test_resolve_garbage_is_a_parse_error():
     with pytest.raises(GraphParseError):
         resolve_graph_input("this is not anything!")
+
+
+def test_malformed_inputs_are_parse_errors(tmp_path):
+    # a superscript passes str.isdigit but not int
+    with pytest.raises(GraphParseError, match="line 1: expected vertex count"):
+        parse_edge_list("\u00b2\n")
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe3\n")
+    with pytest.raises(GraphParseError, match="not UTF-8"):
+        resolve_graph_input(str(binary))
+    binary = tmp_path / "binary.g6"
+    binary.write_bytes(b"Bw\n\xff\xfe\n")
+    with pytest.raises(GraphParseError, match="not UTF-8"):
+        cmd_scan(graph6_path=str(binary))
+    for name in ("K0", "S0"):
+        with pytest.raises(GraphParseError, match=f"{name}: need n >= 1"):
+            resolve_graph_input(name)
+
+
+# free text, edge-list-like text and graph6-like text
+PARSER_INPUTS = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(
+        list("0123456789 -#\n\t\u00b2\u0663") + ["0-based", "1-based"])
+    ).map("".join),
+    st.text(alphabet=st.characters(min_codepoint=58, max_codepoint=130)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PARSER_INPUTS)
+def test_every_input_parses_or_is_a_parse_error(text):
+    for parse in (parse_graph6, parse_edge_list):
+        try:
+            assert isinstance(parse(text), Graph)
+        except GraphParseError:
+            pass
+    # a builtin name builds its graph, however large
+    if not os.path.exists(text) and not _BUILTIN.match(text.strip()):
+        try:
+            assert isinstance(resolve_graph_input(text), Graph)
+        except GraphParseError:
+            pass
 
 
 def test_json_reserialization_is_byte_identical():

@@ -15,7 +15,8 @@ from distlap import (
     enumerate_connected, is_connected, is_tree, parse_edge_list,
     sample_connected, transmission_regularity)
 from distlap.graphs import (
-    _BATCH_BFS_MAX_N, batch_distances, connected_distances, distance_data,
+    _BATCH_BFS_MAX_N, SCAN_CELLS, SCAN_CHUNK, adjacency_stack,
+    batch_distances, connected_distances, connected_stacks, distance_data,
     format_edge_list)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
@@ -257,22 +258,24 @@ def test_connected_distances_on_both_sides_of_the_switch():
                   Graph(n, frozenset((v, v + 1) for v in range(1, n - 1))),
                   Graph(n, frozenset((v, rng.randrange(v))
                                      for v in range(1, n)))]
-        connected, dist = connected_distances(graphs)
+        connected, dist = connected_distances(adjacency_stack(graphs))
         assert connected.tolist() == [True, True, False, True]
         assert dist.dtype == np.int64 and dist.shape == (3, n, n)
         singles = [oracles.bfs_distance_matrix(g.n, g.edges)
                    for g in itertools.compress(graphs, connected)]
         assert (dist == np.array(singles)).all(), n
-    connected, dist = connected_distances([Graph(4, frozenset([(0, 1)]))])
+    connected, dist = connected_distances(
+        adjacency_stack([Graph(4, frozenset([(0, 1)]))]))
     assert connected.tolist() == [False] and dist.shape == (0, 4, 4)
     connected, dist = connected_distances(
-        [Graph(_BATCH_BFS_MAX_N + 1, frozenset([(0, 1)]))])
+        adjacency_stack([Graph(_BATCH_BFS_MAX_N + 1, frozenset([(0, 1)]))]))
     assert connected.tolist() == [False] and dist.shape[0] == 0
 
 
 def test_too_few_edges_is_disconnected_before_any_bfs(monkeypatch):
     # n - 1 edges are needed to connect n vertices; a sparser graph never
-    # reaches a BFS, on either side of the switch
+    # reaches a BFS, on either side of the switch, and a graph alone is
+    # rejected before its adjacency stack is allocated
     def no_bfs(*args):
         raise AssertionError("BFS on a graph with fewer than n - 1 edges")
     monkeypatch.setattr(graphs_module, "batch_distances", no_bfs)
@@ -280,9 +283,10 @@ def test_too_few_edges_is_disconnected_before_any_bfs(monkeypatch):
     for n in (3, _BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 1, 10 ** 9):
         path = frozenset((v, v + 1) for v in range(1, min(n, 40) - 1))
         sparse = [Graph(n, path), Graph(n, frozenset([(0, 1)]))]
-        connected, dist = connected_distances(sparse)
-        assert connected.tolist() == [False, False]
-        assert dist.shape == (0, n, n)
+        if n < 10 ** 9:
+            connected, dist = connected_distances(adjacency_stack(sparse))
+            assert connected.tolist() == [False, False]
+            assert dist.shape == (0, n, n)
         with pytest.raises(DisconnectedGraphError, match="vertex 0"):
             compute_distance_data(sparse[1])
 
@@ -305,6 +309,21 @@ def test_enumerate_yields_ascending_connected_masks():
            for g in enumerate_connected(6)]
     assert got == sorted(set(got))
     assert len(got) == oracles.labeled_connected_count(6)
+
+
+def test_connected_stacks_chunk_the_enumerated_graphs():
+    # full chunks of SCAN_CHUNK graphs (SCAN_CELLS binds above n = 8 only),
+    # holding the graphs of enumerate_connected in its order
+    for n in range(1, 7):
+        for dedup in (False, True):
+            stacks = list(connected_stacks(n, dedup=dedup))
+            for a in stacks:
+                assert a.dtype == bool and a.shape[1:] == (n, n)
+                assert len(a) <= SCAN_CHUNK and a.size <= SCAN_CELLS
+            assert all(len(a) == SCAN_CHUNK for a in stacks[:-1])
+            assert len(stacks[-1]) > 0
+            want = adjacency_stack(list(enumerate_connected(n, dedup=dedup)))
+            assert np.array_equal(np.concatenate(stacks), want), (n, dedup)
 
 
 def test_enumerate_dedup_yields_ascending_minimal_representatives():

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from distlap import (
-    Graph, bound_L_d2, bound_L_n3, bounds, certify, encode_graph6,
-    enumerate_connected, scan, scan_conjecture, scan_soundness)
+    Graph, bound_L_d2, bound_L_n3, bounds, certify, connected_stacks,
+    encode_graph6, enumerate_connected, scan, scan_conjecture, scan_soundness)
 from distlap.errors import DisconnectedGraphError
 from distlap.graphs import (
-    _BATCH_BFS_MAX_N, batch_of_one, distance_data, is_transmission_regular)
+    _BATCH_BFS_MAX_N, SCAN_CELLS, SCAN_CHUNK, adjacency_stack, batch_of_one,
+    distance_data, is_transmission_regular)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 from distlap.scan import (
-    HISTOGRAM_EDGES, HISTOGRAM_LABELS, SCAN_CELLS, SCAN_CHUNK, ScanResult,
-    _scan_chunk)
+    HISTOGRAM_EDGES, HISTOGRAM_LABELS, ScanResult, _scan_chunk)
 from oracles import labeled_connected_count, per_graph_soundness
 
 
@@ -185,8 +185,8 @@ def test_chunked_scan_equals_per_graph_evaluation():
     # both sides of the batched/bitmask BFS switch, one graph per chunk
     for n in (_BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 4):
         stream += [path_graph(n), cycle_graph(n), star_graph(n),
-                   Graph(n, frozenset((v, rng.randrange(v))
-                                      for v in range(1, n))),
+                   Graph.from_edges(n, ((v, rng.randrange(v))
+                                        for v in range(1, n))),
                    Graph(n, frozenset((v, v + 1) for v in range(1, n - 1)))]
     rng.shuffle(stream)
     got = scan_conjecture(stream)
@@ -214,13 +214,70 @@ def test_regular_graphs_in_a_chunk_never_reach_the_bounds(monkeypatch):
     monkeypatch.setattr(scan, "bound_L_n3", spy)
     result = ScanResult(slack=1e-7)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
-    _scan_chunk(result, [complete_graph(n), star_graph(n)])
+    _scan_chunk(result, adjacency_stack([complete_graph(n), star_graph(n)]))
     want = per_graph_scan([complete_graph(n), star_graph(n)])
     assert seen == [[False]]
     assert result.skipped_regular == want.skipped_regular == 1
     assert result.graphs_tested == want.graphs_tested == 1
     assert result.min_margin == want.min_margin
     assert result.histogram == want.histogram
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_sweeps_over_stacks_equal_sweeps_over_graphs(dedup):
+    for n in range(1, 7):
+        for sweep in (scan_conjecture, scan_soundness):
+            got = sweep(connected_stacks(n, dedup=dedup))
+            want = sweep(enumerate_connected(n, dedup=dedup))
+            assert got == want, (sweep.__name__, n)
+            assert repr(got) == repr(want), (sweep.__name__, n)
+
+
+def test_mixed_stream_of_graphs_and_stacks_equals_the_graph_stream(
+        monkeypatch):
+    # runs of same-n graphs, each run either stacked (up to three chunks
+    # long, so a stack spans chunks) or left as single Graphs, shuffled
+    rng = random.Random(17)
+    pieces = []
+    for n, count in ((1, 3), (2, 5), (4, 40), (5, 300),
+                     (6, 2 * SCAN_CHUNK + 50), (12, 3 * SCAN_CELLS // 144)):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graphs = []
+        for _ in range(count):
+            density = rng.uniform(0.15, 0.95)
+            graphs.append(Graph(n, frozenset(
+                p for p in pairs if rng.random() < density)))
+        while graphs:
+            size = rng.choice((1, 2, 7, 60, 300, 3 * SCAN_CHUNK))
+            run, graphs = graphs[:size], graphs[size:]
+            if rng.random() < 0.6:
+                pieces.append(([adjacency_stack(run)], run))
+            else:
+                pieces += [([g], [g]) for g in run]
+        pieces.append(([np.zeros((0, n, n), dtype=bool)], []))
+    rng.shuffle(pieces)
+    mixed = [item for items, _ in pieces for item in items]
+    plain = [g for _, run in pieces for g in run]
+    assert {type(item) for item in mixed} == {Graph, np.ndarray}
+
+    chunks = []
+
+    def spy(result, adj):
+        chunks.append(adj.shape)
+        scan_chunk(result, adj)
+    scan_chunk = scan._scan_chunk
+    monkeypatch.setattr(scan, "_scan_chunk", spy)
+    got = scan_conjecture(mixed)
+    assert sum(b for b, _, _ in chunks) == len(plain)
+    assert all(b <= SCAN_CHUNK and (b == 1 or b * n * n <= SCAN_CELLS)
+               for b, n, _ in chunks)
+    want = scan_conjecture(plain)
+    assert got.counterexamples and got.errors
+    assert got == want and repr(got) == repr(want)
+    got = scan_soundness(mixed)
+    want = scan_soundness(plain)
+    assert got.errors and got.graphs_checked
+    assert got == want and repr(got) == repr(want)
 
 
 def petersen_graph():
@@ -246,8 +303,8 @@ def soundness_stream():
     for n in range(3, 11):
         stream += [complete_graph(n), cycle_graph(n), star_graph(n),
                    path_graph(n),
-                   Graph(n, frozenset((v, rng.randrange(v))
-                                      for v in range(1, n)))]
+                   Graph.from_edges(n, ((v, rng.randrange(v))
+                                        for v in range(1, n)))]
     stream += [complete_graph(1), complete_graph(2), petersen_graph(),
                complete_graph(208)]
     stream += [fixture_graph(name) for name in ("ex1", "ex2", "g1", "g2")]

@@ -88,7 +88,8 @@ def encode_graph6(g):
     else:
         head = "~~" + "".join(
             chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-    edges = g.edges
+    # the trusting Graph constructor may hold a pair (i, j) as (j, i)
+    edges = {(u, v) if u < v else (v, u) for u, v in g.edges}
     out = []
     acc = 0
     count = 0

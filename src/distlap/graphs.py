@@ -202,12 +202,19 @@ def disconnected_error(vertex):
         f"graph is disconnected (vertex {vertex} cannot reach every vertex)")
 
 
+def too_sparse(g):
+    """True if Graph g has fewer than the n - 1 edges that connect n
+    vertices: it is disconnected, known without building its adjacency
+    stack, whose memory grows with n^2."""
+    return g.edge_count < g.n - 1
+
+
 def batch_of_one(g):
     """The (1, n, n) distance stack of connected graph g. Raises
-    DisconnectedGraphError if any pair is unreachable; a graph with fewer
-    than n - 1 edges raises it before its adjacency stack is allocated."""
+    DisconnectedGraphError if any pair is unreachable; a too_sparse graph
+    raises it before its adjacency stack is allocated."""
     # vertex 0 is the first source that misses a vertex
-    if g.edge_count < g.n - 1:
+    if too_sparse(g):
         raise disconnected_error(0)
     connected, dist = connected_distances(adjacency_stack([g]))
     if not connected[0]:
@@ -326,9 +333,10 @@ def connected_distances(adj):
     Returns (connected, dist): a boolean flag per graph and the (C, n, n)
     int64 stack of the C connected graphs' distance matrices, in stack
     order. A graph with fewer than n - 1 edges is disconnected and reaches
-    no BFS. Up to _BATCH_BFS_MAX_N vertices the other graphs run as one
-    batch_distances stack; above it each runs the bitmask BFS, which wins
-    there on long-diameter graphs.
+    no BFS; a Graph is checked by too_sparse before its stack is built. Up
+    to _BATCH_BFS_MAX_N vertices the other graphs run as one batch_distances
+    stack; above it each runs the bitmask BFS, which wins there on
+    long-diameter graphs.
     """
     n = adj.shape[-1]
     connected = adj.sum(axis=(1, 2)) >= 2 * (n - 1)

@@ -32,12 +32,14 @@ from .errors import ConsistencyError, NotApplicableError, TheoremViolationError
 from .graph6 import encode_graph6
 from .graphs import (
     Graph, adjacency_graph, adjacency_stack, chunk_limit, connected_distances,
-    disconnected_error, distance_data, is_transmission_regular)
+    disconnected_error, distance_data, is_transmission_regular, too_sparse)
 from .linalg import Spectrum
 from .operators import operator_spectra, polynomial_row_sums
 
 HISTOGRAM_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
 HISTOGRAM_LABELS = ("< 0", "[0, 0.5)", "[0.5, 1)", "[1, 2)", "[2, 5)", ">= 5")
+# vertex 0 is the first source that misses a vertex, as one at a time
+_DISCONNECTED = str(disconnected_error(0))
 
 
 @dataclass
@@ -52,11 +54,12 @@ class ScanResult:
     slack: float = 0.0
 
 
-def _each_chunk(source, evaluate):
+def _each_chunk(source, evaluate, reject):
     """Calls evaluate on the graphs of source grouped by n, as (B, n, n)
     boolean adjacency stacks of at most chunk_limit(n) graphs, in stream
-    order per n. An item of source is a Graph or a same-n adjacency stack,
-    which may span chunks. A chunk is let go before the next one fills."""
+    order per n, and reject on each too_sparse Graph, whose stack is never
+    built. An item of source is a Graph or a same-n adjacency stack, which
+    may span chunks. A chunk is let go before the next one fills."""
     pending = {}  # n -> [Graphs and stacks held in order, graphs held]
 
     def hold(n, part, rows):
@@ -70,7 +73,10 @@ def _each_chunk(source, evaluate):
 
     for item in source:
         if isinstance(item, Graph):
-            hold(item.n, item, 1)
+            if too_sparse(item):
+                reject(item)
+            else:
+                hold(item.n, item, 1)
             continue
         n = item.shape[-1]
         while len(item):
@@ -100,11 +106,14 @@ def _connected(errors, adj):
     """The distance matrices of the connected graphs of a same-n adjacency
     stack, in stack order; each disconnected graph is recorded in errors."""
     connected, dist = connected_distances(adj)
-    # vertex 0 is the first source that misses a vertex, as one at a time
-    message = str(disconnected_error(0))
     if not connected.all():
-        errors += [(_graph6(a), message) for a in adj[~connected]]
+        errors += [(_graph6(a), _DISCONNECTED) for a in adj[~connected]]
     return dist
+
+
+def _too_small(n):
+    """The error of a graph on n < 3 vertices, which has no margin."""
+    return f"margin needs n >= 3, got n={n}"
 
 
 def _scan_chunk(result, adj):
@@ -112,8 +121,7 @@ def _scan_chunk(result, adj):
     stack; graph6 is encoded only for listed graphs."""
     n = adj.shape[-1]
     if n < 3:
-        result.errors += [(_graph6(a), f"margin needs n >= 3, got n={n}")
-                          for a in adj]
+        result.errors += [(_graph6(a), _too_small(n)) for a in adj]
         return
     dist = _connected(result.errors, adj)
     tested = ~is_transmission_regular(dist.sum(axis=-1))
@@ -154,7 +162,11 @@ def scan_conjecture(source, slack=1e-7):
     """
     result = ScanResult(slack=slack)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
-    _each_chunk(source, lambda chunk: _scan_chunk(result, chunk))
+
+    def reject(g):
+        message = _too_small(g.n) if g.n < 3 else _DISCONNECTED
+        result.errors.append((encode_graph6(g), message))
+    _each_chunk(source, lambda chunk: _scan_chunk(result, chunk), reject)
     result.counterexamples.sort(key=lambda item: item[0])
     result.equalities.sort(key=lambda item: item[0])
     result.errors.sort(key=lambda item: item[0])
@@ -317,7 +329,10 @@ def scan_soundness(source):
         dist = _connected(report.errors, adj)
         if len(dist):
             _check_soundness(report, dist)
-    _each_chunk(source, check)
+
+    def reject(g):
+        report.errors.append((encode_graph6(g), _DISCONNECTED))
+    _each_chunk(source, check, reject)
     report.violations.sort(key=lambda item: item[0])
     report.errors.sort(key=lambda item: item[0])
     return report

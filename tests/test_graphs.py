@@ -13,7 +13,8 @@ from distlap import graphs as graphs_module
 from distlap import (
     DisconnectedGraphError, Graph, GraphParseError, compute_distance_data,
     enumerate_connected, is_connected, is_tree, parse_edge_list,
-    sample_connected, transmission_regularity)
+    sample_connected, scan, scan_conjecture, scan_soundness,
+    transmission_regularity)
 from distlap.graphs import (
     _BATCH_BFS_MAX_N, SCAN_CELLS, SCAN_CHUNK, adjacency_stack,
     batch_distances, connected_distances, connected_stacks, distance_data,
@@ -274,19 +275,36 @@ def test_connected_distances_on_both_sides_of_the_switch():
 
 def test_too_few_edges_is_disconnected_before_any_bfs(monkeypatch):
     # n - 1 edges are needed to connect n vertices; a sparser graph never
-    # reaches a BFS, on either side of the switch, and a graph alone is
-    # rejected before its adjacency stack is allocated
+    # reaches a BFS, on either side of the switch, and a Graph of one is
+    # rejected, alone or in a sweep, before its adjacency stack is built
     def no_bfs(*args):
         raise AssertionError("BFS on a graph with fewer than n - 1 edges")
     monkeypatch.setattr(graphs_module, "batch_distances", no_bfs)
     monkeypatch.setattr(graphs_module, "_bitmask_distances", no_bfs)
-    for n in (3, _BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 1, 10 ** 9):
+
+    def sparse_graphs(n):
         path = frozenset((v, v + 1) for v in range(1, min(n, 40) - 1))
-        sparse = [Graph(n, path), Graph(n, frozenset([(0, 1)]))]
-        if n < 10 ** 9:
-            connected, dist = connected_distances(adjacency_stack(sparse))
-            assert connected.tolist() == [False, False]
-            assert dist.shape == (0, n, n)
+        return [Graph(n, path), Graph(n, frozenset([(0, 1)]))]
+    for n in (3, _BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 1):
+        connected, dist = connected_distances(
+            adjacency_stack(sparse_graphs(n)))
+        assert connected.tolist() == [False, False]
+        assert dist.shape == (0, n, n)
+
+    def no_stack(*args):
+        raise AssertionError("stack of a graph with fewer than n - 1 edges")
+    monkeypatch.setattr(graphs_module, "adjacency_stack", no_stack)
+    monkeypatch.setattr(scan, "adjacency_stack", no_stack)
+    # the graph6 of a graph on 10^9 vertices holds n(n-1)/2 bits; its
+    # vertex count and edges stand in for it
+    monkeypatch.setattr(
+        scan, "encode_graph6", lambda g: (g.n, g.sorted_edges()))
+    message = "graph is disconnected (vertex 0 cannot reach every vertex)"
+    for n in (3, _BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 1, 10 ** 9):
+        sparse = sparse_graphs(n)
+        want = sorted(((g.n, g.sorted_edges()), message) for g in sparse)
+        assert scan_conjecture(sparse).errors == want
+        assert scan_soundness(sparse).errors == want
         with pytest.raises(DisconnectedGraphError, match="vertex 0"):
             compute_distance_data(sparse[1])
 

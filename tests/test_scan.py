@@ -12,7 +12,7 @@ from distlap import (
 from distlap.errors import DisconnectedGraphError
 from distlap.graphs import (
     _BATCH_BFS_MAX_N, SCAN_CELLS, SCAN_CHUNK, adjacency_stack, batch_of_one,
-    distance_data, is_transmission_regular)
+    distance_data, is_transmission_regular, too_sparse)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 from distlap.scan import (
@@ -132,6 +132,26 @@ def test_soundness_records_disconnected_as_error():
     assert len(rep.errors) == 1
 
 
+def test_a_reversed_pair_is_listed_under_the_real_graph():
+    # the trusting constructor may hold a pair (u, v) as (v, u); a row
+    # rejected by its edge count, a disconnected row of a stack and a
+    # counterexample all list the graph6 of the graph as validated
+    cases = [[(1, 0), (3, 2)],                  # too sparse to connect
+             [(1, 0), (2, 1), (2, 0), (4, 3)],  # disconnected, stacked
+             [(1, 0), (2, 0), (3, 0), (4, 0)]]  # the star, a counterexample
+    trusted = [Graph(5, frozenset(pairs)) for pairs in cases]
+    valid = [Graph.from_edges(5, pairs) for pairs in cases]
+    for g, h in zip(trusted, valid):
+        assert encode_graph6(g) == encode_graph6(h)
+    got = scan_conjecture(trusted)
+    assert got == scan_conjecture(valid)
+    assert [g6 for g6, _ in got.errors] == sorted(
+        encode_graph6(h) for h in valid[:2])
+    assert [row[0] for row in got.counterexamples] == [
+        encode_graph6(star_graph(5))]
+    assert scan_soundness(trusted) == scan_soundness(valid)
+
+
 def per_graph_scan(graphs, slack=1e-7):
     """The margin sweep one graph at a time: bound_L_d2/bound_L_n3 on every
     graph of the stream as a batch of one."""
@@ -185,8 +205,8 @@ def test_chunked_scan_equals_per_graph_evaluation():
     # both sides of the batched/bitmask BFS switch, one graph per chunk
     for n in (_BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 4):
         stream += [path_graph(n), cycle_graph(n), star_graph(n),
-                   Graph.from_edges(n, ((v, rng.randrange(v))
-                                        for v in range(1, n))),
+                   Graph(n, frozenset((v, rng.randrange(v))
+                                      for v in range(1, n))),
                    Graph(n, frozenset((v, v + 1) for v in range(1, n - 1)))]
     rng.shuffle(stream)
     got = scan_conjecture(stream)
@@ -268,7 +288,10 @@ def test_mixed_stream_of_graphs_and_stacks_equals_the_graph_stream(
     scan_chunk = scan._scan_chunk
     monkeypatch.setattr(scan, "_scan_chunk", spy)
     got = scan_conjecture(mixed)
-    assert sum(b for b, _, _ in chunks) == len(plain)
+    # a single Graph too sparse to connect is an error without a chunk
+    rejected = sum(isinstance(item, Graph) and too_sparse(item)
+                   for item in mixed)
+    assert rejected and sum(b for b, _, _ in chunks) == len(plain) - rejected
     assert all(b <= SCAN_CHUNK and (b == 1 or b * n * n <= SCAN_CELLS)
                for b, n, _ in chunks)
     want = scan_conjecture(plain)
@@ -303,8 +326,8 @@ def soundness_stream():
     for n in range(3, 11):
         stream += [complete_graph(n), cycle_graph(n), star_graph(n),
                    path_graph(n),
-                   Graph.from_edges(n, ((v, rng.randrange(v))
-                                        for v in range(1, n)))]
+                   Graph(n, frozenset((v, rng.randrange(v))
+                                      for v in range(1, n)))]
     stream += [complete_graph(1), complete_graph(2), petersen_graph(),
                complete_graph(208)]
     stream += [fixture_graph(name) for name in ("ex1", "ex2", "g1", "g2")]

@@ -13,7 +13,10 @@ The corpus:
   - the ScanResult of labeled and of deduplicated n = 3..6, and the
     `scan --enumerate` JSON and table output of the same sweeps;
   - the SoundnessReport of all labeled graphs with n <= 6 plus the
-    fixtures.
+    fixtures;
+  - the graph6 lines of enumerate_connected(n, dedup) for n = 1..6, and of
+    sample_connected at (n, count, seed) = (7, 2000, 7), (9, 30, 3) and
+    (12, 50, 4).
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ ANALYZED = ("ex1", "ex2", "g1", "g2", "g3", "K5", "P4", "C6", "S5", "K12",
 
 def corpus():
     """repr of every corpus item by name, from the distlap on sys.path."""
-    from distlap import enumerate_connected, scan_conjecture, scan_soundness
+    from distlap import (
+        encode_graph6, enumerate_connected, sample_connected,
+        scan_conjecture, scan_soundness)
     from distlap.cli import cmd_analyze, cmd_scan
     from distlap.named_graphs import FIXTURES, fixture_graph
 
@@ -59,6 +64,13 @@ def corpus():
     fixtures = (fixture_graph(name) for name in sorted(FIXTURES))
     out["soundness n<=6 + fixtures"] = repr(
         scan_soundness(itertools.chain(graphs, fixtures)))
+    for n in range(1, 7):
+        for dedup in (False, True):
+            out[f"enumerate n={n} dedup={dedup}"] = "\n".join(
+                map(encode_graph6, enumerate_connected(n, dedup=dedup)))
+    for n, count, seed in ((7, 2000, 7), (9, 30, 3), (12, 50, 4)):
+        out[f"sample n={n} count={count} seed={seed}"] = "\n".join(
+            map(encode_graph6, sample_connected(n, count, seed)))
     return out
 
 

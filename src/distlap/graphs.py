@@ -6,7 +6,6 @@ Vertices are always 0..n-1 internally. Edge-list files may declare themselves
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -318,12 +317,24 @@ def adjacency_stack(graphs):
     return adj
 
 
-def adjacency_graph(a):
-    """The Graph of one (n, n) boolean adjacency matrix: the pairs i < j
-    that are set."""
-    rows, cols = np.nonzero(a)
-    return Graph(len(a), frozenset(
-        (u, v) for u, v in zip(rows.tolist(), cols.tolist()) if u < v))
+def _pair_ends(n):
+    """The ends of the pairs (0,1), (0,2), ..., (n-2,n-1) as two arrays, as
+    np.triu_indices(n, 1) gives them, at a third of its call overhead, which
+    a sweep pays per chunk."""
+    return np.nonzero(np.tri(n, k=-1, dtype=bool).T)
+
+
+def adjacency_graphs(adj):
+    """The Graphs of a (B, n, n) boolean adjacency stack, in stack order:
+    graph b holds the pairs i < j set in adj[b]. An empty stack, which a
+    sweep passes for each chunk that lists no graph, costs nothing."""
+    if not len(adj):
+        return []
+    n = adj.shape[-1]
+    rows, cols = _pair_ends(n)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    return [Graph(n, frozenset(itertools.compress(pairs, bits)))
+            for bits in adj[:, rows, cols].tolist()]
 
 
 def connected_distances(adj):
@@ -382,60 +393,22 @@ def chunk_limit(n):
     return min(SCAN_CHUNK, max(1, SCAN_CELLS // n ** 2))
 
 
-def _connected_mask(mask, pairs, n):
-    adj = [0] * n
-    m = mask
-    while m:
-        b = m & -m
-        u, v = pairs[b.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        m ^= b
-    return _bfs_reach(adj, 0, n) == (1 << n) - 1
-
-
-def _edge_table(pairs):
-    """Edge tuples per byte of an edge mask: table[k][b] holds, ascending, the
-    pairs of the bits set in byte value b at byte k of the mask."""
-    return [[tuple(p for i, p in enumerate(pairs[8 * k:8 * k + 8])
-                   if b >> i & 1)
-             for b in range(256)]
-            for k in range((len(pairs) + 7) // 8)]
-
-
-@functools.cache
-def _enumeration_table(n):
-    """_edge_table of the pairs on n <= _ENUM_CAP vertices, built once per n:
-    building it per enumeration let the peak RSS of a process that enumerates
-    n = 6 again and again creep up by ~0.1 MB every few enumerations."""
-    return _edge_table(list(itertools.combinations(range(n), 2)))
-
-
-def _mask_to_graph(mask, table, n):
-    edges = []
-    for row in table:
-        edges += row[mask & 255]
-        mask >>= 8
-    return Graph(n, frozenset(edges))
-
-
-@functools.cache
-def _pair_ends(n):
-    """The pairs (0,1), (0,2), ..., (n-2,n-1) of an edge mask's bits, as
-    arrays of their ends, and each pair's bit position."""
-    rows, cols = np.triu_indices(n, 1)
-    return rows, cols, np.arange(len(rows), dtype=np.int64)
-
-
-def _mask_stack(masks, n):
-    """The (B, n, n) boolean adjacency stack of an int64 array of edge masks
-    over the pairs of _pair_ends(n), scattered from the bits."""
-    rows, cols, shifts = _pair_ends(n)
-    bits = ((masks[:, None] >> shifts) & 1).astype(bool)
-    adj = np.zeros((len(masks), n, n), dtype=bool)
+def _mask_stack(raw, n):
+    """The (B, n, n) boolean adjacency stack of edge masks given as a (B, k)
+    uint8 array of their little-endian bytes, bit i of a mask standing for
+    pair i of _pair_ends(n)."""
+    rows, cols = _pair_ends(n)
+    bits = np.unpackbits(raw, axis=-1, count=len(rows),
+                         bitorder="little").astype(bool)
+    adj = np.zeros((len(raw), n, n), dtype=bool)
     adj[:, rows, cols] = bits
     adj[:, cols, rows] = bits
     return adj
+
+
+def _int64_stack(masks, n):
+    """_mask_stack of an int64 array of edge masks."""
+    return _mask_stack(masks.astype("<i8").view(np.uint8).reshape(-1, 8), n)
 
 
 def _connected_masks(n):
@@ -445,7 +418,7 @@ def _connected_masks(n):
     for start in range(0, total, _ENUM_CHUNK):
         masks = np.arange(start, min(start + _ENUM_CHUNK, total),
                           dtype=np.int64)
-        yield masks[batch_distances(_mask_stack(masks, n), sources=1)[1]]
+        yield masks[batch_distances(_int64_stack(masks, n), sources=1)[1]]
 
 
 def _canonical_masks(masks, n):
@@ -466,9 +439,17 @@ def _canonical_masks(masks, n):
     return canon
 
 
-def _mask_chunks(n, dedup):
-    """The edge masks of connected_stacks(n, dedup), one int64 array per
-    chunk of chunk_limit(n) masks."""
+def connected_stacks(n, dedup=False):
+    """Yield every connected labeled graph on n vertices, 1 <= n <= 7, as
+    (B, n, n) boolean adjacency stacks of chunk_limit(n) graphs (the last
+    one may hold fewer).
+
+    Deterministic: ascending edge-bitmask order over the pair sequence
+    (0,1), (0,2), ..., (n-2,n-1). With dedup=True, isomorphic duplicates are
+    collapsed to the representative with the smallest bitmask over all vertex
+    relabelings, yielded in ascending canonical order. Beyond n = 7 the
+    labeled space is too large; feed a graph6 stream instead.
+    """
     if not 1 <= n <= _ENUM_CAP:
         raise ValueError(
             f"exhaustive enumeration is capped at n <= {_ENUM_CAP} (got n={n}); "
@@ -481,52 +462,41 @@ def _mask_chunks(n, dedup):
     for masks in found:
         held = np.concatenate((held, masks))
         while len(held) >= size:
-            yield held[:size]
+            yield _int64_stack(held[:size], n)
             held = held[size:]
     if len(held):
-        yield held
-
-
-def connected_stacks(n, dedup=False):
-    """Yield every connected labeled graph on n vertices, 1 <= n <= 7, as
-    (B, n, n) boolean adjacency stacks of chunk_limit(n) graphs (the last
-    one may hold fewer).
-
-    Deterministic: ascending edge-bitmask order over the pair sequence
-    (0,1), (0,2), ..., (n-2,n-1). With dedup=True, isomorphic duplicates are
-    collapsed to the representative with the smallest bitmask over all vertex
-    relabelings, yielded in ascending canonical order. Beyond n = 7 the
-    labeled space is too large; feed a graph6 stream instead.
-    """
-    for masks in _mask_chunks(n, dedup):
-        yield _mask_stack(masks, n)
+        yield _int64_stack(held, n)
 
 
 def enumerate_connected(n, dedup=False):
     """Yield the graphs of connected_stacks(n, dedup) one Graph at a time,
     in the same order."""
-    for masks in _mask_chunks(n, dedup):
-        table = _enumeration_table(n)
-        for mask in masks.tolist():
-            yield _mask_to_graph(mask, table, n)
+    for adj in connected_stacks(n, dedup):
+        yield from adjacency_graphs(adj)
 
 
 def sample_connected(n, count, seed):
     """Uniform connected labeled graphs by rejection sampling (with replacement).
 
-    Deterministic for a fixed seed. Yields exactly count graphs.
+    Deterministic for a fixed seed: each draw is rng.getrandbits over the
+    n(n-1)/2 pairs of connected_stacks, bit i for pair i, and the connected
+    draws are kept in draw order. Draws run in blocks of chunk_limit(n),
+    filtered as one adjacency stack. Yields exactly count graphs.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    pairs = list(itertools.combinations(range(n), 2))
-    npairs = len(pairs)
-    table = _edge_table(pairs)
+    npairs = n * (n - 1) // 2
+    width = (npairs + 7) // 8
+    size = chunk_limit(n)
     rng = random.Random(seed)
-    produced = 0
-    while produced < count:
-        mask = rng.getrandbits(npairs) if npairs else 0
-        if _connected_mask(mask, pairs, n):
-            produced += 1
-            yield _mask_to_graph(mask, table, n)
+    while count:
+        raw = b"".join(rng.getrandbits(npairs).to_bytes(width, "little")
+                       for _ in range(size))
+        adj = _mask_stack(
+            np.frombuffer(raw, dtype=np.uint8).reshape(size, width), n)
+        graphs = adjacency_graphs(
+            adj[batch_distances(adj, sources=1)[1]])[:count]
+        count -= len(graphs)
+        yield from graphs

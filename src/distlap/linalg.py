@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError
+from .graphs import batch_distances
 
 
 @dataclass(frozen=True)
@@ -96,32 +97,23 @@ def spectral_radius_nonneg(m, tol=1e-12, max_iter=200000):
         residual=residual)
 
 
-def _pattern_reach(pattern, start):
-    n = pattern.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = seen.copy()
-    while frontier.any():
-        nxt = pattern[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = nxt
-    return bool(seen.all())
-
-
 def is_irreducible(m):
     """True iff the directed nonzero-entry pattern is strongly connected.
 
-    Checked by forward reachability from vertex 0 and backward reachability
-    (forward in the transpose); both full covers strong connectivity. A 1x1
-    matrix is irreducible iff its entry is nonzero (the usual convention).
+    Checked as every vertex reaching every vertex along the pattern's
+    directed edges, by graphs.batch_distances on the pattern as a batch of
+    one. A 1x1 matrix is irreducible iff its entry is nonzero (the usual
+    convention).
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("empty matrix")
     pattern = a != 0
     if a.shape[0] == 1:
         return bool(pattern[0, 0])
-    return _pattern_reach(pattern, 0) and _pattern_reach(pattern.T, 0)
+    return bool(batch_distances(pattern[None])[1][0])
 
 
 def multiplicity(s, value, tol=None):

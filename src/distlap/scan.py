@@ -28,10 +28,10 @@ from .bounds import (
     bound_checks, bound_L_d2, bound_L_n3, bound_values, slack_for)
 from .certify import (
     diagnose_all, diagnosis_rows, han_multiplicity_holds, is_complete)
-from .errors import ConsistencyError, NotApplicableError, TheoremViolationError
+from .errors import ConsistencyError, TheoremViolationError
 from .graph6 import encode_graph6
 from .graphs import (
-    Graph, adjacency_graph, adjacency_stack, chunk_limit, connected_distances,
+    Graph, adjacency_graphs, adjacency_stack, chunk_limit, connected_distances,
     disconnected_error, distance_data, is_transmission_regular, too_sparse)
 from .linalg import Spectrum
 from .operators import operator_spectra, polynomial_row_sums
@@ -96,10 +96,10 @@ def _stack(parts):
     return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
 
 
-def _graph6(adj):
-    """graph6 of the graph of one (n, n) boolean adjacency matrix. A
+def _graph6s(adj):
+    """graph6 of each graph of a boolean adjacency stack, in stack order. A
     connected graph's adjacency is its distance matrix == 1."""
-    return encode_graph6(adjacency_graph(adj))
+    return [encode_graph6(g) for g in adjacency_graphs(adj)]
 
 
 def _connected(errors, adj):
@@ -107,7 +107,7 @@ def _connected(errors, adj):
     stack, in stack order; each disconnected graph is recorded in errors."""
     connected, dist = connected_distances(adj)
     if not connected.all():
-        errors += [(_graph6(a), _DISCONNECTED) for a in adj[~connected]]
+        errors += [(g6, _DISCONNECTED) for g6 in _graph6s(adj[~connected])]
     return dist
 
 
@@ -121,7 +121,7 @@ def _scan_chunk(result, adj):
     stack; graph6 is encoded only for listed graphs."""
     n = adj.shape[-1]
     if n < 3:
-        result.errors += [(_graph6(a), _too_small(n)) for a in adj]
+        result.errors += [(g6, _too_small(n)) for g6 in _graph6s(adj)]
         return
     dist = _connected(result.errors, adj)
     tested = ~is_transmission_regular(dist.sum(axis=-1))
@@ -145,9 +145,9 @@ def _scan_chunk(result, adj):
     strict = margin < -result.slack
     for found, listed in ((strict, result.counterexamples),
                           (~strict & (margin <= 0.0), result.equalities)):
-        for i in np.flatnonzero(found).tolist():
-            listed.append((_graph6(dd.dist[i] == 1), float(upper_trace[i]),
-                           float(upper_strict[i])))
+        listed += zip(_graph6s(dd.dist[found] == 1),
+                      upper_trace[found].tolist(),
+                      upper_strict[found].tolist())
 
 
 def scan_conjecture(source, slack=1e-7):
@@ -301,17 +301,17 @@ def _check_soundness(report, dist):
     own, as one at a time: a failing batch is split until it is found."""
     try:
         found = _violations(dist)
-    except (NotApplicableError, ConsistencyError) as exc:
+    except ConsistencyError as exc:
         if len(dist) == 1:
-            report.errors.append((_graph6(dist[0] == 1), str(exc)))
+            report.errors.append((_graph6s(dist == 1)[0], str(exc)))
             return
         half = len(dist) // 2
         _check_soundness(report, dist[:half])
         _check_soundness(report, dist[half:])
         return
     report.graphs_checked += len(dist)
-    for i in sorted(found):
-        g6 = _graph6(dist[i] == 1)
+    rows = sorted(found)
+    for i, g6 in zip(rows, _graph6s(dist[rows] == 1)):
         report.violations += [(g6, message) for message in found[i]]
 
 

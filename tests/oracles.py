@@ -3,7 +3,8 @@
 Nothing here delegates to numpy.linalg for the quantity being checked: the
 eigenvalue oracle evaluates the characteristic polynomial with a hand-rolled
 partial-pivot LU determinant and brackets roots by sign changes, the counting
-oracle is a closed recurrence, and the tree generator walks Prufer sequences.
+oracle is a closed recurrence, the tree generator walks Prufer sequences, and
+the rejection sampler draws and tests one graph at a time.
 The soundness oracle is the sweep one graph at a time, through
 compute_all_bounds and scalar identity checks, against which the chunked
 sweep is compared.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import random
 from math import comb, inf
 
 import numpy as np
@@ -160,6 +162,22 @@ def bfs_distance_matrix(n, edges):
                         nxt.append(y)
             queue = nxt
     return dist
+
+
+def sample_connected_edges(n, count, seed):
+    """Edge sets of the first count connected draws of a rejection sampler,
+    one draw at a time: rng.getrandbits over the pairs (0,1), (0,2), ...,
+    (n-2,n-1), bit k for pair k, kept when a plain BFS from vertex 0 reaches
+    every vertex."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        mask = rng.getrandbits(len(pairs))
+        edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+        if inf not in bfs_distance_matrix(n, edges)[0]:
+            found.append(frozenset(edges))
+    return found
 
 
 def brauer_shift_spectrum(l_mat, p):

@@ -24,6 +24,8 @@ from distlap import (
     compute_distance_data, connected_stacks, enumerate_connected,
     eig_symmetric, encode_graph6, parse_graph6, sample_connected,
     scan_conjecture, scan_soundness, Graph)
+from distlap.graphs import (
+    adjacency_stack, chunk_limit, connected_distances, distance_data)
 from distlap.named_graphs import (
     complete_graph, fixture_graph, path_graph, star_graph)
 from oracles import all_labeled_trees, brauer_shift_spectrum, charpoly_eigenvalues
@@ -258,11 +260,16 @@ def test_criterion_6_eigensolver_oracle(report):
 def test_criterion_7_tree_determinant(report):
     count = 0
     for n in range(1, 9):
-        for edges in all_labeled_trees(n):
-            g = Graph(n, frozenset(edges))
-            assert check_tree_determinant(g, compute_distance_data(g)), (
-                n, sorted(edges))
-            count += 1
+        trees = all_labeled_trees(n)
+        while chunk := list(itertools.islice(trees, chunk_limit(n))):
+            graphs = [Graph(n, frozenset(edges)) for edges in chunk]
+            connected, dist = connected_distances(adjacency_stack(graphs))
+            assert connected.all(), n
+            dd = distance_data(dist)
+            for i, (g, edges) in enumerate(zip(graphs, chunk)):
+                assert check_tree_determinant(g, dd.row(i)), (
+                    n, sorted(edges))
+            count += len(chunk)
     ok = count == 280393  # 1 + sum of n^(n-2) for n = 2..8
     report(7, ok, f"determinant closed form on all {count} labeled trees n <= 8")
     assert ok, f"tree count {count}"

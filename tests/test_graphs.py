@@ -166,6 +166,17 @@ def test_enumerate_dedup_classes_match_networkx():
             assert not nx.is_isomorphic(ga, gb)
 
 
+def test_sample_connected_equals_one_draw_at_a_time():
+    # n = 12 and 20 draw 66 and 190 pairs, past one 63-bit word; every
+    # count spans several blocks of chunk_limit(n) draws
+    for n, count, seed in ((1, 300, 1), (2, 600, 2), (7, 600, 7),
+                           (12, 300, 4), (20, 100, 6)):
+        got = [(g.n, g.edges) for g in sample_connected(n, count, seed)]
+        want = oracles.sample_connected_edges(n, count, seed)
+        assert got == [(n, edges) for edges in want], n
+    assert list(sample_connected(7, 0, seed=7)) == []
+
+
 def test_sample_connected_deterministic_and_connected():
     a = [g.sorted_edges() for g in sample_connected(6, 50, seed=11)]
     b = [g.sorted_edges() for g in sample_connected(6, 50, seed=11)]

@@ -154,6 +154,12 @@ def test_is_irreducible_cases():
     assert not is_irreducible(3 * np.eye(3))
     assert is_irreducible([[0, 1], [1, 0]])
     assert not is_irreducible([[1, 1], [0, 1]])  # upper triangular
+    assert not is_irreducible([[0, 0], [1, 0]])  # lower triangular
+    assert is_irreducible([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # directed cycle
+    with pytest.raises(ValueError, match="square"):
+        is_irreducible(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="empty"):
+        is_irreducible(np.zeros((0, 0)))
     assert is_irreducible([[5.0]])
     # distance matrices of connected graphs are positive off-diagonal
     d = compute_distance_data(path_graph(4)).dist

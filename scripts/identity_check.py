@@ -16,7 +16,9 @@ The corpus:
     fixtures;
   - the graph6 lines of enumerate_connected(n, dedup) for n = 1..6, and of
     sample_connected at (n, count, seed) = (7, 2000, 7), (9, 30, 3) and
-    (12, 50, 4).
+    (12, 50, 4);
+  - the SoundnessReport and the ScanResult of a seeded, shuffled graph6
+    stream of mixed sizes (mixed_lines), read through read_graph6_stream.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import difflib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -37,11 +40,43 @@ ANALYZED = ("ex1", "ex2", "g1", "g2", "g3", "K5", "P4", "C6", "S5", "K12",
             "P20", "C30", "S16", "K208", "P100", "C200")
 
 
+def mixed_lines():
+    """graph6 lines of n = 1..20 and 95..98, shuffled: sparse graphs (a
+    random tree plus a few edges, or less one edge, so some are
+    disconnected) and dense ones, the tree, cycle and complete graph of each
+    n, the Petersen graph and the 4- and 5-spoke stars."""
+    from distlap import Graph, encode_graph6
+    from distlap.named_graphs import complete_graph, cycle_graph, star_graph
+
+    rng = random.Random(8)
+    graphs = [star_graph(5), star_graph(6), Graph.from_edges(
+        10, [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, 5 + i) for i in range(5)])]
+    for n in list(range(1, 21)) + [95, 96, 97, 98]:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        tree = {(rng.randrange(v), v) for v in range(1, n)}
+        graphs.append(Graph(n, frozenset(tree)))
+        graphs += [complete_graph(n)] + ([cycle_graph(n)] if n > 2 else [])
+        for _ in range(10 if n <= 20 else 2):
+            if rng.random() < 0.5:
+                density = rng.uniform(0.2, 0.9)
+                edges = {p for p in pairs if rng.random() < density}
+            else:
+                edges = {(rng.randrange(v), v) for v in range(1, n)}
+                edges |= set(rng.sample(pairs, min(len(pairs), 3)))
+                if edges and rng.random() < 0.3:
+                    edges.remove(rng.choice(sorted(edges)))
+            graphs.append(Graph(n, frozenset(edges)))
+    rng.shuffle(graphs)
+    return [encode_graph6(g) + "\n" for g in graphs]
+
+
 def corpus():
     """repr of every corpus item by name, from the distlap on sys.path."""
     from distlap import (
-        encode_graph6, enumerate_connected, sample_connected,
-        scan_conjecture, scan_soundness)
+        encode_graph6, enumerate_connected, read_graph6_stream,
+        sample_connected, scan_conjecture, scan_soundness)
     from distlap.cli import cmd_analyze, cmd_scan
     from distlap.named_graphs import FIXTURES, fixture_graph
 
@@ -71,6 +106,11 @@ def corpus():
     for n, count, seed in ((7, 2000, 7), (9, 30, 3), (12, 50, 4)):
         out[f"sample n={n} count={count} seed={seed}"] = "\n".join(
             map(encode_graph6, sample_connected(n, count, seed)))
+    lines = mixed_lines()
+    for name, sweep in (("soundness", scan_soundness),
+                        ("scan", scan_conjecture)):
+        out[f"{name} mixed graph6 stream"] = repr(
+            sweep(g for _, g in read_graph6_stream(lines)))
     return out
 
 

@@ -1,8 +1,10 @@
 """Spectral-radius bounds for distance Laplacian and signless Laplacian matrices.
 
-Each bound_* function takes the DistanceData of a same-n batch (plus a
-Frobenius norm per graph where the formula needs one) and returns the bound
-value of each graph. bound_values runs the battery, with applicability read
+Each bound_* function takes the DistanceData of a batch (plus a Frobenius
+norm per graph where the formula needs one) and returns the bound value of
+each graph. A batch may pad its graphs to a common size: each formula reads
+each graph's own n, and its min and max reductions run over real vertices
+only. bound_values runs the battery, with applicability read
 from BOUND_META, and bound_checks compares its values with the radii.
 compute_all_bounds runs the same pipeline on one graph, a batch of one, and
 reports applicability, satisfaction against the true radii, and equality
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NotApplicableError
 from .graph6 import encode_graph6
-from .graphs import batch_of_one, distance_data, is_transmission_regular
+from .graphs import batch_of_one, distance_data
 from .linalg import Spectrum
 from .operators import operator_spectra
 
@@ -129,25 +131,25 @@ def _first(bad, *xs):
 def bound_L_i1(dd):
     """Upper bound from each vertex's transmission and distance-column energy:
     max over i of tr_i + sqrt((n-1) * sum_k dist_ki^2)."""
-    n = dd.n
     col2 = (dd.dist.astype(np.float64) ** 2).sum(axis=-2)
-    vals = dd.tr + np.sqrt((n - 1) * col2)
+    vals = dd.tr + np.sqrt((dd.n - 1)[..., None] * col2)
+    # a padded vertex's value is 0, never above a real one's
     return vals.max(axis=-1)
 
 
 def bound_L_d1(dd):
     """Upper bound 2W - n(n-2); defined for n >= 4."""
-    if dd.n < 4:
-        raise NotApplicableError(f"needs n >= 4, got n={dd.n}")
+    if dd.n.min() < 4:
+        raise NotApplicableError(f"needs n >= 4, got n={dd.n.min()}")
     return 2.0 * dd.wiener - dd.n * (dd.n - 2)
 
 
 def bound_L_d2(dd, d_frob):
     """Strict upper bound max tr + sqrt(||D||_F^2 - sum(tr^2)/n)."""
-    if dd.n < 2:
+    if dd.n.min() < 2:
         raise NotApplicableError("needs n >= 2")
     rad = d_frob * d_frob - dd.tr2 / dd.n
-    return dd.tr.max(axis=-1) + _sqrt_guarded(rad, "L_D2")
+    return dd.tmax + _sqrt_guarded(rad, "L_D2")
 
 
 def bound_L_n1(dd):
@@ -163,11 +165,11 @@ _PAIR_CELLS = 1 << 12
 def bound_L_n2(dd):
     """Upper bound over vertex pairs:
     max (tr_i + tr_j + 2 dist_ij + sum_{k != i,j} |dist_ik - dist_jk|) / 2."""
-    n = dd.n
-    if n < 2:
+    if dd.n.min() < 2:
         raise NotApplicableError("needs n >= 2")
     d = dd.dist
     tr = dd.tr
+    n = d.shape[-1]
     first, second = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     step = max(1, _PAIR_CELLS * n // d.size)
     best = 0
@@ -179,6 +181,8 @@ def bound_L_n2(dd):
         l1 = d[..., i, :]
         l1 -= d[..., j, :]
         l1 = np.abs(l1, out=l1).sum(axis=-1)
+        # a real i and a padded j give 2 tr_i, never above the value of i
+        # and a real j, which the triangle inequality puts at 2 tr_i or more
         best = np.maximum(best, (tr[..., i] + tr[..., j] + l1).max(axis=-1))
     return best / 2.0
 
@@ -188,7 +192,7 @@ def bound_L_n3(dd, l_frob):
     2W/(n-1) + sqrt((n-2)/(n-1) * (||L||_F^2 - (2W)^2/(n-1))).
     l_frob is ||L||_F, whose square is tr2 + dist2."""
     n = dd.n
-    if n < 2:
+    if n.min() < 2:
         raise NotApplicableError("needs n >= 2")
     tw = 2.0 * dd.wiener
     rad = (n - 2) / (n - 1) * (l_frob * l_frob - tw * tw / (n - 1))
@@ -207,11 +211,11 @@ def bound_L_transmission_regular(dd, d_frob):
       c2 = nk/(n-1) + sqrt((n-2)/(n-1)*(||D||_F^2 - nk^2/(n-1)))
     and checks c2 <= c1 before returning.
     """
-    if not is_transmission_regular(dd.tr).all():
+    if (dd.tmin != dd.tmax).any():
         raise NotApplicableError("graph is not transmission-regular")
-    k = dd.tr[..., 0]
+    k = dd.tmax
     n = dd.n
-    if n < 2:
+    if n.min() < 2:
         raise NotApplicableError("needs n >= 2")
     df2 = d_frob * d_frob
     c1 = k + _sqrt_guarded(df2 - k * k, "L_R1")
@@ -226,20 +230,22 @@ def bound_L_transmission_regular(dd, d_frob):
 
 def bound_Q_tb(dd):
     """Signless radius sits between twice the min and twice the max transmission."""
-    return 2.0 * dd.tr.min(axis=-1), 2.0 * dd.tr.max(axis=-1)
+    return 2.0 * dd.tmin, 2.0 * dd.tmax
 
 
 def bound_Q_hong_ratio(dd):
     """Lower/upper pair min/max over i of tr_i + sdd_i / tr_i."""
-    if dd.n < 2:
+    if dd.n.min() < 2:
         raise NotApplicableError("needs n >= 2 (zero transmissions otherwise)")
-    vals = dd.tr + dd.sdd / dd.tr
+    # a padded vertex's 0 / 0 never happens: it divides 0 by 1
+    vals = dd.over_real(dd.tr + dd.sdd / np.where(dd.real, dd.tr, 1))
     return vals.min(axis=-1), vals.max(axis=-1)
 
 
 def bound_Q_hong_sqrt(dd):
     """Lower/upper pair min/max over i of sqrt(2 sdd_i + 2 tr_i^2)."""
-    vals = np.sqrt(2.0 * dd.sdd + 2.0 * dd.tr.astype(np.float64) ** 2)
+    vals = dd.over_real(
+        np.sqrt(2.0 * dd.sdd + 2.0 * dd.tr.astype(np.float64) ** 2))
     return vals.min(axis=-1), vals.max(axis=-1)
 
 
@@ -252,7 +258,7 @@ def bound_Q_quadratic(dd):
     """Lower/upper pair from a quadratic row-sum argument, evaluated at the
     min and max transmission. Checks the pair stays inside [2t, 2T]."""
     # both ends in one (2, B) stack; integer transmissions are exact floats
-    ends = np.stack((dd.tr.min(axis=-1), dd.tr.max(axis=-1))).astype(float)
+    ends = np.stack((dd.tmin, dd.tmax)).astype(float)
     shifted = ends - 1.0
     rad = shifted ** 2 + 8.0 * (
         ends * ends + 2.0 * dd.wiener - (dd.n - 1.0) * ends)
@@ -301,24 +307,27 @@ def bound_values(dd, regular):
     """Value of every bound that applies to some graph of the batch dd, by
     id, one per graph.
 
-    BOUND_META decides where a bound applies: n >= its min_n and, for a
-    regular-only bound, the graphs that regular flags; elsewhere it is NaN.
-    A ConsistencyError of any bound propagates.
+    BOUND_META decides where a bound applies: on each graph with n >= its
+    min_n and, for a regular-only bound, that regular flags; elsewhere it is
+    NaN. A ConsistencyError of any bound propagates.
     """
-    some = np.count_nonzero(regular)
-    every = some == len(regular)
+    smallest = dd.n.min()
+    every = regular.all()
     d_frob, l_frob = np.sqrt(dd.dist2), np.sqrt(dd.tr2 + dd.dist2)
     values = {}
     for ids, evaluate in _BATTERY:
         meta = BOUND_META[ids[0]]
-        if dd.n < meta.min_n or (meta.regular_only and not some):
-            continue
-        if every or not meta.regular_only:
+        if smallest >= meta.min_n and (every or not meta.regular_only):
             values.update(zip(ids, evaluate(dd, d_frob, l_frob)))
             continue
-        found = np.full((len(ids), len(regular)), np.nan)
-        found[:, regular] = evaluate(distance_data(dd.dist[regular]),
-                                     d_frob[regular], l_frob[regular])
+        applies = dd.n >= meta.min_n
+        if meta.regular_only:
+            applies &= regular
+        if not applies.any():
+            continue
+        found = np.full((len(ids), len(applies)), np.nan)
+        found[:, applies] = evaluate(dd.take(applies), d_frob[applies],
+                                     l_frob[applies])
         values.update(zip(ids, found))
     return values
 
@@ -336,7 +345,7 @@ def bound_checks(values, radius_l, radius_q):
     return value, ~(gap < -slack_for(radius)), gap
 
 
-@dataclass(frozen=True)
+@dataclass
 class BoundEntry:
     bound_id: BoundId
     target: Target
@@ -348,7 +357,7 @@ class BoundEntry:
     diagnosis: object = None  # EqualityDiagnosis when the bound has one
 
 
-@dataclass(frozen=True)
+@dataclass
 class BoundReport:
     """Everything computed for one graph: spectra, radii, and bound entries."""
 
@@ -393,7 +402,7 @@ def compute_all_bounds(g):
     radius_q = spectrum_q.largest
     t2 = time.perf_counter()
 
-    values = bound_values(dd, is_transmission_regular(dd.tr))
+    values = bound_values(dd, dd.tmin == dd.tmax)
     found = dict(zip(values, zip(*(a[:, 0].tolist() for a in bound_checks(
         values, spectra.largest[1], spectra.largest[2])))))
     data = dd.row(0)

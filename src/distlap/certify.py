@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import BoundId
 from .errors import NotApplicableError, TheoremViolationError
-from .graphs import is_transmission_regular, is_tree
+from .graphs import is_tree
 from .linalg import is_irreducible, multiplicity
 
 DIAG_ABS = 1e-6
@@ -39,7 +39,7 @@ def _meets(value, radius):
     return abs(value - radius) <= equality_tol(radius)
 
 
-@dataclass(frozen=True)
+@dataclass
 class EqualityDiagnosis:
     bound: BoundId
     equality_within_tol: bool
@@ -53,7 +53,7 @@ class EqualityDiagnosis:
 
 def is_complete(dd):
     """Whether every off-diagonal distance is 1, one flag per graph of a
-    batch."""
+    batch; a padded vertex's eccentricity is 0, never above a real one's."""
     return (dd.n == 1) | (dd.p.max(axis=-1) == 1)
 
 
@@ -145,7 +145,7 @@ def diagnose_all(values, spectrum_l, radius_q, b_mat, dd):
             values[BoundId.L_N3], spectrum_l, dd.wiener)
     found[BoundId.Q_TB_LO] = found[BoundId.Q_TB_UP] = diagnose_tb(
         values[BoundId.Q_TB_LO], values[BoundId.Q_TB_UP], radius_q,
-        bool(is_transmission_regular(dd.tr)))
+        dd.tmin == dd.tmax)
     found[BoundId.Q_CS7] = diagnose_cs7(
         values[BoundId.Q_CS7], radius_q, bool(is_complete(dd)))
     return found
@@ -156,7 +156,8 @@ def diagnosis_rows(dd, regular, values, radius_l, radius_q):
     find no equality: a diagnosed bound meets its radius, or the graph is
     complete or transmission-regular (regular). On every other graph each
     diagnosis is 'none' and none raises. values are the batch's bound values
-    by id."""
+    by id, NaN on a graph where a bound does not apply, which meets no
+    radius."""
     fires = is_complete(dd) | regular
     for radius, ids in ((radius_l, (BoundId.L_N1, BoundId.L_N3)),
                         (radius_q, (BoundId.Q_TB_LO, BoundId.Q_TB_UP,
@@ -167,11 +168,12 @@ def diagnosis_rows(dd, regular, values, radius_l, radius_q):
     return fires
 
 
-def han_multiplicity_holds(spectrum_l, complete):
+def han_multiplicity_holds(spectrum_l, complete, n):
     """Largest Laplacian eigenvalue has multiplicity at most n - 2 unless the
     graph is complete, where it is exactly n - 1. For a stack of spectra,
-    complete and the result are one flag per spectrum."""
-    n = spectrum_l.values.shape[-1]
+    complete, n and the result are one per spectrum. A spectrum padded with
+    zeros past its n eigenvalues counts the same: for n >= 2 the largest
+    eigenvalue is at least n, far from 0."""
     m = multiplicity(spectrum_l, spectrum_l.largest)
     return np.where(complete, m == n - 1, m <= n - 2)
 
@@ -183,7 +185,7 @@ def check_han_multiplicity(spectrum_l, g):
     if n <= 2:
         raise NotApplicableError("needs n > 2")
     return bool(han_multiplicity_holds(
-        spectrum_l, g.edge_count == n * (n - 1) // 2))
+        spectrum_l, g.edge_count == n * (n - 1) // 2, n))
 
 
 def check_tree_determinant(g, dd):

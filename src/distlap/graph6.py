@@ -10,19 +10,42 @@ encode.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from .errors import GraphParseError
 from .graphs import Graph
 
 HEADER = ">>graph6<<"
 
+# the six bits of each 6-bit value, most significant first
+_BITS = tuple(tuple(v >> (5 - k) & 1 for k in range(6)) for v in range(64))
+_CHAR = {bits: chr(v + 63) for v, bits in enumerate(_BITS)}
+# byte b to its 6-bit value b - 63; the bytes outside 63..126 map above 63
+_VALUE = bytes((b - 63) % 256 for b in range(256))
+
+
+def _pairs(n):
+    """The pairs (i, j), i < j < n, in graph6 bit order: column by column."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
+
+
+# the pairs of the one-byte sizes n <= 62 are kept, at most 62 tuples of at
+# most 1,891 pairs; a larger n builds its pairs per line, as its body does
+_short_pairs = functools.lru_cache(maxsize=None)(_pairs)
+
 
 def _decode_bytes(s):
-    vals = []
-    for i, c in enumerate(s):
-        v = ord(c) - 63
-        if not 0 <= v <= 63:
-            raise GraphParseError(f"invalid graph6 byte {c!r} at position {i}")
-        vals.append(v)
+    """The 6-bit values of the characters of s, as bytes."""
+    try:
+        vals = s.encode("ascii").translate(_VALUE)
+    except UnicodeEncodeError:
+        vals = None
+    if vals is None or (vals and max(vals) > 63):
+        for i, c in enumerate(s):
+            if not 0 <= ord(c) - 63 <= 63:
+                raise GraphParseError(
+                    f"invalid graph6 byte {c!r} at position {i}")
     return vals
 
 
@@ -67,14 +90,10 @@ def parse_graph6(line):
     if len(body) != need:
         raise GraphParseError(
             f"graph6 body has {len(body)} bytes, expected {need} for n={n}")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (body[k // 6] >> (5 - k % 6)) & 1:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, frozenset(edges))
+    # compress stops at the last pair, so padding bits are ignored
+    bits = itertools.chain.from_iterable(map(_BITS.__getitem__, body))
+    pairs = _short_pairs(n) if n <= 62 else _pairs(n)
+    return Graph(n, frozenset(itertools.compress(pairs, bits)))
 
 
 def encode_graph6(g):
@@ -88,23 +107,13 @@ def encode_graph6(g):
     else:
         head = "~~" + "".join(
             chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-    # the trusting Graph constructor may hold a pair (i, j) as (j, i)
-    edges = {(u, v) if u < v else (v, u) for u, v in g.edges}
-    out = []
-    acc = 0
-    count = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | ((i, j) in edges)
-            count += 1
-            if count == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                count = 0
-    if count:
-        acc <<= 6 - count
-        out.append(chr(acc + 63))
-    return head + "".join(out)
+    nbits = n * (n - 1) // 2
+    bits = bytearray(nbits + -nbits % 6)
+    for u, v in g.edges:
+        # the trusting Graph constructor may hold a pair (i, j) as (j, i)
+        i, j = (u, v) if u < v else (v, u)
+        bits[j * (j - 1) // 2 + i] = 1
+    return head + "".join(map(_CHAR.__getitem__, zip(*[iter(bits)] * 6)))
 
 
 def read_graph6_stream(lines):

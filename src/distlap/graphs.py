@@ -162,11 +162,13 @@ def is_tree(g):
     return g.edge_count == g.n - 1 and is_connected(g)
 
 
-@dataclass(frozen=True)
+@dataclass
 class DistanceData:
-    """Distance matrices of a (B, n, n) stack of connected graphs plus
-    derived vertex invariants, every field but n along the batch axis:
+    """Distance matrices of a (B, N, N) stack of connected graphs plus
+    derived vertex invariants, every field along the batch axis:
 
+    n:      vertex count of each graph; graph b's vertices are 0..n[b]-1,
+            and its vertices n[b]..N-1 are isolated padding, at distance 0
     dist:   shortest-path distances (int64)
     tr:     row sums of dist (transmissions)
     wiener: sum of dist over unordered pairs
@@ -174,11 +176,16 @@ class DistanceData:
     sdd:    distance-weighted transmission sums, sdd[i] = sum_k dist[i,k]*tr[k]
     dist2:  squared Frobenius norm of dist, sum of dist^2
     tr2:    sum of tr^2
+    tmin:   smallest transmission of a real vertex
+    tmax:   largest transmission
+    real:   True at each graph's real vertices, False at its padding
 
-    row(i) is graph i alone: n x n dist, length-n fields and int scalars.
+    Padding leaves every integer field exact: a padded vertex adds 0 to
+    each sum, and its tr, p and sdd are 0. row(i) is graph i alone,
+    trimmed to its own n: n x n dist, length-n fields and int scalars.
     """
 
-    n: int
+    n: np.ndarray
     dist: np.ndarray
     tr: np.ndarray
     wiener: np.ndarray
@@ -186,13 +193,32 @@ class DistanceData:
     sdd: np.ndarray
     dist2: np.ndarray
     tr2: np.ndarray
+    tmin: np.ndarray
+    tmax: np.ndarray
+    real: np.ndarray
 
     def row(self, i):
         """Graph i of the batch as its own DistanceData."""
+        k = int(self.n[i])
         return DistanceData(
-            n=self.n, dist=self.dist[i], tr=self.tr[i],
-            wiener=int(self.wiener[i]), p=self.p[i], sdd=self.sdd[i],
-            dist2=int(self.dist2[i]), tr2=int(self.tr2[i]))
+            n=k, dist=self.dist[i, :k, :k], tr=self.tr[i, :k],
+            wiener=int(self.wiener[i]), p=self.p[i, :k], sdd=self.sdd[i, :k],
+            dist2=int(self.dist2[i]), tr2=int(self.tr2[i]),
+            tmin=int(self.tmin[i]), tmax=int(self.tmax[i]),
+            real=self.real[i, :k])
+
+    def take(self, keep):
+        """The graphs of the batch where the boolean mask keep holds, as a
+        batch."""
+        rows = np.flatnonzero(keep)
+        return DistanceData(**{name: value.take(rows, axis=0)
+                               for name, value in vars(self).items()})
+
+    def over_real(self, vals):
+        """vals, one value per vertex of each graph, with every padded
+        vertex's value replaced by vertex 0's, so that a min or max along
+        the last axis runs over real vertices only."""
+        return np.where(self.real, vals, vals[..., :1])
 
 
 def disconnected_error(vertex):
@@ -261,14 +287,24 @@ def _bitmask_distances(a):
     return np.array(rows, dtype=np.int64)
 
 
-def distance_data(dist):
-    """DistanceData of a (B, n, n) int64 stack of distance matrices, every
-    derived field computed along the leading batch axis."""
+def distance_data(dist, n=None):
+    """DistanceData of a (B, N, N) int64 stack of distance matrices, every
+    derived field computed along the leading batch axis. n holds each
+    graph's vertex count, padded with isolated vertices up to N; None
+    stands for no padding, every graph on N vertices."""
+    size = dist.shape[-1]
+    n = np.full(len(dist), size) if n is None else n
+    real = np.arange(size) < n[:, None]
     tr = dist.sum(axis=-1)
+    # a padded vertex's transmission is 0, never above a real one's
+    tmax = tr.max(axis=-1)
     return DistanceData(
-        n=dist.shape[-1], dist=dist, tr=tr, wiener=tr.sum(axis=-1) // 2,
+        n=n, dist=dist, tr=tr, wiener=tr.sum(axis=-1) // 2,
         p=dist.max(axis=-1), sdd=(dist @ tr[..., None])[..., 0],
-        dist2=(dist * dist).sum(axis=(-2, -1)), tr2=(tr * tr).sum(axis=-1))
+        dist2=(dist * dist).sum(axis=(-2, -1)), tr2=(tr * tr).sum(axis=-1),
+        tmin=tr.min(axis=-1, where=real, initial=np.iinfo(tr.dtype).max),
+        tmax=tmax,
+        real=real)
 
 
 def batch_distances(adj, sources=None):
@@ -303,8 +339,10 @@ _BATCH_BFS_MAX_N = 96
 
 
 def adjacency_stack(graphs):
-    """The (B, n, n) boolean adjacency stack of a list of same-n graphs."""
-    n = graphs[0].n
+    """The (B, N, N) boolean adjacency stack of a list of graphs, N their
+    largest n; each graph on fewer vertices is padded with isolated
+    vertices."""
+    n = max(g.n for g in graphs)
     counts = [len(g.edges) for g in graphs]
     ends = np.fromiter(
         itertools.chain.from_iterable(
@@ -324,43 +362,58 @@ def _pair_ends(n):
     return np.nonzero(np.tri(n, k=-1, dtype=bool).T)
 
 
-def adjacency_graphs(adj):
-    """The Graphs of a (B, n, n) boolean adjacency stack, in stack order:
-    graph b holds the pairs i < j set in adj[b]. An empty stack, which a
-    sweep passes for each chunk that lists no graph, costs nothing."""
+def adjacency_graphs(adj, n=None):
+    """The Graphs of a (B, N, N) boolean adjacency stack, in stack order:
+    graph b holds the pairs i < j set in adj[b], on its own n[b] vertices;
+    its vertices n[b]..N-1 are isolated padding, which it drops (None
+    stands for no padding). An empty stack, which a sweep passes for each
+    chunk that lists no graph, costs nothing."""
     if not len(adj):
         return []
-    n = adj.shape[-1]
-    rows, cols = _pair_ends(n)
+    size = adj.shape[-1]
+    rows, cols = _pair_ends(size)
     pairs = list(zip(rows.tolist(), cols.tolist()))
-    return [Graph(n, frozenset(itertools.compress(pairs, bits)))
-            for bits in adj[:, rows, cols].tolist()]
+    sizes = itertools.repeat(size) if n is None else n.tolist()
+    return [Graph(k, frozenset(itertools.compress(pairs, bits)))
+            for k, bits in zip(sizes, adj[:, rows, cols].tolist())]
 
 
-def connected_distances(adj):
-    """Distances of the connected graphs of a (B, n, n) boolean adjacency
+def connected_distances(adj, n=None):
+    """Distances of the connected graphs of a (B, N, N) boolean adjacency
     stack.
 
-    Returns (connected, dist): a boolean flag per graph and the (C, n, n)
-    int64 stack of the C connected graphs' distance matrices, in stack
-    order. A graph with fewer than n - 1 edges is disconnected and reaches
-    no BFS; a Graph is checked by too_sparse before its stack is built. Up
-    to _BATCH_BFS_MAX_N vertices the other graphs run as one batch_distances
-    stack; above it each runs the bitmask BFS, which wins there on
-    long-diameter graphs.
+    n holds each graph's vertex count, padded with isolated vertices up to
+    N; None stands for no padding. Connectivity is judged over each graph's
+    own vertices. Returns (connected, dist): a boolean flag per graph and
+    the (C, N, N) int64 stack of the C connected graphs' distance matrices,
+    in stack order, 0 at padding. A graph with fewer than n - 1 edges is
+    disconnected and reaches no BFS; a Graph is checked by too_sparse
+    before its stack is built. Up to _BATCH_BFS_MAX_N vertices the other
+    graphs run as one batch_distances stack; above it each runs the bitmask
+    BFS, which wins there on long-diameter graphs, and takes no padding
+    (the sweeps pad below 32 vertices only).
     """
-    n = adj.shape[-1]
+    size = adj.shape[-1]
+    n = np.full(len(adj), size) if n is None else n
     connected = adj.sum(axis=(1, 2)) >= 2 * (n - 1)
     if not connected.all():
-        adj = adj[connected]
+        adj, n = adj[connected], n[connected]
     if not len(adj):
-        return connected, np.zeros((0, n, n), dtype=np.int64)
-    if n > _BATCH_BFS_MAX_N:
+        return connected, np.zeros((0, size, size), dtype=np.int64)
+    if size > _BATCH_BFS_MAX_N:
         singles = [_bitmask_distances(a) for a in adj]
         connected[connected] = [d is not None for d in singles]
         found = [d for d in singles if d is not None]
-        return connected, np.array(found, dtype=np.int64).reshape(-1, n, n)
+        return connected, np.array(found, dtype=np.int64).reshape(
+            -1, size, size)
     dist, reached = batch_distances(adj)
+    # no source reaches a padded vertex, so a padded graph is connected when
+    # all n(n - 1) ordered pairs of its own vertices are at a positive
+    # distance
+    padded = n < size
+    if padded.any():
+        reached[padded] = (np.count_nonzero(dist[padded], axis=(1, 2))
+                           == (n * (n - 1))[padded])
     connected[connected] = reached
     return connected, dist[reached]
 
@@ -374,22 +427,22 @@ def is_transmission_regular(tr):
 def transmission_regularity(dd):
     """The common transmission k of one graph's DistanceData if every vertex
     has the same, else None."""
-    if not is_transmission_regular(dd.tr):
-        return None
-    return int(dd.tr[0])
+    return dd.tmin if dd.tmin == dd.tmax else None
 
 
 _ENUM_CAP = 7
 # candidate edge masks per connectivity batch; fixed, as it sets the memory
 _ENUM_CHUNK = 1024
-# A chunk of same-n graphs holds at most SCAN_CHUNK graphs and SCAN_CELLS
-# distance-matrix entries. Both are fixed, as they set the memory of a sweep.
+# A chunk of graphs padded to N vertices holds at most SCAN_CHUNK graphs and
+# SCAN_CELLS distance-matrix entries. Both are fixed, as they set the memory
+# of a sweep.
 SCAN_CHUNK = 256
 SCAN_CELLS = SCAN_CHUNK * 8 * 8
 
 
 def chunk_limit(n):
-    """Graphs per chunk of a sweep over graphs on n vertices."""
+    """Graphs per chunk of a sweep over graphs on n vertices, or padded to
+    n vertices."""
     return min(SCAN_CHUNK, max(1, SCAN_CELLS // n ** 2))
 
 

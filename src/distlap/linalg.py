@@ -10,7 +10,7 @@ from .errors import ConsistencyError, ConvergenceError
 from .graphs import batch_distances
 
 
-@dataclass(frozen=True)
+@dataclass
 class Spectrum:
     """Real eigenvalues in descending order, along the last axis of values
     for a stack of spectra."""

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_symmetric
+from .linalg import Spectrum, eig_symmetric
 
 
-@dataclass(frozen=True)
+@dataclass
 class OperatorBundle:
     """Integer matrices built from one distance matrix, or (B, n, n) stacks
     of them built from a batch.
@@ -35,9 +35,10 @@ class OperatorBundle:
 
 def build_operators(dd):
     """Exact integer operator matrices for a connected graph's distance data,
-    or (B, n, n) stacks of them for a batch."""
+    or (B, N, N) stacks of them for a batch, whose padded rows and columns
+    are 0 in d_mat, l_mat and q_mat."""
     d = dd.dist
-    t = dd.tr[..., None] * np.eye(dd.n, dtype=d.dtype)
+    t = dd.tr[..., None] * np.eye(d.shape[-1], dtype=d.dtype)
     l = t - d
     q = t + d
     b = l + dd.p[..., None, :]
@@ -46,11 +47,21 @@ def build_operators(dd):
 
 def operator_spectra(dd):
     """The operator stacks of a batch's distance data and their spectra:
-    (bundle, spectra), with D, L and Q solved in one stacked eigensolve, so
-    spectra.values has shape (3, B, n)."""
+    (bundle, spectra), spectra.values of shape (3, B, N). D, L and Q of the
+    graphs on k vertices are solved in one stacked eigensolve of their
+    unpadded k x k matrices, one per k in the batch, so every eigenvalue is
+    the one the graph gets alone; graph b's spectrum fills the first n[b]
+    entries, and 0 pads the rest."""
     bundle = build_operators(dd)
-    return bundle, eig_symmetric(np.array(
-        (bundle.d_mat, bundle.l_mat, bundle.q_mat), dtype=np.float64))
+    stacked = np.array((bundle.d_mat, bundle.l_mat, bundle.q_mat),
+                       dtype=np.float64)
+    sizes = set(dd.n.tolist())
+    values = np.zeros(stacked.shape[:-1])
+    for k in sizes:
+        # one size is every row, a view rather than a copy of the stack
+        rows = dd.n == k if len(sizes) > 1 else slice(None)
+        values[:, rows, :k] = eig_symmetric(stacked[:, rows, :k, :k]).values
+    return bundle, Spectrum(values=values)
 
 
 def polynomial_row_sums(q_mat, coeffs):

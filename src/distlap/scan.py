@@ -12,14 +12,21 @@ every graph and collects violations instead of raising; compute_all_bounds
 runs the same pipeline on one graph as a batch of one.
 
 A stream holds Graphs, (B, n, n) boolean adjacency stacks of same-n graphs
-(such as graphs.connected_stacks yields), or both. Both sweeps group it by n
-into chunks of graphs.chunk_limit(n) graphs and evaluate each chunk as
-(B, n, n) arrays; a Graph and its graph6 are built only for a listed graph.
+(such as graphs.connected_stacks yields), or both. Both sweeps group it into
+chunks of at most graphs.chunk_limit(N) graphs and evaluate each chunk once
+as (B, N, N) arrays. Below 32 vertices a chunk holds graphs of one size
+class, n in [2^(k-1), 2^k), each padded with isolated vertices to the
+chunk's largest n, N, so that a short stream of mixed sizes pays a chunk's
+fixed cost once per class rather than once per n; every bound, identity
+and diagnosis reads each graph's own vertices only, and each eigensolve
+runs on unpadded matrices. From 32 vertices on, a chunk holds one n. A
+Graph and its graph6 are built only for a listed graph, at its own n.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +39,7 @@ from .errors import ConsistencyError, TheoremViolationError
 from .graph6 import encode_graph6
 from .graphs import (
     Graph, adjacency_graphs, adjacency_stack, chunk_limit, connected_distances,
-    disconnected_error, distance_data, is_transmission_regular, too_sparse)
+    disconnected_error, distance_data, too_sparse)
 from .linalg import Spectrum
 from .operators import operator_spectra, polynomial_row_sums
 
@@ -54,61 +61,118 @@ class ScanResult:
     slack: float = 0.0
 
 
-def _each_chunk(source, evaluate, reject):
-    """Calls evaluate on the graphs of source grouped by n, as (B, n, n)
-    boolean adjacency stacks of at most chunk_limit(n) graphs, in stream
-    order per n, and reject on each too_sparse Graph, whose stack is never
-    built. An item of source is a Graph or a same-n adjacency stack, which
-    may span chunks. A chunk is let go before the next one fills."""
-    pending = {}  # n -> [Graphs and stacks held in order, graphs held]
+# Graphs on fewer than _PAD_BELOW vertices share chunks by size class (see
+# _size_class); from _PAD_BELOW on, a chunk holds graphs of one n. Below it
+# a chunk's fixed cost dominates a sweep of a short stream of mixed sizes,
+# and padding costs less than it saves. A power of two, so that no class
+# key collides with a size at or above it.
+_PAD_BELOW = 32
 
-    def hold(n, part, rows):
-        held = pending.get(n)
+
+def _size_class(n):
+    """The key of the chunks that a graph on n vertices joins: below
+    _PAD_BELOW the class 2^(k-1) <= n < 2^k, keyed by its largest size
+    2^k - 1, so a graph is padded to less than 2n vertices; from
+    _PAD_BELOW on, n itself."""
+    return (1 << n.bit_length()) - 1 if n < _PAD_BELOW else n
+
+
+def _each_chunk(source, evaluate, reject):
+    """Calls evaluate(adj, n) on the graphs of source grouped by size class
+    (_size_class), in stream order per class: adj is the (B, N, N) boolean
+    adjacency stack of at most chunk_limit(N) graphs, N the largest of their
+    vertex counts n, each graph padded with isolated vertices to N. reject
+    is called on each too_sparse Graph, whose stack is never built. An item
+    of source is a Graph or a same-n adjacency stack, which may span chunks.
+    A chunk is let go once full, or before a graph that would take it past
+    chunk_limit(N) joins it, so memory stays flat over any stream."""
+    pending = {}  # size class -> [Graphs and stacks held in order, graphs, N]
+
+    def room(key, n):
+        """Graphs that the held chunk of key can take once a graph on n
+        vertices joins it; a chunk that can take none is let go first."""
+        held = pending.get(key)
+        if held is not None:
+            size = chunk_limit(max(held[2], n))
+            if held[1] < size:
+                return size - held[1]
+            evaluate(*_stack(pending.pop(key)[0]))
+        return chunk_limit(n)
+
+    def hold(key, n, part, rows):
+        held = pending.get(key)
         if held is None:
-            held = pending[n] = [[], 0]
+            held = pending[key] = [[], 0, n]
         held[0].append(part)
         held[1] += rows
-        if held[1] == chunk_limit(n):
-            evaluate(_stack(pending.pop(n)[0]))
+        held[2] = max(held[2], n)
+        if held[1] == chunk_limit(held[2]):
+            evaluate(*_stack(pending.pop(key)[0]))
 
     for item in source:
         if isinstance(item, Graph):
             if too_sparse(item):
                 reject(item)
-            else:
-                hold(item.n, item, 1)
+                continue
+            key = _size_class(item.n)
+            room(key, item.n)
+            hold(key, item.n, item, 1)
             continue
         n = item.shape[-1]
+        key = _size_class(n)
         while len(item):
-            part = item[:chunk_limit(n) - pending.get(n, ((), 0))[1]]
+            part = item[:room(key, n)]
             item = item[len(part):]
-            hold(n, part, len(part))
-    for parts, _ in pending.values():
-        evaluate(_stack(parts))
+            hold(key, n, part, len(part))
+    for parts, _, _ in pending.values():
+        evaluate(*_stack(parts))
 
 
 def _stack(parts):
-    """One adjacency stack of same-n Graphs and stacks, in order."""
-    stacks = [adjacency_stack(list(group)) if graphs
-              else np.concatenate(list(group))
-              for graphs, group in itertools.groupby(
-                  parts, lambda part: isinstance(part, Graph))]
-    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    """(adj, n) of a chunk's Graphs and same-n stacks, in order: their
+    adjacency stack, each graph padded with isolated vertices to the largest
+    vertex count, and each graph's own vertex count."""
+    stacks, sizes = [], []
+    for graphs, group in itertools.groupby(
+            parts, lambda part: isinstance(part, Graph)):
+        if graphs:
+            group = list(group)
+            stacks.append(adjacency_stack(group))
+            sizes.append(np.array([g.n for g in group]))
+            continue
+        for part in group:
+            stacks.append(part)
+            sizes.append(np.full(len(part), part.shape[-1]))
+    n = np.concatenate(sizes)
+    size = max(part.shape[-1] for part in stacks)
+    if len(stacks) == 1:
+        return stacks[0], n
+    adj = np.zeros((len(n), size, size), dtype=bool)
+    start = 0
+    for part in stacks:
+        k = part.shape[-1]
+        adj[start:start + len(part), :k, :k] = part
+        start += len(part)
+    return adj, n
 
 
-def _graph6s(adj):
-    """graph6 of each graph of a boolean adjacency stack, in stack order. A
-    connected graph's adjacency is its distance matrix == 1."""
-    return [encode_graph6(g) for g in adjacency_graphs(adj)]
+def _graph6s(adj, n):
+    """graph6 of each graph of a padded boolean adjacency stack, in stack
+    order, each graph on its own vertex count n. A connected graph's
+    adjacency is its distance matrix == 1."""
+    return [encode_graph6(g) for g in adjacency_graphs(adj, n)]
 
 
-def _connected(errors, adj):
-    """The distance matrices of the connected graphs of a same-n adjacency
-    stack, in stack order; each disconnected graph is recorded in errors."""
-    connected, dist = connected_distances(adj)
+def _connected(errors, adj, n):
+    """(dist, n) of the connected graphs of a padded adjacency stack of
+    graphs on n vertices, in stack order: their distance matrices and
+    vertex counts; each disconnected graph is recorded in errors."""
+    connected, dist = connected_distances(adj, n)
     if not connected.all():
-        errors += [(g6, _DISCONNECTED) for g6 in _graph6s(adj[~connected])]
-    return dist
+        errors += [(g6, _DISCONNECTED)
+                   for g6 in _graph6s(adj[~connected], n[~connected])]
+        n = n[connected]
+    return dist, n
 
 
 def _too_small(n):
@@ -116,20 +180,24 @@ def _too_small(n):
     return f"margin needs n >= 3, got n={n}"
 
 
-def _scan_chunk(result, adj):
-    """Margins of a same-n adjacency stack, as array expressions over the
-    stack; graph6 is encoded only for listed graphs."""
-    n = adj.shape[-1]
-    if n < 3:
-        result.errors += [(g6, _too_small(n)) for g6 in _graph6s(adj)]
-        return
-    dist = _connected(result.errors, adj)
-    tested = ~is_transmission_regular(dist.sum(axis=-1))
+def _scan_chunk(result, adj, n):
+    """Margins of a padded adjacency stack of graphs on n vertices, as
+    array expressions over the stack; graph6 is encoded only for listed
+    graphs."""
+    small = n < 3
+    if small.any():
+        result.errors += [
+            (g6, _too_small(k)) for g6, k in zip(
+                _graph6s(adj[small], n[small]), n[small].tolist())]
+        adj, n = adj[~small], n[~small]
+    dd = distance_data(*_connected(result.errors, adj, n))
+    # transmission-regular graphs never reach the bounds, as one at a time
+    tested = dd.tmin != dd.tmax
     result.skipped_regular += len(tested) - int(tested.sum())
     if not tested.any():
         return
-    # transmission-regular graphs never reach the bounds, as one at a time
-    dd = distance_data(dist[tested])
+    if not tested.all():
+        dd = dd.take(tested)
     upper_strict = bound_L_d2(dd, np.sqrt(dd.dist2))
     upper_trace = bound_L_n3(dd, np.sqrt(dd.tr2 + dd.dist2))
     margin = upper_strict - upper_trace
@@ -145,7 +213,7 @@ def _scan_chunk(result, adj):
     strict = margin < -result.slack
     for found, listed in ((strict, result.counterexamples),
                           (~strict & (margin <= 0.0), result.equalities)):
-        listed += zip(_graph6s(dd.dist[found] == 1),
+        listed += zip(_graph6s(dd.dist[found] == 1, dd.n[found]),
                       upper_trace[found].tolist(),
                       upper_strict[found].tolist())
 
@@ -155,10 +223,10 @@ def scan_conjecture(source, slack=1e-7):
 
     Transmission-regular graphs are skipped (the strict bound hypothesis
     excludes them). Disconnected or too-small graphs are recorded as
-    per-graph errors, not raised. The stream is evaluated in same-n chunks
-    (see _each_chunk), so memory stays flat over any stream. Result lists
-    are sorted by graph6 encoding so the outcome is independent of stream
-    order.
+    per-graph errors, not raised. The stream is evaluated in chunks of
+    nearby sizes (see _each_chunk), so memory stays flat over any stream.
+    Result lists are sorted by graph6 encoding so the outcome is
+    independent of stream order.
     """
     result = ScanResult(slack=slack)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
@@ -166,7 +234,7 @@ def scan_conjecture(source, slack=1e-7):
     def reject(g):
         message = _too_small(g.n) if g.n < 3 else _DISCONNECTED
         result.errors.append((encode_graph6(g), message))
-    _each_chunk(source, lambda chunk: _scan_chunk(result, chunk), reject)
+    _each_chunk(source, lambda adj, n: _scan_chunk(result, adj, n), reject)
     result.counterexamples.sort(key=lambda item: item[0])
     result.equalities.sort(key=lambda item: item[0])
     result.errors.sort(key=lambda item: item[0])
@@ -187,12 +255,13 @@ class SoundnessReport:
 
 def _identity_failures(dd, q_mat, spectra):
     """The proven identities checked on top of the bound battery, over a
-    batch: (failed, message) pairs in report order, failed one flag per
-    graph and message a function of a failed graph's row."""
+    padded batch: (failed, message) pairs in report order, failed one flag
+    per graph and message a function of a failed graph's row. Each check
+    reads a graph's own vertices and the first n of its eigenvalues."""
     n = dd.n
     tw = 2.0 * dd.wiener
     lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
-    vals = spectra.values  # distance, laplacian, signless
+    vals = spectra.values  # distance, laplacian, signless; 0 pads each
     trace = np.array((np.zeros_like(tw), tw, tw))
     frob2 = np.array((dd.dist2, lq2, lq2))
     sums = np.abs(vals.sum(axis=-1) - trace) > 1e-8 * (1.0 + np.abs(trace))
@@ -209,27 +278,27 @@ def _identity_failures(dd, q_mat, spectra):
 
     lvals = vals[1]
     failures.append(
-        (np.abs(lvals[:, -1]) > slack_for(np.sqrt(lq2)),
+        (np.abs(lvals[np.arange(len(n)), n - 1]) > slack_for(np.sqrt(lq2)),
          lambda i: "laplacian smallest eigenvalue is not zero"))
     # every other laplacian eigenvalue is at least n
-    below = lvals[:, :n - 1] < n - slack_for(n)
+    below = ((lvals < (n - slack_for(n))[:, None])
+             & (np.arange(lvals.shape[-1]) < (n - 1)[:, None]))
     failures.append(
         (below.any(axis=-1), lambda i:
          f"laplacian eigenvalue {below[i].argmax()} below the vertex count"))
 
-    if n > 2:
-        holds = han_multiplicity_holds(Spectrum(values=lvals), is_complete(dd))
-        failures.append(
-            (~holds,
-             lambda i: "largest laplacian eigenvalue multiplicity escapes"))
+    holds = han_multiplicity_holds(Spectrum(values=lvals), is_complete(dd), n)
+    failures.append(
+        (~holds & (n > 2),
+         lambda i: "largest laplacian eigenvalue multiplicity escapes"))
 
     # integer interval for the distance-weighted transmission sums
-    t = dd.tr.min(axis=-1)
-    big = dd.tr.max(axis=-1)
+    t = dd.tmin
+    big = dd.tmax
     w2 = 2 * dd.wiener
     lo = (w2 - (n - 1) * t)[:, None] + (t - 1)[:, None] * dd.tr
     up = (w2 - (n - 1) * big)[:, None] + (big - 1)[:, None] * dd.tr
-    escapes = (dd.sdd < lo) | (dd.sdd > up)
+    escapes = ((dd.sdd < lo) | (dd.sdd > up)) & dd.real
 
     def escaped(i):
         u = escapes[i].argmax()
@@ -237,7 +306,8 @@ def _identity_failures(dd, q_mat, spectra):
                 f"[{lo[i, u]}, {up[i, u]}]")
     failures.append((escapes.any(axis=-1), escaped))
 
-    # row sums of q^2 against the closed form, exact integers
+    # row sums of q^2 against the closed form, exact integers; a padded
+    # row is 0 on both sides
     rows = polynomial_row_sums(q_mat, (0, 0, 1))
     closed = 2 * dd.tr ** 2 + 2 * dd.sdd
     failures.append(
@@ -245,8 +315,8 @@ def _identity_failures(dd, q_mat, spectra):
          lambda i: "squared signless row sums break the closed form"))
 
     # quadratic row-sum sandwich for p(x) = x^2 - (t - 1) x at the radius
-    rows_p = polynomial_row_sums(
-        q_mat, (0, -(t - 1), 1)).astype(np.float64)
+    rows_p = dd.over_real(polynomial_row_sums(
+        q_mat, (0, -(t - 1), 1)).astype(np.float64))
     rq = vals[2, :, 0]
     value = rq * rq - (t - 1) * rq
     pad = slack_for(np.abs(rows_p).max(axis=-1))
@@ -258,26 +328,31 @@ def _identity_failures(dd, q_mat, spectra):
     return failures
 
 
-def _violations(dist):
-    """Violation messages of a (B, n, n) stack of connected graphs' distance
-    matrices, by row, for the rows that have any, each row's messages in the
-    order one graph reports them: a TheoremViolationError of its diagnoses
-    alone, else its unsatisfied bounds and then its failed identities. A
-    ConsistencyError of the eigensolve or of a bound propagates."""
-    dd = distance_data(dist)
+def _violations(dd):
+    """Violation messages of the connected graphs of a padded batch's
+    DistanceData dd, by row, for the rows that have any, each row's
+    messages in the order one graph reports them: a TheoremViolationError
+    of its diagnoses alone, else its unsatisfied bounds and then its failed
+    identities. A ConsistencyError of the eigensolve or of a bound
+    propagates."""
     bundle, spectra = operator_spectra(dd)
     radius_l, radius_q = spectra.largest[1], spectra.largest[2]
-    regular = is_transmission_regular(dd.tr)
+    regular = dd.tmin == dd.tmax
     values = bound_values(dd, regular)
     value, satisfied, gap = bound_checks(values, radius_l, radius_q)
 
     found = {}
     for i in np.flatnonzero(
             diagnosis_rows(dd, regular, values, radius_l, radius_q)).tolist():
+        k = int(dd.n[i])
         try:
-            diagnose_all(dict(zip(values, value[:, i].tolist())),
-                         Spectrum(values=spectra.values[1, i]),
-                         float(radius_q[i]), bundle.b_mat[i], dd.row(i))
+            # a NaN value is a bound that does not apply to graph i
+            diagnose_all({bid: v for bid, v in zip(
+                              values, value[:, i].tolist())
+                          if not math.isnan(v)},
+                         Spectrum(values=spectra.values[1, i, :k]),
+                         float(radius_q[i]), bundle.b_mat[i, :k, :k],
+                         dd.row(i))
         except TheoremViolationError as exc:
             found[i] = [str(exc)]
 
@@ -295,23 +370,24 @@ def _violations(dist):
     return found
 
 
-def _check_soundness(report, dist):
-    """Soundness of the connected same-n graphs with distance matrices dist.
-    A graph whose eigensolve or bounds raise is recorded as an error on its
-    own, as one at a time: a failing batch is split until it is found."""
+def _check_soundness(report, dd):
+    """Soundness of the connected graphs of a padded batch's DistanceData
+    dd. A graph whose eigensolve or bounds raise is recorded as an error on
+    its own, as one at a time: a failing batch is split until it is
+    found."""
     try:
-        found = _violations(dist)
+        found = _violations(dd)
     except ConsistencyError as exc:
-        if len(dist) == 1:
-            report.errors.append((_graph6s(dist == 1)[0], str(exc)))
+        if len(dd.n) == 1:
+            report.errors.append((_graph6s(dd.dist == 1, dd.n)[0], str(exc)))
             return
-        half = len(dist) // 2
-        _check_soundness(report, dist[:half])
-        _check_soundness(report, dist[half:])
+        first = np.arange(len(dd.n)) < len(dd.n) // 2
+        _check_soundness(report, dd.take(first))
+        _check_soundness(report, dd.take(~first))
         return
-    report.graphs_checked += len(dist)
+    report.graphs_checked += len(dd.n)
     rows = sorted(found)
-    for i, g6 in zip(rows, _graph6s(dist[rows] == 1)):
+    for i, g6 in zip(rows, _graph6s(dd.dist[rows] == 1, dd.n[rows])):
         report.violations += [(g6, message) for message in found[i]]
 
 
@@ -320,15 +396,15 @@ def scan_soundness(source):
 
     Disconnected graphs, and graphs whose eigensolve or bounds fail an
     internal check, are recorded as errors; everything else counts as
-    checked, with its violations. The stream is evaluated in same-n chunks
-    (see _each_chunk). Both lists are sorted by graph6 encoding.
+    checked, with its violations. The stream is evaluated in chunks of
+    nearby sizes (see _each_chunk). Both lists are sorted by graph6 encoding.
     """
     report = SoundnessReport()
 
-    def check(adj):
-        dist = _connected(report.errors, adj)
+    def check(adj, n):
+        dist, n = _connected(report.errors, adj, n)
         if len(dist):
-            _check_soundness(report, dist)
+            _check_soundness(report, distance_data(dist, n))
 
     def reject(g):
         report.errors.append((encode_graph6(g), _DISCONNECTED))

@@ -16,7 +16,8 @@ from distlap import (
 from distlap.bounds import _sqrt_guarded, bound_values
 from distlap.errors import ConsistencyError, NotApplicableError
 from distlap.graphs import (
-    batch_of_one, distance_data, is_transmission_regular)
+    adjacency_stack, batch_of_one, connected_distances, distance_data,
+    is_transmission_regular)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
@@ -208,6 +209,41 @@ def test_bound_values_of_a_batch_match_single_graphs():
                     assert repr(float(values[bid][i])) == repr(want[bid])
                 elif bid in values:
                     assert math.isnan(values[bid][i])
+
+
+def test_a_padded_batch_matches_single_graphs():
+    # graphs on 1..12 vertices padded with isolated vertices to 12: each
+    # graph's spectra are bit-identical to its own, and so is every bound
+    # that applies to it (min_n per graph, the regular-only bounds on the
+    # regular graphs); every other bound is NaN
+    graphs = [path_graph(1), path_graph(2), path_graph(3), cycle_graph(3),
+              star_graph(4), cycle_graph(4), fixture_graph("ex1"),
+              complete_graph(6), star_graph(7), cycle_graph(8),
+              fixture_graph("ex2"), cycle_graph(10), complete_graph(11),
+              fixture_graph("g1")]
+    graphs += list(sample_connected(7, 6, seed=4))
+    graphs += list(sample_connected(11, 4, seed=5))
+    n = np.array([g.n for g in graphs])
+    adj = adjacency_stack(graphs)
+    connected, dist = connected_distances(adj, n)
+    assert adj.shape[-1] == 12 and connected.all()
+    dd = distance_data(dist, n)
+    _, spectra = operators.operator_spectra(dd)
+    values = bound_values(dd, dd.tmin == dd.tmax)
+    for i, g in enumerate(graphs):
+        r = compute_all_bounds(g)
+        for k, spectrum in enumerate(
+                (r.spectrum_d, r.spectrum_l, r.spectrum_q)):
+            assert spectra.values[k, i, :g.n].tolist() == (
+                spectrum.values.tolist())
+            assert not spectra.values[k, i, g.n:].any()
+        want = {e.bound_id: e.value for e in r.entries if e.applicable}
+        for bid in BoundId:
+            if bid in want:
+                assert repr(float(values[bid][i])) == repr(want[bid]), (
+                    g.n, bid)
+            elif bid in values:
+                assert math.isnan(values[bid][i]), (g.n, bid)
 
 
 def test_one_graph_computes_each_bound_once(monkeypatch):

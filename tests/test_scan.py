@@ -8,11 +8,12 @@ import pytest
 
 from distlap import (
     Graph, bound_L_d2, bound_L_n3, bounds, certify, connected_stacks,
-    encode_graph6, enumerate_connected, scan, scan_conjecture, scan_soundness)
+    encode_graph6, enumerate_connected, read_graph6_stream, sample_connected,
+    scan, scan_conjecture, scan_soundness)
 from distlap.errors import DisconnectedGraphError
 from distlap.graphs import (
     _BATCH_BFS_MAX_N, SCAN_CELLS, SCAN_CHUNK, adjacency_stack, batch_of_one,
-    distance_data, is_transmission_regular, too_sparse)
+    chunk_limit, distance_data, is_transmission_regular, too_sparse)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 from distlap.scan import (
@@ -234,7 +235,8 @@ def test_regular_graphs_in_a_chunk_never_reach_the_bounds(monkeypatch):
     monkeypatch.setattr(scan, "bound_L_n3", spy)
     result = ScanResult(slack=1e-7)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
-    _scan_chunk(result, adjacency_stack([complete_graph(n), star_graph(n)]))
+    _scan_chunk(result, adjacency_stack([complete_graph(n), star_graph(n)]),
+                np.array([n, n]))
     want = per_graph_scan([complete_graph(n), star_graph(n)])
     assert seen == [[False]]
     assert result.skipped_regular == want.skipped_regular == 1
@@ -282,9 +284,9 @@ def test_mixed_stream_of_graphs_and_stacks_equals_the_graph_stream(
 
     chunks = []
 
-    def spy(result, adj):
+    def spy(result, adj, n):
         chunks.append(adj.shape)
-        scan_chunk(result, adj)
+        scan_chunk(result, adj, n)
     scan_chunk = scan._scan_chunk
     monkeypatch.setattr(scan, "_scan_chunk", spy)
     got = scan_conjecture(mixed)
@@ -345,7 +347,8 @@ def test_chunked_soundness_equals_per_graph_evaluation():
 
 
 @pytest.mark.parametrize(
-    "mutation", ["bound", "certificate", "guard", "drift", "spectrum"])
+    "mutation",
+    ["bound", "certificate", "guard", "drift", "spectrum", "sandwich"])
 def test_chunked_soundness_reports_violations_as_per_graph(
         monkeypatch, mutation):
     # each mutation of shared code makes some graphs of the stream fail, so
@@ -368,13 +371,16 @@ def test_chunked_soundness_reports_violations_as_per_graph(
     else:
         # shift the spectra of the L and Q matrices whose trace is 3 mod 7:
         # "drift" moves their eigenvalue sums off the trace, "spectrum"
-        # keeps the sums and breaks the identities instead
+        # keeps the sums and breaks the identities instead, and "sandwich"
+        # also takes the radius below the quadratic row-sum sandwich
         def shifted(a):
             w = eigvalsh(a)
             hit = np.trace(a, axis1=-2, axis2=-1) % 7 == 3
-            w[..., -1] += hit * 1e-3
-            if mutation == "spectrum":
-                w[..., 0] -= hit * 1e-3
+            shift = hit * (0.3 * w[..., -1] if mutation == "sandwich"
+                           else -1e-3)
+            w[..., -1] -= shift
+            if mutation != "drift":
+                w[..., 0] += shift
             return w
         monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
     stream = soundness_stream()
@@ -383,7 +389,90 @@ def test_chunked_soundness_reports_violations_as_per_graph(
     assert got == want
     found = {"bound": "Q_I5 unsatisfied", "certificate": "endpoint met",
              "guard": "L_N3: radicand", "drift": "sum drifted",
-             "spectrum": "square sum misses"}[mutation]
+             "spectrum": "square sum misses",
+             "sandwich": "escapes the quadratic row-sum sandwich"}[mutation]
     assert any(found in message
                for _, message in got.violations + got.errors)
     assert got.graphs_checked > 100
+
+
+def padded_stream():
+    """A shuffled stream in which each size class below 32 vertices holds
+    several sizes and fits one chunk: n = 2 beside n = 3, random graphs of
+    n = 4..24 (some disconnected), regular and complete graphs beside
+    smaller non-regular ones, disconnected graphs with enough edges to
+    reach the BFS, and the stars on 4 and 5 vertices."""
+    rng = random.Random(23)
+    stream = [path_graph(2), path_graph(3), complete_graph(3)]
+    for n, count in ((4, 6), (5, 8), (6, 10), (7, 6), (8, 5), (9, 5),
+                     (10, 5), (13, 4), (17, 3), (24, 3)):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(count):
+            density = rng.uniform(0.2, 0.9)
+            stream.append(Graph(n, frozenset(
+                p for p in pairs if rng.random() < density)))
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    stream += [star_graph(4), star_graph(5), complete_graph(7),
+               cycle_graph(7), complete_graph(12), cycle_graph(12),
+               petersen_graph(), cycle_graph(20), complete_graph(16),
+               # K4 plus an isolated vertex, and K4 beside K5
+               Graph.from_edges(5, k4),
+               Graph.from_edges(9, k4 + [(4 + i, 4 + j) for i, j in k4]
+                                + [(4 + i, 8) for i in range(4)])]
+    rng.shuffle(stream)
+    return stream
+
+
+@pytest.mark.parametrize("sweep", ["margin", "soundness"])
+def test_padded_chunks_equal_per_graph_evaluation(monkeypatch, sweep):
+    # every chunk mixes sizes, each graph padded to the chunk's largest n,
+    # and the result is the one of the graphs taken one at a time
+    chunks = []
+
+    def spy(parts):
+        adj, n = stack(parts)
+        chunks.append((adj.shape, n.tolist()))
+        return adj, n
+    stack = scan._stack
+    monkeypatch.setattr(scan, "_stack", spy)
+    stream = padded_stream()
+    if sweep == "margin":
+        got, want = scan_conjecture(stream), per_graph_scan(stream)
+        assert got.counterexamples and got.equalities and got.skipped_regular
+        assert {msg for _, msg in got.errors} == {
+            "margin needs n >= 3, got n=2", scan._DISCONNECTED}
+        # the 4-spoke star, listed from a chunk padded to 7 vertices, under
+        # the graph6 of its own 5 vertices
+        assert encode_graph6(star_graph(5)) == "Ds_"
+        assert "Ds_" in [row[0] for row in got.counterexamples]
+    else:
+        got, want = scan_soundness(stream), per_graph_soundness(stream)
+        assert not got.violations
+        assert {msg for _, msg in got.errors} == {scan._DISCONNECTED}
+    assert got == want and repr(got) == repr(want)
+    assert sorted(max(n) for _, n in chunks) == [3, 7, 13, 24]
+    for (b, size, _), n in chunks:
+        assert b == len(n) <= chunk_limit(size) and size == max(n)
+        assert len(set(n)) > 1 and max(n) < 2 * min(n)
+
+
+def test_a_short_unit_of_six_sizes_forms_two_chunks(monkeypatch):
+    # 32 graph6 lines of n = 5..10, as one unit of a sampled stream: the
+    # sizes 5..7 share one chunk and 8..10 another
+    rng = random.Random(31)
+    graphs = [g for n in range(5, 11)
+              for g in sample_connected(n, 5, seed=n)]
+    graphs += list(sample_connected(7, 2, seed=1))
+    rng.shuffle(graphs)
+    lines = [encode_graph6(g) + "\n" for g in graphs]
+    chunks = []
+
+    def spy(parts):
+        adj, n = stack(parts)
+        chunks.append(sorted(set(n.tolist())))
+        return adj, n
+    stack = scan._stack
+    monkeypatch.setattr(scan, "_stack", spy)
+    got = scan_soundness(g for _, g in read_graph6_stream(lines))
+    assert got.graphs_checked == len(lines) == 32
+    assert sorted(chunks) == [[5, 6, 7], [8, 9, 10]]

@@ -9,7 +9,9 @@ item. Exits 1 and prints a diff excerpt per item on any difference, else 0.
 
 The corpus:
   - cmd_analyze JSON (without timing_ms) and table output for the five
-    fixtures, K5, P4, C6, S5, K12, P20, C30, S16, K208, P100 and C200;
+    fixtures, K1, K2, P3, S4, C4, K5, P4, C6, S5, K12, P20, C30, S16, K208,
+    P100 and C200 (K1..C4 sit at the bounds' min_n edges, with a regular
+    and a non-regular n = 4 graph);
   - the ScanResult of labeled and of deduplicated n = 3..6, and the
     `scan --enumerate` JSON and table output of the same sweeps;
   - the SoundnessReport of all labeled graphs with n <= 6 plus the
@@ -36,8 +38,9 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_pairs import export  # noqa: E402
 
-ANALYZED = ("ex1", "ex2", "g1", "g2", "g3", "K5", "P4", "C6", "S5", "K12",
-            "P20", "C30", "S16", "K208", "P100", "C200")
+ANALYZED = ("ex1", "ex2", "g1", "g2", "g3", "K1", "K2", "P3", "S4", "C4",
+            "K5", "P4", "C6", "S5", "K12", "P20", "C30", "S16", "K208",
+            "P100", "C200")
 
 
 def mixed_lines():

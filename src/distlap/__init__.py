@@ -5,24 +5,20 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BOUND_META, BoundEntry, BoundId, BoundMeta, BoundReport, Side, Target,
-    bound_L_d1, bound_L_d2, bound_L_i1, bound_L_n1, bound_L_n2, bound_L_n3,
-    bound_L_transmission_regular, bound_Q_cs7, bound_Q_hong_ratio,
-    bound_Q_hong_sqrt, bound_Q_i2, bound_Q_quadratic, bound_Q_tb,
     compute_all_bounds, slack_for)
 from .certify import (
     EqualityDiagnosis, check_han_multiplicity, check_tree_determinant,
     diagnose_cs7, diagnose_n1, diagnose_n3, diagnose_tb, equality_tol)
 from .errors import (
-    ConsistencyError, ConvergenceError, DisconnectedGraphError,
-    GraphParseError, NotApplicableError, TheoremViolationError)
+    ConsistencyError, DisconnectedGraphError, GraphParseError,
+    NotApplicableError, TheoremViolationError)
 from .graph6 import encode_graph6, parse_graph6, read_graph6_stream
 from .graphs import (
     DistanceData, Graph, compute_distance_data, connected_stacks,
     enumerate_connected, format_edge_list, is_connected, is_tree,
     parse_edge_list, sample_connected, transmission_regularity)
 from .linalg import (
-    Spectrum, eig_symmetric, frobenius_norm, is_irreducible, multiplicity,
-    spectral_radius_nonneg)
+    Spectrum, eig_symmetric, frobenius_norm, is_irreducible, multiplicity)
 from .named_graphs import (
     FIXTURES, builtin_graph, complete_graph, cycle_graph, fixture_graph,
     fixture_text, path_graph, star_graph)

@@ -4,8 +4,9 @@ Each bound_* function takes the DistanceData of a batch (plus a Frobenius
 norm per graph where the formula needs one) and returns the bound value of
 each graph. A batch may pad its graphs to a common size: each formula reads
 each graph's own n, and its min and max reductions run over real vertices
-only. bound_values runs the battery, with applicability read
-from BOUND_META, and bound_checks compares its values with the radii.
+only. bound_values runs the battery and is the one place that applies
+BOUND_META (min_n, regular_only), so a bound_* function assumes graphs the
+table admits; bound_checks compares its values with the radii.
 compute_all_bounds runs the same pipeline on one graph, a batch of one, and
 reports applicability, satisfaction against the true radii, and equality
 diagnoses for the bounds that have characterized equality cases.
@@ -24,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConsistencyError, NotApplicableError
+from .errors import ConsistencyError
 from .graph6 import encode_graph6
 from .graphs import batch_of_one, distance_data
 from .linalg import Spectrum
@@ -138,16 +139,12 @@ def bound_L_i1(dd):
 
 
 def bound_L_d1(dd):
-    """Upper bound 2W - n(n-2); defined for n >= 4."""
-    if dd.n.min() < 4:
-        raise NotApplicableError(f"needs n >= 4, got n={dd.n.min()}")
+    """Upper bound 2W - n(n-2)."""
     return 2.0 * dd.wiener - dd.n * (dd.n - 2)
 
 
 def bound_L_d2(dd, d_frob):
     """Strict upper bound max tr + sqrt(||D||_F^2 - sum(tr^2)/n)."""
-    if dd.n.min() < 2:
-        raise NotApplicableError("needs n >= 2")
     rad = d_frob * d_frob - dd.tr2 / dd.n
     return dd.tmax + _sqrt_guarded(rad, "L_D2")
 
@@ -165,8 +162,6 @@ _PAIR_CELLS = 1 << 12
 def bound_L_n2(dd):
     """Upper bound over vertex pairs:
     max (tr_i + tr_j + 2 dist_ij + sum_{k != i,j} |dist_ik - dist_jk|) / 2."""
-    if dd.n.min() < 2:
-        raise NotApplicableError("needs n >= 2")
     d = dd.dist
     tr = dd.tr
     n = d.shape[-1]
@@ -192,8 +187,6 @@ def bound_L_n3(dd, l_frob):
     2W/(n-1) + sqrt((n-2)/(n-1) * (||L||_F^2 - (2W)^2/(n-1))).
     l_frob is ||L||_F, whose square is tr2 + dist2."""
     n = dd.n
-    if n.min() < 2:
-        raise NotApplicableError("needs n >= 2")
     tw = 2.0 * dd.wiener
     rad = (n - 2) / (n - 1) * (l_frob * l_frob - tw * tw / (n - 1))
     # an exactly zero radicand (complete graphs) can round to below the
@@ -211,12 +204,8 @@ def bound_L_transmission_regular(dd, d_frob):
       c2 = nk/(n-1) + sqrt((n-2)/(n-1)*(||D||_F^2 - nk^2/(n-1)))
     and checks c2 <= c1 before returning.
     """
-    if (dd.tmin != dd.tmax).any():
-        raise NotApplicableError("graph is not transmission-regular")
     k = dd.tmax
     n = dd.n
-    if n.min() < 2:
-        raise NotApplicableError("needs n >= 2")
     df2 = d_frob * d_frob
     c1 = k + _sqrt_guarded(df2 - k * k, "L_R1")
     rad = (n - 2) / (n - 1) * (df2 - n * k * k / (n - 1))
@@ -235,8 +224,6 @@ def bound_Q_tb(dd):
 
 def bound_Q_hong_ratio(dd):
     """Lower/upper pair min/max over i of tr_i + sdd_i / tr_i."""
-    if dd.n.min() < 2:
-        raise NotApplicableError("needs n >= 2 (zero transmissions otherwise)")
     # a padded vertex's 0 / 0 never happens: it divides 0 by 1
     vals = dd.over_real(dd.tr + dd.sdd / np.where(dd.real, dd.tr, 1))
     return vals.min(axis=-1), vals.max(axis=-1)
@@ -247,11 +234,6 @@ def bound_Q_hong_sqrt(dd):
     vals = dd.over_real(
         np.sqrt(2.0 * dd.sdd + 2.0 * dd.tr.astype(np.float64) ** 2))
     return vals.min(axis=-1), vals.max(axis=-1)
-
-
-def bound_Q_i2(dd):
-    """Same expression as bound_L_i1, valid as a signless upper bound too."""
-    return bound_L_i1(dd)
 
 
 def bound_Q_quadratic(dd):
@@ -284,8 +266,10 @@ def bound_Q_cs7(dd, q_frob):
 
 # The battery in evaluation order: each function of the distance data and
 # its Frobenius norms ||D||_F and ||L||_F = ||Q||_F, and the ids of the
-# bounds whose values it returns. The lambdas look the bound_* functions up
-# when called, so every caller runs the current ones.
+# bounds whose values it returns; the ids of one entry share min_n and
+# regular_only. The lambdas look the bound_* functions up when called, so
+# every caller runs the current ones. Q_I2 is the L_I1 expression, which
+# bounds the signless radius too.
 _BATTERY = (
     ((BoundId.L_I1, BoundId.Q_I2), lambda dd, d, l: (bound_L_i1(dd),) * 2),
     ((BoundId.L_D1,), lambda dd, d, l: (bound_L_d1(dd),)),
@@ -309,7 +293,8 @@ def bound_values(dd, regular):
 
     BOUND_META decides where a bound applies: on each graph with n >= its
     min_n and, for a regular-only bound, that regular flags; elsewhere it is
-    NaN. A ConsistencyError of any bound propagates.
+    NaN, and its bound_* function never sees that graph. A ConsistencyError
+    of any bound propagates.
     """
     smallest = dd.n.min()
     every = regular.all()

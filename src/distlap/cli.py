@@ -18,8 +18,8 @@ from . import __version__
 from .bounds import BoundId, Side, Target, compute_all_bounds
 from .certify import check_han_multiplicity, check_tree_determinant
 from .errors import (
-    ConsistencyError, ConvergenceError, DisconnectedGraphError,
-    GraphParseError, NotApplicableError, TheoremViolationError)
+    ConsistencyError, DisconnectedGraphError, GraphParseError,
+    NotApplicableError, TheoremViolationError)
 from .graph6 import parse_graph6, read_graph6_stream
 from .graphs import (
     connected_stacks, parse_edge_list, transmission_regularity)
@@ -330,7 +330,7 @@ def main(argv=None):
             ValueError, OSError) as exc:
         print(f"distlap: error: {exc}", file=sys.stderr)
         return 2
-    except (ConsistencyError, ConvergenceError, TheoremViolationError) as exc:
+    except (ConsistencyError, TheoremViolationError) as exc:
         print(f"distlap: internal check failed: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(text)

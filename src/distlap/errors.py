@@ -24,14 +24,6 @@ class NotApplicableError(ValueError):
     not transmission-regular, ...). Never silently returns a number instead."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative method ran out of iterations. Carries the last residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed (trace mismatch, impossible radicand,
     ordering violation between paired bounds). Indicates a bug or bad input,

@@ -58,13 +58,6 @@ class Graph:
             adj[v] |= 1 << u
         return adj
 
-    def degrees(self):
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 def parse_edge_list(text):
     """Parse the plain edge-list format into a Graph.
@@ -390,8 +383,7 @@ def connected_distances(adj, n=None):
     disconnected and reaches no BFS; a Graph is checked by too_sparse
     before its stack is built. Up to _BATCH_BFS_MAX_N vertices the other
     graphs run as one batch_distances stack; above it each runs the bitmask
-    BFS, which wins there on long-diameter graphs, and takes no padding
-    (the sweeps pad below 32 vertices only).
+    BFS on its own vertices, which wins there on long-diameter graphs.
     """
     size = adj.shape[-1]
     n = np.full(len(adj), size) if n is None else n
@@ -401,11 +393,14 @@ def connected_distances(adj, n=None):
     if not len(adj):
         return connected, np.zeros((0, size, size), dtype=np.int64)
     if size > _BATCH_BFS_MAX_N:
-        singles = [_bitmask_distances(a) for a in adj]
+        singles = [_bitmask_distances(a[:k, :k])
+                   for a, k in zip(adj, n.tolist())]
         connected[connected] = [d is not None for d in singles]
         found = [d for d in singles if d is not None]
-        return connected, np.array(found, dtype=np.int64).reshape(
-            -1, size, size)
+        dist = np.zeros((len(found), size, size), dtype=np.int64)
+        for out, d in zip(dist, found):
+            out[:len(d), :len(d)] = d
+        return connected, dist
     dist, reached = batch_distances(adj)
     # no source reaches a padded vertex, so a padded graph is connected when
     # all n(n - 1) ordered pairs of its own vertices are at a positive

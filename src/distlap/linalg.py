@@ -1,4 +1,4 @@
-"""Symmetric eigensolving, Perron radius via power iteration, irreducibility."""
+"""Symmetric eigensolving, eigenvalue multiplicities, irreducibility."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ConvergenceError
+from .errors import ConsistencyError
 from .graphs import batch_distances
 
 
@@ -59,42 +59,6 @@ def eig_symmetric(m):
         raise ConsistencyError(
             f"eigenvalue sum drifted from trace by {drift[drifted][0]:.3e}")
     return Spectrum(values=w)
-
-
-def spectral_radius_nonneg(m, tol=1e-12, max_iter=200000):
-    """Perron radius of an entrywise-nonnegative square matrix.
-
-    Power iteration on m + I (the shift makes the dominant eigenvalue simple
-    in modulus for irreducible patterns and kills oscillation on bipartite
-    ones); stops when successive Rayleigh quotients agree to
-    tol * (1 + |estimate|). Raises ConvergenceError with the last residual if
-    the budget runs out.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("empty matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
-    if (a < 0).any():
-        raise ValueError("matrix has negative entries")
-    n = a.shape[0]
-    x = np.full(n, 1.0 / np.sqrt(n))
-    prev = np.inf
-    residual = np.inf
-    for _ in range(max_iter):
-        y = a @ x + x
-        est = float(x @ y) - 1.0
-        residual = abs(est - prev)
-        if residual <= tol * (1.0 + abs(est)):
-            return est
-        prev = est
-        # y >= x component-wise, so the norm never vanishes
-        x = y / np.linalg.norm(y)
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        residual=residual)
 
 
 def is_irreducible(m):

@@ -9,12 +9,11 @@ import pytest
 from distlap import (
     bounds, certify, linalg, operators, scan)
 from distlap import (
-    BOUND_META, BoundId, Side, Target, bound_L_d1, bound_L_i1, bound_L_n1,
-    bound_L_n2, bound_L_n3, bound_L_transmission_regular, bound_Q_hong_ratio,
-    bound_Q_i2, compute_all_bounds, encode_graph6, enumerate_connected,
-    sample_connected, slack_for)
-from distlap.bounds import _sqrt_guarded, bound_values
-from distlap.errors import ConsistencyError, NotApplicableError
+    BOUND_META, BoundId, Side, Target, compute_all_bounds, encode_graph6,
+    enumerate_connected, sample_connected, slack_for)
+from distlap.bounds import (
+    _BATTERY, _sqrt_guarded, bound_L_n2, bound_L_n3, bound_values)
+from distlap.errors import ConsistencyError
 from distlap.graphs import (
     adjacency_stack, batch_of_one, connected_distances, distance_data,
     is_transmission_regular)
@@ -128,24 +127,6 @@ def test_ex2_transmission_regular_collapses():
     assert abs(v[BoundId.L_R1] - 21.8740) < TOL
     assert abs(v[BoundId.L_R2] - 21.4782) < TOL
     assert r.entry(BoundId.Q_TB_UP).diagnosis.certificate == "transmission-regular"
-
-
-def test_not_applicable_raises():
-    dd3 = one_graph(path_graph(3))
-    with pytest.raises(NotApplicableError, match="n >= 4"):
-        bound_L_d1(dd3)
-    dd4 = one_graph(path_graph(4))
-    with pytest.raises(NotApplicableError, match="transmission-regular"):
-        bound_L_transmission_regular(dd4, np.ones(1))
-    dd1 = one_graph(path_graph(1))
-    with pytest.raises(NotApplicableError):
-        bound_Q_hong_ratio(dd1)
-
-
-def test_shared_expression_i2():
-    for name in ("ex1", "g2"):
-        dd = one_graph(fixture_graph(name))
-        assert bound_Q_i2(dd).tolist() == bound_L_i1(dd).tolist()
 
 
 def test_vertex_pair_bound_matches_pair_loop():
@@ -292,6 +273,18 @@ def test_meta_table():
     assert BOUND_META[BoundId.L_R1].regular_only
     assert BOUND_META[BoundId.L_R2].regular_only
     assert BOUND_META[BoundId.L_D1].min_n == 4
+
+
+def test_each_battery_entry_shares_one_applicability():
+    # bound_values applies BOUND_META[ids[0]] to every id of a battery
+    # entry, so the ids of an entry must share min_n and regular_only, and
+    # the battery must hold every bound exactly once
+    ids = [bid for group, _ in _BATTERY for bid in group]
+    assert collections.Counter(ids) == collections.Counter(BoundId)
+    for group, _ in _BATTERY:
+        rules = {(BOUND_META[bid].min_n, BOUND_META[bid].regular_only)
+                 for bid in group}
+        assert len(rules) == 1, group
 
 
 def test_report_structure():

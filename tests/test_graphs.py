@@ -125,7 +125,8 @@ def test_fixture_transmissions():
 
 def test_fixtures_g1_g2_g3_are_cubic():
     for name in ("g1", "g2", "g3"):
-        assert sorted(fixture_graph(name).degrees()) == [3] * 12, name
+        degrees = adjacency_stack([fixture_graph(name)]).sum(axis=-1)
+        assert degrees.tolist() == [[3] * 12], name
 
 
 def test_enumerate_labeled_counts_match_recurrence():
@@ -282,6 +283,27 @@ def test_connected_distances_on_both_sides_of_the_switch():
     connected, dist = connected_distances(
         adjacency_stack([Graph(_BATCH_BFS_MAX_N + 1, frozenset([(0, 1)]))]))
     assert connected.tolist() == [False] and dist.shape[0] == 0
+
+
+def test_a_padded_stack_above_the_switch_matches_single_graphs():
+    # above the switch each graph runs the bitmask BFS on its own vertices,
+    # so padding neither disconnects a graph nor shows in its distances
+    size = 100
+    assert size > _BATCH_BFS_MAX_N
+    cycle = [(v, (v + 1) % 49) for v in range(49)]
+    two_cycles = Graph(98, frozenset(
+        cycle + [(49 + u, 49 + v) for u, v in cycle]))
+    graphs = [path_graph(97), cycle_graph(size), two_cycles]
+    adj = adjacency_stack(graphs)
+    assert adj.shape == (3, size, size)
+    connected, dist = connected_distances(adj, np.array([g.n for g in graphs]))
+    assert connected.tolist() == [True, True, False]
+    assert dist.dtype == np.int64 and dist.shape == (2, size, size)
+    alone = [connected_distances(adjacency_stack([g])) for g in graphs]
+    assert [flag.tolist() for flag, _ in alone] == [[True], [True], [False]]
+    for g, d, (_, want) in zip(graphs, dist, alone):
+        assert d[:g.n, :g.n].tolist() == want[0].tolist()
+        assert not d[g.n:].any() and not d[:, g.n:].any()
 
 
 def test_too_few_edges_is_disconnected_before_any_bfs(monkeypatch):

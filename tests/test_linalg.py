@@ -1,4 +1,4 @@
-"""Eigensolver contract, power iteration, irreducibility, multiplicities."""
+"""Eigensolver contract, irreducibility, multiplicities."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from distlap import (
-    ConsistencyError, ConvergenceError, build_operators,
-    compute_distance_data, eig_symmetric, enumerate_connected,
-    frobenius_norm, is_irreducible, multiplicity, sample_connected,
-    spectral_radius_nonneg)
+    ConsistencyError, build_operators, compute_distance_data, eig_symmetric,
+    frobenius_norm, is_irreducible, multiplicity, sample_connected)
 from distlap.graphs import distance_data
 from distlap.named_graphs import complete_graph, path_graph
 
@@ -102,52 +100,6 @@ def test_eig_symmetric_descending_and_trace(n, seed):
     s = eig_symmetric(a)
     assert all(s.values[i] >= s.values[i + 1] for i in range(n - 1))
     assert abs(s.values.sum() - np.trace(a)) <= 1e-9 * (1 + frobenius_norm(a))
-
-
-def test_power_iteration_known_matrices():
-    assert spectral_radius_nonneg([[0.0]]) == 0.0
-    assert abs(spectral_radius_nonneg([[0, 1], [1, 0]]) - 1.0) < 1e-10
-    # adjacency of the star on 4 vertices: radius sqrt(3)
-    a = np.zeros((4, 4))
-    a[0, 1:] = a[1:, 0] = 1
-    assert abs(spectral_radius_nonneg(a) - np.sqrt(3)) < 1e-9
-
-
-def test_power_iteration_rejects_bad_input():
-    with pytest.raises(ValueError, match="negative"):
-        spectral_radius_nonneg([[0, -1], [1, 0]])
-    with pytest.raises(ValueError, match="square"):
-        spectral_radius_nonneg(np.ones((2, 3)))
-
-
-def test_power_iteration_convergence_error():
-    # ones is not an eigenvector here, so the estimate keeps moving
-    a = np.zeros((3, 3))
-    a[0, 1:] = a[1:, 0] = 1.0
-    with pytest.raises(ConvergenceError) as exc:
-        spectral_radius_nonneg(a, tol=0.0, max_iter=3)
-    assert exc.value.residual > 0
-
-
-def test_power_iteration_agrees_with_eigensolver_on_operators():
-    # distance and signless matrices of every connected graph on <= 5 vertices
-    for n in range(1, 6):
-        for g in enumerate_connected(n):
-            bundle = build_operators(compute_distance_data(g))
-            for m in (bundle.d_mat, bundle.q_mat):
-                rho = spectral_radius_nonneg(m.astype(float))
-                ref = eig_symmetric(m.astype(float)).largest
-                assert abs(rho - ref) <= 1e-9 * (1 + abs(ref)), (n, m)
-
-
-def test_power_iteration_nonsymmetric():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(2, 7))
-        a = rng.random((n, n))
-        rho = spectral_radius_nonneg(a, tol=1e-13)
-        ref = max(abs(np.linalg.eigvals(a)))
-        assert abs(rho - ref) <= 1e-8 * (1 + ref)
 
 
 def test_is_irreducible_cases():

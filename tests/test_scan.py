@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from distlap import (
-    Graph, bound_L_d2, bound_L_n3, bounds, certify, connected_stacks,
-    encode_graph6, enumerate_connected, read_graph6_stream, sample_connected,
-    scan, scan_conjecture, scan_soundness)
+    Graph, bounds, certify, connected_stacks, encode_graph6,
+    enumerate_connected, read_graph6_stream, sample_connected, scan,
+    scan_conjecture, scan_soundness)
+from distlap.bounds import bound_L_d2, bound_L_n3
 from distlap.errors import DisconnectedGraphError
 from distlap.graphs import (
     _BATCH_BFS_MAX_N, SCAN_CELLS, SCAN_CHUNK, adjacency_stack, batch_of_one,

@@ -469,22 +469,36 @@ def _connected_masks(n):
         yield masks[batch_distances(_int64_stack(masks, n), sources=1)[1]]
 
 
-def _canonical_masks(masks, n):
-    """Minimum edge-bitmask over all vertex permutations, vectorized over masks."""
-    pairs = list(itertools.combinations(range(n), 2))
-    npairs = len(pairs)
-    index = {p: i for i, p in enumerate(pairs)}
-    shifts = np.arange(npairs, dtype=np.int64)
-    bits = (masks[:, None] >> shifts) & 1
-    canon = masks.copy()
-    for perm in itertools.permutations(range(n)):
-        pmap = np.empty(npairs, dtype=np.int64)
-        for i, (u, v) in enumerate(pairs):
-            a, b = perm[u], perm[v]
-            pmap[i] = index[(a, b) if a < b else (b, a)]
-        remapped = (bits << shifts[pmap]).sum(axis=1)
-        np.minimum(canon, remapped, out=canon)
-    return canon
+def _relabelings(n):
+    """The (n!, P) table of vertex relabelings on n vertices as pair maps:
+    row p sends pair i of _pair_ends(n) to the index of its image under
+    the p-th permutation of range(n)."""
+    rows, cols = _pair_ends(n)
+    index = np.zeros((n, n), dtype=np.int64)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    return index[perms[:, rows], perms[:, cols]]
+
+
+def _class_minima(chunks, n):
+    """The smallest edge mask of each isomorphism class met in chunks, the
+    ascending connected masks of _connected_masks(n), one array per chunk.
+
+    A relabeled connected graph is connected, so each class lies inside
+    the chunks, and the first of its masks the sweep meets is its minimum.
+    That minimum marks its whole orbit as covered, n! relabelings per
+    class, so each later member is skipped: 2^P flags, 2 MB at n = 7."""
+    weights = np.int64(1) << _relabelings(n)
+    shifts = np.arange(weights.shape[1], dtype=np.int64)
+    covered = np.zeros(1 << weights.shape[1], dtype=bool)
+    for masks in chunks:
+        found = []
+        # a minimum found earlier in this chunk may cover a later mask
+        for m in masks[~covered[masks]].tolist():
+            if not covered[m]:
+                found.append(m)
+                covered[weights @ ((m >> shifts) & 1)] = True
+        yield np.array(found, dtype=np.int64)
 
 
 def connected_stacks(n, dedup=False):
@@ -493,10 +507,13 @@ def connected_stacks(n, dedup=False):
     one may hold fewer).
 
     Deterministic: ascending edge-bitmask order over the pair sequence
-    (0,1), (0,2), ..., (n-2,n-1). With dedup=True, isomorphic duplicates are
-    collapsed to the representative with the smallest bitmask over all vertex
-    relabelings, yielded in ascending canonical order. Beyond n = 7 the
-    labeled space is too large; feed a graph6 stream instead.
+    (0,1), (0,2), ..., (n-2,n-1). With dedup=True it yields one graph per
+    isomorphism class, the one with the smallest bitmask over all vertex
+    relabelings, in ascending order: an orbit sweep over the ascending
+    connected masks keeps each mask that no earlier class minimum covers
+    and marks its n! relabelings as covered, so the relabelings cost n! per
+    class, not per labeled graph. Beyond n = 7 the labeled space is too
+    large; feed a graph6 stream instead.
     """
     if not 1 <= n <= _ENUM_CAP:
         raise ValueError(
@@ -504,7 +521,7 @@ def connected_stacks(n, dedup=False):
             "use a graph6 stream for larger graphs")
     found = _connected_masks(n)
     if dedup:
-        found = [np.unique(_canonical_masks(np.concatenate(list(found)), n))]
+        found = _class_minima(found, n)
     size = chunk_limit(n)
     held = np.zeros(0, dtype=np.int64)
     for masks in found:

@@ -5,6 +5,7 @@ eigenvalue oracle evaluates the characteristic polynomial with a hand-rolled
 partial-pivot LU determinant and brackets roots by sign changes, the counting
 oracle is a closed recurrence, the tree generator walks Prufer sequences, and
 the rejection sampler draws and tests one graph at a time.
+The isomorphism oracle relabels edge masks by every vertex permutation.
 The soundness oracle is the sweep one graph at a time, through
 compute_all_bounds and scalar identity checks, against which the chunked
 sweep is compared.
@@ -12,6 +13,7 @@ sweep is compared.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -112,6 +114,39 @@ def labeled_connected_count(n):
 
 
 UNLABELED_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+
+def edge_mask(edges, n):
+    """The edge mask of a graph on n vertices: bit k for pair k of (0,1),
+    (0,2), ..., (n-2,n-1)."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return sum(1 << pairs.index((min(e), max(e))) for e in edges)
+
+
+def relabeled_masks(masks, n):
+    """Yield the edge masks relabeled by each permutation of range(n) in
+    turn, one array per permutation."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    shifts = np.arange(len(pairs), dtype=np.int64)
+    bits = (np.asarray(masks, dtype=np.int64)[:, None] >> shifts) & 1
+    for perm in itertools.permutations(range(n)):
+        pmap = np.array([index[tuple(sorted((perm[u], perm[v])))]
+                         for u, v in pairs], dtype=np.int64)
+        yield (bits << pmap).sum(axis=1)
+
+
+def canonical_masks(masks, n):
+    """Minimum edge mask over all n! vertex relabelings, by brute force."""
+    return functools.reduce(np.minimum, relabeled_masks(masks, n))
+
+
+def orbit_sizes(masks, n):
+    """The labeled graphs in each mask's isomorphism class, n!/|Aut|, with
+    |Aut| the relabelings that fix the mask."""
+    masks = np.asarray(masks, dtype=np.int64)
+    fixed = sum(image == masks for image in relabeled_masks(masks, n))
+    return math.factorial(n) // fixed
 
 
 def prufer_tree_edges(seq, n):

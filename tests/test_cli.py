@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distlap
+import oracles
 from distlap import (
     Graph, encode_graph6, format_edge_list, parse_edge_list, parse_graph6)
 from distlap.cli import (
@@ -289,3 +290,17 @@ def test_scan_dedup_matches_class_count():
     assert doc["graphs_tested"] + doc["skipped_regular"] == 21
     assert doc["skipped_regular"] == 2
     assert len(doc["counterexamples"]) == 1  # the star, once
+
+
+def test_scan_dedup_at_7_weighs_to_the_labeled_counterexamples():
+    code, text = cmd_scan(enumerate_n=7, dedup=True, fmt="json")
+    assert code == 0
+    doc = json.loads(text)["scan"]
+    assert doc["graphs_tested"] == 849 and doc["skipped_regular"] == 4
+    assert doc["graphs_tested"] + doc["skipped_regular"] == (
+        oracles.UNLABELED_CONNECTED[7])
+    masks = [oracles.edge_mask(parse_graph6(enc).edges, 7)
+             for enc, _, _ in doc["counterexamples"]]
+    assert len(masks) == 52
+    # the labeled n = 7 count of acceptance criterion 4
+    assert oracles.orbit_sizes(masks, 7).sum() == 45234

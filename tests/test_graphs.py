@@ -150,7 +150,7 @@ def test_enumerate_cap():
 
 
 def test_enumerate_dedup_counts():
-    for n in range(1, 7):
+    for n in range(1, 8):
         got = sum(1 for _ in enumerate_connected(n, dedup=True))
         assert got == oracles.UNLABELED_CONNECTED[n], n
 
@@ -378,16 +378,24 @@ def test_connected_stacks_chunk_the_enumerated_graphs():
 
 
 def test_enumerate_dedup_yields_ascending_minimal_representatives():
-    for n in range(1, 6):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-        def mask_of(edges):
-            return sum(1 << pairs.index((min(e), max(e))) for e in edges)
-
-        reps = [mask_of(g.edges) for g in enumerate_connected(n, dedup=True)]
+    for n in range(1, 7):
+        reps = [oracles.edge_mask(g.edges, n)
+                for g in enumerate_connected(n, dedup=True)]
         assert reps == sorted(reps)
-        for g, rep in zip(enumerate_connected(n, dedup=True), reps):
-            relabeled = min(
-                mask_of((perm[u], perm[v]) for u, v in g.edges)
-                for perm in itertools.permutations(range(n)))
-            assert relabeled == rep, (n, g.sorted_edges())
+        assert oracles.canonical_masks(reps, n).tolist() == reps, n
+
+
+def test_enumerate_dedup_at_7_is_one_minimum_per_class():
+    reps = [oracles.edge_mask(g.edges, 7)
+            for g in enumerate_connected(7, dedup=True)]
+    assert len(set(reps)) == len(reps)
+    assert oracles.canonical_masks(reps, 7).tolist() == reps
+    assert (oracles.orbit_sizes(reps, 7).sum()
+            == oracles.labeled_connected_count(7))
+    nx = pytest.importorskip("networkx")
+    atlas = [g for g in nx.graph_atlas_g()
+             if len(g) == 7 and nx.is_connected(g)]
+    assert len(atlas) == oracles.UNLABELED_CONNECTED[7]
+    minima = oracles.canonical_masks(
+        [oracles.edge_mask(g.edges, 7) for g in atlas], 7)
+    assert sorted(minima.tolist()) == reps

@@ -13,10 +13,12 @@ The corpus:
     P100 and C200 (K1..C4 sit at the bounds' min_n edges, with a regular
     and a non-regular n = 4 graph);
   - the ScanResult of labeled and of deduplicated n = 3..6, and the
-    `scan --enumerate` JSON and table output of the same sweeps;
+    `scan --enumerate` JSON and table output of the same sweeps, plus the
+    ScanResult of deduplicated n = 7;
   - the SoundnessReport of all labeled graphs with n <= 6 plus the
     fixtures;
-  - the graph6 lines of enumerate_connected(n, dedup) for n = 1..6, and of
+  - the graph6 lines of enumerate_connected(n, dedup) for n = 1..6, of
+    enumerate_connected(7, dedup=True) (853 classes), and of
     sample_connected at (n, count, seed) = (7, 2000, 7), (9, 30, 3) and
     (12, 50, 4);
   - the SoundnessReport and the ScanResult of a seeded, shuffled graph6
@@ -97,6 +99,8 @@ def corpus():
             for fmt in ("json", "table"):
                 out[f"scan-{fmt} n={n} dedup={dedup}"] = cmd_scan(
                     enumerate_n=n, dedup=dedup, fmt=fmt)[1]
+    out["scan n=7 dedup=True"] = repr(
+        scan_conjecture(enumerate_connected(7, dedup=True)))
     graphs = itertools.chain.from_iterable(
         enumerate_connected(n) for n in range(1, 7))
     fixtures = (fixture_graph(name) for name in sorted(FIXTURES))
@@ -106,6 +110,8 @@ def corpus():
         for dedup in (False, True):
             out[f"enumerate n={n} dedup={dedup}"] = "\n".join(
                 map(encode_graph6, enumerate_connected(n, dedup=dedup)))
+    out["enumerate n=7 dedup=True"] = "\n".join(
+        map(encode_graph6, enumerate_connected(7, dedup=True)))
     for n, count, seed in ((7, 2000, 7), (9, 30, 3), (12, 50, 4)):
         out[f"sample n={n} count={count} seed={seed}"] = "\n".join(
             map(encode_graph6, sample_connected(n, count, seed)))

@@ -426,7 +426,11 @@ def transmission_regularity(dd):
 
 
 _ENUM_CAP = 7
-# candidate edge masks per connectivity batch; fixed, as it sets the memory
+# a component as a vertex bitmask: the narrowest unsigned dtype that holds
+# one on _ENUM_CAP vertices, so raising the cap widens it, never overflows
+_COMPONENT = np.min_scalar_type((1 << _ENUM_CAP) - 1)
+# candidate edge masks behind each block of _connected_masks; fixed, as the
+# per-block work downstream sets the memory
 _ENUM_CHUNK = 1024
 # A chunk of graphs padded to N vertices holds at most SCAN_CHUNK graphs and
 # SCAN_CELLS distance-matrix entries. Both are fixed, as they set the memory
@@ -459,14 +463,45 @@ def _int64_stack(masks, n):
     return _mask_stack(masks.astype("<i8").view(np.uint8).reshape(-1, 8), n)
 
 
+def _component_table(n):
+    """The components of every graph on n vertices as an (n, 2^P) table of
+    vertex bitmasks: column mask lists, one per slot, the components of the
+    graph with that edge mask, 0 in an empty slot.
+
+    In _pair_ends order a mask on m vertices is x | r << (m - 1): bit j of
+    x is the pair (0, j + 1), and r is the mask of the graph on vertices
+    1..m-1, whose vertex j is vertex j + 1 here. So the components are
+    those of r shifted up one vertex, with each one that x touches merged
+    into vertex 0's. The table for m follows from the one for m - 1, its
+    columns in row-major order over (r, x), which is ascending mask order.
+    """
+    comps = np.zeros((0, 1), dtype=_COMPONENT)
+    for m in range(1, n + 1):
+        r = comps[..., None]
+        touched = (r & np.arange(1 << m - 1, dtype=_COMPONENT)) != 0
+        merged = np.bitwise_or.reduce(r * touched, axis=0, initial=0)
+        comps = np.concatenate(
+            ((merged << 1 | 1)[None], (r * ~touched) << 1)).reshape(m, -1)
+    return comps
+
+
 def _connected_masks(n):
     """Edge masks of the connected labeled graphs on n vertices, ascending,
-    as one array per chunk of _ENUM_CHUNK candidate masks."""
-    total = 1 << n * (n - 1) // 2
-    for start in range(0, total, _ENUM_CHUNK):
-        masks = np.arange(start, min(start + _ENUM_CHUNK, total),
-                          dtype=np.int64)
-        yield masks[batch_distances(_int64_stack(masks, n), sources=1)[1]]
+    as one array per block of at most _ENUM_CHUNK candidate masks.
+
+    A mask x | r << (n - 1), split as in _component_table, is connected
+    when x touches every component of r. The flags over (r, x) in
+    row-major order ascend with the mask, so each block of whole rows of r
+    yields its connected masks in order, with no BFS and no adjacency
+    stack."""
+    comps = _component_table(n - 1)
+    x = np.arange(1 << n - 1, dtype=_COMPONENT)
+    # hits[c, x]: x touches the component c, or the slot is empty (c = 0)
+    hits = ((x[:, None] & x) != 0) | (x[:, None] == 0)
+    rows = max(1, _ENUM_CHUNK >> n - 1)
+    for start in range(0, comps.shape[1], rows):
+        connected = np.logical_and.reduce(hits[comps[:, start:start + rows]])
+        yield np.flatnonzero(connected) + (start << n - 1)
 
 
 def _relabelings(n):
@@ -487,8 +522,10 @@ def _class_minima(chunks, n):
     A relabeled connected graph is connected, so each class lies inside
     the chunks, and the first of its masks the sweep meets is its minimum.
     That minimum marks its whole orbit as covered, n! relabelings per
-    class, so each later member is skipped: 2^P flags, 2 MB at n = 7."""
-    weights = np.int64(1) << _relabelings(n)
+    class, so each later member is skipped: 2^P flags, 2 MB at n = 7. The
+    orbit is one float64 matvec: its sums are of distinct powers of two
+    below 2^21, so they are exact."""
+    weights = np.ldexp(1.0, _relabelings(n))
     shifts = np.arange(weights.shape[1], dtype=np.int64)
     covered = np.zeros(1 << weights.shape[1], dtype=bool)
     for masks in chunks:
@@ -497,7 +534,8 @@ def _class_minima(chunks, n):
         for m in masks[~covered[masks]].tolist():
             if not covered[m]:
                 found.append(m)
-                covered[weights @ ((m >> shifts) & 1)] = True
+                bits = ((m >> shifts) & 1).astype(np.float64)
+                covered[(weights @ bits).astype(np.int64)] = True
         yield np.array(found, dtype=np.int64)
 
 
@@ -507,13 +545,15 @@ def connected_stacks(n, dedup=False):
     one may hold fewer).
 
     Deterministic: ascending edge-bitmask order over the pair sequence
-    (0,1), (0,2), ..., (n-2,n-1). With dedup=True it yields one graph per
-    isomorphism class, the one with the smallest bitmask over all vertex
-    relabelings, in ascending order: an orbit sweep over the ascending
-    connected masks keeps each mask that no earlier class minimum covers
-    and marks its n! relabelings as covered, so the relabelings cost n! per
-    class, not per labeled graph. Beyond n = 7 the labeled space is too
-    large; feed a graph6 stream instead.
+    (0,1), (0,2), ..., (n-2,n-1). The connected masks are read off a table
+    of the components of every graph on n - 1 vertices, with no BFS; only
+    the masks kept become adjacency stacks. With dedup=True it yields one
+    graph per isomorphism class, the one with the smallest bitmask over all
+    vertex relabelings, in ascending order: an orbit sweep over the
+    ascending connected masks keeps each mask that no earlier class minimum
+    covers and marks its n! relabelings as covered, so the relabelings cost
+    n! per class, not per labeled graph. Beyond n = 7 the labeled space is
+    too large; feed a graph6 stream instead.
     """
     if not 1 <= n <= _ENUM_CAP:
         raise ValueError(

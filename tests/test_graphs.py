@@ -16,9 +16,9 @@ from distlap import (
     sample_connected, scan, scan_conjecture, scan_soundness,
     transmission_regularity)
 from distlap.graphs import (
-    _BATCH_BFS_MAX_N, SCAN_CELLS, SCAN_CHUNK, adjacency_stack,
-    batch_distances, connected_distances, connected_stacks, distance_data,
-    format_edge_list)
+    _BATCH_BFS_MAX_N, _ENUM_CHUNK, SCAN_CELLS, SCAN_CHUNK, _connected_masks,
+    _int64_stack, adjacency_stack, batch_distances, connected_distances,
+    connected_stacks, distance_data, format_edge_list)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
@@ -133,6 +133,30 @@ def test_enumerate_labeled_counts_match_recurrence():
     for n in range(1, 6):
         got = sum(1 for _ in enumerate_connected(n))
         assert got == oracles.labeled_connected_count(n), n
+    for n in range(1, 8):
+        got = sum(len(a) for a in connected_stacks(n))
+        assert got == oracles.labeled_connected_count(n), n
+    assert got == 1_866_256
+
+
+def test_connected_masks_equal_a_bfs_over_every_mask():
+    # the component table against a one-source BFS of all 2^P masks
+    assert [b.tolist() for b in _connected_masks(1)] == [[0]]
+    assert [b.tolist() for b in _connected_masks(2)] == [[1]]
+    for n in range(1, 7):
+        masks = np.arange(2 ** (n * (n - 1) // 2), dtype=np.int64)
+        want = masks[batch_distances(_int64_stack(masks, n), sources=1)[1]]
+        blocks = list(_connected_masks(n))
+        assert all(b.dtype == np.int64 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), want), n
+
+
+def test_connected_mask_blocks_hold_at_most_enum_chunk_candidates():
+    # block k comes from the k-th run of _ENUM_CHUNK consecutive masks
+    blocks = list(_connected_masks(7))
+    assert len(blocks) == 2 ** 21 // _ENUM_CHUNK
+    for k, block in enumerate(blocks):
+        assert (block // _ENUM_CHUNK == k).all(), k
 
 
 def test_enumerate_is_deterministic_and_sorted():
@@ -354,7 +378,8 @@ def test_enumerate_yields_ascending_connected_masks():
         got = [sum(1 << pairs.index(e) for e in g.edges)
                for g in enumerate_connected(n)]
         assert got == expect, n
-    # n = 6 spans several connectivity chunks
+    # n = 6 spans 32 blocks of _connected_masks, so the order must hold
+    # across blocks
     pairs = list(itertools.combinations(range(6), 2))
     got = [sum(1 << pairs.index(e) for e in g.edges)
            for g in enumerate_connected(6)]

@@ -11,12 +11,12 @@ from .certify import (
     diagnose_cs7, diagnose_n1, diagnose_n3, diagnose_tb, equality_tol)
 from .errors import (
     ConsistencyError, DisconnectedGraphError, GraphParseError,
-    NotApplicableError, TheoremViolationError)
+    TheoremViolationError)
 from .graph6 import encode_graph6, parse_graph6, read_graph6_stream
 from .graphs import (
     DistanceData, Graph, compute_distance_data, connected_stacks,
-    enumerate_connected, format_edge_list, is_connected, is_tree,
-    parse_edge_list, sample_connected, transmission_regularity)
+    enumerate_connected, format_edge_list, parse_edge_list, sample_connected,
+    transmission_regularity)
 from .linalg import (
     Spectrum, eig_symmetric, frobenius_norm, is_irreducible, multiplicity)
 from .named_graphs import (

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundId
-from .errors import NotApplicableError, TheoremViolationError
-from .graphs import is_tree
+from .errors import TheoremViolationError
 from .linalg import is_irreducible, multiplicity
 
 DIAG_ABS = 1e-6
@@ -179,21 +178,23 @@ def han_multiplicity_holds(spectrum_l, complete, n):
 
 
 def check_han_multiplicity(spectrum_l, g):
-    """han_multiplicity_holds for the spectrum of graph g. Returns True when
-    the spectrum respects it. Needs n > 2."""
+    """han_multiplicity_holds for the spectrum of graph g: True when the
+    spectrum respects it, None for n <= 2, where it does not apply."""
     n = g.n
     if n <= 2:
-        raise NotApplicableError("needs n > 2")
+        return None
     return bool(han_multiplicity_holds(
         spectrum_l, g.edge_count == n * (n - 1) // 2, n))
 
 
 def check_tree_determinant(g, dd):
     """Distance-matrix determinant of a tree matches the closed form
-    (-1)^(n-1) * (n-1) * 2^(n-2) to 1e-6 relative. Not applicable off trees."""
-    if not is_tree(g):
-        raise NotApplicableError("graph is not a tree")
+    (-1)^(n-1) * (n-1) * 2^(n-2) to 1e-6 relative; None off trees. g is
+    connected, as dd is its DistanceData, so it is a tree exactly when it
+    has n - 1 edges."""
     n = g.n
+    if g.edge_count != n - 1:
+        return None
     if n == 1:
         expected = 0.0
     else:

@@ -18,8 +18,7 @@ from . import __version__
 from .bounds import BoundId, Side, Target, compute_all_bounds
 from .certify import check_han_multiplicity, check_tree_determinant
 from .errors import (
-    ConsistencyError, DisconnectedGraphError, GraphParseError,
-    NotApplicableError, TheoremViolationError)
+    ConsistencyError, GraphParseError, TheoremViolationError)
 from .graph6 import parse_graph6, read_graph6_stream
 from .graphs import (
     connected_stacks, parse_edge_list, transmission_regularity)
@@ -102,14 +101,6 @@ def report_document(report, target="both"):
             "gap": entry.gap,
             "equality": _diagnosis_dict(entry.diagnosis),
         })
-    try:
-        han = check_han_multiplicity(report.spectrum_l, report.graph)
-    except NotApplicableError:
-        han = None
-    try:
-        tree_det = check_tree_determinant(report.graph, data)
-    except NotApplicableError:
-        tree_det = None
     return {
         "schema_version": SCHEMA_VERSION,
         "graph": {
@@ -132,8 +123,9 @@ def report_document(report, target="both"):
             "distance_signless_laplacian": report.radius_q,
         },
         "checks": {
-            "han_multiplicity": han,
-            "tree_determinant": tree_det,
+            "han_multiplicity": check_han_multiplicity(
+                report.spectrum_l, report.graph),
+            "tree_determinant": check_tree_determinant(report.graph, data),
         },
         "bounds": bounds,
         "timing_ms": report.timing_ms,
@@ -326,8 +318,7 @@ def main(argv=None):
             code, text = cmd_scan(
                 enumerate_n=args.enumerate_n, graph6_path=args.graph6,
                 slack=args.slack, dedup=args.dedup, fmt=args.format)
-    except (GraphParseError, DisconnectedGraphError, NotApplicableError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"distlap: error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, TheoremViolationError) as exc:

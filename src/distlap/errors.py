@@ -19,11 +19,6 @@ class DisconnectedGraphError(ValueError):
     """Raised when an operation requires a connected graph."""
 
 
-class NotApplicableError(ValueError):
-    """The requested quantity is undefined for this input (wrong n, not a tree,
-    not transmission-regular, ...). Never silently returns a number instead."""
-
-
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed (trace mismatch, impossible radicand,
     ordering violation between paired bounds). Indicates a bug or bad input,

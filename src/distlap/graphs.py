@@ -6,6 +6,7 @@ Vertices are always 0..n-1 internally. Edge-list files may declare themselves
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -49,14 +50,6 @@ class Graph:
 
     def sorted_edges(self):
         return sorted(self.edges)
-
-    def adjacency_masks(self):
-        """Neighbour sets as integer bitmasks, one per vertex."""
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
 
 
 def parse_edge_list(text):
@@ -128,31 +121,6 @@ def format_edge_list(g, one_based=False):
     lines = [f"{g.n} {'1-based' if one_based else '0-based'}"]
     lines.extend(f"{u + base} {v + base}" for u, v in g.sorted_edges())
     return "\n".join(lines) + "\n"
-
-
-def _bfs_reach(adj, start, n):
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= adj[b.bit_length() - 1]
-            f ^= b
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
-
-
-def is_connected(g):
-    if g.n == 1:
-        return True
-    return _bfs_reach(g.adjacency_masks(), 0, g.n) == (1 << g.n) - 1
-
-
-def is_tree(g):
-    return g.edge_count == g.n - 1 and is_connected(g)
 
 
 @dataclass
@@ -348,11 +316,15 @@ def adjacency_stack(graphs):
     return adj
 
 
+@functools.lru_cache(maxsize=32)
 def _pair_ends(n):
-    """The ends of the pairs (0,1), (0,2), ..., (n-2,n-1) as two arrays, as
-    np.triu_indices(n, 1) gives them, at a third of its call overhead, which
-    a sweep pays per chunk."""
-    return np.nonzero(np.tri(n, k=-1, dtype=bool).T)
+    """The ends of the pairs (0,1), (0,2), ..., (n-2,n-1) as two read-only
+    arrays. Cached per n, as a sweep asks for them once per chunk; the
+    cache holds the pairs of at most 32 sizes."""
+    ends = np.triu_indices(n, 1)
+    for a in ends:
+        a.flags.writeable = False
+    return ends
 
 
 def adjacency_graphs(adj, n=None):

@@ -27,7 +27,7 @@ from distlap import (
     encode_graph6, polynomial_row_sums, slack_for)
 from distlap.errors import (
     ConsistencyError, DisconnectedGraphError, GraphParseError,
-    NotApplicableError, TheoremViolationError)
+    TheoremViolationError)
 
 
 def lu_determinant(a):
@@ -216,8 +216,10 @@ def sample_connected_edges(n, count, seed):
 
 
 def brauer_shift_spectrum(l_mat, p):
-    """Reference eigenvalues of l_mat + ones p^T via the general solver."""
-    b = np.asarray(l_mat, dtype=float) + np.asarray(p, dtype=float)[None, :]
+    """Reference eigenvalues of l_mat + ones p^T via the general solver, or
+    of each matrix of a (B, n, n) stack with its row of a (B, n) p."""
+    b = (np.asarray(l_mat, dtype=float)
+         + np.asarray(p, dtype=float)[..., None, :])
     return np.linalg.eigvals(b)
 
 
@@ -293,7 +295,7 @@ def per_graph_soundness(source):
             report.violations.append((encode_graph6(g), str(exc)))
             report.graphs_checked += 1
             continue
-        except (DisconnectedGraphError, GraphParseError, NotApplicableError,
+        except (DisconnectedGraphError, GraphParseError,
                 ConsistencyError) as exc:
             report.errors.append((encode_graph6(g), str(exc)))
             continue

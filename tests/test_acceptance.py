@@ -20,10 +20,9 @@ import numpy as np
 import pytest
 
 from distlap import (
-    BoundId, check_tree_determinant, compute_all_bounds,
-    compute_distance_data, connected_stacks, enumerate_connected,
-    eig_symmetric, encode_graph6, parse_graph6, sample_connected,
-    scan_conjecture, scan_soundness, Graph)
+    BoundId, check_tree_determinant, compute_all_bounds, connected_stacks,
+    enumerate_connected, eig_symmetric, encode_graph6, parse_graph6,
+    sample_connected, scan_conjecture, scan_soundness, Graph)
 from distlap.graphs import (
     adjacency_stack, chunk_limit, connected_distances, distance_data)
 from distlap.named_graphs import (
@@ -234,19 +233,23 @@ def test_criterion_6_eigensolver_oracle(report):
     solver_ok = worst <= 1e-7
 
     # rank-one shift: spectrum of L + ones p^T is the L spectrum with the
-    # zero replaced by sum(p)
+    # zero replaced by sum(p), on every connected labeled graph with n <= 6,
+    # one stacked solve of each kind per chunk
     shift_worst = 0.0
     imag_worst = 0.0
     for n in range(1, 7):
-        for g in enumerate_connected(n):
-            dd = compute_distance_data(g)
-            l_mat = np.diag(dd.tr) - dd.dist
+        for adj in connected_stacks(n):
+            connected, dist = connected_distances(adj)
+            assert connected.all(), n
+            dd = distance_data(dist)
+            l_mat = dd.tr[..., None] * np.eye(n, dtype=np.int64) - dd.dist
             ref = brauer_shift_spectrum(l_mat, dd.p)
             imag_worst = max(imag_worst, float(np.abs(ref.imag).max()))
-            expected = sorted(
-                [float(dd.p.sum())]
-                + list(eig_symmetric(l_mat.astype(float)).values[:-1]))
-            diff = np.abs(np.array(expected) - np.sort(ref.real))
+            expected = np.sort(np.concatenate(
+                (dd.p.sum(axis=-1, keepdims=True).astype(float),
+                 eig_symmetric(l_mat.astype(float)).values[:, :-1]),
+                axis=-1), axis=-1)
+            diff = np.abs(expected - np.sort(ref.real, axis=-1))
             shift_worst = max(shift_worst, float(diff.max()))
     shift_ok = shift_worst <= 1e-6 and imag_worst <= 1e-6
 

@@ -11,7 +11,7 @@ from distlap import (
     diagnose_cs7, diagnose_n1, diagnose_n3, diagnose_tb, equality_tol,
     transmission_regularity)
 from distlap.certify import is_complete
-from distlap.errors import NotApplicableError, TheoremViolationError
+from distlap.errors import TheoremViolationError
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
@@ -152,8 +152,7 @@ def test_han_multiplicity():
         assert check_han_multiplicity(r.spectrum_l, complete_graph(n))
     r = compute_all_bounds(path_graph(4))
     assert check_han_multiplicity(r.spectrum_l, path_graph(4))
-    with pytest.raises(NotApplicableError):
-        check_han_multiplicity(spectrum_of([2.0, 0.0]), path_graph(2))
+    assert check_han_multiplicity(spectrum_of([2.0, 0.0]), path_graph(2)) is None
     # doctored: multiplicity n - 1 on a non-complete graph is a failure
     assert not check_han_multiplicity(spectrum_of([7.0, 7.0, 7.0, 0.0]), path_graph(4))
     # doctored: a complete graph must have exactly n - 1
@@ -171,8 +170,7 @@ def test_tree_determinant_small_closed_forms():
 
 def test_tree_determinant_rejects_non_tree():
     g = cycle_graph(4)
-    with pytest.raises(NotApplicableError, match="not a tree"):
-        check_tree_determinant(g, compute_distance_data(g))
+    assert check_tree_determinant(g, compute_distance_data(g)) is None
 
 
 def test_tree_determinant_single_vertex():

@@ -129,6 +129,10 @@ def test_analyze_json_document_shape():
     assert by_id["L_N3"]["equality"] == {
         "equality_within_tol": False, "certificate": "none"}
     assert by_id["L_I1"]["equality"] is None  # no characterization attached
+    # K2 is a tree too small for Han's check; C4 is not a tree
+    for name, han, tree in (("K2", None, True), ("C4", True, None)):
+        checks = json.loads(cmd_analyze(name, fmt="json")[1])["checks"]
+        assert checks == {"han_multiplicity": han, "tree_determinant": tree}
 
 
 def test_analyze_target_filters_bounds():

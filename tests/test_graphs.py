@@ -12,7 +12,7 @@ import oracles
 from distlap import graphs as graphs_module
 from distlap import (
     DisconnectedGraphError, Graph, GraphParseError, compute_distance_data,
-    enumerate_connected, is_connected, is_tree, parse_edge_list,
+    check_tree_determinant, enumerate_connected, parse_edge_list,
     sample_connected, scan, scan_conjecture, scan_soundness,
     transmission_regularity)
 from distlap.graphs import (
@@ -71,12 +71,16 @@ def test_format_edge_list_round_trip():
 
 
 def test_connectivity_and_trees():
-    assert is_connected(path_graph(6))
-    assert not is_connected(Graph(4, frozenset([(0, 1), (2, 3)])))
-    assert is_connected(Graph(1, frozenset()))
-    assert is_tree(star_graph(5))
-    assert not is_tree(cycle_graph(4))
-    assert not is_tree(Graph(4, frozenset([(0, 1), (2, 3), (1, 2), (0, 3)])))
+    # connectivity is decided where distances are computed; a connected
+    # graph is a tree exactly when it has n - 1 edges
+    compute_distance_data(path_graph(6))
+    compute_distance_data(Graph(1, frozenset()))
+    for edges in ([(0, 1), (2, 3)], [(0, 1), (1, 2), (0, 2)]):
+        with pytest.raises(DisconnectedGraphError):
+            compute_distance_data(Graph(4, frozenset(edges)))
+    for g, want in ((star_graph(5), True), (path_graph(6), True),
+                    (cycle_graph(4), None), (complete_graph(4), None)):
+        assert check_tree_determinant(g, compute_distance_data(g)) is want, g
 
 
 def test_distance_data_path4():
@@ -209,7 +213,7 @@ def test_sample_connected_deterministic_and_connected():
     assert a == b
     assert a != c
     for edges in a:
-        assert is_connected(Graph(6, frozenset(edges)))
+        assert float("inf") not in oracles.bfs_distance_matrix(6, edges)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,6 +389,16 @@ def test_enumerate_yields_ascending_connected_masks():
            for g in enumerate_connected(6)]
     assert got == sorted(set(got))
     assert len(got) == oracles.labeled_connected_count(6)
+
+
+def test_pair_ends_are_the_pair_order_and_read_only():
+    for n in (1, 2, 7, 100):
+        rows, cols = graphs_module._pair_ends(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        assert list(zip(rows.tolist(), cols.tolist())) == pairs
+        assert graphs_module._pair_ends(n)[0] is rows  # cached per n
+        with pytest.raises(ValueError, match="read-only"):
+            rows[:1] = 0
 
 
 def test_connected_stacks_chunk_the_enumerated_graphs():

@@ -14,7 +14,10 @@ The corpus:
     and a non-regular n = 4 graph);
   - the ScanResult of labeled and of deduplicated n = 3..6, and the
     `scan --enumerate` JSON and table output of the same sweeps, plus the
-    ScanResult of deduplicated n = 7;
+    ScanResult of deduplicated n = 7, and the ScanResult of the labeled
+    n = 7 stacks with the `scan --enumerate 7` JSON output (the largest
+    sweep that `scan --enumerate` counts by class; ~10 s on a side that
+    visits every labeled graph);
   - the SoundnessReport of all labeled graphs with n <= 6 plus the
     fixtures;
   - the graph6 lines of enumerate_connected(n, dedup) for n = 1..6, of
@@ -80,8 +83,8 @@ def mixed_lines():
 def corpus():
     """repr of every corpus item by name, from the distlap on sys.path."""
     from distlap import (
-        encode_graph6, enumerate_connected, read_graph6_stream,
-        sample_connected, scan_conjecture, scan_soundness)
+        connected_stacks, encode_graph6, enumerate_connected,
+        read_graph6_stream, sample_connected, scan_conjecture, scan_soundness)
     from distlap.cli import cmd_analyze, cmd_scan
     from distlap.named_graphs import FIXTURES, fixture_graph
 
@@ -101,6 +104,8 @@ def corpus():
                     enumerate_n=n, dedup=dedup, fmt=fmt)[1]
     out["scan n=7 dedup=True"] = repr(
         scan_conjecture(enumerate_connected(7, dedup=True)))
+    out["scan n=7 dedup=False"] = repr(scan_conjecture(connected_stacks(7)))
+    out["scan-json n=7 dedup=False"] = cmd_scan(enumerate_n=7, fmt="json")[1]
     graphs = itertools.chain.from_iterable(
         enumerate_connected(n) for n in range(1, 7))
     fixtures = (fixture_graph(name) for name in sorted(FIXTURES))

@@ -14,8 +14,9 @@ from .errors import (
     TheoremViolationError)
 from .graph6 import encode_graph6, parse_graph6, read_graph6_stream
 from .graphs import (
-    DistanceData, Graph, compute_distance_data, connected_stacks,
-    enumerate_connected, format_edge_list, parse_edge_list, sample_connected,
+    ConnectedClasses, DistanceData, Graph, compute_distance_data,
+    connected_classes, connected_stacks, enumerate_connected,
+    format_edge_list, parse_edge_list, sample_connected,
     transmission_regularity)
 from .linalg import (
     Spectrum, eig_symmetric, frobenius_norm, is_irreducible, multiplicity)

@@ -21,7 +21,8 @@ from .errors import (
     ConsistencyError, GraphParseError, TheoremViolationError)
 from .graph6 import parse_graph6, read_graph6_stream
 from .graphs import (
-    connected_stacks, parse_edge_list, transmission_regularity)
+    connected_classes, connected_stacks, parse_edge_list,
+    transmission_regularity)
 from .named_graphs import FIXTURES, builtin_graph, fixture_graph
 from .scan import scan_conjecture
 
@@ -254,7 +255,8 @@ def cmd_scan(enumerate_n=None, graph6_path=None, slack=1e-7, dedup=False,
         if enumerate_n < 3:
             raise ValueError(
                 f"margin scan needs n >= 3, got n={enumerate_n}")
-        source = connected_stacks(enumerate_n, dedup=dedup)
+        source = (connected_stacks(enumerate_n, dedup=True) if dedup
+                  else connected_classes(enumerate_n))
         params = {"enumerate": enumerate_n, "dedup": dedup, "slack": slack}
         result = scan_conjecture(source, slack=slack)
     else:

@@ -401,6 +401,9 @@ _ENUM_CAP = 7
 # a component as a vertex bitmask: the narrowest unsigned dtype that holds
 # one on _ENUM_CAP vertices, so raising the cap widens it, never overflows
 _COMPONENT = np.min_scalar_type((1 << _ENUM_CAP) - 1)
+# the class index of an edge mask, -1 at a disconnected one: int16 holds the
+# 853 classes of connected graphs on _ENUM_CAP vertices
+_CLASS = np.int16
 # candidate edge masks behind each block of _connected_masks; fixed, as the
 # per-block work downstream sets the memory
 _ENUM_CHUNK = 1024
@@ -487,28 +490,80 @@ def _relabelings(n):
     return index[perms[:, rows], perms[:, cols]]
 
 
-def _class_minima(chunks, n):
-    """The smallest edge mask of each isomorphism class met in chunks, the
-    ascending connected masks of _connected_masks(n), one array per chunk.
+@dataclass(frozen=True, eq=False)
+class ConnectedClasses:
+    """The isomorphism classes of the connected labeled graphs on n
+    vertices, from one orbit sweep (connected_classes).
 
-    A relabeled connected graph is connected, so each class lies inside
-    the chunks, and the first of its masks the sweep meets is its minimum.
-    That minimum marks its whole orbit as covered, n! relabelings per
-    class, so each later member is skipped: 2^P flags, 2 MB at n = 7. The
-    orbit is one float64 matvec: its sums are of distinct powers of two
-    below 2^21, so they are exact."""
-    weights = np.ldexp(1.0, _relabelings(n))
-    shifts = np.arange(weights.shape[1], dtype=np.int64)
-    covered = np.zeros(1 << weights.shape[1], dtype=bool)
-    for masks in chunks:
-        found = []
-        # a minimum found earlier in this chunk may cover a later mask
-        for m in masks[~covered[masks]].tolist():
-            if not covered[m]:
-                found.append(m)
+    minima: int64, the smallest edge mask of each class, ascending; class
+            k is the class of the k-th minimum
+    table:  _CLASS, the class of each of the 2^P edge masks on n vertices,
+            -1 at a disconnected mask
+    """
+
+    n: int
+    minima: np.ndarray
+    table: np.ndarray
+
+    def weights(self):
+        """The labeled graphs in each class, its orbit size n!/|Aut|, as
+        int64 in class order."""
+        return np.bincount(self.table[self.table >= 0],
+                           minlength=len(self.minima))
+
+    def stacks(self):
+        """The class minima as (B, n, n) boolean adjacency stacks of
+        chunk_limit(n) graphs (the last one may hold fewer), in class
+        order."""
+        size = chunk_limit(self.n)
+        for start in range(0, len(self.minima), size):
+            yield _int64_stack(self.minima[start:start + size], self.n)
+
+    def members(self, classes):
+        """Every labeled graph of each class of classes, a non-empty
+        ascending int array of class indices, as one (k, n, n) boolean
+        adjacency stack per class in ascending mask order."""
+        masks = np.flatnonzero(np.isin(self.table, classes))
+        owner = self.table[masks]
+        order = np.argsort(owner, kind="stable")
+        return np.split(_int64_stack(masks[order], self.n),
+                        np.searchsorted(owner[order], classes[1:]))
+
+
+def _check_enumerable(n):
+    """Raise ValueError unless exhaustive enumeration covers n."""
+    if not 1 <= n <= _ENUM_CAP:
+        raise ValueError(
+            f"exhaustive enumeration is capped at n <= {_ENUM_CAP} (got n={n}); "
+            "use a graph6 stream for larger graphs")
+
+
+def connected_classes(n):
+    """The ConnectedClasses of the connected labeled graphs on n vertices,
+    1 <= n <= 7, by an orbit sweep over the ascending connected masks of
+    _connected_masks(n).
+
+    A relabeled connected graph is connected, so each class lies among
+    those masks, and the first of its masks the sweep meets is its minimum.
+    That minimum writes its class index over its whole orbit, n!
+    relabelings per class, so each later member is skipped: 2^P _CLASS
+    entries, 4 MB at n = 7. The orbit is one float64 matvec: its sums are
+    of distinct powers of two below 2^21, so they are exact."""
+    _check_enumerable(n)
+    images = np.ldexp(1.0, _relabelings(n))
+    shifts = np.arange(images.shape[1], dtype=np.int64)
+    table = np.full(1 << images.shape[1], -1, dtype=_CLASS)
+    # reads each entry as a Python int, faster than a numpy scalar
+    entry = memoryview(table)
+    minima = []
+    for masks in _connected_masks(n):
+        # a minimum found earlier in this block may cover a later mask
+        for m in masks[table[masks] < 0].tolist():
+            if entry[m] < 0:
                 bits = ((m >> shifts) & 1).astype(np.float64)
-                covered[(weights @ bits).astype(np.int64)] = True
-        yield np.array(found, dtype=np.int64)
+                table[(images @ bits).astype(np.int64)] = len(minima)
+                minima.append(m)
+    return ConnectedClasses(n, np.array(minima, dtype=np.int64), table)
 
 
 def connected_stacks(n, dedup=False):
@@ -521,22 +576,18 @@ def connected_stacks(n, dedup=False):
     of the components of every graph on n - 1 vertices, with no BFS; only
     the masks kept become adjacency stacks. With dedup=True it yields one
     graph per isomorphism class, the one with the smallest bitmask over all
-    vertex relabelings, in ascending order: an orbit sweep over the
-    ascending connected masks keeps each mask that no earlier class minimum
-    covers and marks its n! relabelings as covered, so the relabelings cost
-    n! per class, not per labeled graph. Beyond n = 7 the labeled space is
-    too large; feed a graph6 stream instead.
+    vertex relabelings, in ascending order: the stacks of
+    connected_classes(n), whose orbit sweep costs n! relabelings per class,
+    not per labeled graph. Beyond n = 7 the labeled space is too large;
+    feed a graph6 stream instead.
     """
-    if not 1 <= n <= _ENUM_CAP:
-        raise ValueError(
-            f"exhaustive enumeration is capped at n <= {_ENUM_CAP} (got n={n}); "
-            "use a graph6 stream for larger graphs")
-    found = _connected_masks(n)
+    _check_enumerable(n)
     if dedup:
-        found = _class_minima(found, n)
+        yield from connected_classes(n).stacks()
+        return
     size = chunk_limit(n)
     held = np.zeros(0, dtype=np.int64)
-    for masks in found:
+    for masks in _connected_masks(n):
         held = np.concatenate((held, masks))
         while len(held) >= size:
             yield _int64_stack(held[:size], n)

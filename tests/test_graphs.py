@@ -16,9 +16,10 @@ from distlap import (
     sample_connected, scan, scan_conjecture, scan_soundness,
     transmission_regularity)
 from distlap.graphs import (
-    _BATCH_BFS_MAX_N, _ENUM_CHUNK, SCAN_CELLS, SCAN_CHUNK, _connected_masks,
-    _int64_stack, adjacency_stack, batch_distances, connected_distances,
-    connected_stacks, distance_data, format_edge_list)
+    _BATCH_BFS_MAX_N, _ENUM_CAP, _ENUM_CHUNK, SCAN_CELLS, SCAN_CHUNK,
+    _connected_masks, _int64_stack, adjacency_graphs, adjacency_stack,
+    batch_distances, connected_classes, connected_distances, connected_stacks,
+    distance_data, format_edge_list)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
@@ -422,6 +423,42 @@ def test_enumerate_dedup_yields_ascending_minimal_representatives():
                 for g in enumerate_connected(n, dedup=True)]
         assert reps == sorted(reps)
         assert oracles.canonical_masks(reps, n).tolist() == reps, n
+
+
+def test_class_table_matches_the_oracles():
+    assert (np.iinfo(graphs_module._CLASS).max
+            >= oracles.UNLABELED_CONNECTED[_ENUM_CAP])
+    for n in range(1, 8):
+        classes = connected_classes(n)
+        count = len(classes.minima)
+        assert count == oracles.UNLABELED_CONNECTED[n], n
+        assert classes.weights().sum() == oracles.labeled_connected_count(n)
+        assert np.array_equal(classes.table[classes.minima], np.arange(count))
+        connected = np.concatenate(list(_connected_masks(n)))
+        assert np.array_equal(np.flatnonzero(classes.table >= 0), connected)
+    classes = connected_classes(6)
+    assert np.array_equal(classes.weights(),
+                          oracles.orbit_sizes(classes.minima, 6))
+    with pytest.raises(ValueError, match="graph6"):
+        connected_classes(_ENUM_CAP + 1)
+
+
+def test_class_members_are_the_orbit_of_each_minimum():
+    classes = connected_classes(5)
+    weights = classes.weights()
+    picked = np.array([0, 3, 4, 11, 20])
+    stacks = classes.members(picked)
+    assert len(stacks) == len(picked)
+    for c, stack in zip(picked.tolist(), stacks):
+        masks = [oracles.edge_mask(g.edges, 5)
+                 for g in adjacency_graphs(stack)]
+        assert len(masks) == weights[c] and masks == sorted(masks), c
+        assert set(oracles.canonical_masks(masks, 5).tolist()) == {
+            int(classes.minima[c])}, c
+    every = classes.members(np.arange(len(classes.minima)))
+    assert sorted(oracles.edge_mask(g.edges, 5) for stack in every
+                  for g in adjacency_graphs(stack)) == (
+        np.concatenate(list(_connected_masks(5))).tolist())
 
 
 def test_enumerate_dedup_at_7_is_one_minimum_per_class():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from distlap import (
-    Graph, bounds, certify, connected_stacks, encode_graph6,
-    enumerate_connected, read_graph6_stream, sample_connected, scan,
-    scan_conjecture, scan_soundness)
+    Graph, bounds, certify, connected_classes, connected_stacks,
+    encode_graph6, enumerate_connected, read_graph6_stream, sample_connected,
+    scan, scan_conjecture, scan_soundness)
 from distlap.bounds import bound_L_d2, bound_L_n3
+from distlap.cli import cmd_scan, scan_document, scan_table, to_canonical_json
 from distlap.errors import DisconnectedGraphError
 from distlap.graphs import (
     _BATCH_BFS_MAX_N, SCAN_CELLS, SCAN_CHUNK, adjacency_stack, batch_of_one,
@@ -254,6 +255,23 @@ def test_sweeps_over_stacks_equal_sweeps_over_graphs(dedup):
             want = sweep(enumerate_connected(n, dedup=dedup))
             assert got == want, (sweep.__name__, n)
             assert repr(got) == repr(want), (sweep.__name__, n)
+
+
+def test_class_weighted_scan_equals_the_per_graph_scan():
+    # the class path visits one graph per class, so the per-graph sweep of
+    # every labeled Graph is its independent check, output included
+    for n in range(1, 7):
+        got = scan_conjecture(connected_classes(n))
+        want = scan_conjecture(enumerate_connected(n))
+        assert got == want and repr(got) == repr(want), n
+        if n < 3:
+            assert got.errors, n  # each member listed as an error
+            continue
+        params = {"enumerate": n, "dedup": False, "slack": 1e-7}
+        assert cmd_scan(enumerate_n=n, fmt="json") == (
+            0, to_canonical_json(scan_document(want, params))), n
+        assert cmd_scan(enumerate_n=n) == (0, scan_table(want, params)), n
+    assert want.counterexamples and want.skipped_regular
 
 
 def test_mixed_stream_of_graphs_and_stacks_equals_the_graph_stream(

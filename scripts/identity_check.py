@@ -25,7 +25,12 @@ The corpus:
     sample_connected at (n, count, seed) = (7, 2000, 7), (9, 30, 3) and
     (12, 50, 4);
   - the SoundnessReport and the ScanResult of a seeded, shuffled graph6
-    stream of mixed sizes (mixed_lines), read through read_graph6_stream.
+    stream of mixed sizes (mixed_lines), read through read_graph6_stream,
+    and of the same stream with every other run of same-n graphs turned
+    into one adjacency stack (mixed_items);
+  - the SoundnessReport and the ScanResult of the chained stacks
+    connected_stacks(n) for n = 1..6, several sizes of one size class in
+    a row.
 """
 
 from __future__ import annotations
@@ -80,6 +85,20 @@ def mixed_lines():
     return [encode_graph6(g) + "\n" for g in graphs]
 
 
+def mixed_items(lines):
+    """The graphs of read_graph6_stream(lines), with every other run of
+    same-n graphs, the first included, as one adjacency stack."""
+    from distlap import read_graph6_stream
+    from distlap.graphs import adjacency_stack
+
+    graphs = (g for _, g in read_graph6_stream(lines))
+    items = []
+    for k, (_, run) in enumerate(itertools.groupby(graphs, lambda g: g.n)):
+        run = list(run)
+        items += run if k % 2 else [adjacency_stack(run)]
+    return items
+
+
 def corpus():
     """repr of every corpus item by name, from the distlap on sys.path."""
     from distlap import (
@@ -125,6 +144,11 @@ def corpus():
                         ("scan", scan_conjecture)):
         out[f"{name} mixed graph6 stream"] = repr(
             sweep(g for _, g in read_graph6_stream(lines)))
+        out[f"{name} mixed graph6 stream, runs stacked"] = repr(
+            sweep(mixed_items(lines)))
+        out[f"{name} connected_stacks n=1..6"] = repr(sweep(
+            itertools.chain.from_iterable(
+                connected_stacks(n) for n in range(1, 7))))
     return out
 
 

@@ -11,6 +11,7 @@ exception firing on a valid connected graph would mean the implementation
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,15 +190,16 @@ def check_han_multiplicity(spectrum_l, g):
 
 def check_tree_determinant(g, dd):
     """Distance-matrix determinant of a tree matches the closed form
-    (-1)^(n-1) * (n-1) * 2^(n-2) to 1e-6 relative; None off trees. g is
+    (-1)^(n-1) * (n-1) * 2^(n-2): its sign exactly and its log magnitude
+    to 1e-6, so that no n overflows a float; None off trees. g is
     connected, as dd is its DistanceData, so it is a tree exactly when it
     has n - 1 edges."""
     n = g.n
     if g.edge_count != n - 1:
         return None
+    sign, logdet = np.linalg.slogdet(dd.dist.astype(np.float64))
     if n == 1:
-        expected = 0.0
-    else:
-        expected = float((-1) ** (n - 1) * (n - 1) * 2 ** (n - 2))
-    det = float(np.linalg.det(dd.dist.astype(np.float64)))
-    return abs(det - expected) <= 1e-6 * max(1.0, abs(expected))
+        return bool(sign == 0.0)
+    expected = math.log(n - 1) + (n - 2) * math.log(2.0)
+    return bool(sign == (-1) ** (n - 1)
+                and abs(logdet - expected) <= 1e-6)

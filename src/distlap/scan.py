@@ -12,20 +12,21 @@ every graph and collects violations instead of raising; compute_all_bounds
 runs the same pipeline on one graph as a batch of one.
 
 A stream holds Graphs, (B, n, n) boolean adjacency stacks of same-n graphs
-(such as graphs.connected_stacks yields), or both. Both sweeps group it into
-chunks of at most graphs.chunk_limit(N) graphs and evaluate each chunk once
-as (B, N, N) arrays. Below 32 vertices a chunk holds graphs of one size
-class, n in [2^(k-1), 2^k), each padded with isolated vertices to the
-chunk's largest n, N, so that a short stream of mixed sizes pays a chunk's
-fixed cost once per class rather than once per n; every bound, identity
-and diagnosis reads each graph's own vertices only, and each eigensolve
-runs on unpadded matrices. From 32 vertices on, a chunk holds one n. A
-Graph and its graph6 are built only for a listed graph, at its own n.
+(such as graphs.connected_stacks yields), or both. Both sweeps evaluate it
+in chunks of at most graphs.chunk_limit(N) graphs, each once as (B, N, N)
+arrays. A stack is evaluated as it comes, in slices of chunk_limit(n),
+unpadded and alone. Graphs share chunks: below 32 vertices a chunk holds
+Graphs of one size class, n in [2^(k-1), 2^k), each padded with isolated
+vertices to the chunk's largest n, N, so that a short stream of mixed
+sizes pays a chunk's fixed cost once per class rather than once per n;
+every bound, identity and diagnosis reads each graph's own vertices only,
+and each eigensolve runs on unpadded matrices. From 32 vertices on, a
+chunk holds one n. A Graph and its graph6 are built only for a listed
+graph, at its own n.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -78,82 +79,47 @@ def _size_class(n):
 
 
 def _each_chunk(source, evaluate, reject):
-    """Calls evaluate(adj, n) on the graphs of source grouped by size class
-    (_size_class), in stream order per class: adj is the (B, N, N) boolean
-    adjacency stack of at most chunk_limit(N) graphs, N the largest of their
-    vertex counts n, each graph padded with isolated vertices to N. reject
-    is called on each too_sparse Graph, whose stack is never built. An item
-    of source is a Graph or a same-n adjacency stack, which may span chunks.
-    A chunk is let go once full, or before a graph that would take it past
-    chunk_limit(N) joins it, so memory stays flat over any stream."""
-    pending = {}  # size class -> [Graphs and stacks held in order, graphs, N]
-
-    def room(key, n):
-        """Graphs that the held chunk of key can take once a graph on n
-        vertices joins it; a chunk that can take none is let go first."""
-        held = pending.get(key)
-        if held is not None:
-            size = chunk_limit(max(held[2], n))
-            if held[1] < size:
-                return size - held[1]
-            evaluate(*_stack(pending.pop(key)[0]))
-        return chunk_limit(n)
-
-    def hold(key, n, part, rows):
-        held = pending.get(key)
-        if held is None:
-            held = pending[key] = [[], 0, n]
-        held[0].append(part)
-        held[1] += rows
-        held[2] = max(held[2], n)
-        if held[1] == chunk_limit(held[2]):
-            evaluate(*_stack(pending.pop(key)[0]))
-
+    """Calls evaluate(adj, n) on the graphs of source in chunks: adj is the
+    (B, N, N) boolean adjacency stack of at most chunk_limit(N) graphs and
+    n their vertex counts. A same-n adjacency stack of source is evaluated
+    as it comes, in slices of chunk_limit(n), unpadded and alone. Graphs
+    are grouped by size class (_size_class), in stream order per class,
+    each padded with isolated vertices to the chunk's largest n, N; reject
+    is called on each too_sparse Graph, whose stack is never built. A chunk
+    of Graphs is let go once full, or before a graph that would take it
+    past chunk_limit(N) joins it, so memory stays flat over any stream."""
+    pending = {}  # size class -> (Graphs held in stream order, their N)
     for item in source:
-        if isinstance(item, Graph):
-            if too_sparse(item):
-                reject(item)
-                continue
-            key = _size_class(item.n)
-            room(key, item.n)
-            hold(key, item.n, item, 1)
+        if not isinstance(item, Graph):
+            n = item.shape[-1]
+            size = chunk_limit(n)
+            for start in range(0, len(item), size):
+                part = item[start:start + size]
+                evaluate(part, np.full(len(part), n))
             continue
-        n = item.shape[-1]
-        key = _size_class(n)
-        while len(item):
-            part = item[:room(key, n)]
-            item = item[len(part):]
-            hold(key, n, part, len(part))
-    for parts, _, _ in pending.values():
-        evaluate(*_stack(parts))
+        if too_sparse(item):
+            reject(item)
+            continue
+        key = _size_class(item.n)
+        graphs, n = pending.pop(key, ([], 0))
+        n = max(n, item.n)
+        if len(graphs) >= chunk_limit(n):
+            evaluate(*_stack(graphs))
+            graphs, n = [], item.n
+        graphs.append(item)
+        if len(graphs) == chunk_limit(n):
+            evaluate(*_stack(graphs))
+        else:
+            pending[key] = graphs, n
+    for graphs, _ in pending.values():
+        evaluate(*_stack(graphs))
 
 
-def _stack(parts):
-    """(adj, n) of a chunk's Graphs and same-n stacks, in order: their
-    adjacency stack, each graph padded with isolated vertices to the largest
-    vertex count, and each graph's own vertex count."""
-    stacks, sizes = [], []
-    for graphs, group in itertools.groupby(
-            parts, lambda part: isinstance(part, Graph)):
-        if graphs:
-            group = list(group)
-            stacks.append(adjacency_stack(group))
-            sizes.append(np.array([g.n for g in group]))
-            continue
-        for part in group:
-            stacks.append(part)
-            sizes.append(np.full(len(part), part.shape[-1]))
-    n = np.concatenate(sizes)
-    size = max(part.shape[-1] for part in stacks)
-    if len(stacks) == 1:
-        return stacks[0], n
-    adj = np.zeros((len(n), size, size), dtype=bool)
-    start = 0
-    for part in stacks:
-        k = part.shape[-1]
-        adj[start:start + len(part), :k, :k] = part
-        start += len(part)
-    return adj, n
+def _stack(graphs):
+    """(adj, n) of a chunk of Graphs: their adjacency stack, each graph
+    padded with isolated vertices to the largest vertex count, and each
+    graph's own vertex count."""
+    return adjacency_stack(graphs), np.array([g.n for g in graphs])
 
 
 def _graph6s(adj, n):
@@ -259,8 +225,9 @@ def scan_conjecture(source, slack=1e-7):
 
     Transmission-regular graphs are skipped (the strict bound hypothesis
     excludes them). Disconnected or too-small graphs are recorded as
-    per-graph errors, not raised. A stream is evaluated in chunks of
-    nearby sizes (see _each_chunk), so memory stays flat over any stream.
+    per-graph errors, not raised. A stream is evaluated in chunks (see
+    _each_chunk): each stack as it comes, Graphs of nearby sizes padded
+    together, so memory stays flat over any stream.
     ConnectedClasses are evaluated once per isomorphism class and counted
     by orbit size, and each listed class lists every labeled member, so the
     result equals that of the stream connected_stacks(n). This is exact
@@ -440,8 +407,9 @@ def scan_soundness(source):
 
     Disconnected graphs, and graphs whose eigensolve or bounds fail an
     internal check, are recorded as errors; everything else counts as
-    checked, with its violations. The stream is evaluated in chunks of
-    nearby sizes (see _each_chunk). Both lists are sorted by graph6 encoding.
+    checked, with its violations. The stream is evaluated in chunks (see
+    _each_chunk): each stack as it comes, Graphs of nearby sizes padded
+    together. Both lists are sorted by graph6 encoding.
 
     Unlike scan_conjecture, it has no class path: every labeled graph gets
     its own eigensolve, because eigenvalues are not bit-invariant under

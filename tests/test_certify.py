@@ -11,6 +11,7 @@ from distlap import (
     diagnose_cs7, diagnose_n1, diagnose_n3, diagnose_tb, equality_tol,
     transmission_regularity)
 from distlap.certify import is_complete
+from distlap.graphs import distance_data
 from distlap.errors import TheoremViolationError
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
@@ -176,3 +177,24 @@ def test_tree_determinant_rejects_non_tree():
 def test_tree_determinant_single_vertex():
     g = path_graph(1)
     assert check_tree_determinant(g, compute_distance_data(g))
+
+
+def test_tree_determinant_beyond_the_float_range():
+    # det D(S_1100) = -1099 * 2^1098 overflows a float, so the check
+    # compares signs and log magnitudes; the distance matrix is written
+    # down directly, with no BFS
+    n = 1100
+    dist = np.full((n, n), 2, dtype=np.int64)
+    dist[0, :] = dist[:, 0] = 1
+    np.fill_diagonal(dist, 0)
+    assert check_tree_determinant(
+        star_graph(n), distance_data(dist[None]).row(0)) is True
+    # two rows swapped keep the magnitude and flip the sign
+    swapped = dist[[1, 0, *range(2, n)]]
+    assert check_tree_determinant(
+        star_graph(n), distance_data(swapped[None]).row(0)) is False
+    # K_n's distance matrix has the tree's sign, (-1)^(n-1), but
+    # determinant n - 1, far below the tree's magnitude
+    complete = 1 - np.eye(n, dtype=np.int64)
+    assert check_tree_determinant(
+        star_graph(n), distance_data(complete[None]).row(0)) is False

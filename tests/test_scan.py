@@ -324,6 +324,35 @@ def test_mixed_stream_of_graphs_and_stacks_equals_the_graph_stream(
     assert got == want and repr(got) == repr(want)
 
 
+def test_stacks_of_one_size_class_pass_through_unpadded(monkeypatch):
+    # n = 4, 5 and 6 share a size class, yet each stack is evaluated as it
+    # comes, in unpadded slices of chunk_limit(n); the n = 5 stacks are
+    # joined into one, which spans three slices
+    stacks = list(connected_stacks(4)) + [
+        np.concatenate(list(connected_stacks(5)))] + list(connected_stacks(6))
+    graphs = [g for n in (4, 5, 6) for g in enumerate_connected(n)]
+    assert sum(map(len, stacks)) == len(graphs)
+    want = {sweep: sweep(graphs) for sweep in (scan_conjecture,
+                                               scan_soundness)}
+    chunks = []
+
+    def spy(source, evaluate, reject):
+        def spied(adj, n):
+            chunks.append((adj.shape, n.tolist()))
+            evaluate(adj, n)
+        each_chunk(source, spied, reject)
+    each_chunk = scan._each_chunk
+    monkeypatch.setattr(scan, "_each_chunk", spy)
+    for sweep, result in want.items():
+        chunks.clear()
+        got = sweep(iter(stacks))
+        assert got == result and repr(got) == repr(result), sweep.__name__
+        assert len(chunks) == sum(
+            -(-len(adj) // chunk_limit(adj.shape[-1])) for adj in stacks)
+        for (b, size, _), n in chunks:
+            assert set(n) == {size} and b == len(n) <= chunk_limit(size)
+
+
 def petersen_graph():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import ConsistencyError
 from .graph6 import encode_graph6
 from .graphs import batch_of_one, distance_data
-from .linalg import Spectrum
 from .operators import operator_spectra
 
 SLACK_ABS = 1e-7
@@ -344,15 +343,16 @@ class BoundEntry:
 
 @dataclass
 class BoundReport:
-    """Everything computed for one graph: spectra, radii, and bound entries."""
+    """Everything computed for one graph: spectra (descending float64
+    arrays), radii (floats), and bound entries."""
 
     graph: object
     graph6: str
     data: object
     bundle: object
-    spectrum_d: Spectrum
-    spectrum_l: Spectrum
-    spectrum_q: Spectrum
+    spectrum_d: np.ndarray
+    spectrum_l: np.ndarray
+    spectrum_q: np.ndarray
     radius_l: float
     radius_q: float
     entries: tuple
@@ -381,15 +381,13 @@ def compute_all_bounds(g):
     dd = distance_data(batch_of_one(g))
     t1 = time.perf_counter()
     bundle, spectra = operator_spectra(dd)
-    spectrum_d, spectrum_l, spectrum_q = (
-        Spectrum(values=v) for v in spectra.values[:, 0])
-    radius_l = spectrum_l.largest
-    radius_q = spectrum_q.largest
+    spectrum_d, spectrum_l, spectrum_q = spectra[:, 0]
+    radius_l, radius_q = spectra[1:, 0, 0].tolist()
     t2 = time.perf_counter()
 
     values = bound_values(dd, dd.tmin == dd.tmax)
     found = dict(zip(values, zip(*(a[:, 0].tolist() for a in bound_checks(
-        values, spectra.largest[1], spectra.largest[2])))))
+        values, spectra[1, :, 0], spectra[2, :, 0])))))
     data = dd.row(0)
     diagnoses = diagnose_all({bid: v for bid, (v, _, _) in found.items()},
                              spectrum_l, radius_q, bundle.b_mat[0], data)

@@ -75,19 +75,18 @@ def diagnose_n3(value, spectrum_l, wiener):
     radius of spectrum_l happens exactly for the complete graph or a
     spectrum with three distinct values {r, (2W - r)/(n - 2), 0}."""
     n = len(spectrum_l)
-    radius = spectrum_l.largest
+    radius = float(spectrum_l[0])
     if not _meets(value, radius):
         return EqualityDiagnosis(BoundId.L_N3, False, CERT_NONE)
-    vals = spectrum_l.values
     tol = equality_tol(radius)
-    if abs(float(vals[-1])) > tol:
+    if abs(spectrum_l[-1]) > tol:
         raise TheoremViolationError(
             "trace/Frobenius equality with nonzero smallest eigenvalue "
-            f"{vals[-1]!r}")
+            f"{float(spectrum_l[-1])!r}")
     if multiplicity(spectrum_l, radius, tol) >= n - 1:
         return EqualityDiagnosis(BoundId.L_N3, True, CERT_COMPLETE)
     mid = (2.0 * wiener - radius) / (n - 2)
-    middle = vals[1:n - 1]
+    middle = spectrum_l[1:n - 1]
     if np.abs(middle - mid).max() > equality_tol(mid):
         raise TheoremViolationError(
             "trace/Frobenius equality without the predicted "
@@ -139,7 +138,7 @@ def diagnose_all(values, spectrum_l, radius_q, b_mat, dd):
     shifted matrix and DistanceData. They run in the order n1, n3 (where
     L_N3 applies), tb, cs7; the first TheoremViolationError propagates."""
     found = {BoundId.L_N1: diagnose_n1(
-        values[BoundId.L_N1], spectrum_l.largest, b_mat)}
+        values[BoundId.L_N1], float(spectrum_l[0]), b_mat)}
     if BoundId.L_N3 in values:
         found[BoundId.L_N3] = diagnose_n3(
             values[BoundId.L_N3], spectrum_l, dd.wiener)
@@ -174,7 +173,7 @@ def han_multiplicity_holds(spectrum_l, complete, n):
     complete, n and the result are one per spectrum. A spectrum padded with
     zeros past its n eigenvalues counts the same: for n >= 2 the largest
     eigenvalue is at least n, far from 0."""
-    m = multiplicity(spectrum_l, spectrum_l.largest)
+    m = multiplicity(spectrum_l, spectrum_l[..., 0])
     return np.where(complete, m == n - 1, m <= n - 2)
 
 

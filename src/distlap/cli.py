@@ -114,10 +114,9 @@ def report_document(report, target="both"):
         "wiener": data.wiener,
         "transmission_regular": transmission_regularity(data),
         "spectra": {
-            "distance": [float(v) for v in report.spectrum_d.values],
-            "distance_laplacian": [float(v) for v in report.spectrum_l.values],
-            "distance_signless_laplacian":
-                [float(v) for v in report.spectrum_q.values],
+            "distance": report.spectrum_d.tolist(),
+            "distance_laplacian": report.spectrum_l.tolist(),
+            "distance_signless_laplacian": report.spectrum_q.tolist(),
         },
         "radius": {
             "distance_laplacian": report.radius_l,
@@ -159,7 +158,7 @@ def report_table(report, target="both"):
     if target in ("L", "both"):
         lines.append("")
         lines.append("L spectrum: " + ", ".join(
-            fmt4(v) for v in report.spectrum_l.values))
+            fmt4(v) for v in report.spectrum_l))
         lines.append("L upper bounds:")
         lines.extend("  " + s for s in _bound_block(report, L_TABLE))
         r1 = report.entry(BoundId.L_R1)
@@ -171,7 +170,7 @@ def report_table(report, target="both"):
     if target in ("Q", "both"):
         lines.append("")
         lines.append("Q spectrum: " + ", ".join(
-            fmt4(v) for v in report.spectrum_q.values))
+            fmt4(v) for v in report.spectrum_q))
         lines.append("Q lower bounds:")
         lines.extend("  " + s for s in _bound_block(report, Q_LOWER_TABLE))
         lines.append("Q upper bounds:")

@@ -52,6 +52,15 @@ class Graph:
         return sorted(self.edges)
 
 
+def _integer(token):
+    """int of an optional '-' and ASCII digits, the format's one integer
+    syntax; ValueError on more that int takes: '+1', '1_0', other digits."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list(text):
     """Parse the plain edge-list format into a Graph.
 
@@ -71,10 +80,7 @@ def parse_edge_list(text):
         parts = line.split()
         if n is None:
             try:
-                # isdigit also admits digits int rejects, such as "²"
-                if not parts[0].lstrip("-").isdigit():
-                    raise ValueError
-                n = int(parts[0])
+                n = _integer(parts[0])
             except ValueError:
                 raise GraphParseError(
                     f"expected vertex count, got {parts[0]!r}",
@@ -95,8 +101,8 @@ def parse_edge_list(text):
         if len(parts) != 2:
             raise GraphParseError(f"expected 'u v', got {line!r}", line=lineno)
         try:
-            u = int(parts[0]) - base
-            v = int(parts[1]) - base
+            u = _integer(parts[0]) - base
+            v = _integer(parts[1]) - base
         except ValueError:
             raise GraphParseError(
                 f"non-integer endpoint in {line!r}", line=lineno) from None

@@ -1,8 +1,7 @@
-"""Symmetric eigensolving, eigenvalue multiplicities, irreducibility."""
+"""Symmetric eigensolving, eigenvalue multiplicities, irreducibility. A
+spectrum is a descending float64 array; a stack's lie along its last axis."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,33 +9,15 @@ from .errors import ConsistencyError
 from .graphs import batch_distances
 
 
-@dataclass
-class Spectrum:
-    """Real eigenvalues in descending order, along the last axis of values
-    for a stack of spectra."""
-
-    values: np.ndarray
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def largest(self):
-        """The largest eigenvalue, one per spectrum of a stack."""
-        top = self.values[..., 0]
-        return top if top.ndim else float(top)
-
-
 def frobenius_norm(m):
     """Frobenius norm of a matrix, or one per matrix of a (..., n, n) stack."""
     a = np.asarray(m, dtype=float)
-    norm = np.sqrt((a * a).sum(axis=(-2, -1)))
-    return norm if norm.ndim else float(norm)
+    return np.sqrt((a * a).sum(axis=(-2, -1)))
 
 
 def eig_symmetric(m):
-    """Full spectrum of an exactly symmetric real matrix, descending, or the
-    spectra of a (..., n, n) stack of them in one eigvalsh call.
+    """Full spectrum of an exactly symmetric real matrix, as a descending
+    float64 array, or the spectra of a (..., n, n) stack in one eigvalsh call.
 
     Rejects non-square or non-symmetric input (entry-for-entry equality is
     required, which integer-built matrices always satisfy). Cross-checks each
@@ -58,7 +39,7 @@ def eig_symmetric(m):
     if drifted.any():
         raise ConsistencyError(
             f"eigenvalue sum drifted from trace by {drift[drifted][0]:.3e}")
-    return Spectrum(values=w)
+    return w
 
 
 def is_irreducible(m):
@@ -80,15 +61,14 @@ def is_irreducible(m):
     return bool(batch_distances(pattern[None])[1][0])
 
 
-def multiplicity(s, value, tol=None):
-    """Count of eigenvalues in s within tol of value; for a stack of spectra,
-    one count per spectrum against one value per spectrum.
+def multiplicity(values, value, tol=None):
+    """Count of the eigenvalues in the array values within tol of value; for
+    a stack of spectra, one count per spectrum against one value per spectrum.
 
     Default tol is 1e-6 * (1 + |value|).
     """
     if tol is None:
         tol = 1e-6 * (1.0 + np.abs(value))
-    near = (np.abs(s.values - np.asarray(value)[..., None])
+    near = (np.abs(values - np.asarray(value)[..., None])
             <= np.asarray(tol)[..., None])
-    count = near.sum(axis=-1)
-    return count if count.ndim else int(count)
+    return near.sum(axis=-1)

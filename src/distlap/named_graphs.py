@@ -54,7 +54,7 @@ def fixture_graph(name):
     return parse_edge_list(fixture_text(name))
 
 
-_BUILTIN = re.compile(r"^([KPCS])(\d+)$")
+_BUILTIN = re.compile(r"^([KPCS])([0-9]+)$")
 
 
 def builtin_graph(name):

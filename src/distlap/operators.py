@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, eig_symmetric
+from .linalg import eig_symmetric
 
 
 @dataclass
@@ -47,21 +47,21 @@ def build_operators(dd):
 
 def operator_spectra(dd):
     """The operator stacks of a batch's distance data and their spectra:
-    (bundle, spectra), spectra.values of shape (3, B, N). D, L and Q of the
-    graphs on k vertices are solved in one stacked eigensolve of their
-    unpadded k x k matrices, one per k in the batch, so every eigenvalue is
-    the one the graph gets alone; graph b's spectrum fills the first n[b]
-    entries, and 0 pads the rest."""
+    (bundle, spectra), spectra the (3, B, N) float64 array of descending D, L
+    and Q spectra. D, L and Q of the graphs on k vertices are solved in one
+    stacked eigensolve of their unpadded k x k matrices, one per k in the
+    batch, so every eigenvalue is the one the graph gets alone; graph b's
+    spectrum fills the first n[b] entries, and 0 pads the rest."""
     bundle = build_operators(dd)
     stacked = np.array((bundle.d_mat, bundle.l_mat, bundle.q_mat),
                        dtype=np.float64)
     sizes = set(dd.n.tolist())
-    values = np.zeros(stacked.shape[:-1])
+    spectra = np.zeros(stacked.shape[:-1])
     for k in sizes:
         # one size is every row, a view rather than a copy of the stack
         rows = dd.n == k if len(sizes) > 1 else slice(None)
-        values[:, rows, :k] = eig_symmetric(stacked[:, rows, :k, :k]).values
-    return bundle, Spectrum(values=values)
+        spectra[:, rows, :k] = eig_symmetric(stacked[:, rows, :k, :k])
+    return bundle, spectra
 
 
 def polynomial_row_sums(q_mat, coeffs):

@@ -41,7 +41,6 @@ from .graph6 import encode_graph6
 from .graphs import (
     ConnectedClasses, Graph, adjacency_graphs, adjacency_stack, chunk_limit,
     connected_distances, disconnected_error, distance_data, too_sparse)
-from .linalg import Spectrum
 from .operators import operator_spectra, polynomial_row_sums
 
 HISTOGRAM_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
@@ -88,7 +87,7 @@ def _each_chunk(source, evaluate, reject):
     is called on each too_sparse Graph, whose stack is never built. A chunk
     of Graphs is let go once full, or before a graph that would take it
     past chunk_limit(N) joins it, so memory stays flat over any stream."""
-    pending = {}  # size class -> (Graphs held in stream order, their N)
+    pending = {}  # size class -> (held Graphs in order, N, chunk_limit(N))
     for item in source:
         if not isinstance(item, Graph):
             n = item.shape[-1]
@@ -101,17 +100,18 @@ def _each_chunk(source, evaluate, reject):
             reject(item)
             continue
         key = _size_class(item.n)
-        graphs, n = pending.pop(key, ([], 0))
-        n = max(n, item.n)
-        if len(graphs) >= chunk_limit(n):
-            evaluate(*_stack(graphs))
-            graphs, n = [], item.n
+        graphs, n, limit = pending.pop(key, ([], 0, 0))
+        if item.n > n:  # a held chunk is below its limit until N grows
+            n, limit = item.n, chunk_limit(item.n)
+            if len(graphs) >= limit:
+                evaluate(*_stack(graphs))
+                graphs = []
         graphs.append(item)
-        if len(graphs) == chunk_limit(n):
+        if len(graphs) == limit:
             evaluate(*_stack(graphs))
         else:
-            pending[key] = graphs, n
-    for graphs, _ in pending.values():
+            pending[key] = graphs, n, limit
+    for graphs, _, _ in pending.values():
         evaluate(*_stack(graphs))
 
 
@@ -264,15 +264,15 @@ class SoundnessReport:
     errors: list = field(default_factory=list)
 
 
-def _identity_failures(dd, q_mat, spectra):
+def _identity_failures(dd, q_mat, vals):
     """The proven identities checked on top of the bound battery, over a
     padded batch: (failed, message) pairs in report order, failed one flag
-    per graph and message a function of a failed graph's row. Each check
-    reads a graph's own vertices and the first n of its eigenvalues."""
+    per graph and message a function of a failed graph's row, from vals, the
+    batch's operator_spectra. Each check reads a graph's own vertices and
+    the first n of its eigenvalues, of D, L and Q; 0 pads the rest."""
     n = dd.n
     tw = 2.0 * dd.wiener
     lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
-    vals = spectra.values  # distance, laplacian, signless; 0 pads each
     trace = np.array((np.zeros_like(tw), tw, tw))
     frob2 = np.array((dd.dist2, lq2, lq2))
     sums = np.abs(vals.sum(axis=-1) - trace) > 1e-8 * (1.0 + np.abs(trace))
@@ -298,7 +298,7 @@ def _identity_failures(dd, q_mat, spectra):
         (below.any(axis=-1), lambda i:
          f"laplacian eigenvalue {below[i].argmax()} below the vertex count"))
 
-    holds = han_multiplicity_holds(Spectrum(values=lvals), is_complete(dd), n)
+    holds = han_multiplicity_holds(lvals, is_complete(dd), n)
     failures.append(
         (~holds & (n > 2),
          lambda i: "largest laplacian eigenvalue multiplicity escapes"))
@@ -347,7 +347,7 @@ def _violations(dd):
     identities. A ConsistencyError of the eigensolve or of a bound
     propagates."""
     bundle, spectra = operator_spectra(dd)
-    radius_l, radius_q = spectra.largest[1], spectra.largest[2]
+    radius_l, radius_q = spectra[1, :, 0], spectra[2, :, 0]
     regular = dd.tmin == dd.tmax
     values = bound_values(dd, regular)
     value, satisfied, gap = bound_checks(values, radius_l, radius_q)
@@ -361,7 +361,7 @@ def _violations(dd):
             diagnose_all({bid: v for bid, v in zip(
                               values, value[:, i].tolist())
                           if not math.isnan(v)},
-                         Spectrum(values=spectra.values[1, i, :k]),
+                         spectra[1, i, :k],
                          float(radius_q[i]), bundle.b_mat[i, :k, :k],
                          dd.row(i))
         except TheoremViolationError as exc:

@@ -231,17 +231,16 @@ def soundness_identities(report, violations):
     tw = 2.0 * dd.wiener
     lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
 
-    for spectrum, trace, frob2, name in (
+    for vals, trace, frob2, name in (
             (report.spectrum_d, 0.0, dd.dist2, "distance"),
             (report.spectrum_l, tw, lq2, "laplacian"),
             (report.spectrum_q, tw, lq2, "signless")):
-        vals = spectrum.values
         if abs(float(vals.sum()) - trace) > 1e-8 * (1.0 + abs(trace)):
             violations.append(f"{name} eigenvalue sum misses the trace")
         if abs(float((vals * vals).sum()) - frob2) > 1e-8 * (1.0 + frob2):
             violations.append(f"{name} eigenvalue square sum misses the norm")
 
-    lvals = report.spectrum_l.values
+    lvals = report.spectrum_l
     zero_slack = slack_for(math.sqrt(lq2))
     if abs(float(lvals[-1])) > zero_slack:
         violations.append("laplacian smallest eigenvalue is not zero")

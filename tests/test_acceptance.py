@@ -55,7 +55,7 @@ def test_criterion_1_example_fixtures(report):
 
     problems = []
     want_spec = [0.0, 5.0, 5.5858, 7.0, 8.4142]
-    got_spec = sorted(float(v) for v in ex1.spectrum_l.values)
+    got_spec = sorted(ex1.spectrum_l.tolist())
     for want, got in zip(want_spec, got_spec):
         if abs(want - got) > TOL:
             problems.append(f"ex1 L eigenvalue {got:.6f} vs {want}")
@@ -202,10 +202,10 @@ def test_criterion_5_complete_graph_exactness(report):
     problems = []
     for n in range(3, 11):
         r = compute_all_bounds(complete_graph(n))
-        lvals = r.spectrum_l.values
+        lvals = r.spectrum_l
         if abs(float(lvals[-1])) > 1e-8 or np.abs(lvals[:-1] - n).max() > 1e-8:
             problems.append(f"K{n} L spectrum {lvals}")
-        qvals = r.spectrum_q.values
+        qvals = r.spectrum_q
         if abs(float(qvals[0]) - (2 * n - 2)) > 1e-8 or (
                 np.abs(qvals[1:] - (n - 2)).max() > 1e-8):
             problems.append(f"K{n} Q spectrum {qvals}")
@@ -227,7 +227,7 @@ def test_criterion_6_eigensolver_oracle(report):
         n = int(rng.integers(1, 11))
         a = rng.uniform(-5.0, 5.0, size=(n, n))
         a = (a + a.T) / 2.0
-        got = eig_symmetric(a).values
+        got = eig_symmetric(a)
         want = charpoly_eigenvalues(a.tolist())
         worst = max(worst, float(np.abs(got - np.array(want)).max()))
     solver_ok = worst <= 1e-7
@@ -247,7 +247,7 @@ def test_criterion_6_eigensolver_oracle(report):
             imag_worst = max(imag_worst, float(np.abs(ref.imag).max()))
             expected = np.sort(np.concatenate(
                 (dd.p.sum(axis=-1, keepdims=True).astype(float),
-                 eig_symmetric(l_mat.astype(float)).values[:, :-1]),
+                 eig_symmetric(l_mat.astype(float))[:, :-1]),
                 axis=-1), axis=-1)
             diff = np.abs(expected - np.sort(ref.real, axis=-1))
             shift_worst = max(shift_worst, float(diff.max()))

@@ -60,10 +60,27 @@ def test_resolve_garbage_is_a_parse_error():
         resolve_graph_input("this is not anything!")
 
 
-def test_malformed_inputs_are_parse_errors(tmp_path):
+def test_malformed_inputs_are_parse_errors(tmp_path, capsys):
     # a superscript passes str.isdigit but not int
     with pytest.raises(GraphParseError, match="line 1: expected vertex count"):
         parse_edge_list("\u00b2\n")
+    # int takes each of these, but the edge-list format does not
+    for i, (text, line) in enumerate((
+            ("3\n0 1\n+1 2\n", 3), ("3\n0 1\n1 \uff12\n", 3),
+            ("3\n0 1\n1_0 2\n", 3), ("3\n\u0662 1\n1 0\n", 2),
+            ("\uff13\n0 1\n1 2\n", 1))):
+        with pytest.raises(GraphParseError, match=(
+                f"line {line}: (non-integer endpoint|expected vertex count)")):
+            parse_edge_list(text)
+        path = tmp_path / f"token{i}.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        assert f"line {line}: " in capsys.readouterr().err
+    # a builtin size is ASCII digits too: K followed by an Arabic-Indic
+    # three is no K3
+    assert _BUILTIN.match("K\u0663") is None
+    with pytest.raises(GraphParseError):
+        resolve_graph_input("K\u0663")
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe3\n")
     with pytest.raises(GraphParseError, match="not UTF-8"):

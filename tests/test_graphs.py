@@ -63,6 +63,15 @@ def test_parse_edge_list_errors_carry_line_numbers():
         parse_edge_list("3 2-based\n")
     with pytest.raises(GraphParseError):
         parse_edge_list("")
+    # an integer is an optional '-' and ASCII digits, in the header and in
+    # every endpoint alike; int alone would take each of these tokens
+    for token in ("1_0", "+1", "\u0662", "\uff12"):
+        with pytest.raises(GraphParseError,
+                           match="line 3: non-integer endpoint"):
+            parse_edge_list(f"11\n0 1\n0 {token}\n")
+    with pytest.raises(GraphParseError,
+                       match="line 2: expected vertex count"):
+        parse_edge_list("# fullwidth three\n\uff13\n0 1\n")
 
 
 def test_format_edge_list_round_trip():

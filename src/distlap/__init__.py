@@ -12,7 +12,8 @@ from .certify import (
 from .errors import (
     ConsistencyError, DisconnectedGraphError, GraphParseError,
     TheoremViolationError)
-from .graph6 import encode_graph6, parse_graph6, read_graph6_stream
+from .graph6 import (
+    encode_graph6, encode_graph6_stack, parse_graph6, read_graph6_stream)
 from .graphs import (
     ConnectedClasses, DistanceData, Graph, compute_distance_data,
     connected_classes, connected_stacks, enumerate_connected,

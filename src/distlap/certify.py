@@ -90,7 +90,8 @@ def diagnose_n3(value, spectrum_l, wiener):
     if np.abs(middle - mid).max() > equality_tol(mid):
         raise TheoremViolationError(
             "trace/Frobenius equality without the predicted "
-            f"three-value spectrum (middle block {middle!r} vs {mid!r})")
+            f"three-value spectrum (middle block {middle.tolist()!r} vs "
+            f"{mid!r})")
     return EqualityDiagnosis(BoundId.L_N3, True, CERT_THREE_L)
 
 

@@ -3,8 +3,10 @@
 analyze prints a full report (spectra, bounds, equality diagnoses) as a text
 table or canonical JSON. scan sweeps the margin between the two trace-style
 upper bounds over an enumerated range or a graph6 file. JSON output is
-canonical: sorted keys, two-space indent, shortest-round-trip floats, so
-serializing, parsing, and serializing again is byte-identical.
+canonical: one line per document, sorted keys, no space after separators,
+shortest-round-trip floats and ASCII-escaped strings, so serializing,
+parsing, and serializing again is byte-identical. A compact one-line layout
+lets json.dumps run its C encoder; `python -m json.tool` pretty-prints it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def fmt4(x):
 
 
 def to_canonical_json(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def resolve_graph_input(arg):

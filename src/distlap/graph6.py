@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 
+import numpy as np
+
 from .errors import GraphParseError
 from .graphs import Graph
 
@@ -20,9 +22,10 @@ HEADER = ">>graph6<<"
 
 # the six bits of each 6-bit value, most significant first
 _BITS = tuple(tuple(v >> (5 - k) & 1 for k in range(6)) for v in range(64))
-_CHAR = {bits: chr(v + 63) for v, bits in enumerate(_BITS)}
 # byte b to its 6-bit value b - 63; the bytes outside 63..126 map above 63
 _VALUE = bytes((b - 63) % 256 for b in range(256))
+# a byte holding six bits at its top to their graph6 character
+_PACKED_CHAR = bytes((b >> 2) + 63 for b in range(256))
 
 
 def _pairs(n):
@@ -96,24 +99,79 @@ def parse_graph6(line):
     return Graph(n, frozenset(itertools.compress(pairs, bits)))
 
 
-def encode_graph6(g):
-    """Encode a Graph as a graph6 line (canonical smallest size header)."""
-    n = g.n
+def _header(n):
+    """The smallest graph6 size header of n vertices: 1, 4 or 8 bytes."""
     if n <= 62:
-        head = chr(n + 63)
-    elif n <= 258047:
-        head = "~" + "".join(
-            chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+        return chr(n + 63)
+    if n <= 258047:
+        head, shifts = "~", (12, 6, 0)
     else:
-        head = "~~" + "".join(
-            chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+        head, shifts = "~~", (30, 24, 18, 12, 6, 0)
+    return head + "".join(chr(((n >> s) & 63) + 63) for s in shifts)
+
+
+def _lines(head, bits):
+    """The graph6 line of each row of bits, a (B, M) boolean array of body
+    bits in graph6 order with M a multiple of 6, behind the header head."""
+    # packbits puts the six bits of a body byte at the top of a byte
+    body = np.packbits(bits.reshape(len(bits), -1, 6), axis=-1)
+    text = body.tobytes().translate(_PACKED_CHAR).decode("ascii")
+    width = body.shape[1]
+    return [head + text[k * width:(k + 1) * width] for k in range(len(bits))]
+
+
+def encode_graph6(g):
+    """Encode a Graph as a graph6 line (canonical smallest size header).
+    Its edges are scattered into the body bits, so no (n, n) array is
+    built."""
+    n = g.n
     nbits = n * (n - 1) // 2
     bits = bytearray(nbits + -nbits % 6)
     for u, v in g.edges:
         # the trusting Graph constructor may hold a pair (i, j) as (j, i)
         i, j = (u, v) if u < v else (v, u)
         bits[j * (j - 1) // 2 + i] = 1
-    return head + "".join(map(_CHAR.__getitem__, zip(*[iter(bits)] * 6)))
+    return _lines(_header(n), np.frombuffer(bits, dtype=bool)[None])[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _column_pairs(n):
+    """The ends (j, i), i < j < n, of the graph6 body bits in their order,
+    (0,1), (0,2), (1,2), (0,3), ...: the strict lower triangle row by row,
+    as two read-only arrays. Cached per n, as a sweep asks once per chunk."""
+    ends = np.tril_indices(n, -1)
+    for a in ends:
+        a.flags.writeable = False
+    return ends
+
+
+def _stack_lines(adj, n):
+    """graph6 lines of the rows of a boolean adjacency stack, each written
+    on its first n vertices."""
+    j, i = _column_pairs(n)
+    bits = np.zeros((len(adj), len(j) + -len(j) % 6), dtype=bool)
+    bits[:, :len(j)] = adj[:, j, i]
+    return _lines(_header(n), bits)
+
+
+def encode_graph6_stack(adj, n=None):
+    """The graph6 line of each row of a (B, N, N) boolean adjacency stack,
+    in stack order: row b is written on its own n[b] vertices, and its
+    vertices n[b]..N-1, isolated padding, are dropped (None stands for no
+    padding). Rows are encoded by vertex count, one array pass per count.
+    An empty stack, which a sweep passes for each chunk that lists no
+    graph, costs nothing."""
+    if not len(adj):
+        return []
+    sizes = {adj.shape[-1]} if n is None else set(n.tolist())
+    if len(sizes) == 1:
+        return _stack_lines(adj, sizes.pop())
+    lines = [None] * len(adj)
+    for k in sizes:
+        rows = np.flatnonzero(n == k)
+        for row, line in zip(rows.tolist(), _stack_lines(adj[rows], k)):
+            lines[row] = line
+    return lines
 
 
 def read_graph6_stream(lines):

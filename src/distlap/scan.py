@@ -21,8 +21,9 @@ vertices to the chunk's largest n, N, so that a short stream of mixed
 sizes pays a chunk's fixed cost once per class rather than once per n;
 every bound, identity and diagnosis reads each graph's own vertices only,
 and each eigensolve runs on unpadded matrices. From 32 vertices on, a
-chunk holds one n. A Graph and its graph6 are built only for a listed
-graph, at its own n.
+chunk holds one n. graph6 is written only for a listed graph, at its own
+n, straight from its row of the stack (graph6.encode_graph6_stack); no
+Graph is built for it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .bounds import (
 from .certify import (
     diagnose_all, diagnosis_rows, han_multiplicity_holds, is_complete)
 from .errors import ConsistencyError, TheoremViolationError
-from .graph6 import encode_graph6
+from .graph6 import encode_graph6, encode_graph6_stack
 from .graphs import (
-    ConnectedClasses, Graph, adjacency_graphs, adjacency_stack, chunk_limit,
+    ConnectedClasses, Graph, adjacency_stack, chunk_limit,
     connected_distances, disconnected_error, distance_data, too_sparse)
 from .operators import operator_spectra, polynomial_row_sums
 
@@ -122,13 +123,6 @@ def _stack(graphs):
     return adjacency_stack(graphs), np.array([g.n for g in graphs])
 
 
-def _graph6s(adj, n):
-    """graph6 of each graph of a padded boolean adjacency stack, in stack
-    order, each graph on its own vertex count n. A connected graph's
-    adjacency is its distance matrix == 1."""
-    return [encode_graph6(g) for g in adjacency_graphs(adj, n)]
-
-
 def _too_small(n):
     """The error of a graph on n < 3 vertices, which has no margin."""
     return f"margin needs n >= 3, got n={n}"
@@ -137,7 +131,8 @@ def _too_small(n):
 def _listed_rows(adj, n):
     """listed for the rows of a padded adjacency stack of graphs on n
     vertices that stand for themselves: one graph6 per row."""
-    return lambda rows: [[g6] for g6 in _graph6s(adj[rows], n[rows])]
+    return lambda rows: [
+        [g6] for g6 in encode_graph6_stack(adj[rows], n[rows])]
 
 
 def _scan_chunk(result, adj, n, weight=None, listed=None):
@@ -215,7 +210,7 @@ def _scan_classes(result, classes):
             result, adj, np.full(len(adj), classes.n),
             weight[first:first + len(adj)],
             lambda rows, first=first: [
-                _graph6s(a, None) for a in classes.members(first + rows)])
+                encode_graph6_stack(a) for a in classes.members(first + rows)])
         first += len(adj)
 
 
@@ -385,12 +380,13 @@ def _check_soundness(report, dd):
     """Soundness of the connected graphs of a padded batch's DistanceData
     dd. A graph whose eigensolve or bounds raise is recorded as an error on
     its own, as one at a time: a failing batch is split until it is
-    found."""
+    found. A connected graph's adjacency is its distance matrix == 1."""
     try:
         found = _violations(dd)
     except ConsistencyError as exc:
         if len(dd.n) == 1:
-            report.errors.append((_graph6s(dd.dist == 1, dd.n)[0], str(exc)))
+            report.errors.append(
+                (encode_graph6_stack(dd.dist == 1, dd.n)[0], str(exc)))
             return
         first = np.arange(len(dd.n)) < len(dd.n) // 2
         _check_soundness(report, dd.take(first))
@@ -398,7 +394,8 @@ def _check_soundness(report, dd):
         return
     report.graphs_checked += len(dd.n)
     rows = sorted(found)
-    for i, g6 in zip(rows, _graph6s(dd.dist[rows] == 1, dd.n[rows])):
+    for i, g6 in zip(
+            rows, encode_graph6_stack(dd.dist[rows] == 1, dd.n[rows])):
         report.violations += [(g6, message) for message in found[i]]
 
 
@@ -422,8 +419,9 @@ def scan_soundness(source):
     def check(adj, n):
         connected, dist = connected_distances(adj, n)
         if not connected.all():
-            report.errors += [(g6, _DISCONNECTED) for g6 in _graph6s(
-                adj[~connected], n[~connected])]
+            report.errors += [
+                (g6, _DISCONNECTED) for g6 in encode_graph6_stack(
+                    adj[~connected], n[~connected])]
         if len(dist):
             _check_soundness(report, distance_data(dist, n[connected]))
 

@@ -21,10 +21,11 @@ import pytest
 
 from distlap import (
     BoundId, check_tree_determinant, compute_all_bounds, connected_stacks,
-    enumerate_connected, eig_symmetric, encode_graph6, parse_graph6,
+    enumerate_connected, eig_symmetric, encode_graph6_stack, parse_graph6,
     sample_connected, scan_conjecture, scan_soundness, Graph)
 from distlap.graphs import (
-    adjacency_stack, chunk_limit, connected_distances, distance_data)
+    adjacency_graphs, adjacency_stack, chunk_limit, connected_distances,
+    distance_data)
 from distlap.named_graphs import (
     complete_graph, fixture_graph, path_graph, star_graph)
 from oracles import all_labeled_trees, brauer_shift_spectrum, charpoly_eigenvalues
@@ -294,9 +295,14 @@ def test_criterion_8_graph6_conformance(report):
             problems.append(f"{text!r} decoded to {got}, wanted {want}")
     count = 0
     for n in range(1, 8):
-        for g in enumerate_connected(n):
-            if parse_graph6(encode_graph6(g)) != g:
-                problems.append(f"round trip broke on {encode_graph6(g)!r}")
+        # each labeled graph's line, written from its stack row, against
+        # the Graph of the same row
+        rows = itertools.chain.from_iterable(
+            zip(encode_graph6_stack(adj), adjacency_graphs(adj))
+            for adj in connected_stacks(n))
+        for line, g in rows:
+            if parse_graph6(line) != g:
+                problems.append(f"round trip broke on {line!r}")
                 break
             count += 1
 

@@ -25,9 +25,10 @@ def spectrum_of(values):
 @contextlib.contextmanager
 def violation(match):
     """Expects a TheoremViolationError matching match, whose message shows
-    each number as a Python float does, with no numpy repr."""
+    each number as a Python float does, with no numpy repr. Yields the
+    pytest.raises ExceptionInfo."""
     with pytest.raises(TheoremViolationError, match=match) as exc:
-        yield
+        yield exc
     assert "np." not in str(exc.value)
 
 
@@ -122,6 +123,15 @@ def test_n3_violation_wrong_middle_block():
     fake = spectrum_of([28 / 3, 6.0, 4.0, 0.0])
     with violation("three-value"):
         diagnose_n3(value(r, BoundId.L_N3), fake, r.data.wiener)
+
+
+def test_n3_middle_block_message_lists_python_floats():
+    # P4's Wiener index is 10, so the middle value is (20 - 28/3)/2 = 16/3
+    with violation("three-value") as exc:
+        diagnose_n3(28 / 3, np.array([28 / 3, 6.0, 4.0, 0.0]), 10)
+    message = str(exc.value)
+    assert "middle block [6.0, 4.0] vs 5.333333333333333" in message
+    assert "array(" not in message
 
 
 def test_n3_doctored_consistent_spectrum_passes():

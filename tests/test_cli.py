@@ -125,6 +125,7 @@ def test_json_reserialization_is_byte_identical():
         assert code == 0
         doc = json.loads(text)
         assert to_canonical_json(doc) == text
+        assert text.index("\n") == len(text) - 1  # one line per document
 
 
 def test_analyze_json_document_shape():
@@ -196,6 +197,7 @@ def test_scan_enumerate_json():
     assert len(doc["equalities_within_tolerance"]) == 4
     assert doc["min_margin"] == 0.0
     assert to_canonical_json(json.loads(text)) == text
+    assert text.index("\n") == len(text) - 1
 
 
 def test_scan_finds_counterexamples_with_exit_zero():

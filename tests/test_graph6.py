@@ -1,10 +1,18 @@
 """graph6 codec conformance."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distlap import (
-    Graph, GraphParseError, encode_graph6, enumerate_connected, parse_graph6,
+    Graph, GraphParseError, connected_stacks, encode_graph6,
+    encode_graph6_stack, enumerate_connected, parse_graph6,
     read_graph6_stream)
+from distlap.graphs import adjacency_graphs, adjacency_stack
 from distlap.named_graphs import complete_graph, path_graph
 
 # hand-decoded reference pairs: string -> sorted edge list (offset-63 bytes,
@@ -101,3 +109,58 @@ def test_stream_reader_skips_blanks_and_header():
 def test_stream_reader_reports_line_number():
     with pytest.raises(GraphParseError, match="line 2"):
         list(read_graph6_stream(["Bw", "B\x1e"]))
+
+
+def test_stack_encoder_matches_per_graph_on_connected_stacks():
+    for n in range(1, 7):
+        for adj in connected_stacks(n):
+            assert encode_graph6_stack(adj) == [
+                encode_graph6(g) for g in adjacency_graphs(adj)], n
+
+
+def test_stack_encoder_trims_each_row_of_a_padded_stack():
+    # both header forms, every row on its own n, in stack order
+    rng = random.Random(16)
+    sizes = list(range(1, 21)) + [62, 63, 64]
+    rng.shuffle(sizes)
+    graphs = [Graph.from_edges(n, [
+        p for p in itertools.combinations(range(n), 2) if rng.random() < 0.3])
+        for n in sizes]
+    adj, n = adjacency_stack(graphs), np.array([g.n for g in graphs])
+    lines = encode_graph6_stack(adj, n)
+    assert lines == [encode_graph6(g) for g in graphs]
+    assert [parse_graph6(line) for line in lines] == graphs
+    assert sum(line.startswith("~") for line in lines) == 2
+    # rows of one n below the stack's width, as a sweep lists them
+    for k in (1, 7, 63):
+        assert encode_graph6_stack(adj[n == k], n[n == k]) == [
+            encode_graph6(g) for g in graphs if g.n == k]
+
+
+def test_stack_encoder_of_an_empty_stack():
+    assert encode_graph6_stack(np.zeros((0, 5, 5), dtype=bool)) == []
+    assert encode_graph6_stack(
+        np.zeros((0, 5, 5), dtype=bool), np.zeros(0, dtype=np.int64)) == []
+
+
+@st.composite
+def edge_masks(draw):
+    n = draw(st.integers(min_value=2, max_value=62))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    return n, [p for k, p in enumerate(pairs) if mask >> k & 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_masks())
+def test_stack_encoder_matches_networkx(case):
+    nx = pytest.importorskip("networkx")
+    n, edges = case
+    adj = np.zeros((1, n, n), dtype=bool)
+    for i, j in edges:
+        adj[0, i, j] = adj[0, j, i] = True
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(edges)
+    assert encode_graph6_stack(adj) == [
+        nx.to_graph6_bytes(ref, header=False).decode().strip()]

@@ -23,5 +23,5 @@ from .linalg import eig_symmetric, frobenius_norm, is_irreducible, multiplicity
 from .named_graphs import (
     FIXTURES, builtin_graph, complete_graph, cycle_graph, fixture_graph,
     fixture_text, path_graph, star_graph)
-from .operators import OperatorBundle, build_operators, polynomial_row_sums
+from .operators import build_operators
 from .scan import ScanResult, SoundnessReport, scan_conjecture, scan_soundness

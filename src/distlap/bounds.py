@@ -343,13 +343,15 @@ class BoundEntry:
 
 @dataclass
 class BoundReport:
-    """Everything computed for one graph: spectra (descending float64
-    arrays), radii (floats), and bound entries."""
+    """Everything computed for one graph: its DistanceData (data), its
+    operators D, L and Q as one (3, n, n) int64 array
+    (operators.build_operators), spectra (descending float64 arrays), radii
+    (floats), and bound entries."""
 
     graph: object
     graph6: str
     data: object
-    bundle: object
+    operators: np.ndarray
     spectrum_d: np.ndarray
     spectrum_l: np.ndarray
     spectrum_q: np.ndarray
@@ -375,12 +377,12 @@ def compute_all_bounds(g):
     evaluated before the diagnoses, so a ConsistencyError of a bound takes
     precedence over a diagnosis's TheoremViolationError, which propagates.
     """
-    from .certify import diagnose_all
+    from .certify import diagnose_all, is_complete
 
     t0 = time.perf_counter()
     dd = distance_data(batch_of_one(g))
     t1 = time.perf_counter()
-    bundle, spectra = operator_spectra(dd)
+    ops, spectra = operator_spectra(dd)
     spectrum_d, spectrum_l, spectrum_q = spectra[:, 0]
     radius_l, radius_q = spectra[1:, 0, 0].tolist()
     t2 = time.perf_counter()
@@ -390,7 +392,8 @@ def compute_all_bounds(g):
         values, spectra[1, :, 0], spectra[2, :, 0])))))
     data = dd.row(0)
     diagnoses = diagnose_all({bid: v for bid, (v, _, _) in found.items()},
-                             spectrum_l, radius_q, bundle.b_mat[0], data)
+                             spectrum_l, radius_q, ops[1, 0], data,
+                             bool(is_complete(dd)[0]))
     entries = tuple(
         BoundEntry(bid, meta.target, meta.side, bid in found,
                    *found.get(bid, (None, None, None)), diagnoses.get(bid))
@@ -404,7 +407,7 @@ def compute_all_bounds(g):
         "total": round((t3 - t0) * 1000.0, 3),
     }
     return BoundReport(
-        graph=g, graph6=encode_graph6(g), data=data, bundle=bundle.row(0),
+        graph=g, graph6=encode_graph6(g), data=data, operators=ops[:, 0],
         spectrum_d=spectrum_d, spectrum_l=spectrum_l, spectrum_q=spectrum_q,
         radius_l=radius_l, radius_q=radius_q, entries=entries,
         timing_ms=timing)

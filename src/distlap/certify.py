@@ -57,12 +57,15 @@ def is_complete(dd):
     return (dd.n == 1) | (dd.p.max(axis=-1) == 1)
 
 
-def diagnose_n1(value, radius, b_mat):
+def diagnose_n1(value, radius, l_mat, p):
     """Equality of the row-maxima sum bound's value and the Laplacian
-    radius requires the rank-one-shifted matrix b_mat to be reducible
-    (necessary, not sufficient)."""
+    radius requires the rank-one (Brauer) shift l_mat + 1 p^T of one graph's
+    Laplacian l_mat by its eccentricities p to be reducible (necessary, not
+    sufficient). The shift keeps every other eigenvalue of l_mat and adds
+    the eccentricity sum; it is generally not symmetric, and it is formed
+    only when value meets radius."""
     if _meets(value, radius):
-        if is_irreducible(b_mat):
+        if is_irreducible(l_mat + p):
             raise TheoremViolationError(
                 "row-maxima bound met with an irreducible shifted matrix "
                 f"(value {value!r}, radius {radius!r})")
@@ -133,13 +136,14 @@ def diagnose_tb(lo, up, radius, regular):
     return EqualityDiagnosis(BoundId.Q_TB_UP, False, CERT_NONE)
 
 
-def diagnose_all(values, spectrum_l, radius_q, b_mat, dd):
+def diagnose_all(values, spectrum_l, radius_q, l_mat, dd, complete):
     """The equality diagnoses of one graph by bound id, from the battery's
     values for it (a float by id), its Laplacian spectrum, signless radius,
-    shifted matrix and DistanceData. They run in the order n1, n3 (where
-    L_N3 applies), tb, cs7; the first TheoremViolationError propagates."""
+    Laplacian matrix, DistanceData and whether it is complete (is_complete).
+    They run in the order n1, n3 (where L_N3 applies), tb, cs7; the first
+    TheoremViolationError propagates."""
     found = {BoundId.L_N1: diagnose_n1(
-        values[BoundId.L_N1], float(spectrum_l[0]), b_mat)}
+        values[BoundId.L_N1], float(spectrum_l[0]), l_mat, dd.p)}
     if BoundId.L_N3 in values:
         found[BoundId.L_N3] = diagnose_n3(
             values[BoundId.L_N3], spectrum_l, dd.wiener)
@@ -147,18 +151,18 @@ def diagnose_all(values, spectrum_l, radius_q, b_mat, dd):
         values[BoundId.Q_TB_LO], values[BoundId.Q_TB_UP], radius_q,
         dd.tmin == dd.tmax)
     found[BoundId.Q_CS7] = diagnose_cs7(
-        values[BoundId.Q_CS7], radius_q, bool(is_complete(dd)))
+        values[BoundId.Q_CS7], radius_q, complete)
     return found
 
 
-def diagnosis_rows(dd, regular, values, radius_l, radius_q):
+def diagnosis_rows(complete, regular, values, radius_l, radius_q):
     """Flags the graphs of a batch on which diagnose_all has more to do than
     find no equality: a diagnosed bound meets its radius, or the graph is
-    complete or transmission-regular (regular). On every other graph each
-    diagnosis is 'none' and none raises. values are the batch's bound values
-    by id, NaN on a graph where a bound does not apply, which meets no
-    radius."""
-    fires = is_complete(dd) | regular
+    complete or transmission-regular (the complete and regular flags, one
+    per graph). On every other graph each diagnosis is 'none' and none
+    raises. values are the batch's bound values by id, NaN on a graph where
+    a bound does not apply, which meets no radius."""
+    fires = complete | regular
     for radius, ids in ((radius_l, (BoundId.L_N1, BoundId.L_N3)),
                         (radius_q, (BoundId.Q_TB_LO, BoundId.Q_TB_UP,
                                     BoundId.Q_CS7))):

@@ -391,12 +391,6 @@ def connected_distances(adj, n=None):
     return connected, dist[reached]
 
 
-def is_transmission_regular(tr):
-    """True where every vertex has the same transmission; tr holds one
-    graph's transmissions, or a batch's with one flag per graph."""
-    return (tr == tr[..., :1]).all(axis=-1)
-
-
 def transmission_regularity(dd):
     """The common transmission k of one graph's DistanceData if every vertex
     has the same, else None."""

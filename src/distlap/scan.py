@@ -42,7 +42,7 @@ from .graph6 import encode_graph6, encode_graph6_stack
 from .graphs import (
     ConnectedClasses, Graph, adjacency_stack, chunk_limit,
     connected_distances, disconnected_error, distance_data, too_sparse)
-from .operators import operator_spectra, polynomial_row_sums
+from .operators import operator_spectra
 
 HISTOGRAM_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
 HISTOGRAM_LABELS = ("< 0", "[0, 0.5)", "[0.5, 1)", "[1, 2)", "[2, 5)", ">= 5")
@@ -228,8 +228,11 @@ def scan_conjecture(source, slack=1e-7):
     result equals that of the stream connected_stacks(n). This is exact
     because the margin reads only relabeling-invariant integers (see
     _scan_chunk). Result lists are sorted by graph6 encoding so the outcome
-    is independent of stream order.
+    is independent of stream order. A slack that is not finite and >= 0
+    raises ValueError.
     """
+    if not (math.isfinite(slack) and slack >= 0):
+        raise ValueError(f"slack must be finite and >= 0, got {slack!r}")
     result = ScanResult(slack=slack)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
 
@@ -259,12 +262,14 @@ class SoundnessReport:
     errors: list = field(default_factory=list)
 
 
-def _identity_failures(dd, q_mat, vals):
+def _identity_failures(dd, complete, q_mat, vals):
     """The proven identities checked on top of the bound battery, over a
     padded batch: (failed, message) pairs in report order, failed one flag
-    per graph and message a function of a failed graph's row, from vals, the
-    batch's operator_spectra. Each check reads a graph's own vertices and
-    the first n of its eigenvalues, of D, L and Q; 0 pads the rest."""
+    per graph and message a function of a failed graph's row, from the
+    batch's complete flags (certify.is_complete), its Q matrices q_mat and
+    its spectra vals (operators.operator_spectra). Each check reads a
+    graph's own vertices and the first n of its eigenvalues, of D, L and Q;
+    0 pads the rest."""
     n = dd.n
     tw = 2.0 * dd.wiener
     lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
@@ -293,7 +298,7 @@ def _identity_failures(dd, q_mat, vals):
         (below.any(axis=-1), lambda i:
          f"laplacian eigenvalue {below[i].argmax()} below the vertex count"))
 
-    holds = han_multiplicity_holds(lvals, is_complete(dd), n)
+    holds = han_multiplicity_holds(lvals, complete, n)
     failures.append(
         (~holds & (n > 2),
          lambda i: "largest laplacian eigenvalue multiplicity escapes"))
@@ -312,17 +317,16 @@ def _identity_failures(dd, q_mat, vals):
                 f"[{lo[i, u]}, {up[i, u]}]")
     failures.append((escapes.any(axis=-1), escaped))
 
-    # row sums of q^2 against the closed form, exact integers; a padded
-    # row is 0 on both sides
-    rows = polynomial_row_sums(q_mat, (0, 0, 1))
-    closed = 2 * dd.tr ** 2 + 2 * dd.sdd
+    # row sums q1 = Q 1 and q2 = Q^2 1 = Q q1, exact integers; q2 against
+    # the closed form, where a padded row is 0 on both sides
+    q1 = q_mat.sum(axis=-1)
+    q2 = (q_mat @ q1[..., None])[..., 0]
     failures.append(
-        ((rows != closed).any(axis=-1),
+        ((q2 != 2 * dd.tr ** 2 + 2 * dd.sdd).any(axis=-1),
          lambda i: "squared signless row sums break the closed form"))
 
     # quadratic row-sum sandwich for p(x) = x^2 - (t - 1) x at the radius
-    rows_p = dd.over_real(polynomial_row_sums(
-        q_mat, (0, -(t - 1), 1)).astype(np.float64))
+    rows_p = dd.over_real((q2 - (t - 1)[:, None] * q1).astype(np.float64))
     rq = vals[2, :, 0]
     value = rq * rq - (t - 1) * rq
     pad = slack_for(np.abs(rows_p).max(axis=-1))
@@ -341,15 +345,17 @@ def _violations(dd):
     of its diagnoses alone, else its unsatisfied bounds and then its failed
     identities. A ConsistencyError of the eigensolve or of a bound
     propagates."""
-    bundle, spectra = operator_spectra(dd)
+    ops, spectra = operator_spectra(dd)
     radius_l, radius_q = spectra[1, :, 0], spectra[2, :, 0]
+    complete = is_complete(dd)
     regular = dd.tmin == dd.tmax
     values = bound_values(dd, regular)
     value, satisfied, gap = bound_checks(values, radius_l, radius_q)
 
     found = {}
     for i in np.flatnonzero(
-            diagnosis_rows(dd, regular, values, radius_l, radius_q)).tolist():
+            diagnosis_rows(complete, regular, values, radius_l,
+                           radius_q)).tolist():
         k = int(dd.n[i])
         try:
             # a NaN value is a bound that does not apply to graph i
@@ -357,8 +363,8 @@ def _violations(dd):
                               values, value[:, i].tolist())
                           if not math.isnan(v)},
                          spectra[1, i, :k],
-                         float(radius_q[i]), bundle.b_mat[i, :k, :k],
-                         dd.row(i))
+                         float(radius_q[i]), ops[1, i, :k, :k], dd.row(i),
+                         bool(complete[i]))
         except TheoremViolationError as exc:
             found[i] = [str(exc)]
 
@@ -367,7 +373,7 @@ def _violations(dd):
          f"{bid.value} unsatisfied: value {float(value[k, i])!r} vs "
          f"radius gap {float(gap[k, i])!r}")
         for k, bid in enumerate(values)]
-    failures += _identity_failures(dd, bundle.q_mat, spectra)
+    failures += _identity_failures(dd, complete, ops[2], spectra)
 
     failed = np.array([bad for bad, _ in failures]).any(axis=0)
     for i in np.flatnonzero(failed).tolist():

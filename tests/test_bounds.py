@@ -15,8 +15,7 @@ from distlap.bounds import (
     _BATTERY, _sqrt_guarded, bound_L_n2, bound_L_n3, bound_values)
 from distlap.errors import ConsistencyError
 from distlap.graphs import (
-    adjacency_stack, batch_of_one, connected_distances, distance_data,
-    is_transmission_regular)
+    adjacency_stack, batch_of_one, connected_distances, distance_data)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
@@ -162,7 +161,7 @@ def test_applicability_follows_the_table():
               fixture_graph("ex2")]
     for g in graphs:
         r = compute_all_bounds(g)
-        regular = bool(is_transmission_regular(r.data.tr))
+        regular = r.data.tmin == r.data.tmax
         for e in r.entries:
             meta = BOUND_META[e.bound_id]
             want = g.n >= meta.min_n and (regular or not meta.regular_only)
@@ -178,7 +177,7 @@ def test_bound_values_of_a_batch_match_single_graphs():
         if n >= 3:
             graphs += [complete_graph(n), cycle_graph(n), star_graph(n)]
         batch = distance_data(np.concatenate([batch_of_one(g) for g in graphs]))
-        regular = is_transmission_regular(batch.tr)
+        regular = batch.tmin == batch.tmax
         values = bound_values(batch, regular)
         if n >= 3:
             assert math.isnan(values[BoundId.L_R1][-1])  # the star

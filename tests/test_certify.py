@@ -108,7 +108,8 @@ def test_n1_violation_on_doctored_spectrum():
     r = doctored(path_graph(4))
     fake = spectrum_of([10.0, 5.0, 4.0, 0.0])
     with violation("irreducible"):
-        diagnose_n1(value(r, BoundId.L_N1), float(fake[0]), r.bundle.b_mat)
+        diagnose_n1(value(r, BoundId.L_N1), float(fake[0]), r.operators[1],
+                    r.data.p)
 
 
 def test_n3_violation_nonzero_smallest():

@@ -253,6 +253,17 @@ def test_main_exit_codes(capsys):
     assert doc["scan"]["skipped_regular"] == 1
 
 
+@pytest.mark.parametrize("slack", ["nan", "inf", "-1"])
+def test_main_rejects_a_slack_not_finite_and_nonnegative(capsys, slack):
+    # nan and inf would write JSON that is not JSON, and a negative slack
+    # would list every tested graph as a strict counterexample
+    assert main(["scan", "--enumerate", "4", "--slack", slack,
+                 "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "slack must be finite and >= 0" in captured.err
+    assert captured.out == ""
+
+
 def test_main_analyze_large_complete_graph(capsys):
     # the L_N3 radicand of K_208 is exactly 0 but rounds below the sqrt
     # guard's tolerance in floats

@@ -43,9 +43,7 @@ def test_eig_symmetric_stack_matches_single():
     for n in (1, 2, 5, 7, 12, 30):
         dist = np.stack([compute_distance_data(g).dist
                          for g in sample_connected(n, 6, seed=n)])
-        bundle = build_operators(distance_data(dist))
-        mats = np.stack((bundle.d_mat, bundle.l_mat, bundle.q_mat)).astype(
-            np.float64)
+        mats = build_operators(distance_data(dist)).astype(np.float64)
         stacked = eig_symmetric(mats)
         assert stacked.shape == (3, 6, n)
         assert stacked.dtype == np.float64
@@ -131,7 +129,7 @@ def test_multiplicity():
 def test_complete_graph_multiplicity():
     s = eig_symmetric(
         build_operators(
-            compute_distance_data(complete_graph(6))).l_mat.astype(float))
+            compute_distance_data(complete_graph(6)))[1].astype(float))
     assert multiplicity(s, 6.0) == 5
 
 

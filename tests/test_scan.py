@@ -8,14 +8,14 @@ import pytest
 
 from distlap import (
     Graph, bounds, certify, connected_classes, connected_stacks,
-    encode_graph6, enumerate_connected, read_graph6_stream, sample_connected,
-    scan, scan_conjecture, scan_soundness)
+    encode_graph6, enumerate_connected, operators, read_graph6_stream,
+    sample_connected, scan, scan_conjecture, scan_soundness)
 from distlap.bounds import bound_L_d2, bound_L_n3
 from distlap.cli import cmd_scan, scan_document, scan_table, to_canonical_json
 from distlap.errors import DisconnectedGraphError
 from distlap.graphs import (
     _BATCH_BFS_MAX_N, SCAN_CELLS, SCAN_CHUNK, adjacency_stack, batch_of_one,
-    chunk_limit, distance_data, is_transmission_regular, too_sparse)
+    chunk_limit, distance_data, too_sparse)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 from distlap.scan import (
@@ -99,6 +99,14 @@ def test_scan_is_stream_order_independent():
     assert a.histogram == b.histogram
 
 
+def test_slack_must_be_finite_and_nonnegative():
+    for slack in (-1e-9, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="slack must be finite"):
+            scan_conjecture([star_graph(5)], slack=slack)
+    r = scan_conjecture([star_graph(5)], slack=0.0)
+    assert r.graphs_tested == 1 and len(r.counterexamples) == 1
+
+
 def test_slack_reclassifies_but_keeps_consistency():
     r = scan_conjecture([star_graph(5)], slack=1.0)
     assert r.counterexamples == []
@@ -170,7 +178,7 @@ def per_graph_scan(graphs, slack=1e-7):
         except DisconnectedGraphError as exc:
             result.errors.append((g6, str(exc)))
             continue
-        if is_transmission_regular(dd.tr)[0]:
+        if dd.tmin[0] == dd.tmax[0]:
             result.skipped_regular += 1
             continue
         upper_strict = float(bound_L_d2(dd, np.sqrt(dd.dist2))[0])
@@ -232,7 +240,7 @@ def test_regular_graphs_in_a_chunk_never_reach_the_bounds(monkeypatch):
     seen = []
 
     def spy(dd, l_frob):
-        seen.append(is_transmission_regular(dd.tr).tolist())
+        seen.append((dd.tmin == dd.tmax).tolist())
         return bound_L_n3(dd, l_frob)
     monkeypatch.setattr(scan, "bound_L_n3", spy)
     result = ScanResult(slack=1e-7)
@@ -396,7 +404,8 @@ def test_chunked_soundness_equals_per_graph_evaluation():
 
 @pytest.mark.parametrize(
     "mutation",
-    ["bound", "certificate", "guard", "drift", "spectrum", "sandwich"])
+    ["bound", "certificate", "guard", "drift", "spectrum", "sandwich",
+     "operators"])
 def test_chunked_soundness_reports_violations_as_per_graph(
         monkeypatch, mutation):
     # each mutation of shared code makes some graphs of the stream fail, so
@@ -416,6 +425,21 @@ def test_chunked_soundness_reports_violations_as_per_graph(
         trace_bound = bounds.bound_L_n3
         monkeypatch.setattr(bounds, "bound_L_n3", lambda dd, l_frob: (
             trace_bound(dd, 0.99 * l_frob)))
+    elif mutation == "operators":
+        # raise one symmetric off-diagonal pair of Q by 1 on the graphs
+        # whose trace is 3 mod 7, which moves their Q row sums off the
+        # closed form; no graph on one vertex has that trace
+        build = operators.build_operators
+
+        def raised(dd):
+            ops = build(dd)
+            q = ops[2]
+            if q.shape[-1] > 1:
+                hit = np.trace(q, axis1=-2, axis2=-1) % 7 == 3
+                q[..., 0, 1] += hit
+                q[..., 1, 0] += hit
+            return ops
+        monkeypatch.setattr(operators, "build_operators", raised)
     else:
         # shift the spectra of the L and Q matrices whose trace is 3 mod 7:
         # "drift" moves their eigenvalue sums off the trace, "spectrum"
@@ -438,7 +462,9 @@ def test_chunked_soundness_reports_violations_as_per_graph(
     found = {"bound": "Q_I5 unsatisfied", "certificate": "endpoint met",
              "guard": "L_N3: radicand", "drift": "sum drifted",
              "spectrum": "square sum misses",
-             "sandwich": "escapes the quadratic row-sum sandwich"}[mutation]
+             "sandwich": "escapes the quadratic row-sum sandwich",
+             "operators": "squared signless row sums break the closed form",
+             }[mutation]
     assert any(found in message
                for _, message in got.violations + got.errors)
     assert got.graphs_checked > 100

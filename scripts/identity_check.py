@@ -15,8 +15,8 @@ still is.
 The corpus:
   - cmd_analyze JSON (without timing_ms) and table output for the five
     fixtures, K1, K2, P3, S4, C4, K5, P4, C6, S5, K12, P20, C30, S16, K208,
-    P100 and C200 (K1..C4 sit at the bounds' min_n edges, with a regular
-    and a non-regular n = 4 graph);
+    P100, C200 and P300 (K1..C4 sit at the bounds' min_n edges, with a
+    regular and a non-regular n = 4 graph);
   - the ScanResult of labeled and of deduplicated n = 3..6, and the
     `scan --enumerate` JSON and table output of the same sweeps, plus the
     ScanResult of deduplicated n = 7, and the ScanResult of the labeled
@@ -35,7 +35,9 @@ The corpus:
     into one adjacency stack (mixed_items);
   - the SoundnessReport and the ScanResult of the chained stacks
     connected_stacks(n) for n = 1..6, several sizes of one size class in
-    a row.
+    a row;
+  - the SoundnessReport and the ScanResult of a graph6 stream of long and
+    of disconnected graphs with n = 100..300 (long_lines).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from bench_pairs import export  # noqa: E402
 
 ANALYZED = ("ex1", "ex2", "g1", "g2", "g3", "K1", "K2", "P3", "S4", "C4",
             "K5", "P4", "C6", "S5", "K12", "P20", "C30", "S16", "K208",
-            "P100", "C200")
+            "P100", "C200", "P300")
 
 
 def mixed_lines():
@@ -87,6 +89,22 @@ def mixed_lines():
                     edges.remove(rng.choice(sorted(edges)))
             graphs.append(Graph(n, frozenset(edges)))
     rng.shuffle(graphs)
+    return [encode_graph6(g) + "\n" for g in graphs]
+
+
+def long_lines():
+    """graph6 lines of the path, the cycle and a random tree on n vertices,
+    and of a disconnected graph with n - 1 edges, a cycle on n - 1
+    vertices plus an isolated one, for n = 100, 150, ..., 300."""
+    from distlap import Graph, encode_graph6
+    from distlap.named_graphs import cycle_graph, path_graph
+
+    rng = random.Random(9)
+    graphs = []
+    for n in range(100, 301, 50):
+        tree = Graph(n, frozenset((rng.randrange(v), v) for v in range(1, n)))
+        apart = Graph(n, cycle_graph(n - 1).edges)
+        graphs += [path_graph(n), cycle_graph(n), tree, apart]
     return [encode_graph6(g) + "\n" for g in graphs]
 
 
@@ -159,6 +177,8 @@ def corpus():
         out[f"{name} connected_stacks n=1..6"] = repr(sweep(
             itertools.chain.from_iterable(
                 connected_stacks(n) for n in range(1, 7))))
+        out[f"{name} long graph6 stream"] = repr(
+            sweep(g for _, g in read_graph6_stream(long_lines())))
     return out
 
 

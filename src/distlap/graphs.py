@@ -1,4 +1,4 @@
-"""Connected simple graphs: parsing, BFS distances, exhaustive enumeration.
+"""Connected simple graphs: parsing, distances, exhaustive enumeration.
 
 Vertices are always 0..n-1 internally. Edge-list files may declare themselves
 1-based in the header; the parser normalizes.
@@ -219,41 +219,6 @@ def compute_distance_data(g):
     return distance_data(batch_of_one(g)).row(0)
 
 
-def _bitmask_distances(a):
-    """int64 all-pairs BFS distances of one graph, given as its (n, n)
-    boolean adjacency matrix, over neighbour bitmasks, or None as soon as a
-    source misses a vertex."""
-    n = len(a)
-    adj = [int.from_bytes(row.tobytes(), "little")
-           for row in np.packbits(a, axis=-1, bitorder="little")]
-    full = (1 << n) - 1
-    rows = []
-    for s in range(n):
-        row = [0] * n
-        seen = 1 << s
-        frontier = seen
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= adj[b.bit_length() - 1]
-                f ^= b
-            frontier = nxt & ~seen
-            seen |= frontier
-            f = frontier
-            while f:
-                b = f & -f
-                row[b.bit_length() - 1] = d
-                f ^= b
-        if seen != full:
-            return None
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
-
-
 def distance_data(dist, n=None):
     """DistanceData of a (B, N, N) int64 stack of distance matrices, every
     derived field computed along the leading batch axis. n holds each
@@ -272,37 +237,6 @@ def distance_data(dist, n=None):
         tmin=tr.min(axis=-1, where=real, initial=np.iinfo(tr.dtype).max),
         tmax=tmax,
         real=real)
-
-
-def batch_distances(adj, sources=None):
-    """BFS levels over a (B, n, n) boolean adjacency stack.
-
-    Expands the reach of sources 0..sources-1 (default: every vertex) one
-    level at a time for the whole stack; a level costs one batched
-    (B, sources, n) @ (B, n, n) product. Returns (dist, connected): int64
-    levels of shape (B, sources, n), 0 where a vertex is unreachable, and a
-    boolean flag per graph that is True when every source reaches every
-    vertex.
-    """
-    count, n, _ = adj.shape
-    sources = n if sources is None else sources
-    reach = np.zeros((count, sources, n), dtype=bool)
-    reach[:, np.arange(sources), np.arange(sources)] = True
-    dist = np.zeros((count, sources, n), dtype=np.int64)
-    step = adj.astype(np.float32)  # path counts <= n stay exact
-    frontier = reach
-    for level in range(1, n):
-        frontier = (frontier.astype(np.float32) @ step > 0) & ~reach
-        if not frontier.any():
-            break
-        dist[frontier] = level
-        reach |= frontier
-    return dist, reach.all(axis=(1, 2))
-
-
-# Largest n at which connected_distances batches. A batched BFS level costs
-# O(n^3) per graph, and on paths the bitmask BFS catches up near n = 128.
-_BATCH_BFS_MAX_N = 96
 
 
 def adjacency_stack(graphs):
@@ -349,6 +283,41 @@ def adjacency_graphs(adj, n=None):
             for k, bits in zip(sizes, adj[:, rows, cols].tolist())]
 
 
+def _reach_levels(adj, n=None):
+    """Reach doubling over a (B, N, N) boolean stack of graphs, directed or
+    not: R_0 is adj with every vertex on its own diagonal, and R_{k+1} =
+    R_k R_k reaches every pair that R_k reaches in two steps, so R_k holds
+    the walks of length at most 2^k.
+
+    n holds each graph's vertex count, padded with isolated vertices up to
+    N; None stands for no padding. Returns (levels, complete): the list of
+    boolean stacks R_0..R_K, and a flag per graph that is True when R_K
+    joins every ordered pair of distinct vertices of its own, so when it is
+    (strongly) connected. The diagonal is set on every level, padding
+    included, so a graph is complete at n^2 + N - n set entries, whatever
+    adj holds on its diagonal. Stops once every graph is complete, which a
+    connected graph is after at most ceil(log2(n - 1)) squarings, or once a
+    squaring changes no graph, which leaves the rest disconnected.
+    """
+    size = adj.shape[-1]
+    n = np.full(len(adj), size) if n is None else n
+    full = n * n + size - n
+    # no graph exceeds its full count, so the stack's total tells them all
+    total = full.sum()
+    levels = [adj | np.eye(size, dtype=bool)]
+    reached = np.count_nonzero(levels[0])
+    while reached < total:
+        r = levels[-1].astype(np.float32)  # walk counts <= N stay exact
+        levels.append(r @ r > 0)
+        # a level holds the one below, so a count that stops growing is a
+        # level that squaring leaves as it is
+        below, reached = reached, np.count_nonzero(levels[-1])
+        if reached == below:
+            levels.pop()
+            return levels, np.count_nonzero(levels[-1], axis=(1, 2)) == full
+    return levels, np.ones(len(adj), dtype=bool)
+
+
 def connected_distances(adj, n=None):
     """Distances of the connected graphs of a (B, N, N) boolean adjacency
     stack.
@@ -358,10 +327,21 @@ def connected_distances(adj, n=None):
     own vertices. Returns (connected, dist): a boolean flag per graph and
     the (C, N, N) int64 stack of the C connected graphs' distance matrices,
     in stack order, 0 at padding. A graph with fewer than n - 1 edges is
-    disconnected and reaches no BFS; a Graph is checked by too_sparse
-    before its stack is built. Up to _BATCH_BFS_MAX_N vertices the other
-    graphs run as one batch_distances stack; above it each runs the bitmask
-    BFS on its own vertices, which wins there on long-diameter graphs.
+    disconnected and costs nothing more; a Graph is checked by too_sparse
+    before its stack is built.
+
+    One batched Seidel all-pairs algorithm at every N, O(N^3 log N) per
+    graph (R. Seidel, "On the all-pairs-shortest-path problem in
+    unweighted undirected graphs", J. Comput. Syst. Sci. 51, 1995). The
+    reach levels R_0..R_K of _reach_levels tell the connected graphs, and
+    only those go on. At the top, R_{K-1} has distance 1 on its edges and 2
+    elsewhere, as its square R_K joins every pair: D = 2 R_K - R_{K-1} off
+    the diagonal. Below, with T the distances of R_{k+1},
+    D = 2T - [T R_k < T deg(R_k)], taken entrywise with deg(R_k) the
+    degree of the column's vertex; the diagonal of R_k adds T to both
+    sides, so it changes nothing. Every product is of integers at most
+    N^2, exact in float64. The levels stay boolean, about K N^2 bytes for
+    one graph, and each is copied to float64 only for its own product.
     """
     size = adj.shape[-1]
     n = np.full(len(adj), size) if n is None else n
@@ -370,25 +350,25 @@ def connected_distances(adj, n=None):
         adj, n = adj[connected], n[connected]
     if not len(adj):
         return connected, np.zeros((0, size, size), dtype=np.int64)
-    if size > _BATCH_BFS_MAX_N:
-        singles = [_bitmask_distances(a[:k, :k])
-                   for a, k in zip(adj, n.tolist())]
-        connected[connected] = [d is not None for d in singles]
-        found = [d for d in singles if d is not None]
-        dist = np.zeros((len(found), size, size), dtype=np.int64)
-        for out, d in zip(dist, found):
-            out[:len(d), :len(d)] = d
-        return connected, dist
-    dist, reached = batch_distances(adj)
-    # no source reaches a padded vertex, so a padded graph is connected when
-    # all n(n - 1) ordered pairs of its own vertices are at a positive
-    # distance
-    padded = n < size
-    if padded.any():
-        reached[padded] = (np.count_nonzero(dist[padded], axis=(1, 2))
-                           == (n * (n - 1))[padded])
-    connected[connected] = reached
-    return connected, dist[reached]
+    levels, complete = _reach_levels(adj, n)
+    connected[connected] = complete
+    if not complete.all():
+        levels = [r[complete] for r in levels]
+    # R_{K-1}, or R_0 when R_0 is complete, is at distance 1 on its edges
+    # and 2 elsewhere
+    below = levels[max(len(levels) - 2, 0)]
+    dist = np.add(levels[-1] ^ np.eye(size, dtype=bool), levels[-1] > below,
+                  dtype=np.float64)
+    for r in reversed(levels[:-2]):
+        # T R_k < T deg(R_k) entrywise is T (R_k - diag(deg(R_k))) < 0
+        a = r.astype(np.float64)
+        # row sums, as einsum: faster than sum on a stack of small matrices
+        deg = np.einsum("bij->bi", a)
+        a.reshape(-1, size * size)[:, ::size + 1] -= deg
+        less = dist @ a < 0
+        dist *= 2
+        dist -= less
+    return connected, dist.astype(np.int64)
 
 
 def transmission_regularity(dd):
@@ -609,7 +589,8 @@ def sample_connected(n, count, seed):
     Deterministic for a fixed seed: each draw is rng.getrandbits over the
     n(n-1)/2 pairs of connected_stacks, bit i for pair i, and the connected
     draws are kept in draw order. Draws run in blocks of chunk_limit(n),
-    filtered as one adjacency stack. Yields exactly count graphs.
+    filtered as one adjacency stack by the reach doubling of
+    connected_distances, with no distances. Yields exactly count graphs.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
@@ -625,6 +606,6 @@ def sample_connected(n, count, seed):
         adj = _mask_stack(
             np.frombuffer(raw, dtype=np.uint8).reshape(size, width), n)
         graphs = adjacency_graphs(
-            adj[batch_distances(adj, sources=1)[1]])[:count]
+            adj[_reach_levels(adj)[1]])[:count]
         count -= len(graphs)
         yield from graphs

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError
-from .graphs import batch_distances
+from .graphs import _reach_levels
 
 
 def frobenius_norm(m):
@@ -45,10 +45,11 @@ def eig_symmetric(m):
 def is_irreducible(m):
     """True iff the directed nonzero-entry pattern is strongly connected.
 
-    Checked as every vertex reaching every vertex along the pattern's
-    directed edges, by graphs.batch_distances on the pattern as a batch of
-    one. A 1x1 matrix is irreducible iff its entry is nonzero (the usual
-    convention).
+    Checked as every vertex reaching every other along the pattern's
+    directed edges, by the reach doubling of graphs.connected_distances on
+    the pattern as a batch of one; a non-zero diagonal entry is no such
+    edge, so it neither makes nor breaks irreducibility. A 1x1 matrix is
+    irreducible iff its entry is nonzero (the usual convention).
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -58,7 +59,7 @@ def is_irreducible(m):
     pattern = a != 0
     if a.shape[0] == 1:
         return bool(pattern[0, 0])
-    return bool(batch_distances(pattern[None])[1][0])
+    return bool(_reach_levels(pattern[None])[1][0])
 
 
 def multiplicity(values, value, tol=None):

@@ -16,10 +16,9 @@ from distlap import (
     sample_connected, scan, scan_conjecture, scan_soundness,
     transmission_regularity)
 from distlap.graphs import (
-    _BATCH_BFS_MAX_N, _ENUM_CAP, _ENUM_CHUNK, SCAN_CELLS, SCAN_CHUNK,
-    _connected_masks, _int64_stack, adjacency_graphs, adjacency_stack,
-    batch_distances, connected_classes, connected_distances, connected_stacks,
-    distance_data, format_edge_list)
+    _ENUM_CAP, _ENUM_CHUNK, SCAN_CELLS, SCAN_CHUNK, _connected_masks,
+    adjacency_graphs, adjacency_stack, connected_classes, connected_distances,
+    connected_stacks, distance_data, format_edge_list)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
@@ -154,15 +153,17 @@ def test_enumerate_labeled_counts_match_recurrence():
 
 
 def test_connected_masks_equal_a_bfs_over_every_mask():
-    # the component table against a one-source BFS of all 2^P masks
+    # the component table against the oracle BFS of all 2^P masks
     assert [b.tolist() for b in _connected_masks(1)] == [[0]]
     assert [b.tolist() for b in _connected_masks(2)] == [[1]]
     for n in range(1, 7):
-        masks = np.arange(2 ** (n * (n - 1) // 2), dtype=np.int64)
-        want = masks[batch_distances(_int64_stack(masks, n), sources=1)[1]]
+        pairs = list(itertools.combinations(range(n), 2))
+        want = [mask for mask in range(1 << len(pairs))
+                if float("inf") not in oracles.bfs_distance_matrix(
+                    n, [p for k, p in enumerate(pairs) if mask >> k & 1])[0]]
         blocks = list(_connected_masks(n))
         assert all(b.dtype == np.int64 for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), want), n
+        assert np.concatenate(blocks).tolist() == want, n
 
 
 def test_connected_mask_blocks_hold_at_most_enum_chunk_candidates():
@@ -257,35 +258,40 @@ def test_distance_matrix_properties(data):
 
 
 @st.composite
-def adjacency_stacks(draw):
-    """Same-n graphs with free edge sets, so both connected and disconnected
-    graphs occur, as a (B, n, n) boolean stack plus their edge lists."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edge_sets = draw(st.lists(
-        st.sets(st.sampled_from(pairs)) if pairs else st.just(set()),
-        min_size=1, max_size=12))
-    adj = np.zeros((len(edge_sets), n, n), dtype=bool)
+def padded_stacks(draw):
+    """Graphs of mixed n >= 1 with free edge sets, so both connected and
+    disconnected graphs occur, as a (B, N, N) boolean stack padded to their
+    largest n, plus their vertex counts and edge lists."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=9),
+                          min_size=1, max_size=12))
+    edge_sets = []
+    for n in sizes:
+        pairs = list(itertools.combinations(range(n), 2))
+        edge_sets.append(sorted(
+            draw(st.sets(st.sampled_from(pairs))) if pairs else []))
+    size = max(sizes)
+    adj = np.zeros((len(sizes), size, size), dtype=bool)
     for b, edges in enumerate(edge_sets):
         for u, v in edges:
             adj[b, u, v] = adj[b, v, u] = True
-    return n, [sorted(e) for e in edge_sets], adj
+    return np.array(sizes), edge_sets, adj
 
 
 @settings(max_examples=80, deadline=None)
-@given(adjacency_stacks())
-def test_batch_distances_match_oracle(stack):
+@given(padded_stacks())
+def test_connected_distances_match_oracle(stack):
     n, edge_sets, adj = stack
-    dist, connected = batch_distances(adj)
-    assert dist.dtype == np.int64 and dist.shape == adj.shape
-    for b, edges in enumerate(edge_sets):
-        ref = oracles.bfs_distance_matrix(n, edges)
-        reachable = all(x != float("inf") for row in ref for x in row)
-        assert bool(connected[b]) == reachable
-        assert dist[b].tolist() == [
-            [0 if x == float("inf") else x for x in row] for row in ref]
-    # one source decides connectivity alike
-    assert (batch_distances(adj, sources=1)[1] == connected).all()
+    connected, dist = connected_distances(adj, n)
+    assert dist.dtype == np.int64
+    assert dist.shape == (connected.sum(), *adj.shape[1:])
+    rows = iter(dist)
+    for k, edges, flag in zip(n.tolist(), edge_sets, connected.tolist()):
+        ref = oracles.bfs_distance_matrix(k, edges)
+        assert flag == all(x != float("inf") for row in ref for x in row)
+        if flag:
+            d = next(rows)
+            assert d[:k, :k].tolist() == ref
+            assert not d[k:].any() and not d[:, k:].any()
 
 
 def test_distance_data_batch_matches_single():
@@ -302,61 +308,65 @@ def test_distance_data_batch_matches_single():
             assert int(getattr(batch, name)[b]) == getattr(dd, name)
 
 
-def test_connected_distances_on_both_sides_of_the_switch():
+def random_tree(n, rng):
+    return Graph(n, frozenset((v, rng.randrange(v)) for v in range(1, n)))
+
+
+def test_connected_distances_of_small_and_large_graphs():
     rng = random.Random(3)
-    for n in (5, _BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 1):
+    for n in (5, 96, 97):
         graphs = [path_graph(n), cycle_graph(n),
                   Graph(n, frozenset((v, v + 1) for v in range(1, n - 1))),
-                  Graph(n, frozenset((v, rng.randrange(v))
-                                     for v in range(1, n)))]
+                  random_tree(n, rng)]
         connected, dist = connected_distances(adjacency_stack(graphs))
         assert connected.tolist() == [True, True, False, True]
         assert dist.dtype == np.int64 and dist.shape == (3, n, n)
         singles = [oracles.bfs_distance_matrix(g.n, g.edges)
                    for g in itertools.compress(graphs, connected)]
         assert (dist == np.array(singles)).all(), n
-    connected, dist = connected_distances(
-        adjacency_stack([Graph(4, frozenset([(0, 1)]))]))
-    assert connected.tolist() == [False] and dist.shape == (0, 4, 4)
-    connected, dist = connected_distances(
-        adjacency_stack([Graph(_BATCH_BFS_MAX_N + 1, frozenset([(0, 1)]))]))
-    assert connected.tolist() == [False] and dist.shape[0] == 0
+    for g in (path_graph(150), cycle_graph(250), random_tree(200, rng)):
+        connected, dist = connected_distances(adjacency_stack([g]))
+        assert connected.tolist() == [True]
+        assert dist.tolist() == [oracles.bfs_distance_matrix(g.n, g.edges)]
+    for n in (4, 97, 250):
+        connected, dist = connected_distances(
+            adjacency_stack([Graph(n, frozenset([(0, 1)]))]))
+        assert connected.tolist() == [False] and dist.shape == (0, n, n)
 
 
-def test_a_padded_stack_above_the_switch_matches_single_graphs():
-    # above the switch each graph runs the bitmask BFS on its own vertices,
-    # so padding neither disconnects a graph nor shows in its distances
-    size = 100
-    assert size > _BATCH_BFS_MAX_N
+def test_a_padded_large_stack_matches_single_graphs():
+    # padding neither disconnects a graph nor shows in its distances
     cycle = [(v, (v + 1) % 49) for v in range(49)]
     two_cycles = Graph(98, frozenset(
         cycle + [(49 + u, 49 + v) for u, v in cycle]))
-    graphs = [path_graph(97), cycle_graph(size), two_cycles]
+    graphs = [path_graph(97), cycle_graph(100), two_cycles, path_graph(150),
+              random_tree(200, random.Random(3)), cycle_graph(250)]
     adj = adjacency_stack(graphs)
-    assert adj.shape == (3, size, size)
+    assert adj.shape == (6, 250, 250)
     connected, dist = connected_distances(adj, np.array([g.n for g in graphs]))
-    assert connected.tolist() == [True, True, False]
-    assert dist.dtype == np.int64 and dist.shape == (2, size, size)
+    assert connected.tolist() == [True, True, False, True, True, True]
+    assert dist.dtype == np.int64 and dist.shape == (5, 250, 250)
     alone = [connected_distances(adjacency_stack([g])) for g in graphs]
-    assert [flag.tolist() for flag, _ in alone] == [[True], [True], [False]]
-    for g, d, (_, want) in zip(graphs, dist, alone):
+    assert [flag.tolist() for flag, _ in alone] == [
+        [True], [True], [False], [True], [True], [True]]
+    kept = [(g, want) for g, (flag, want) in zip(graphs, alone) if flag[0]]
+    for d, (g, want) in zip(dist, kept):
         assert d[:g.n, :g.n].tolist() == want[0].tolist()
         assert not d[g.n:].any() and not d[:, g.n:].any()
 
 
 def test_too_few_edges_is_disconnected_before_any_bfs(monkeypatch):
     # n - 1 edges are needed to connect n vertices; a sparser graph never
-    # reaches a BFS, on either side of the switch, and a Graph of one is
-    # rejected, alone or in a sweep, before its adjacency stack is built
+    # reaches the reach doubling, at any n, and a Graph of one is rejected,
+    # alone or in a sweep, before its adjacency stack is built
     def no_bfs(*args):
         raise AssertionError("BFS on a graph with fewer than n - 1 edges")
-    monkeypatch.setattr(graphs_module, "batch_distances", no_bfs)
-    monkeypatch.setattr(graphs_module, "_bitmask_distances", no_bfs)
+    monkeypatch.setattr(graphs_module, "_reach_levels", no_bfs)
 
     def sparse_graphs(n):
         path = frozenset((v, v + 1) for v in range(1, min(n, 40) - 1))
         return [Graph(n, path), Graph(n, frozenset([(0, 1)]))]
-    for n in (3, _BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 1):
+    for n in (3, 96, 97, 150, 250):
         connected, dist = connected_distances(
             adjacency_stack(sparse_graphs(n)))
         assert connected.tolist() == [False, False]
@@ -371,7 +381,7 @@ def test_too_few_edges_is_disconnected_before_any_bfs(monkeypatch):
     monkeypatch.setattr(
         scan, "encode_graph6", lambda g: (g.n, g.sorted_edges()))
     message = "graph is disconnected (vertex 0 cannot reach every vertex)"
-    for n in (3, _BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 1, 10 ** 9):
+    for n in (3, 96, 97, 150, 250, 10 ** 9):
         sparse = sparse_graphs(n)
         want = sorted(((g.n, g.sorted_edges()), message) for g in sparse)
         assert scan_conjecture(sparse).errors == want

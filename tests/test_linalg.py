@@ -115,6 +115,13 @@ def test_is_irreducible_cases():
     # distance matrices of connected graphs are positive off-diagonal
     d = compute_distance_data(path_graph(4)).dist
     assert is_irreducible(d)
+    # a non-zero diagonal is no pair of the pattern: these stay irreducible
+    assert is_irreducible([[1, 1], [1, 1]])
+    assert is_irreducible(np.ones((4, 4)))
+    # L + 1p^T: row 0 of P3's is (5, 0, 0), while P4's joins every vertex
+    for n, irreducible in ((3, False), (4, True)):
+        dd = compute_distance_data(path_graph(n))
+        assert is_irreducible(build_operators(dd)[1] + dd.p) == irreducible
 
 
 def test_multiplicity():

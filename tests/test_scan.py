@@ -14,8 +14,8 @@ from distlap.bounds import bound_L_d2, bound_L_n3
 from distlap.cli import cmd_scan, scan_document, scan_table, to_canonical_json
 from distlap.errors import DisconnectedGraphError
 from distlap.graphs import (
-    _BATCH_BFS_MAX_N, SCAN_CELLS, SCAN_CHUNK, adjacency_stack, batch_of_one,
-    chunk_limit, distance_data, too_sparse)
+    SCAN_CELLS, SCAN_CHUNK, adjacency_stack, batch_of_one, chunk_limit,
+    distance_data, too_sparse)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 from distlap.scan import (
@@ -213,12 +213,14 @@ def test_chunked_scan_equals_per_graph_evaluation():
     stream += [star_graph(n) for n in range(3, 9)]
     stream += [cycle_graph(n) for n in range(3, 9)]
     stream += [complete_graph(n) for n in range(1, 9)]
-    # both sides of the batched/bitmask BFS switch, one graph per chunk
-    for n in (_BATCH_BFS_MAX_N, _BATCH_BFS_MAX_N + 4):
+    # large graphs, one per chunk
+    for n in (96, 100):
         stream += [path_graph(n), cycle_graph(n), star_graph(n),
                    Graph(n, frozenset((v, rng.randrange(v))
                                       for v in range(1, n))),
                    Graph(n, frozenset((v, v + 1) for v in range(1, n - 1)))]
+    stream += [path_graph(150), cycle_graph(250), Graph(200, frozenset(
+        (v, rng.randrange(v)) for v in range(1, 200)))]
     rng.shuffle(stream)
     got = scan_conjecture(stream)
     want = per_graph_scan(stream)

@@ -4,9 +4,11 @@ Each bound_* function takes the DistanceData of a batch (plus a Frobenius
 norm per graph where the formula needs one) and returns the bound value of
 each graph. A batch may pad its graphs to a common size: each formula reads
 each graph's own n, and its min and max reductions run over real vertices
-only. bound_values runs the battery and is the one place that applies
-BOUND_META (min_n, regular_only), so a bound_* function assumes graphs the
-table admits; bound_checks compares its values with the radii.
+only. bound_values runs the battery into one (K, B) array, a row per bound
+in BoundId order and a column per graph, and is the one place that applies
+BOUND_META (min_n, regular_only): a bound is NaN on a graph the table
+excludes, and a bound_* function assumes graphs the table admits.
+bound_checks compares that array with the radii, row by row.
 compute_all_bounds runs the same pipeline on one graph, a batch of one, and
 reports applicability, satisfaction against the true radii, and equality
 diagnoses for the bounds that have characterized equality cases.
@@ -19,6 +21,7 @@ so sweeps can aggregate them.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -106,7 +109,8 @@ BOUND_META = {
 }
 
 
-# BOUND_META's targets and sides as arrays, by row
+# the row of each bound in bound_values, and BOUND_META's targets and sides
+# as arrays by row; BOUND_META lists the bounds in BoundId order
 _ROW = {bid: k for k, bid in enumerate(BOUND_META)}
 _ON_L = np.array([meta.target is Target.L for meta in BOUND_META.values()])
 _UPPER = np.array([meta.side is Side.UPPER for meta in BOUND_META.values()])
@@ -287,8 +291,9 @@ _BATTERY = (
 
 
 def bound_values(dd, regular):
-    """Value of every bound that applies to some graph of the batch dd, by
-    id, one per graph.
+    """Value of every bound on every graph of the batch dd, as one (K, B)
+    float64 array: row _ROW[bid] holds bound bid, in BoundId order, and
+    column b graph b.
 
     BOUND_META decides where a bound applies: on each graph with n >= its
     min_n and, for a regular-only bound, that regular flags; elsewhere it is
@@ -298,35 +303,34 @@ def bound_values(dd, regular):
     smallest = dd.n.min()
     every = regular.all()
     d_frob, l_frob = np.sqrt(dd.dist2), np.sqrt(dd.tr2 + dd.dist2)
-    values = {}
+    values = np.full((len(BOUND_META), len(dd.n)), np.nan)
     for ids, evaluate in _BATTERY:
         meta = BOUND_META[ids[0]]
         if smallest >= meta.min_n and (every or not meta.regular_only):
-            values.update(zip(ids, evaluate(dd, d_frob, l_frob)))
-            continue
-        applies = dd.n >= meta.min_n
-        if meta.regular_only:
-            applies &= regular
-        if not applies.any():
-            continue
-        found = np.full((len(ids), len(applies)), np.nan)
-        found[:, applies] = evaluate(dd.take(applies), d_frob[applies],
-                                     l_frob[applies])
-        values.update(zip(ids, found))
+            applies = slice(None)
+            found = evaluate(dd, d_frob, l_frob)
+        else:
+            applies = dd.n >= meta.min_n
+            if meta.regular_only:
+                applies &= regular
+            if not applies.any():
+                continue
+            found = evaluate(dd.take(applies), d_frob[applies],
+                             l_frob[applies])
+        for bid, value in zip(ids, found):
+            values[_ROW[bid], applies] = value
     return values
 
 
 def bound_checks(values, radius_l, radius_q):
-    """(value, satisfied, gap) of each bound of bound_values against its
-    radius per graph, as (K, B) arrays in the order of values. The gap is
+    """(satisfied, gap) of the (K, B) array values of bound_values against
+    each graph's radius, as (K, B) arrays by the same rows. The gap is
     value - radius for an upper bound, radius - value for a lower one, and
     at least -slack_for(radius) where satisfied; a NaN value, where a bound
     does not apply, is never unsatisfied."""
-    rows = [_ROW[bid] for bid in values]
-    value = np.array(list(values.values()))
-    radius = np.where(_ON_L[rows, None], radius_l, radius_q)
-    gap = np.where(_UPPER[rows, None], value - radius, radius - value)
-    return value, ~(gap < -slack_for(radius)), gap
+    radius = np.where(_ON_L[:, None], radius_l, radius_q)
+    gap = np.where(_UPPER[:, None], values - radius, radius - values)
+    return ~(gap < -slack_for(radius)), gap
 
 
 @dataclass
@@ -388,16 +392,18 @@ def compute_all_bounds(g):
     t2 = time.perf_counter()
 
     values = bound_values(dd, dd.tmin == dd.tmax)
-    found = dict(zip(values, zip(*(a[:, 0].tolist() for a in bound_checks(
-        values, spectra[1, :, 0], spectra[2, :, 0])))))
+    satisfied, gap = bound_checks(values, spectra[1, :, 0], spectra[2, :, 0])
     data = dd.row(0)
-    diagnoses = diagnose_all({bid: v for bid, (v, _, _) in found.items()},
-                             spectrum_l, radius_q, ops[1, 0], data,
-                             bool(is_complete(dd)[0]))
-    entries = tuple(
-        BoundEntry(bid, meta.target, meta.side, bid in found,
-                   *found.get(bid, (None, None, None)), diagnoses.get(bid))
-        for bid, meta in BOUND_META.items())
+    diagnoses = diagnose_all(values[:, 0], spectrum_l, radius_q, ops[1, 0],
+                             data, bool(is_complete(dd)[0]))
+    entries = []
+    for (bid, meta), *found in zip(BOUND_META.items(), *(
+            a[:, 0].tolist() for a in (values, satisfied, gap))):
+        applicable = not math.isnan(found[0])
+        entries.append(BoundEntry(
+            bid, meta.target, meta.side, applicable,
+            *(found if applicable else (None, None, None)),
+            diagnoses.get(bid)))
     t3 = time.perf_counter()
 
     timing = {
@@ -409,5 +415,5 @@ def compute_all_bounds(g):
     return BoundReport(
         graph=g, graph6=encode_graph6(g), data=data, operators=ops[:, 0],
         spectrum_d=spectrum_d, spectrum_l=spectrum_l, spectrum_q=spectrum_q,
-        radius_l=radius_l, radius_q=radius_q, entries=entries,
+        radius_l=radius_l, radius_q=radius_q, entries=tuple(entries),
         timing_ms=timing)

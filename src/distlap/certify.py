@@ -3,7 +3,9 @@
 The diagnose_* functions compare one graph's bound values, as the battery
 (bounds.bound_values) computed them, against the relevant spectral radius
 at the diagnosis tolerance and attach the structural certificate that the
-equality characterization predicts. When a characterization is an iff, both
+equality characterization predicts. diagnose_all reads them from one
+graph's column of the battery's (K, B) array and diagnosis_rows from its
+rows, both through bounds._ROW. When a characterization is an iff, both
 directions are enforced and a failure raises TheoremViolationError: that
 exception firing on a valid connected graph would mean the implementation
 (or the statement) is wrong, so sweeps treat it as a violation, not an error.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundId
+from .bounds import _ROW, BoundId
 from .errors import TheoremViolationError
 from .linalg import is_irreducible, multiplicity
 
@@ -137,21 +139,21 @@ def diagnose_tb(lo, up, radius, regular):
 
 
 def diagnose_all(values, spectrum_l, radius_q, l_mat, dd, complete):
-    """The equality diagnoses of one graph by bound id, from the battery's
-    values for it (a float by id), its Laplacian spectrum, signless radius,
-    Laplacian matrix, DistanceData and whether it is complete (is_complete).
-    They run in the order n1, n3 (where L_N3 applies), tb, cs7; the first
+    """The equality diagnoses of one graph by bound id, from its column of
+    bound_values (one value per bound in BoundId order, NaN where a bound
+    does not apply), its Laplacian spectrum, signless radius, Laplacian
+    matrix, DistanceData and whether it is complete (is_complete). They run
+    in the order n1, n3 (where L_N3 applies), tb, cs7; the first
     TheoremViolationError propagates."""
-    found = {BoundId.L_N1: diagnose_n1(
-        values[BoundId.L_N1], float(spectrum_l[0]), l_mat, dd.p)}
-    if BoundId.L_N3 in values:
-        found[BoundId.L_N3] = diagnose_n3(
-            values[BoundId.L_N3], spectrum_l, dd.wiener)
+    n1, n3, lo, up, cs7 = values[[_ROW[bid] for bid in (
+        BoundId.L_N1, BoundId.L_N3, BoundId.Q_TB_LO, BoundId.Q_TB_UP,
+        BoundId.Q_CS7)]].tolist()
+    found = {BoundId.L_N1: diagnose_n1(n1, float(spectrum_l[0]), l_mat, dd.p)}
+    if not math.isnan(n3):
+        found[BoundId.L_N3] = diagnose_n3(n3, spectrum_l, dd.wiener)
     found[BoundId.Q_TB_LO] = found[BoundId.Q_TB_UP] = diagnose_tb(
-        values[BoundId.Q_TB_LO], values[BoundId.Q_TB_UP], radius_q,
-        dd.tmin == dd.tmax)
-    found[BoundId.Q_CS7] = diagnose_cs7(
-        values[BoundId.Q_CS7], radius_q, complete)
+        lo, up, radius_q, dd.tmin == dd.tmax)
+    found[BoundId.Q_CS7] = diagnose_cs7(cs7, radius_q, complete)
     return found
 
 
@@ -160,15 +162,14 @@ def diagnosis_rows(complete, regular, values, radius_l, radius_q):
     find no equality: a diagnosed bound meets its radius, or the graph is
     complete or transmission-regular (the complete and regular flags, one
     per graph). On every other graph each diagnosis is 'none' and none
-    raises. values are the batch's bound values by id, NaN on a graph where
-    a bound does not apply, which meets no radius."""
+    raises. values is the batch's (K, B) array of bound_values, NaN on a
+    graph where a bound does not apply, which meets no radius."""
     fires = complete | regular
     for radius, ids in ((radius_l, (BoundId.L_N1, BoundId.L_N3)),
                         (radius_q, (BoundId.Q_TB_LO, BoundId.Q_TB_UP,
                                     BoundId.Q_CS7))):
-        for bid in ids:
-            if bid in values:
-                fires |= _meets(values[bid], radius)
+        rows = values[[_ROW[bid] for bid in ids]]
+        fires |= _meets(rows, radius).any(axis=0)
     return fires
 
 

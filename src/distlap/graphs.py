@@ -188,10 +188,9 @@ class DistanceData:
         return np.where(self.real, vals, vals[..., :1])
 
 
-def disconnected_error(vertex):
-    """The error for a graph in which vertex cannot reach every vertex."""
-    return DisconnectedGraphError(
-        f"graph is disconnected (vertex {vertex} cannot reach every vertex)")
+# The message of the DisconnectedGraphError of one graph and of a
+# disconnected graph's entry in a sweep's error list
+DISCONNECTED = "graph is disconnected (vertex 0 cannot reach every vertex)"
 
 
 def too_sparse(g):
@@ -205,12 +204,11 @@ def batch_of_one(g):
     """The (1, n, n) distance stack of connected graph g. Raises
     DisconnectedGraphError if any pair is unreachable; a too_sparse graph
     raises it before its adjacency stack is allocated."""
-    # vertex 0 is the first source that misses a vertex
     if too_sparse(g):
-        raise disconnected_error(0)
+        raise DisconnectedGraphError(DISCONNECTED)
     connected, dist = connected_distances(adjacency_stack([g]))
     if not connected[0]:
-        raise disconnected_error(0)
+        raise DisconnectedGraphError(DISCONNECTED)
     return dist
 
 

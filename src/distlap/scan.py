@@ -34,20 +34,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
-    bound_checks, bound_L_d2, bound_L_n3, bound_values, slack_for)
+    _ROW, bound_checks, bound_L_d2, bound_L_n3, bound_values, slack_for)
 from .certify import (
     diagnose_all, diagnosis_rows, han_multiplicity_holds, is_complete)
 from .errors import ConsistencyError, TheoremViolationError
 from .graph6 import encode_graph6, encode_graph6_stack
 from .graphs import (
-    ConnectedClasses, Graph, adjacency_stack, chunk_limit,
-    connected_distances, disconnected_error, distance_data, too_sparse)
+    DISCONNECTED, ConnectedClasses, Graph, adjacency_stack, chunk_limit,
+    connected_distances, distance_data, too_sparse)
 from .operators import operator_spectra
 
 HISTOGRAM_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
 HISTOGRAM_LABELS = ("< 0", "[0, 0.5)", "[0.5, 1)", "[1, 2)", "[2, 5)", ">= 5")
-# vertex 0 is the first source that misses a vertex, as one at a time
-_DISCONNECTED = str(disconnected_error(0))
 
 
 @dataclass
@@ -164,7 +162,7 @@ def _scan_chunk(result, adj, n, weight=None, listed=None):
         adj, n, rows = adj[~small], n[~small], rows[~small]
     connected, dist = connected_distances(adj, n)
     if not connected.all():
-        result.errors += [(g6, _DISCONNECTED) for g6s in listed(
+        result.errors += [(g6, DISCONNECTED) for g6s in listed(
             rows[~connected]) for g6 in g6s]
         n, rows = n[connected], rows[connected]
     dd = distance_data(dist, n)
@@ -237,7 +235,7 @@ def scan_conjecture(source, slack=1e-7):
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
 
     def reject(g):
-        message = _too_small(g.n) if g.n < 3 else _DISCONNECTED
+        message = _too_small(g.n) if g.n < 3 else DISCONNECTED
         result.errors.append((encode_graph6(g), message))
     if isinstance(source, ConnectedClasses):
         _scan_classes(result, source)
@@ -343,14 +341,14 @@ def _violations(dd):
     DistanceData dd, by row, for the rows that have any, each row's
     messages in the order one graph reports them: a TheoremViolationError
     of its diagnoses alone, else its unsatisfied bounds and then its failed
-    identities. A ConsistencyError of the eigensolve or of a bound
-    propagates."""
+    identities. Bounds come in BoundId order, the rows of bound_values. A
+    ConsistencyError of the eigensolve or of a bound propagates."""
     ops, spectra = operator_spectra(dd)
     radius_l, radius_q = spectra[1, :, 0], spectra[2, :, 0]
     complete = is_complete(dd)
     regular = dd.tmin == dd.tmax
     values = bound_values(dd, regular)
-    value, satisfied, gap = bound_checks(values, radius_l, radius_q)
+    satisfied, gap = bound_checks(values, radius_l, radius_q)
 
     found = {}
     for i in np.flatnonzero(
@@ -358,21 +356,16 @@ def _violations(dd):
                            radius_q)).tolist():
         k = int(dd.n[i])
         try:
-            # a NaN value is a bound that does not apply to graph i
-            diagnose_all({bid: v for bid, v in zip(
-                              values, value[:, i].tolist())
-                          if not math.isnan(v)},
-                         spectra[1, i, :k],
-                         float(radius_q[i]), ops[1, i, :k, :k], dd.row(i),
-                         bool(complete[i]))
+            diagnose_all(values[:, i], spectra[1, i, :k], float(radius_q[i]),
+                         ops[1, i, :k, :k], dd.row(i), bool(complete[i]))
         except TheoremViolationError as exc:
             found[i] = [str(exc)]
 
     failures = [
         (~satisfied[k], lambda i, k=k, bid=bid:
-         f"{bid.value} unsatisfied: value {float(value[k, i])!r} vs "
+         f"{bid.value} unsatisfied: value {float(values[k, i])!r} vs "
          f"radius gap {float(gap[k, i])!r}")
-        for k, bid in enumerate(values)]
+        for bid, k in _ROW.items()]
     failures += _identity_failures(dd, complete, ops[2], spectra)
 
     failed = np.array([bad for bad, _ in failures]).any(axis=0)
@@ -426,13 +419,13 @@ def scan_soundness(source):
         connected, dist = connected_distances(adj, n)
         if not connected.all():
             report.errors += [
-                (g6, _DISCONNECTED) for g6 in encode_graph6_stack(
+                (g6, DISCONNECTED) for g6 in encode_graph6_stack(
                     adj[~connected], n[~connected])]
         if len(dist):
             _check_soundness(report, distance_data(dist, n[connected]))
 
     def reject(g):
-        report.errors.append((encode_graph6(g), _DISCONNECTED))
+        report.errors.append((encode_graph6(g), DISCONNECTED))
     _each_chunk(source, check, reject)
     report.violations.sort(key=lambda item: item[0])
     report.errors.sort(key=lambda item: item[0])

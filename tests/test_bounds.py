@@ -12,7 +12,7 @@ from distlap import (
     BOUND_META, BoundId, Side, Target, compute_all_bounds, encode_graph6,
     enumerate_connected, sample_connected, slack_for)
 from distlap.bounds import (
-    _BATTERY, _sqrt_guarded, bound_L_n2, bound_L_n3, bound_values)
+    _BATTERY, _ROW, _sqrt_guarded, bound_L_n2, bound_L_n3, bound_values)
 from distlap.errors import ConsistencyError
 from distlap.graphs import (
     adjacency_stack, batch_of_one, connected_distances, distance_data)
@@ -179,16 +179,17 @@ def test_bound_values_of_a_batch_match_single_graphs():
         batch = distance_data(np.concatenate([batch_of_one(g) for g in graphs]))
         regular = batch.tmin == batch.tmax
         values = bound_values(batch, regular)
+        assert values.shape == (len(BoundId), len(graphs))
         if n >= 3:
-            assert math.isnan(values[BoundId.L_R1][-1])  # the star
+            assert math.isnan(values[_ROW[BoundId.L_R1], -1])  # the star
         for i, g in enumerate(graphs):
             want = {e.bound_id: e.value for e in compute_all_bounds(g).entries
                     if e.applicable}
             for bid in BoundId:
                 if bid in want:
-                    assert repr(float(values[bid][i])) == repr(want[bid])
-                elif bid in values:
-                    assert math.isnan(values[bid][i])
+                    assert repr(float(values[_ROW[bid], i])) == repr(want[bid])
+                else:
+                    assert math.isnan(values[_ROW[bid], i])
 
 
 def test_a_padded_batch_matches_single_graphs():
@@ -219,10 +220,10 @@ def test_a_padded_batch_matches_single_graphs():
         want = {e.bound_id: e.value for e in r.entries if e.applicable}
         for bid in BoundId:
             if bid in want:
-                assert repr(float(values[bid][i])) == repr(want[bid]), (
+                assert repr(float(values[_ROW[bid], i])) == repr(want[bid]), (
                     g.n, bid)
-            elif bid in values:
-                assert math.isnan(values[bid][i]), (g.n, bid)
+            else:
+                assert math.isnan(values[_ROW[bid], i]), (g.n, bid)
 
 
 def test_one_graph_computes_each_bound_once(monkeypatch):
@@ -262,7 +263,9 @@ def test_slack_for():
 
 
 def test_meta_table():
-    assert set(BOUND_META) == set(BoundId)
+    # BOUND_META, and so the rows of bound_values, in BoundId order
+    assert list(BOUND_META) == list(BoundId)
+    assert [_ROW[bid] for bid in BoundId] == list(range(len(BoundId)))
     lowers = {BoundId.Q_TB_LO, BoundId.Q_I3, BoundId.Q_I5, BoundId.Q_CI5}
     for bid, meta in BOUND_META.items():
         assert meta.target is (Target.L if bid.value.startswith("L") else Target.Q)

@@ -14,8 +14,8 @@ from distlap.bounds import bound_L_d2, bound_L_n3
 from distlap.cli import cmd_scan, scan_document, scan_table, to_canonical_json
 from distlap.errors import DisconnectedGraphError
 from distlap.graphs import (
-    SCAN_CELLS, SCAN_CHUNK, adjacency_stack, batch_of_one, chunk_limit,
-    distance_data, too_sparse)
+    DISCONNECTED, SCAN_CELLS, SCAN_CHUNK, adjacency_stack, batch_of_one,
+    chunk_limit, distance_data, too_sparse)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 from distlap.scan import (
@@ -406,8 +406,8 @@ def test_chunked_soundness_equals_per_graph_evaluation():
 
 @pytest.mark.parametrize(
     "mutation",
-    ["bound", "certificate", "guard", "drift", "spectrum", "sandwich",
-     "operators"])
+    ["bound", "two bounds", "certificate", "guard", "drift", "spectrum",
+     "sandwich", "operators"])
 def test_chunked_soundness_reports_violations_as_per_graph(
         monkeypatch, mutation):
     # each mutation of shared code makes some graphs of the stream fail, so
@@ -418,6 +418,13 @@ def test_chunked_soundness_reports_violations_as_per_graph(
         hong_sqrt = bounds.bound_Q_hong_sqrt
         monkeypatch.setattr(bounds, "bound_Q_hong_sqrt", lambda dd: tuple(
             v * 1.001 for v in hong_sqrt(dd)))
+    elif mutation == "two bounds":
+        # halve L_I1 (and Q_I2, the same expression) and L_D1, so that a
+        # graph fails bounds of two battery entries, which the sweep must
+        # list in the order one graph reports them
+        for name in ("bound_L_i1", "bound_L_d1"):
+            monkeypatch.setattr(bounds, name, lambda dd, bound=getattr(
+                bounds, name): 0.5 * bound(dd))
     elif mutation == "certificate":
         # every diagnosis meets its radius, so certificates fail
         monkeypatch.setattr(certify, "equality_tol",
@@ -461,7 +468,8 @@ def test_chunked_soundness_reports_violations_as_per_graph(
     got = scan_soundness(stream)
     want = per_graph_soundness(stream)
     assert got == want
-    found = {"bound": "Q_I5 unsatisfied", "certificate": "endpoint met",
+    found = {"bound": "Q_I5 unsatisfied", "two bounds": "L_D1 unsatisfied",
+             "certificate": "endpoint met",
              "guard": "L_N3: radicand", "drift": "sum drifted",
              "spectrum": "square sum misses",
              "sandwich": "escapes the quadratic row-sum sandwich",
@@ -516,7 +524,7 @@ def test_padded_chunks_equal_per_graph_evaluation(monkeypatch, sweep):
         got, want = scan_conjecture(stream), per_graph_scan(stream)
         assert got.counterexamples and got.equalities and got.skipped_regular
         assert {msg for _, msg in got.errors} == {
-            "margin needs n >= 3, got n=2", scan._DISCONNECTED}
+            "margin needs n >= 3, got n=2", DISCONNECTED}
         # the 4-spoke star, listed from a chunk padded to 7 vertices, under
         # the graph6 of its own 5 vertices
         assert encode_graph6(star_graph(5)) == "Ds_"
@@ -524,7 +532,7 @@ def test_padded_chunks_equal_per_graph_evaluation(monkeypatch, sweep):
     else:
         got, want = scan_soundness(stream), per_graph_soundness(stream)
         assert not got.violations
-        assert {msg for _, msg in got.errors} == {scan._DISCONNECTED}
+        assert {msg for _, msg in got.errors} == {DISCONNECTED}
     assert got == want and repr(got) == repr(want)
     assert sorted(max(n) for _, n in chunks) == [3, 7, 13, 24]
     for (b, size, _), n in chunks:

@@ -8,7 +8,7 @@ from .bounds import (
     compute_all_bounds, slack_for)
 from .certify import (
     EqualityDiagnosis, check_han_multiplicity, check_tree_determinant,
-    diagnose_cs7, diagnose_n1, diagnose_n3, diagnose_tb, equality_tol)
+    diagnose, equality_tol)
 from .errors import (
     ConsistencyError, DisconnectedGraphError, GraphParseError,
     TheoremViolationError)

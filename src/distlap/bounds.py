@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, TheoremViolationError
 from .graph6 import encode_graph6
 from .graphs import batch_of_one, distance_data
 from .operators import operator_spectra
@@ -365,23 +365,23 @@ class BoundReport:
     timing_ms: dict
 
     def entry(self, bound_id):
-        for e in self.entries:
-            if e.bound_id is bound_id:
-                return e
-        raise KeyError(bound_id)
+        """The entry of bound_id; entries are in BoundId order."""
+        return self.entries[_ROW[bound_id]]
 
 
 def compute_all_bounds(g):
     """Run every bound on one connected graph and diagnose equality cases.
 
-    The graph runs the soundness sweep's pipeline as a batch of one, and
-    the diagnoses read the battery's values. Bounds whose preconditions
-    fail (small n, not transmission-regular) come back as inapplicable
-    entries, never as numbers; BOUND_META decides which. Every bound is
-    evaluated before the diagnoses, so a ConsistencyError of a bound takes
-    precedence over a diagnosis's TheoremViolationError, which propagates.
+    The graph runs the soundness sweep's pipeline as a batch of one,
+    certify.diagnose included, and each EqualityDiagnosis is built from
+    column 0 of its certificates. Bounds whose preconditions fail (small n,
+    not transmission-regular) come back as inapplicable entries, never as
+    numbers, and with no diagnosis; BOUND_META decides which. Every bound
+    is evaluated before the diagnoses, so a ConsistencyError of a bound
+    takes precedence over the TheoremViolationError of the first failed
+    diagnosis, which is raised.
     """
-    from .certify import diagnose_all, is_complete
+    from .certify import CERT_NONE, EqualityDiagnosis, diagnose, is_complete
 
     t0 = time.perf_counter()
     dd = distance_data(batch_of_one(g))
@@ -394,8 +394,16 @@ def compute_all_bounds(g):
     values = bound_values(dd, dd.tmin == dd.tmax)
     satisfied, gap = bound_checks(values, spectra[1, :, 0], spectra[2, :, 0])
     data = dd.row(0)
-    diagnoses = diagnose_all(values[:, 0], spectrum_l, radius_q, ops[1, 0],
-                             data, bool(is_complete(dd)[0]))
+    certificates, failures = diagnose(
+        values, spectra[1], spectra[2, :, 0], ops[1], dd, is_complete(dd))
+    for failed, message in failures:
+        if failed[0]:
+            raise TheoremViolationError(message(0))
+    diagnoses = {}
+    for bid, certs in certificates.items():
+        cert = str(certs[0])
+        diagnoses[bid] = EqualityDiagnosis(bid, cert != CERT_NONE, cert)
+    diagnoses[BoundId.Q_TB_LO] = diagnoses[BoundId.Q_TB_UP]
     entries = []
     for (bid, meta), *found in zip(BOUND_META.items(), *(
             a[:, 0].tolist() for a in (values, satisfied, gap))):
@@ -403,7 +411,7 @@ def compute_all_bounds(g):
         entries.append(BoundEntry(
             bid, meta.target, meta.side, applicable,
             *(found if applicable else (None, None, None)),
-            diagnoses.get(bid)))
+            diagnoses.get(bid) if applicable else None))
     t3 = time.perf_counter()
 
     timing = {

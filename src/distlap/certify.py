@@ -1,14 +1,14 @@
 """Equality-case diagnosis and proven-identity checks.
 
-The diagnose_* functions compare one graph's bound values, as the battery
-(bounds.bound_values) computed them, against the relevant spectral radius
-at the diagnosis tolerance and attach the structural certificate that the
-equality characterization predicts. diagnose_all reads them from one
-graph's column of the battery's (K, B) array and diagnosis_rows from its
-rows, both through bounds._ROW. When a characterization is an iff, both
-directions are enforced and a failure raises TheoremViolationError: that
-exception firing on a valid connected graph would mean the implementation
-(or the statement) is wrong, so sweeps treat it as a violation, not an error.
+diagnose compares the bound values that the battery (bounds.bound_values)
+computed for a padded batch with the relevant spectral radii at the
+diagnosis tolerance, all graphs at once, and attaches to each graph the
+structural certificate that the equality characterization predicts. When a
+characterization is an iff, both directions are enforced. A failure is a
+flagged row with its TheoremViolationError message: that error on a valid
+connected graph would mean the implementation (or the statement) is wrong,
+so sweeps report it as a violation, not an error, and compute_all_bounds
+raises it for its batch of one.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _ROW, BoundId
-from .errors import TheoremViolationError
+from .bounds import _ON_L, _ROW, BoundId
 from .linalg import is_irreducible, multiplicity
 
 DIAG_ABS = 1e-6
@@ -59,118 +58,107 @@ def is_complete(dd):
     return (dd.n == 1) | (dd.p.max(axis=-1) == 1)
 
 
-def diagnose_n1(value, radius, l_mat, p):
-    """Equality of the row-maxima sum bound's value and the Laplacian
-    radius requires the rank-one (Brauer) shift l_mat + 1 p^T of one graph's
-    Laplacian l_mat by its eccentricities p to be reducible (necessary, not
-    sufficient). The shift keeps every other eigenvalue of l_mat and adds
-    the eccentricity sum; it is generally not symmetric, and it is formed
-    only when value meets radius."""
-    if _meets(value, radius):
-        if is_irreducible(l_mat + p):
-            raise TheoremViolationError(
-                "row-maxima bound met with an irreducible shifted matrix "
-                f"(value {value!r}, radius {radius!r})")
-        return EqualityDiagnosis(BoundId.L_N1, True, CERT_B_REDUCIBLE)
-    return EqualityDiagnosis(BoundId.L_N1, False, CERT_NONE)
+# the rows of bound_values that the diagnoses read, in this order, and
+# which of them meet the Laplacian radius rather than the signless one
+_DIAGNOSED = np.array([_ROW[bid] for bid in (
+    BoundId.L_N1, BoundId.L_N3, BoundId.Q_TB_LO, BoundId.Q_TB_UP,
+    BoundId.Q_CS7)])
+_DIAGNOSED_ON_L = _ON_L[_DIAGNOSED, None]
 
 
-def diagnose_n3(value, spectrum_l, wiener):
-    """Equality of the Laplacian trace/Frobenius bound's value and the
-    radius of spectrum_l happens exactly for the complete graph or a
-    spectrum with three distinct values {r, (2W - r)/(n - 2), 0}."""
-    n = len(spectrum_l)
-    radius = float(spectrum_l[0])
-    if not _meets(value, radius):
-        return EqualityDiagnosis(BoundId.L_N3, False, CERT_NONE)
-    tol = equality_tol(radius)
-    if abs(spectrum_l[-1]) > tol:
-        raise TheoremViolationError(
-            "trace/Frobenius equality with nonzero smallest eigenvalue "
-            f"{float(spectrum_l[-1])!r}")
-    if multiplicity(spectrum_l, radius, tol) >= n - 1:
-        return EqualityDiagnosis(BoundId.L_N3, True, CERT_COMPLETE)
-    mid = (2.0 * wiener - radius) / (n - 2)
-    middle = spectrum_l[1:n - 1]
-    if np.abs(middle - mid).max() > equality_tol(mid):
-        raise TheoremViolationError(
-            "trace/Frobenius equality without the predicted "
-            f"three-value spectrum (middle block {middle.tolist()!r} vs "
-            f"{mid!r})")
-    return EqualityDiagnosis(BoundId.L_N3, True, CERT_THREE_L)
+def diagnose(values, spectrum_l, radius_q, l_mats, dd, complete):
+    """The equality diagnoses of a padded batch: (certificates, failures).
 
+    The batch is its (K, B) array of bound_values (NaN where a bound does
+    not apply, which meets no radius), its Laplacian spectra, signless
+    radii, Laplacian matrices, DistanceData and complete flags
+    (is_complete), each 0 past a graph's own n. certificates maps L_N1,
+    L_N3, Q_TB_UP and Q_CS7 to one certificate per graph; Q_TB_UP's covers
+    the interval pair Q_TB_LO/Q_TB_UP. failures holds (failed, message)
+    pairs in the order one graph checks them, n1, n3, tb, cs7: failed is
+    one flag per graph, and message(i) is graph i's TheoremViolationError
+    message. On a graph that fails, its certificates mean nothing.
 
-def diagnose_cs7(value, radius, complete):
-    """Equality of the signless trace/Frobenius bound's value and the
-    signless radius iff the graph is complete. Both directions are
-    enforced."""
-    eq = _meets(value, radius)
-    if eq and not complete:
-        raise TheoremViolationError(
-            "signless trace/Frobenius equality on a non-complete graph "
-            f"(value {value!r}, radius {radius!r})")
-    if complete and not eq:
-        raise TheoremViolationError(
-            "complete graph missed signless trace/Frobenius equality "
-            f"(value {value!r}, radius {radius!r})")
-    if eq:
-        return EqualityDiagnosis(BoundId.Q_CS7, True, CERT_COMPLETE)
-    return EqualityDiagnosis(BoundId.Q_CS7, False, CERT_NONE)
+    - L_N1: the row-maxima sum meeting the Laplacian radius requires the
+      rank-one (Brauer) shift L + 1 p^T of L by the eccentricities p to be
+      reducible (necessary, not sufficient). The shift keeps every other
+      eigenvalue of L and adds the eccentricity sum; it is generally not
+      symmetric, and it is formed only on the graphs that meet the bound.
+    - L_N3: the trace/Frobenius bound meets the Laplacian radius r exactly
+      for the complete graph or a spectrum with three distinct values
+      {r, (2W - r)/(n - 2), 0}.
+    - Q_TB: the signless radius hits either transmission endpoint iff the
+      graph is transmission-regular (then it hits both); both directions
+      are enforced.
+    - Q_CS7: the signless trace/Frobenius bound meets the signless radius
+      iff the graph is complete; both directions are enforced.
+    """
+    rows = values[_DIAGNOSED]
+    n1, _, lo, up, cs7 = rows
+    radius_l = spectrum_l[:, 0]
+    met_n1, met_n3, eq_lo, eq_up, eq_cs7 = _meets(
+        rows, np.where(_DIAGNOSED_ON_L, radius_l, radius_q))
+    n = dd.n
+    regular = dd.tmin == dd.tmax
 
+    irreducible = np.zeros(len(n), dtype=bool)
+    for i in np.flatnonzero(met_n1).tolist():
+        k = int(n[i])
+        irreducible[i] = is_irreducible(l_mats[i, :k, :k] + dd.p[i, :k])
 
-def diagnose_tb(lo, up, radius, regular):
-    """The signless radius hits either transmission endpoint, lo or up, iff
-    the graph is transmission-regular (in which case it hits both). Both
-    directions are enforced. One diagnosis covers the interval pair; it
-    carries the upper-bound id."""
-    eq_lo = _meets(lo, radius)
-    eq_up = _meets(up, radius)
-    if (eq_lo or eq_up) and not regular:
-        raise TheoremViolationError(
-            "transmission endpoint met by a non-transmission-regular graph "
-            f"(radius {radius!r}, interval ({lo!r}, {up!r}))")
-    if regular and not (eq_lo and eq_up):
-        raise TheoremViolationError(
-            "transmission-regular graph missed its endpoint equality "
-            f"(radius {radius!r}, interval ({lo!r}, {up!r}))")
-    if regular:
-        return EqualityDiagnosis(BoundId.Q_TB_UP, True, CERT_REGULAR)
-    return EqualityDiagnosis(BoundId.Q_TB_UP, False, CERT_NONE)
+    smallest = full = off = met_n3  # all False where no graph meets n3
+    if met_n3.any():
+        tol = equality_tol(radius_l)
+        smallest = met_n3 & (
+            np.abs(spectrum_l[np.arange(len(n)), n - 1]) > tol)
+        # a met radius is at least 2, far from the zeros past n
+        full = multiplicity(spectrum_l, radius_l, tol) >= n - 1
+        # the divisor is 0 only for K2, which is complete
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mid = (2.0 * dd.wiener - radius_l) / (n - 2)
+        cols = np.arange(spectrum_l.shape[-1])
+        middle = (cols >= 1) & (cols < (n - 1)[:, None])
+        off = met_n3 & ~full & (
+            np.where(middle, np.abs(spectrum_l - mid[:, None]), 0.0)
+            .max(axis=-1) > equality_tol(mid))
 
+    certificates = {
+        BoundId.L_N1: np.where(met_n1, CERT_B_REDUCIBLE, CERT_NONE),
+        BoundId.L_N3: np.where(
+            met_n3, np.where(full, CERT_COMPLETE, CERT_THREE_L), CERT_NONE),
+        BoundId.Q_TB_UP: np.where(regular, CERT_REGULAR, CERT_NONE),
+        BoundId.Q_CS7: np.where(eq_cs7, CERT_COMPLETE, CERT_NONE),
+    }
 
-def diagnose_all(values, spectrum_l, radius_q, l_mat, dd, complete):
-    """The equality diagnoses of one graph by bound id, from its column of
-    bound_values (one value per bound in BoundId order, NaN where a bound
-    does not apply), its Laplacian spectrum, signless radius, Laplacian
-    matrix, DistanceData and whether it is complete (is_complete). They run
-    in the order n1, n3 (where L_N3 applies), tb, cs7; the first
-    TheoremViolationError propagates."""
-    n1, n3, lo, up, cs7 = values[[_ROW[bid] for bid in (
-        BoundId.L_N1, BoundId.L_N3, BoundId.Q_TB_LO, BoundId.Q_TB_UP,
-        BoundId.Q_CS7)]].tolist()
-    found = {BoundId.L_N1: diagnose_n1(n1, float(spectrum_l[0]), l_mat, dd.p)}
-    if not math.isnan(n3):
-        found[BoundId.L_N3] = diagnose_n3(n3, spectrum_l, dd.wiener)
-    found[BoundId.Q_TB_LO] = found[BoundId.Q_TB_UP] = diagnose_tb(
-        lo, up, radius_q, dd.tmin == dd.tmax)
-    found[BoundId.Q_CS7] = diagnose_cs7(cs7, radius_q, complete)
-    return found
+    def interval(i):
+        return (f"(radius {float(radius_q[i])!r}, interval "
+                f"({float(lo[i])!r}, {float(up[i])!r}))")
 
-
-def diagnosis_rows(complete, regular, values, radius_l, radius_q):
-    """Flags the graphs of a batch on which diagnose_all has more to do than
-    find no equality: a diagnosed bound meets its radius, or the graph is
-    complete or transmission-regular (the complete and regular flags, one
-    per graph). On every other graph each diagnosis is 'none' and none
-    raises. values is the batch's (K, B) array of bound_values, NaN on a
-    graph where a bound does not apply, which meets no radius."""
-    fires = complete | regular
-    for radius, ids in ((radius_l, (BoundId.L_N1, BoundId.L_N3)),
-                        (radius_q, (BoundId.Q_TB_LO, BoundId.Q_TB_UP,
-                                    BoundId.Q_CS7))):
-        rows = values[[_ROW[bid] for bid in ids]]
-        fires |= _meets(rows, radius).any(axis=0)
-    return fires
+    failures = [
+        (met_n1 & irreducible, lambda i:
+         "row-maxima bound met with an irreducible shifted matrix "
+         f"(value {float(n1[i])!r}, radius {float(radius_l[i])!r})"),
+        (smallest, lambda i:
+         "trace/Frobenius equality with nonzero smallest eigenvalue "
+         f"{float(spectrum_l[i, n[i] - 1])!r}"),
+        (off, lambda i:
+         "trace/Frobenius equality without the predicted three-value "
+         f"spectrum (middle block {spectrum_l[i, 1:n[i] - 1].tolist()!r} "
+         f"vs {float(mid[i])!r})"),
+        ((eq_lo | eq_up) & ~regular, lambda i:
+         "transmission endpoint met by a non-transmission-regular graph "
+         + interval(i)),
+        (regular & ~(eq_lo & eq_up), lambda i:
+         "transmission-regular graph missed its endpoint equality "
+         + interval(i)),
+        (eq_cs7 & ~complete, lambda i:
+         "signless trace/Frobenius equality on a non-complete graph "
+         f"(value {float(cs7[i])!r}, radius {float(radius_q[i])!r})"),
+        (complete & ~eq_cs7, lambda i:
+         "complete graph missed signless trace/Frobenius equality "
+         f"(value {float(cs7[i])!r}, radius {float(radius_q[i])!r})"),
+    ]
+    return certificates, failures
 
 
 def han_multiplicity_holds(spectrum_l, complete, n):

@@ -35,9 +35,8 @@ import numpy as np
 
 from .bounds import (
     _ROW, bound_checks, bound_L_d2, bound_L_n3, bound_values, slack_for)
-from .certify import (
-    diagnose_all, diagnosis_rows, han_multiplicity_holds, is_complete)
-from .errors import ConsistencyError, TheoremViolationError
+from .certify import diagnose, han_multiplicity_holds, is_complete
+from .errors import ConsistencyError
 from .graph6 import encode_graph6, encode_graph6_stack
 from .graphs import (
     DISCONNECTED, ConnectedClasses, Graph, adjacency_stack, chunk_limit,
@@ -339,27 +338,22 @@ def _identity_failures(dd, complete, q_mat, vals):
 def _violations(dd):
     """Violation messages of the connected graphs of a padded batch's
     DistanceData dd, by row, for the rows that have any, each row's
-    messages in the order one graph reports them: a TheoremViolationError
-    of its diagnoses alone, else its unsatisfied bounds and then its failed
-    identities. Bounds come in BoundId order, the rows of bound_values. A
-    ConsistencyError of the eigensolve or of a bound propagates."""
+    messages in the order one graph reports them: the first failure of its
+    diagnoses (certify.diagnose) alone, else its unsatisfied bounds and
+    then its failed identities. Bounds come in BoundId order, the rows of
+    bound_values. A ConsistencyError of the eigensolve or of a bound
+    propagates."""
     ops, spectra = operator_spectra(dd)
     radius_l, radius_q = spectra[1, :, 0], spectra[2, :, 0]
     complete = is_complete(dd)
-    regular = dd.tmin == dd.tmax
-    values = bound_values(dd, regular)
+    values = bound_values(dd, dd.tmin == dd.tmax)
     satisfied, gap = bound_checks(values, radius_l, radius_q)
 
     found = {}
-    for i in np.flatnonzero(
-            diagnosis_rows(complete, regular, values, radius_l,
-                           radius_q)).tolist():
-        k = int(dd.n[i])
-        try:
-            diagnose_all(values[:, i], spectra[1, i, :k], float(radius_q[i]),
-                         ops[1, i, :k, :k], dd.row(i), bool(complete[i]))
-        except TheoremViolationError as exc:
-            found[i] = [str(exc)]
+    for failed, message in diagnose(
+            values, spectra[1], radius_q, ops[1], dd, complete)[1]:
+        for i in np.flatnonzero(failed).tolist():
+            found.setdefault(i, [message(i)])
 
     failures = [
         (~satisfied[k], lambda i, k=k, bid=bid:

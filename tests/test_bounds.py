@@ -299,6 +299,9 @@ def test_report_structure():
     assert r.radius_q == r.spectrum_q[0]
     assert set(r.timing_ms) == {"distances", "spectra", "bounds", "total"}
     assert r.entry(BoundId.L_D1).value == 11.0
+    assert all(r.entry(bid).bound_id is bid for bid in BoundId)
+    assert {type(e.diagnosis.certificate) for e in r.entries
+            if e.diagnosis is not None} == {str}
     with pytest.raises(KeyError):
         r.entry("L_D1")
 

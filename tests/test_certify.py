@@ -9,11 +9,12 @@ import pytest
 from distlap import (
     BoundId, EqualityDiagnosis, check_han_multiplicity,
     check_tree_determinant, compute_all_bounds, compute_distance_data,
-    diagnose_cs7, diagnose_n1, diagnose_n3, diagnose_tb, equality_tol,
-    transmission_regularity)
+    diagnose, equality_tol)
+from distlap.bounds import bound_values
 from distlap.certify import is_complete
-from distlap.graphs import distance_data
+from distlap.graphs import adjacency_stack, connected_distances, distance_data
 from distlap.errors import TheoremViolationError
+from distlap.operators import operator_spectra
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
@@ -92,44 +93,53 @@ def test_fixture_non_equalities():
     assert not ex1.entry(BoundId.L_N1).diagnosis.equality_within_tol
 
 
-def doctored(g):
-    """The battery's report of g, whose bound values and structure the
-    diagnoses take next to a doctored spectrum."""
-    return compute_all_bounds(g)
+def diagnosed(graphs, spectrum_l=None, radius_q=None, complete=None):
+    """certify.diagnose on graphs as one padded batch, as a sweep pads a
+    chunk. A batch of one graph may take a doctored Laplacian spectrum,
+    signless radius or complete flag in place of its own."""
+    n = np.array([g.n for g in graphs])
+    connected, dist = connected_distances(adjacency_stack(graphs), n)
+    assert connected.all()
+    dd = distance_data(dist, n)
+    ops, spectra = operator_spectra(dd)
+    return diagnose(
+        bound_values(dd, dd.tmin == dd.tmax),
+        spectra[1] if spectrum_l is None else spectrum_of([spectrum_l]),
+        spectra[2, :, 0] if radius_q is None else spectrum_of([radius_q]),
+        ops[1], dd, is_complete(dd) if complete is None else
+        np.array([complete]))
 
 
-def value(report, bound_id):
-    return report.entry(bound_id).value
+def first_violation(g, **doctored):
+    """Raises the TheoremViolationError of the first failed diagnosis of g,
+    as compute_all_bounds does."""
+    for failed, message in diagnosed([g], **doctored)[1]:
+        if failed[0]:
+            raise TheoremViolationError(message(0))
 
 
 def test_n1_violation_on_doctored_spectrum():
     # P4's shifted matrix is irreducible, so pretending the radius hits the
     # row-maxima sum (10) must trip the necessary condition
-    r = doctored(path_graph(4))
-    fake = spectrum_of([10.0, 5.0, 4.0, 0.0])
     with violation("irreducible"):
-        diagnose_n1(value(r, BoundId.L_N1), float(fake[0]), r.operators[1],
-                    r.data.p)
+        first_violation(path_graph(4), spectrum_l=[10.0, 5.0, 4.0, 0.0])
 
 
 def test_n3_violation_nonzero_smallest():
-    r = doctored(path_graph(4))
-    fake = spectrum_of([28 / 3, 6.0, 4.0, 0.5])
     with violation("smallest eigenvalue 0.5$"):
-        diagnose_n3(value(r, BoundId.L_N3), fake, r.data.wiener)
+        first_violation(path_graph(4), spectrum_l=[28 / 3, 6.0, 4.0, 0.5])
 
 
 def test_n3_violation_wrong_middle_block():
-    r = doctored(path_graph(4))
-    fake = spectrum_of([28 / 3, 6.0, 4.0, 0.0])
     with violation("three-value"):
-        diagnose_n3(value(r, BoundId.L_N3), fake, r.data.wiener)
+        first_violation(path_graph(4), spectrum_l=[28 / 3, 6.0, 4.0, 0.0])
 
 
 def test_n3_middle_block_message_lists_python_floats():
-    # P4's Wiener index is 10, so the middle value is (20 - 28/3)/2 = 16/3
+    # P4's L_N3 value is 28/3 and its Wiener index 10, so the middle value
+    # is (20 - 28/3)/2 = 16/3
     with violation("three-value") as exc:
-        diagnose_n3(28 / 3, np.array([28 / 3, 6.0, 4.0, 0.0]), 10)
+        first_violation(path_graph(4), spectrum_l=[28 / 3, 6.0, 4.0, 0.0])
     message = str(exc.value)
     assert "middle block [6.0, 4.0] vs 5.333333333333333" in message
     assert "array(" not in message
@@ -137,35 +147,46 @@ def test_n3_middle_block_message_lists_python_floats():
 
 def test_n3_doctored_consistent_spectrum_passes():
     # middle block pinned to (2W - r)/(n - 2) = 16/3 satisfies the shape check
-    r = doctored(path_graph(4))
-    fake = spectrum_of([28 / 3, 16 / 3, 16 / 3, 0.0])
-    d = diagnose_n3(value(r, BoundId.L_N3), fake, r.data.wiener)
-    assert d.equality_within_tol and d.certificate == "three-distinct-L-eigenvalues"
+    certificates, failures = diagnosed(
+        [path_graph(4)], spectrum_l=[28 / 3, 16 / 3, 16 / 3, 0.0])
+    assert certificates[BoundId.L_N3][0] == "three-distinct-L-eigenvalues"
+    assert not any(failed[0] for failed, _ in failures)
 
 
 def test_cs7_violations_both_directions():
-    r = doctored(path_graph(3))
-    fake = spectrum_of([(8 + 2 * math.sqrt(19)) / 3, 1.0, 0.5])
+    # P3 is not transmission-regular, so a doctored signless radius or
+    # complete flag trips the Q_CS7 check alone
     with violation("non-complete"):
-        diagnose_cs7(value(r, BoundId.Q_CS7), float(fake[0]),
-                     is_complete(r.data))
-    r3 = doctored(complete_graph(3))
-    fake = spectrum_of([5.0, 1.0, 1.0])
+        first_violation(path_graph(3), radius_q=(8 + 2 * math.sqrt(19)) / 3)
     with violation("missed"):
-        diagnose_cs7(value(r3, BoundId.Q_CS7), float(fake[0]),
-                     is_complete(r3.data))
+        first_violation(path_graph(3), complete=True)
 
 
 def test_tb_violations_both_directions():
-    for g, fake, match in (
-            (path_graph(4), spectrum_of([12.0, 5.0, 4.0, 1.0]),
-             "non-transmission-regular"),
-            (cycle_graph(4), spectrum_of([9.0, 5.0, 4.0, 1.0]), "missed")):
-        r = doctored(g)
+    for g, radius_q, match in (
+            (path_graph(4), 12.0, "non-transmission-regular"),
+            (cycle_graph(4), 9.0, "missed")):
         with violation(match):
-            diagnose_tb(value(r, BoundId.Q_TB_LO), value(r, BoundId.Q_TB_UP),
-                        float(fake[0]),
-                        transmission_regularity(r.data) is not None)
+            first_violation(g, radius_q=radius_q)
+
+
+def test_padded_batch_certificates_match_batches_of_one():
+    # P3 (L spectrum {5, 3, 0}) takes the three-value certificate with
+    # padded zeros past its middle block, and K1 the B-reducible one
+    graphs = [complete_graph(1), complete_graph(2), path_graph(3),
+              path_graph(4), cycle_graph(4), star_graph(5), complete_graph(5),
+              fixture_graph("ex1"), fixture_graph("g2")]
+    certificates, failures = diagnosed(graphs)
+    for i, g in enumerate(graphs):
+        alone, alone_failures = diagnosed([g])
+        assert {bid: certs[i] for bid, certs in certificates.items()} == {
+            bid: certs[0] for bid, certs in alone.items()}, g
+        assert [bool(failed[i]) for failed, _ in failures] == [
+            bool(failed[0]) for failed, _ in alone_failures], g
+    assert not np.array([failed for failed, _ in failures]).any()
+    assert certificates[BoundId.L_N3][2] == "three-distinct-L-eigenvalues"
+    assert certificates[BoundId.L_N1][0] == "B-reducible-necessary"
+    assert certificates[BoundId.L_N3][6] == "complete-graph"
 
 
 def test_han_multiplicity():

@@ -18,7 +18,7 @@ def test_p3_matrices():
     assert d.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     assert l.tolist() == [[3, -1, -2], [-1, 2, -1], [-2, -1, 3]]
     assert q.tolist() == [[3, 1, 2], [1, 2, 1], [2, 1, 3]]
-    # the Brauer shift L + 1 p^T that diagnose_n1 forms
+    # the Brauer shift L + 1 p^T that certify.diagnose forms for L_N1
     p = compute_distance_data(path_graph(3)).p
     assert (l + p).tolist() == [[5, 0, 0], [1, 3, 1], [0, 0, 5]]
 

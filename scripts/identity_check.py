@@ -37,7 +37,14 @@ The corpus:
     connected_stacks(n) for n = 1..6, several sizes of one size class in
     a row;
   - the SoundnessReport and the ScanResult of a graph6 stream of long and
-    of disconnected graphs with n = 100..300 (long_lines).
+    of disconnected graphs with n = 100..300 (long_lines);
+  - the SoundnessReports of 20 seeded 32-line graph6 units of n = 5..10,
+    sparse and dense, some disconnected (unit_lines), each swept alone;
+  - the SoundnessReport and the ScanResult of a graph6 tail with one graph
+    of each n = 1..31, K1 and K2 included, and of one with K1, K2 and one
+    graph of each n = 17..31 (tail_lines): no size class fills, so the
+    graphs of all classes are cut together when the stream ends, the
+    second into one chunk that pads K1 to N = 31.
 """
 
 from __future__ import annotations
@@ -105,6 +112,52 @@ def long_lines():
         tree = Graph(n, frozenset((rng.randrange(v), v) for v in range(1, n)))
         apart = Graph(n, cycle_graph(n - 1).edges)
         graphs += [path_graph(n), cycle_graph(n), tree, apart]
+    return [encode_graph6(g) + "\n" for g in graphs]
+
+
+def unit_lines(seed):
+    """32 graph6 lines of n = 5..10, seeded: half a random tree plus up to
+    three edges, half uniform with edge probability 1/2, so that some are
+    disconnected."""
+    from distlap import Graph, encode_graph6
+
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(32):
+        n = rng.randint(5, 10)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if rng.random() < 0.5:
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            edges |= set(rng.sample(pairs, rng.randint(0, 3)))
+        else:
+            edges = {p for p in pairs if rng.random() < 0.5}
+        lines.append(encode_graph6(Graph(n, frozenset(edges))) + "\n")
+    return lines
+
+
+def tail_lines(sizes):
+    """graph6 lines of one graph of each n in sizes, shuffled: K1, K2, and
+    above them in turn a random tree plus a few edges, a cycle and a
+    uniform graph with edge probability 1/2."""
+    from distlap import Graph, encode_graph6
+    from distlap.named_graphs import complete_graph, cycle_graph
+
+    rng = random.Random(10)
+    graphs = []
+    for n in sizes:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if n < 3:
+            graphs.append(complete_graph(n))
+        elif n % 3 == 0:
+            tree = {(rng.randrange(v), v) for v in range(1, n)}
+            graphs.append(Graph(n, frozenset(
+                tree | set(rng.sample(pairs, min(len(pairs), 2))))))
+        elif n % 3 == 1:
+            graphs.append(cycle_graph(n))
+        else:
+            graphs.append(Graph(n, frozenset(
+                p for p in pairs if rng.random() < 0.5)))
+    rng.shuffle(graphs)
     return [encode_graph6(g) + "\n" for g in graphs]
 
 
@@ -179,6 +232,13 @@ def corpus():
                 connected_stacks(n) for n in range(1, 7))))
         out[f"{name} long graph6 stream"] = repr(
             sweep(g for _, g in read_graph6_stream(long_lines())))
+        for label, sizes in (("1..31", range(1, 32)),
+                             ("1,2,17..31", [1, 2, *range(17, 32)])):
+            out[f"{name} graph6 tail n={label}"] = repr(sweep(
+                g for _, g in read_graph6_stream(tail_lines(sizes))))
+    for seed in range(20):
+        out[f"soundness unit n=5..10 seed={seed}"] = repr(scan_soundness(
+            g for _, g in read_graph6_stream(unit_lines(seed))))
     return out
 
 

@@ -19,7 +19,7 @@ from .graphs import (
     connected_classes, connected_stacks, enumerate_connected,
     format_edge_list, parse_edge_list, sample_connected,
     transmission_regularity)
-from .linalg import eig_symmetric, frobenius_norm, is_irreducible, multiplicity
+from .linalg import eig_symmetric, is_irreducible, multiplicity
 from .named_graphs import (
     FIXTURES, builtin_graph, complete_graph, cycle_graph, fixture_graph,
     fixture_text, path_graph, star_graph)

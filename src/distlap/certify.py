@@ -83,7 +83,8 @@ def diagnose(values, spectrum_l, radius_q, l_mats, dd, complete):
       rank-one (Brauer) shift L + 1 p^T of L by the eccentricities p to be
       reducible (necessary, not sufficient). The shift keeps every other
       eigenvalue of L and adds the eccentricity sum; it is generally not
-      symmetric, and it is formed only on the graphs that meet the bound.
+      symmetric, and it is formed only on the graphs that meet the bound,
+      all of them tested in one is_irreducible call on their padded stack.
     - L_N3: the trace/Frobenius bound meets the Laplacian radius r exactly
       for the complete graph or a spectrum with three distinct values
       {r, (2W - r)/(n - 2), 0}.
@@ -101,10 +102,11 @@ def diagnose(values, spectrum_l, radius_q, l_mats, dd, complete):
     n = dd.n
     regular = dd.tmin == dd.tmax
 
-    irreducible = np.zeros(len(n), dtype=bool)
-    for i in np.flatnonzero(met_n1).tolist():
-        k = int(n[i])
-        irreducible[i] = is_irreducible(l_mats[i, :k, :k] + dd.p[i, :k])
+    irreducible = met_n1  # all False where no graph meets n1
+    if met_n1.any():
+        irreducible = met_n1.copy()
+        irreducible[met_n1] = is_irreducible(
+            l_mats[met_n1] + dd.p[met_n1, None, :], n[met_n1])
 
     smallest = full = off = met_n3  # all False where no graph meets n3
     if met_n3.any():
@@ -135,7 +137,7 @@ def diagnose(values, spectrum_l, radius_q, l_mats, dd, complete):
                 f"({float(lo[i])!r}, {float(up[i])!r}))")
 
     failures = [
-        (met_n1 & irreducible, lambda i:
+        (irreducible, lambda i:
          "row-maxima bound met with an irreducible shifted matrix "
          f"(value {float(n1[i])!r}, radius {float(radius_l[i])!r})"),
         (smallest, lambda i:

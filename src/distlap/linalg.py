@@ -9,20 +9,23 @@ from .errors import ConsistencyError
 from .graphs import _reach_levels
 
 
-def frobenius_norm(m):
-    """Frobenius norm of a matrix, or one per matrix of a (..., n, n) stack."""
-    a = np.asarray(m, dtype=float)
-    return np.sqrt((a * a).sum(axis=(-2, -1)))
-
-
-def eig_symmetric(m):
+def eig_symmetric(m, n=None):
     """Full spectrum of an exactly symmetric real matrix, as a descending
-    float64 array, or the spectra of a (..., n, n) stack in one eigvalsh call.
+    float64 array, or the spectra of a (..., B, N, N) stack.
+
+    n holds the vertex count of each of the B matrices along the stack's
+    third-last axis, each padded with zero rows and columns up to N; None
+    stands for no padding. The matrices of one size are solved in one
+    eigvalsh call on their unpadded k x k blocks, so every eigenvalue is the
+    one the matrix gets alone; matrix b's spectrum fills the first n[b]
+    entries, and 0 pads the rest.
 
     Rejects non-square or non-symmetric input (entry-for-entry equality is
     required, which integer-built matrices always satisfy). Cross-checks each
     matrix's eigenvalue sum against its trace to 1e-9 * ||m||_F before
-    returning; the first matrix of a stack that drifts raises.
+    returning; the first matrix of a stack that drifts raises. Each check
+    runs once over the whole stack, padding included, which adds zeros to
+    every side of it.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -33,33 +36,48 @@ def eig_symmetric(m):
         raise ValueError("matrix contains non-finite entries")
     if not (a == np.swapaxes(a, -1, -2)).all():
         raise ValueError("matrix is not symmetric")
-    w = np.ascontiguousarray(np.linalg.eigvalsh(a)[..., ::-1])
+    if n is None:
+        w = np.ascontiguousarray(np.linalg.eigvalsh(a)[..., ::-1])
+    else:
+        w = np.zeros(a.shape[:-1])
+        sizes = set(n.tolist())
+        for k in sizes:
+            # one size is every matrix, a view rather than a copy of a
+            rows = n == k if len(sizes) > 1 else slice(None)
+            w[..., rows, :k] = np.linalg.eigvalsh(
+                a[..., rows, :k, :k])[..., ::-1]
     drift = np.abs(w.sum(axis=-1) - np.trace(a, axis1=-2, axis2=-1))
-    drifted = drift > 1e-9 * frobenius_norm(a) + 1e-12
+    drifted = drift > 1e-9 * np.sqrt((a * a).sum(axis=(-2, -1))) + 1e-12
     if drifted.any():
         raise ConsistencyError(
             f"eigenvalue sum drifted from trace by {drift[drifted][0]:.3e}")
     return w
 
 
-def is_irreducible(m):
-    """True iff the directed nonzero-entry pattern is strongly connected.
+def is_irreducible(m, n=None):
+    """True iff the directed nonzero-entry pattern of a square matrix is
+    strongly connected, or one flag per matrix of a (B, N, N) stack.
 
+    n holds each matrix's size, padded up to N; None stands for no padding.
+    The pattern of a padded row or column is ignored, whatever it holds.
     Checked as every vertex reaching every other along the pattern's
     directed edges, by the reach doubling of graphs.connected_distances on
-    the pattern as a batch of one; a non-zero diagonal entry is no such
-    edge, so it neither makes nor breaks irreducibility. A 1x1 matrix is
-    irreducible iff its entry is nonzero (the usual convention).
+    the whole stack; a non-zero diagonal entry is no such edge, so it
+    neither makes nor breaks irreducibility. A 1x1 matrix is irreducible
+    iff its entry is nonzero (the usual convention).
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
+    if a.shape[-1] == 0:
         raise ValueError("empty matrix")
-    pattern = a != 0
-    if a.shape[0] == 1:
-        return bool(pattern[0, 0])
-    return bool(_reach_levels(pattern[None])[1][0])
+    stack = a.reshape(-1, *a.shape[-2:])
+    size = stack.shape[-1]
+    n = np.full(len(stack), size) if n is None else n
+    real = np.arange(size) < n[:, None]
+    pattern = (stack != 0) & real[:, :, None] & real[:, None, :]
+    flags = np.where(n == 1, pattern[:, 0, 0], _reach_levels(pattern, n)[1])
+    return bool(flags[0]) if a.ndim == 2 else flags
 
 
 def multiplicity(values, value, tol=None):

@@ -1,7 +1,7 @@
 """Distance matrix operators: the distance matrix D, its Laplacian
 L = diag(tr) - D and its signless Laplacian Q = diag(tr) + D, as one exact
-int64 array. The rank-one Brauer shift of L is built only where L_N1 is
-diagnosed (certify.diagnose_n1)."""
+int64 array. The rank-one Brauer shift of L is built only on the graphs
+whose L_N1 bound meets the Laplacian radius (certify.diagnose)."""
 
 from __future__ import annotations
 
@@ -23,17 +23,9 @@ def build_operators(dd):
 def operator_spectra(dd):
     """The operators of a batch's distance data and their spectra:
     (ops, spectra), ops the (3, B, N, N) array of build_operators and
-    spectra the (3, B, N) float64 array of descending D, L and Q spectra.
-    D, L and Q of the graphs on k vertices are solved in one stacked
-    eigensolve of their unpadded k x k matrices, one per k in the batch, so
-    every eigenvalue is the one the graph gets alone; graph b's spectrum
-    fills the first n[b] entries, and 0 pads the rest."""
+    spectra the (3, B, N) float64 array of descending D, L and Q spectra,
+    solved by one eig_symmetric call on the padded stack: every eigenvalue
+    is the one the graph gets alone, graph b's spectrum fills the first
+    n[b] entries, and 0 pads the rest."""
     ops = build_operators(dd)
-    stacked = ops.astype(np.float64)
-    sizes = set(dd.n.tolist())
-    spectra = np.zeros(stacked.shape[:-1])
-    for k in sizes:
-        # one size is every row, a view rather than a copy of the stack
-        rows = dd.n == k if len(sizes) > 1 else slice(None)
-        spectra[:, rows, :k] = eig_symmetric(stacked[:, rows, :k, :k])
-    return ops, spectra
+    return ops, eig_symmetric(ops, dd.n)

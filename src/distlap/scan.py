@@ -15,15 +15,18 @@ A stream holds Graphs, (B, n, n) boolean adjacency stacks of same-n graphs
 (such as graphs.connected_stacks yields), or both. Both sweeps evaluate it
 in chunks of at most graphs.chunk_limit(N) graphs, each once as (B, N, N)
 arrays. A stack is evaluated as it comes, in slices of chunk_limit(n),
-unpadded and alone. Graphs share chunks: below 32 vertices a chunk holds
-Graphs of one size class, n in [2^(k-1), 2^k), each padded with isolated
-vertices to the chunk's largest n, N, so that a short stream of mixed
-sizes pays a chunk's fixed cost once per class rather than once per n;
-every bound, identity and diagnosis reads each graph's own vertices only,
-and each eigensolve runs on unpadded matrices. From 32 vertices on, a
-chunk holds one n. graph6 is written only for a listed graph, at its own
-n, straight from its row of the stack (graph6.encode_graph6_stack); no
-Graph is built for it.
+unpadded and alone. Graphs share chunks, each padded with isolated
+vertices to the chunk's largest n, N. While the stream runs, a chunk that
+fills holds Graphs of one size class: below 32 vertices n in
+[2^(k-1), 2^k), so a graph is padded to less than 2n; from 32 vertices on
+one n. When the stream ends, the Graphs still held, of every class, are
+sorted by n and cut greedily, a chunk let go before the next graph would
+take it past chunk_limit of its new N, so that a short stream of mixed
+sizes, such as 32 graphs of n = 5..10, pays a chunk's fixed cost once. Every bound, identity and diagnosis reads each
+graph's own vertices only, and each eigensolve runs on unpadded matrices.
+graph6 is written only for a listed graph, at its own n, straight from
+its row of the stack (graph6.encode_graph6_stack); no Graph is built for
+it.
 """
 
 from __future__ import annotations
@@ -80,11 +83,14 @@ def _each_chunk(source, evaluate, reject):
     (B, N, N) boolean adjacency stack of at most chunk_limit(N) graphs and
     n their vertex counts. A same-n adjacency stack of source is evaluated
     as it comes, in slices of chunk_limit(n), unpadded and alone. Graphs
-    are grouped by size class (_size_class), in stream order per class,
-    each padded with isolated vertices to the chunk's largest n, N; reject
-    is called on each too_sparse Graph, whose stack is never built. A chunk
+    are held by size class (_size_class), in stream order per class, each
+    padded with isolated vertices to its chunk's largest n, N; reject is
+    called on each too_sparse Graph, whose stack is never built. A chunk
     of Graphs is let go once full, or before a graph that would take it
-    past chunk_limit(N) joins it, so memory stays flat over any stream."""
+    past chunk_limit(N) joins it, so memory stays flat over any stream.
+    When the stream ends, the held Graphs of all classes are sorted by n
+    and cut by the same rule, which lets a chunk go before the next graph
+    would take it past chunk_limit of its new N."""
     pending = {}  # size class -> (held Graphs in order, N, chunk_limit(N))
     for item in source:
         if not isinstance(item, Graph):
@@ -109,7 +115,14 @@ def _each_chunk(source, evaluate, reject):
             evaluate(*_stack(graphs))
         else:
             pending[key] = graphs, n, limit
-    for graphs, _, _ in pending.values():
+    graphs = []
+    for item in sorted((g for held, _, _ in pending.values() for g in held),
+                       key=lambda g: g.n):
+        if len(graphs) >= chunk_limit(item.n):
+            evaluate(*_stack(graphs))
+            graphs = []
+        graphs.append(item)
+    if graphs:
         evaluate(*_stack(graphs))
 
 

@@ -8,14 +8,9 @@ from hypothesis import strategies as st
 import oracles
 from distlap import (
     ConsistencyError, build_operators, compute_distance_data, eig_symmetric,
-    frobenius_norm, is_irreducible, multiplicity, sample_connected)
+    is_irreducible, multiplicity, sample_connected)
 from distlap.graphs import distance_data
 from distlap.named_graphs import complete_graph, path_graph
-
-
-def test_frobenius_norm():
-    assert frobenius_norm([[3, 4], [0, 0]]) == 5.0
-    assert frobenius_norm(np.zeros((3, 3))) == 0.0
 
 
 def test_eig_symmetric_known_values():
@@ -90,6 +85,43 @@ def test_eig_symmetric_stack_checks_drift_per_matrix(monkeypatch):
     assert eig_symmetric(stack[[0, 2]]).shape == (2, 3)
 
 
+def test_eig_symmetric_padded_stack_matches_single(monkeypatch):
+    # the D, L and Q stack of graphs on 1..12 vertices, padded to 12, gives
+    # each graph's unpadded spectrum bit for bit, 0 past its n; a drifted
+    # matrix raises from the padded stack as from its own solve
+    graphs = [g for n in (1, 2, 3, 5, 7, 12, 7, 5)
+              for g in sample_connected(n, 3, seed=n)]
+    n = np.array([g.n for g in graphs])
+    dist = np.zeros((len(graphs), 12, 12), dtype=np.int64)
+    for i, g in enumerate(graphs):
+        dist[i, :g.n, :g.n] = compute_distance_data(g).dist
+    mats = build_operators(distance_data(dist, n))
+    stacked = eig_symmetric(mats, n)
+    assert stacked.shape == (3, len(graphs), 12)
+    for k in range(3):
+        for i, size in enumerate(n.tolist()):
+            single = eig_symmetric(mats[k, i, :size, :size])
+            assert stacked[k, i, :size].tolist() == single.tolist()
+            assert not stacked[k, i, size:].any()
+    eigvalsh = np.linalg.eigvalsh
+
+    def drifting(a):
+        w = eigvalsh(a)
+        w[..., 0] += (np.trace(a, axis1=-2, axis2=-1) == 8.0) * 1e-3
+        return w
+    monkeypatch.setattr(np.linalg, "eigvalsh", drifting)
+    # the L of P3 (trace 8) padded beside two 4 x 4 matrices, and P3 alone
+    p3 = np.zeros((3, 4, 4))
+    p3[:, :3, :3] = build_operators(compute_distance_data(path_graph(3)))
+    stack = np.stack([np.eye(4), np.diag([1.0, 2.0, 3.0, 5.0]), p3[1]])
+    with pytest.raises(ConsistencyError) as many:
+        eig_symmetric(stack, np.array([4, 4, 3]))
+    with pytest.raises(ConsistencyError) as one:
+        eig_symmetric(p3[1, :3, :3])
+    assert str(many.value) == str(one.value) == (
+        "eigenvalue sum drifted from trace by 1.000e-03")
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers())
 def test_eig_symmetric_descending_and_trace(n, seed):
@@ -98,7 +130,7 @@ def test_eig_symmetric_descending_and_trace(n, seed):
     a = a + a.T
     s = eig_symmetric(a)
     assert all(s[i] >= s[i + 1] for i in range(n - 1))
-    assert abs(s.sum() - np.trace(a)) <= 1e-9 * (1 + frobenius_norm(a))
+    assert abs(s.sum() - np.trace(a)) <= 1e-9 * (1 + np.sqrt((a * a).sum()))
 
 
 def test_is_irreducible_cases():
@@ -122,6 +154,31 @@ def test_is_irreducible_cases():
     for n, irreducible in ((3, False), (4, True)):
         dd = compute_distance_data(path_graph(n))
         assert is_irreducible(build_operators(dd)[1] + dd.p) == irreducible
+
+
+def test_is_irreducible_stack_matches_single():
+    # random directed patterns of sizes 1..6 padded to 6, with junk in
+    # their padded rows and columns, among them rows that point into real
+    # vertices: one stacked call agrees with each matrix alone
+    rng = np.random.default_rng(5)
+    sizes = np.array([1, 1, 2, 3, 4, 5, 6] * 30)
+    mats = np.zeros((len(sizes), 6, 6))
+    for i, k in enumerate(sizes.tolist()):
+        mats[i, :k, :k] = rng.random((k, k)) < rng.uniform(0.1, 0.7)
+        mats[i, k:, :] = rng.random((6 - k, 6)) < 0.5
+        mats[i, :, k:] = rng.random((6, 6 - k)) < 0.5
+    # K1 both ways, and padded rows that join P2's two vertices
+    mats[0, 0, 0], mats[1, 0, 0] = 5.0, 0.0
+    mats[2, :2, :2] = [[0, 1], [0, 0]]
+    mats[2, 2:, :2] = 1.0
+    mats[2, :2, 2:] = 1.0
+    got = is_irreducible(mats, sizes)
+    want = [is_irreducible(m[:k, :k]) for m, k in zip(mats, sizes.tolist())]
+    assert got.tolist() == want
+    assert want[:3] == [True, False, False]
+    assert 0 < sum(want) < len(want)
+    full = mats[sizes == 6]
+    assert is_irreducible(full).tolist() == [is_irreducible(m) for m in full]
 
 
 def test_multiplicity():

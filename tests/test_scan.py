@@ -534,15 +534,24 @@ def test_padded_chunks_equal_per_graph_evaluation(monkeypatch, sweep):
         assert not got.violations
         assert {msg for _, msg in got.errors} == {DISCONNECTED}
     assert got == want and repr(got) == repr(want)
-    assert sorted(max(n) for _, n in chunks) == [3, 7, 13, 24]
+    # no size class fills during the stream, so all of it is the tail:
+    # sorted by n, and cut before the graph that would take a chunk past
+    # chunk_limit of its new N (56 at N = 17, 40 at N = 20)
+    assert [(len(n), min(n), max(n)) for _, n in chunks] == [
+        (56, 2, 17), (4, 20, 24)]
+    assert sum((n for _, n in chunks), []) == sorted(
+        g.n for g in stream if not too_sparse(g))
+    for (_, n), (_, after) in zip(chunks, chunks[1:]):
+        assert len(n) + 1 > chunk_limit(after[0])
     for (b, size, _), n in chunks:
         assert b == len(n) <= chunk_limit(size) and size == max(n)
-        assert len(set(n)) > 1 and max(n) < 2 * min(n)
+        assert len(set(n)) > 1
 
 
-def test_a_short_unit_of_six_sizes_forms_two_chunks(monkeypatch):
+def test_a_short_unit_of_six_sizes_forms_one_chunk(monkeypatch):
     # 32 graph6 lines of n = 5..10, as one unit of a sampled stream: the
-    # sizes 5..7 share one chunk and 8..10 another
+    # size classes 4..7 and 8..15 never fill, so the tail holds all 32 in
+    # one chunk, padded to N = 10
     rng = random.Random(31)
     graphs = [g for n in range(5, 11)
               for g in sample_connected(n, 5, seed=n)]
@@ -553,10 +562,10 @@ def test_a_short_unit_of_six_sizes_forms_two_chunks(monkeypatch):
 
     def spy(parts):
         adj, n = stack(parts)
-        chunks.append(sorted(set(n.tolist())))
+        chunks.append((adj.shape, n.tolist()))
         return adj, n
     stack = scan._stack
     monkeypatch.setattr(scan, "_stack", spy)
     got = scan_soundness(g for _, g in read_graph6_stream(lines))
     assert got.graphs_checked == len(lines) == 32
-    assert sorted(chunks) == [[5, 6, 7], [8, 9, 10]]
+    assert chunks == [((32, 10, 10), sorted(g.n for g in graphs))]

@@ -25,6 +25,9 @@ The corpus:
     visits every labeled graph);
   - the SoundnessReport of all labeled graphs with n <= 6 plus the
     fixtures;
+  - the sha256 of the bytes of connected_classes(n).minima, .table and
+    .weights() for n = 1..7, and of the stacks of connected_stacks(7) one
+    after another, each with its dtype and length;
   - the graph6 lines of enumerate_connected(n, dedup) for n = 1..6, of
     enumerate_connected(7, dedup=True) (853 classes), and of
     sample_connected at (n, count, seed) = (7, 2000, 7), (9, 30, 3) and
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import hashlib
 import itertools
 import json
 import os
@@ -175,11 +179,25 @@ def mixed_items(lines):
     return items
 
 
+def digest(arrays):
+    """sha256 of the bytes of an iterable of arrays, one after another,
+    with their dtypes, their count and their total length."""
+    sha = hashlib.sha256()
+    dtypes, count, rows = set(), 0, 0
+    for a in arrays:
+        sha.update(a.tobytes())
+        dtypes.add(str(a.dtype))
+        count += 1
+        rows += len(a)
+    return f"{sorted(dtypes)} x{count}, {rows} rows: {sha.hexdigest()}"
+
+
 def corpus():
     """repr of every corpus item by name, from the distlap on sys.path."""
     from distlap import (
-        connected_stacks, encode_graph6, enumerate_connected,
-        read_graph6_stream, sample_connected, scan_conjecture, scan_soundness)
+        connected_classes, connected_stacks, encode_graph6,
+        enumerate_connected, read_graph6_stream, sample_connected,
+        scan_conjecture, scan_soundness)
     from distlap.cli import cmd_analyze, cmd_scan
     from distlap.named_graphs import FIXTURES, fixture_graph
 
@@ -217,6 +235,12 @@ def corpus():
                 map(encode_graph6, enumerate_connected(n, dedup=dedup)))
     out["enumerate n=7 dedup=True"] = "\n".join(
         map(encode_graph6, enumerate_connected(7, dedup=True)))
+    for n in range(1, 8):
+        classes = connected_classes(n)
+        for name, a in (("minima", classes.minima), ("table", classes.table),
+                        ("weights", classes.weights())):
+            out[f"classes n={n} {name} sha256"] = digest([a])
+    out["connected_stacks n=7 sha256"] = digest(connected_stacks(7))
     for n, count, seed in ((7, 2000, 7), (9, 30, 3), (12, 50, 4)):
         out[f"sample n={n} count={count} seed={seed}"] = "\n".join(
             map(encode_graph6, sample_connected(n, count, seed)))

@@ -1,0 +1,200 @@
+"""Per-layer costs of distlap, in microseconds per graph at a fixed n.
+
+    python3 scripts/layer_costs.py [--n N] [--passes K] [--seed S] \
+        [--parent REF]
+
+Times each layer of the pipeline in one process, on seeded inputs built
+before any timer starts: one sweep chunk of chunk_limit(N) uniform
+connected labeled graphs on N vertices (sample_connected) and, for the
+enumeration layers, the whole of N:
+
+  classes      connected_classes(N), per class
+  labeled      connected_stacks(N) read to the end, per labeled graph
+  graph6       read_graph6_stream over the chunk's graph6 lines
+  distances    connected_distances of the chunk's adjacency stack
+  spectra      operator_spectra: D, L and Q and their eigensolve
+  bounds       bound_values
+  diagnose     certify.diagnose
+  identities   the soundness sweep's identity checks
+  render       cmd_analyze's table and JSON text of each graph's report
+
+A pass runs every layer once, in this order; the script prints the min and
+the median over K passes. With --parent, the distlap of REF, exported with
+bench_pairs.export, runs the same passes in a second process; the two
+alternate which runs each pass first, and the script prints both sides and
+the change/parent ratios of the mins and of the medians. Every process
+runs with one BLAS thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from bench_pairs import ROOT, export  # noqa: E402
+
+THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+
+
+def layer_calls(n, seed):
+    """(layer, call, graphs) for every layer, call timing one run of it and
+    graphs the count to divide that time by, from the distlap on
+    sys.path."""
+    from distlap import (
+        compute_all_bounds, connected_classes, connected_stacks,
+        encode_graph6, read_graph6_stream, sample_connected)
+    from distlap.bounds import bound_values
+    from distlap.certify import diagnose, is_complete
+    from distlap.cli import report_document, report_table, to_canonical_json
+    from distlap.graphs import (
+        adjacency_stack, chunk_limit, connected_distances, distance_data)
+    from distlap.operators import operator_spectra
+    from distlap.scan import _identity_failures
+
+    graphs = list(sample_connected(n, chunk_limit(n), seed))
+    lines = [encode_graph6(g) + "\n" for g in graphs]
+    adj = adjacency_stack(graphs)
+    dd = distance_data(connected_distances(adj)[1])
+    ops, spectra = operator_spectra(dd)
+    complete = is_complete(dd)
+    values = bound_values(dd, dd.tmin == dd.tmax)
+    reports = [compute_all_bounds(g) for g in graphs]
+    classes = len(connected_classes(n).minima)
+    labeled = sum(len(a) for a in connected_stacks(n))
+
+    def read_stacks():
+        for _ in connected_stacks(n):
+            pass
+
+    def render():
+        for report in reports:
+            report_table(report)
+            to_canonical_json(report_document(report))
+
+    return (
+        ("classes", lambda: connected_classes(n), classes),
+        ("labeled", read_stacks, labeled),
+        ("graph6", lambda: list(read_graph6_stream(lines)), len(graphs)),
+        ("distances", lambda: connected_distances(adj), len(graphs)),
+        ("spectra", lambda: operator_spectra(dd), len(graphs)),
+        ("bounds", lambda: bound_values(dd, dd.tmin == dd.tmax),
+         len(graphs)),
+        ("diagnose", lambda: diagnose(values, spectra[1], spectra[2, :, 0],
+                                      ops[1], dd, complete), len(graphs)),
+        ("identities", lambda: _identity_failures(dd, complete, ops[2],
+                                                  spectra), len(graphs)),
+        ("render", render, len(graphs)),
+    )
+
+
+def serve(n, seed):
+    """Worker loop: build the inputs, print "ready", then answer each line
+    of standard input with one pass, a JSON object of us per graph by
+    layer."""
+    calls = layer_calls(n, seed)
+    for _, call, _ in calls:  # warm-up
+        call()
+    print("ready", flush=True)
+    for _ in sys.stdin:
+        got = {}
+        for layer, call, count in calls:
+            t0 = time.perf_counter()
+            call()
+            got[layer] = 1e6 * (time.perf_counter() - t0) / count
+        print(json.dumps(got), flush=True)
+
+
+def start(tree, n, seed):
+    """A worker process on the distlap in tree/src."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **THREAD_ENV)
+    proc = subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--serve", "--n", str(n),
+         "--seed", str(seed)],
+        cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        text=True)
+    if proc.stdout.readline().strip() != "ready":
+        stop(proc)
+        raise RuntimeError(f"the worker in {tree} did not start")
+    return proc
+
+
+def stop(proc):
+    """End a worker: close its input, which ends its loop, and wait."""
+    proc.stdin.close()
+    proc.wait()
+    proc.stdout.close()
+
+
+def one_pass(proc):
+    proc.stdin.write("pass\n")
+    proc.stdin.flush()
+    return json.loads(proc.stdout.readline())
+
+
+def spread(passes, layer):
+    values = [p[layer] for p in passes]
+    return min(values), statistics.median(values)
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--n", type=int, default=6, choices=range(3, 8),
+                        help="vertex count (default 6)")
+    parser.add_argument("--passes", type=int, default=20,
+                        help="passes per side (default 20)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed of the sampled chunk (default 1)")
+    parser.add_argument("--parent", help="git ref to compare against")
+    parser.add_argument("--serve", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.serve:
+        serve(args.n, args.seed)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"change": ROOT}
+        if args.parent:
+            sides = {"parent": os.path.join(tmp, "parent"), **sides}
+            export(args.parent, sides["parent"])
+        procs = {}
+        try:
+            for side, tree in sides.items():
+                procs[side] = start(tree, args.n, args.seed)
+            passes = {side: [] for side in procs}
+            for k in range(args.passes):
+                order = list(procs) if k % 2 == 0 else list(procs)[::-1]
+                for side in order:
+                    passes[side].append(one_pass(procs[side]))
+        finally:
+            for proc in procs.values():
+                stop(proc)
+    print(f"us per graph at n = {args.n}, seed {args.seed}, min / median of "
+          f"{args.passes} passes" + (f"; parent {args.parent}"
+                                     if args.parent else ""))
+    head = f"{'layer':<11}" + "".join(
+        f"{side + ' min':>14}{side + ' med':>14}" for side in passes)
+    if args.parent:
+        head += f"{'ratio min':>11}{'ratio med':>11}"
+    print(head)
+    for layer in passes["change"][0]:
+        got = {side: spread(p, layer) for side, p in passes.items()}
+        row = f"{layer:<11}" + "".join(
+            f"{lo:>14.3f}{med:>14.3f}" for lo, med in got.values())
+        if args.parent:
+            row += "".join(f"{c / p:>11.3f}" for p, c in zip(
+                got["parent"], got["change"]))
+        print(row)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -157,9 +157,11 @@ def bound_L_n1(dd):
     return 1.0 * dd.p.sum(axis=-1)
 
 
-# Entries of each bound_L_n2 temporary, fixed so that its memory stays flat
-# in n and in the batch size.
-_PAIR_CELLS = 1 << 12
+# Entries of each bound_L_n2 temporary, 128 KB of int64, fixed so that its
+# memory stays flat in n and in the batch size. Each block of pairs costs a
+# few numpy calls, so the blocks are as large as stays in cache: a 32-graph
+# chunk at N = 10 takes one pass.
+_PAIR_CELLS = 1 << 14
 
 
 def bound_L_n2(dd):

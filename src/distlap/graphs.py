@@ -382,9 +382,22 @@ _COMPONENT = np.min_scalar_type((1 << _ENUM_CAP) - 1)
 # the class index of an edge mask, -1 at a disconnected one: int16 holds the
 # 853 classes of connected graphs on _ENUM_CAP vertices
 _CLASS = np.int16
-# candidate edge masks behind each block of _connected_masks; fixed, as the
-# per-block work downstream sets the memory
-_ENUM_CHUNK = 1024
+# an orbit image of connected_classes, a sum of distinct powers of two below
+# 2^P for the P pairs on _ENUM_CAP vertices: the narrowest float dtype whose
+# significand holds every such integer exactly, so raising the cap widens
+# it, never rounds
+_ORBIT = next(t for t in (np.float32, np.float64)
+              if _ENUM_CAP * (_ENUM_CAP - 1) // 2 <= np.finfo(t).nmant + 1)
+# candidate edge masks behind each block of _connected_masks. Each block
+# costs ~15 us of numpy calls whatever its size, so blocks are large; their
+# temporaries, ~15 bytes per candidate, stay about 1 MB whatever n
+_ENUM_CHUNK = 1 << 16
+# connected masks per slice that connected_classes filters against its class
+# table at once. A slice taken before the minima found in it have written
+# their orbits lets through masks that those orbits cover, each one a Python
+# check, so slices stay small: ~1,300 checks at n = 6, against all 26,704
+# connected masks for one unsliced block
+_ORBIT_SLICE = 1024
 # A chunk of graphs padded to N vertices holds at most SCAN_CHUNK graphs and
 # SCAN_CELLS distance-matrix entries. Both are fixed, as they set the memory
 # of a sweep.
@@ -460,11 +473,21 @@ def _connected_masks(n):
 def _relabelings(n):
     """The (n!, P) table of vertex relabelings on n vertices as pair maps:
     row p sends pair i of _pair_ends(n) to the index of its image under
-    the p-th permutation of range(n)."""
+    the p-th permutation of range(n) in lexicographic order, the order of
+    itertools.permutations.
+
+    The permutations are built up from m = 1 as one array: those of
+    range(m) that start with f are f followed by those of range(m - 1),
+    each value v >= f raised by one, which keeps their order."""
     rows, cols = _pair_ends(n)
     index = np.zeros((n, n), dtype=np.int64)
     index[rows, cols] = index[cols, rows] = np.arange(len(rows))
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for m in range(1, n + 1):
+        first = np.repeat(np.arange(m), len(perms))
+        rest = np.tile(perms, (m, 1))
+        rest += rest >= first[:, None]
+        perms = np.column_stack((first, rest))
     return index[perms[:, rows], perms[:, cols]]
 
 
@@ -525,22 +548,27 @@ def connected_classes(n):
     those masks, and the first of its masks the sweep meets is its minimum.
     That minimum writes its class index over its whole orbit, n!
     relabelings per class, so each later member is skipped: 2^P _CLASS
-    entries, 4 MB at n = 7. The orbit is one float64 matvec: its sums are
-    of distinct powers of two below 2^21, so they are exact."""
+    entries, 4 MB at n = 7. The orbit is one matvec of the (n!, P) images
+    2^(image of pair i) with the minimum's bits, both _ORBIT, which is
+    float32 for _ENUM_CAP = 7: each sum is of distinct powers of two below
+    2^P <= 2^21, an integer that float32, exact below 2^24, holds exactly,
+    and its table is half the bytes of a float64 one to read per class."""
     _check_enumerable(n)
-    images = np.ldexp(1.0, _relabelings(n))
+    images = (1 << _relabelings(n)).astype(_ORBIT)
     shifts = np.arange(images.shape[1], dtype=np.int64)
     table = np.full(1 << images.shape[1], -1, dtype=_CLASS)
     # reads each entry as a Python int, faster than a numpy scalar
     entry = memoryview(table)
     minima = []
-    for masks in _connected_masks(n):
-        # a minimum found earlier in this block may cover a later mask
-        for m in masks[table[masks] < 0].tolist():
-            if entry[m] < 0:
-                bits = ((m >> shifts) & 1).astype(np.float64)
-                table[(images @ bits).astype(np.int64)] = len(minima)
-                minima.append(m)
+    for block in _connected_masks(n):
+        for start in range(0, len(block), _ORBIT_SLICE):
+            masks = block[start:start + _ORBIT_SLICE]
+            # a minimum found earlier in this slice may cover a later mask
+            for m in masks[table[masks] < 0].tolist():
+                if entry[m] < 0:
+                    bits = ((m >> shifts) & 1).astype(_ORBIT)
+                    table[(images @ bits).astype(np.int64)] = len(minima)
+                    minima.append(m)
     return ConnectedClasses(n, np.array(minima, dtype=np.int64), table)
 
 

@@ -447,6 +447,10 @@ def test_enumerate_dedup_yields_ascending_minimal_representatives():
 def test_class_table_matches_the_oracles():
     assert (np.iinfo(graphs_module._CLASS).max
             >= oracles.UNLABELED_CONNECTED[_ENUM_CAP])
+    # the largest orbit image, every pair's bit set, is exact in the orbit
+    # dtype, and so is every smaller integer
+    largest = (1 << _ENUM_CAP * (_ENUM_CAP - 1) // 2) - 1
+    assert int(graphs_module._ORBIT(largest)) == largest
     for n in range(1, 8):
         classes = connected_classes(n)
         count = len(classes.minima)
@@ -460,6 +464,19 @@ def test_class_table_matches_the_oracles():
                           oracles.orbit_sizes(classes.minima, 6))
     with pytest.raises(ValueError, match="graph6"):
         connected_classes(_ENUM_CAP + 1)
+
+
+def test_relabelings_follow_itertools_permutations():
+    # row p maps each pair to its image under the p-th permutation of
+    # itertools.permutations, in its order
+    for n in range(1, 8):
+        pairs = list(itertools.combinations(range(n), 2))
+        index = {pair: k for k, pair in enumerate(pairs)}
+        want = [[index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs]
+                for p in itertools.permutations(range(n))]
+        got = graphs_module._relabelings(n)
+        assert got.shape == (len(want), len(pairs)), n
+        assert got.tolist() == want, n
 
 
 def test_class_members_are_the_orbit_of_each_minimum():

@@ -14,9 +14,9 @@ still is.
 
 The corpus:
   - cmd_analyze JSON (without timing_ms) and table output for the five
-    fixtures, K1, K2, P3, S4, C4, K5, P4, C6, S5, K12, P20, C30, S16, K208,
-    P100, C200 and P300 (K1..C4 sit at the bounds' min_n edges, with a
-    regular and a non-regular n = 4 graph);
+    fixtures, K1, K2, P3, S4, C4, K5, P4, C6, S5, K12, K16, P20, C30, S16,
+    K150, K208, P100, C200 and P300 (K1..C4 sit at the bounds' min_n edges,
+    with a regular and a non-regular n = 4 graph);
   - the ScanResult of labeled and of deduplicated n = 3..6, and the
     `scan --enumerate` JSON and table output of the same sweeps, plus the
     ScanResult of deduplicated n = 7, and the ScanResult of the labeled
@@ -67,8 +67,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_pairs import export  # noqa: E402
 
 ANALYZED = ("ex1", "ex2", "g1", "g2", "g3", "K1", "K2", "P3", "S4", "C4",
-            "K5", "P4", "C6", "S5", "K12", "P20", "C30", "S16", "K208",
-            "P100", "C200", "P300")
+            "K5", "P4", "C6", "S5", "K12", "K16", "P20", "C30", "S16",
+            "K150", "K208", "P100", "C200", "P300")
 
 
 def mixed_lines():
@@ -298,10 +298,16 @@ def main():
     differ += [name for name in change if name not in parent]
     for name in differ:
         print(f"DIFFERS: {name}")
+        before = parent.get(name, "").splitlines()
+        after = change.get(name, "").splitlines()
+        # difflib is quadratic in the worst case and runs for many minutes
+        # on a 200k-line document, so the excerpt starts at the first line
+        # that differs and spans 40 lines of each side
+        start = next((i for i, (a, b) in enumerate(zip(before, after))
+                      if a != b), min(len(before), len(after)))
         diff = list(difflib.unified_diff(
-            parent.get(name, "").splitlines(),
-            change.get(name, "").splitlines(), "parent", "change", n=1,
-            lineterm=""))
+            before[start:start + 40], after[start:start + 40], "parent",
+            "change", n=1, lineterm=""))
         for line in diff[:20] + (["..."] if len(diff) > 20 else []):
             print(f"  {line}")
     print(f"{len(parent)} items, {len(differ)} differ "

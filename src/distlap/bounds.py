@@ -1,13 +1,16 @@
 """Spectral-radius bounds for distance Laplacian and signless Laplacian matrices.
 
-Each bound_* function takes the DistanceData of a batch (plus a Frobenius
-norm per graph where the formula needs one) and returns the bound value of
-each graph. A batch may pad its graphs to a common size: each formula reads
-each graph's own n, and its min and max reductions run over real vertices
-only. bound_values runs the battery into one (K, B) array, a row per bound
-in BoundId order and a column per graph, and is the one place that applies
-BOUND_META (min_n, regular_only): a bound is NaN on a graph the table
-excludes, and a bound_* function assumes graphs the table admits.
+Each bound_* function takes the DistanceData of a batch and returns the
+bound value of each graph. A square-root bound builds its radicand exactly
+from the batch's integer fields (n, dist2, tr2, wiener, tmin, tmax) and
+takes one float root of it (_root), so a radicand that is exactly 0, as
+on complete graphs, gives a root of exactly 0. A batch may pad its graphs
+to a common size: each formula reads each graph's own n, and its min and
+max reductions run over real vertices only. bound_values runs the battery
+into one (K, B) array, a row per bound in BoundId order and a column per
+graph, and is the one place that applies BOUND_META (min_n,
+regular_only): a bound is NaN on a graph the table excludes, and a bound_*
+function assumes graphs the table admits.
 bound_checks compares that array with the radii, row by row.
 compute_all_bounds runs the same pipeline on one graph, a batch of one, and
 reports applicability, satisfaction against the true radii, and equality
@@ -23,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -116,14 +119,31 @@ _ON_L = np.array([meta.target is Target.L for meta in BOUND_META.values()])
 _UPPER = np.array([meta.side is Side.UPPER for meta in BOUND_META.values()])
 
 
-def _sqrt_guarded(radicand, what):
-    """Elementwise sqrt of a float64 array with a tiny negative clamp;
-    larger negatives are internal errors."""
-    low = float(radicand.min())
-    if low < -1e-9:
-        raise ConsistencyError(
-            f"{what}: radicand {low!r} is negative beyond tolerance")
-    return np.sqrt(np.maximum(radicand, 0.0))
+# Each radicand term of a connected graph on N vertices is below N^6: every
+# transmission is at most N(N-1)/2, so N * tr2 and 4 W^2 are below N^6 / 4,
+# and N * dist2 is below N^5. _INT64_N is the largest N whose N^6 fits in
+# int64; on a batch padded above it, the terms are Python ints instead.
+_INT64_N = int(np.iinfo(np.int64).max ** (1 / 6))
+
+
+def _exact(dd):
+    """dd, or, on a batch padded above _INT64_N vertices, a copy whose
+    integer fields n, dist2, tr2, wiener, tmin and tmax are Python ints, so
+    that radicands built from them never wrap."""
+    if dd.dist.shape[-1] <= _INT64_N:
+        return dd
+    return replace(dd, **{
+        name: getattr(dd, name).astype(object)
+        for name in ("n", "dist2", "tr2", "wiener", "tmin", "tmax")})
+
+
+def _root(exact, scale, what):
+    """sqrt(scale * exact) of an integer radicand array exact and a float
+    scale. Each radicand is >= 0 by a theorem, so a negative one is an
+    internal error."""
+    if (exact < 0).any():
+        raise ConsistencyError(f"{what}: radicand {exact.min()} is negative")
+    return np.sqrt(scale * exact.astype(np.float64))
 
 
 def _first(bad, *xs):
@@ -146,10 +166,11 @@ def bound_L_d1(dd):
     return 2.0 * dd.wiener - dd.n * (dd.n - 2)
 
 
-def bound_L_d2(dd, d_frob):
-    """Strict upper bound max tr + sqrt(||D||_F^2 - sum(tr^2)/n)."""
-    rad = d_frob * d_frob - dd.tr2 / dd.n
-    return dd.tmax + _sqrt_guarded(rad, "L_D2")
+def bound_L_d2(dd):
+    """Strict upper bound max tr + sqrt(||D||_F^2 - sum(tr^2)/n), whose
+    radicand is (n dist2 - tr2) / n."""
+    x = _exact(dd)
+    return dd.tmax + _root(x.n * x.dist2 - x.tr2, 1.0 / dd.n, "L_D2")
 
 
 def bound_L_n1(dd):
@@ -187,34 +208,32 @@ def bound_L_n2(dd):
     return best / 2.0
 
 
-def bound_L_n3(dd, l_frob):
-    """Upper bound from the Laplacian trace and Frobenius norm:
-    2W/(n-1) + sqrt((n-2)/(n-1) * (||L||_F^2 - (2W)^2/(n-1))).
-    l_frob is ||L||_F, whose square is tr2 + dist2."""
-    n = dd.n
-    tw = 2.0 * dd.wiener
-    rad = (n - 2) / (n - 1) * (l_frob * l_frob - tw * tw / (n - 1))
-    # an exactly zero radicand (complete graphs) can round to below the
-    # sqrt guard's tolerance, so a zero is settled in integers
-    exact = (n - 1) * (dd.tr2 + dd.dist2) - 4 * dd.wiener * dd.wiener
-    rad = rad * (exact != 0)
-    return tw / (n - 1) + _sqrt_guarded(rad, "L_N3")
+def bound_L_n3(dd):
+    """Upper bound from the Laplacian trace 2W and Frobenius norm, whose
+    square is S = tr2 + dist2:
+    2W/(n-1) + sqrt((n-2)/(n-1) * (S - (2W)^2/(n-1))), whose radicand is
+    ((n-1) S - 4W^2) (n-2)/(n-1)^2."""
+    x, n = _exact(dd), dd.n
+    return 2.0 * dd.wiener / (n - 1) + _root(
+        (x.n - 1) * (x.tr2 + x.dist2) - 4 * x.wiener * x.wiener,
+        (n - 2) / (n - 1) ** 2, "L_N3")
 
 
-def bound_L_transmission_regular(dd, d_frob):
-    """The two upper bounds available only for transmission-regular graphs.
+def bound_L_transmission_regular(dd):
+    """The two upper bounds available only for transmission-regular graphs,
+    of transmission k.
 
     Returns (c1, c2) with
       c1 = k + sqrt(||D||_F^2 - k^2)                      (strict)
       c2 = nk/(n-1) + sqrt((n-2)/(n-1)*(||D||_F^2 - nk^2/(n-1)))
-    and checks c2 <= c1 before returning.
+    and checks c2 <= c1 before returning. The radicand of c2 is
+    ((n-1) dist2 - n k^2) (n-2)/(n-1)^2.
     """
-    k = dd.tmax
-    n = dd.n
-    df2 = d_frob * d_frob
-    c1 = k + _sqrt_guarded(df2 - k * k, "L_R1")
-    rad = (n - 2) / (n - 1) * (df2 - n * k * k / (n - 1))
-    c2 = n * k / (n - 1) + _sqrt_guarded(rad, "L_R2")
+    x, k, n = _exact(dd), dd.tmax, dd.n
+    c1 = k + _root(x.dist2 - x.tmax * x.tmax, 1.0, "L_R1")
+    c2 = n * k / (n - 1) + _root(
+        (x.n - 1) * x.dist2 - x.n * x.tmax * x.tmax, (n - 2) / (n - 1) ** 2,
+        "L_R2")
     bad = c2 > c1 + slack_for(c1)
     if bad.any():
         c1, c2 = _first(bad, c1, c2)
@@ -245,11 +264,11 @@ def bound_Q_quadratic(dd):
     """Lower/upper pair from a quadratic row-sum argument, evaluated at the
     min and max transmission. Checks the pair stays inside [2t, 2T]."""
     # both ends in one (2, B) stack; integer transmissions are exact floats
-    ends = np.stack((dd.tmin, dd.tmax)).astype(float)
-    shifted = ends - 1.0
-    rad = shifted ** 2 + 8.0 * (
-        ends * ends + 2.0 * dd.wiener - (dd.n - 1.0) * ends)
-    roots = (shifted + _sqrt_guarded(rad, "Q_quadratic")) / 2.0
+    x = _exact(dd)
+    e = np.stack((x.tmin, x.tmax))
+    rad = (e - 1) ** 2 + 8 * (e * e + 2 * x.wiener - (x.n - 1) * e)
+    ends = e.astype(float)
+    roots = (ends - 1.0 + _root(rad, 1.0, "Q_quadratic")) / 2.0
     (lo, up), (t, big) = roots, ends
     pad, twice = slack_for(roots), 2.0 * ends
     bad = (lo + pad[0] < twice[0]) | (up > twice[1] + pad[1])
@@ -261,34 +280,34 @@ def bound_Q_quadratic(dd):
     return lo, up
 
 
-def bound_Q_cs7(dd, q_frob):
-    """Upper bound 2W/n + sqrt((n-1)/n * (||Q||_F^2 - (2W)^2/n))."""
-    n = dd.n
-    tw = 2.0 * dd.wiener
-    rad = (n - 1) / n * (q_frob * q_frob - tw * tw / n)
-    return tw / n + _sqrt_guarded(rad, "Q_CS7")
+def bound_Q_cs7(dd):
+    """Upper bound 2W/n + sqrt((n-1)/n * (||Q||_F^2 - (2W)^2/n)), where
+    ||Q||_F^2 = S = tr2 + dist2, whose radicand is (n S - 4W^2) (n-1)/n^2."""
+    x, n = _exact(dd), dd.n
+    return 2.0 * dd.wiener / n + _root(
+        x.n * (x.tr2 + x.dist2) - 4 * x.wiener * x.wiener, (n - 1) / n ** 2,
+        "Q_CS7")
 
 
 # The battery in evaluation order: each function of the distance data and
-# its Frobenius norms ||D||_F and ||L||_F = ||Q||_F, and the ids of the
-# bounds whose values it returns; the ids of one entry share min_n and
-# regular_only. The lambdas look the bound_* functions up when called, so
-# every caller runs the current ones. Q_I2 is the L_I1 expression, which
-# bounds the signless radius too.
+# the ids of the bounds whose values it returns; the ids of one entry share
+# min_n and regular_only. The lambdas look the bound_* functions up when
+# called, so every caller runs the current ones. Q_I2 is the L_I1
+# expression, which bounds the signless radius too.
 _BATTERY = (
-    ((BoundId.L_I1, BoundId.Q_I2), lambda dd, d, l: (bound_L_i1(dd),) * 2),
-    ((BoundId.L_D1,), lambda dd, d, l: (bound_L_d1(dd),)),
-    ((BoundId.L_D2,), lambda dd, d, l: (bound_L_d2(dd, d),)),
-    ((BoundId.L_N1,), lambda dd, d, l: (bound_L_n1(dd),)),
-    ((BoundId.L_N2,), lambda dd, d, l: (bound_L_n2(dd),)),
-    ((BoundId.L_N3,), lambda dd, d, l: (bound_L_n3(dd, l),)),
+    ((BoundId.L_I1, BoundId.Q_I2), lambda dd: (bound_L_i1(dd),) * 2),
+    ((BoundId.L_D1,), lambda dd: (bound_L_d1(dd),)),
+    ((BoundId.L_D2,), lambda dd: (bound_L_d2(dd),)),
+    ((BoundId.L_N1,), lambda dd: (bound_L_n1(dd),)),
+    ((BoundId.L_N2,), lambda dd: (bound_L_n2(dd),)),
+    ((BoundId.L_N3,), lambda dd: (bound_L_n3(dd),)),
     ((BoundId.L_R1, BoundId.L_R2),
-     lambda dd, d, l: bound_L_transmission_regular(dd, d)),
-    ((BoundId.Q_TB_LO, BoundId.Q_TB_UP), lambda dd, d, l: bound_Q_tb(dd)),
-    ((BoundId.Q_I3, BoundId.Q_I4), lambda dd, d, l: bound_Q_hong_ratio(dd)),
-    ((BoundId.Q_I5, BoundId.Q_I6), lambda dd, d, l: bound_Q_hong_sqrt(dd)),
-    ((BoundId.Q_CI5, BoundId.Q_CS6), lambda dd, d, l: bound_Q_quadratic(dd)),
-    ((BoundId.Q_CS7,), lambda dd, d, l: (bound_Q_cs7(dd, l),)),
+     lambda dd: bound_L_transmission_regular(dd)),
+    ((BoundId.Q_TB_LO, BoundId.Q_TB_UP), lambda dd: bound_Q_tb(dd)),
+    ((BoundId.Q_I3, BoundId.Q_I4), lambda dd: bound_Q_hong_ratio(dd)),
+    ((BoundId.Q_I5, BoundId.Q_I6), lambda dd: bound_Q_hong_sqrt(dd)),
+    ((BoundId.Q_CI5, BoundId.Q_CS6), lambda dd: bound_Q_quadratic(dd)),
+    ((BoundId.Q_CS7,), lambda dd: (bound_Q_cs7(dd),)),
 )
 
 
@@ -304,21 +323,19 @@ def bound_values(dd, regular):
     """
     smallest = dd.n.min()
     every = regular.all()
-    d_frob, l_frob = np.sqrt(dd.dist2), np.sqrt(dd.tr2 + dd.dist2)
     values = np.full((len(BOUND_META), len(dd.n)), np.nan)
     for ids, evaluate in _BATTERY:
         meta = BOUND_META[ids[0]]
         if smallest >= meta.min_n and (every or not meta.regular_only):
             applies = slice(None)
-            found = evaluate(dd, d_frob, l_frob)
+            found = evaluate(dd)
         else:
             applies = dd.n >= meta.min_n
             if meta.regular_only:
                 applies &= regular
             if not applies.any():
                 continue
-            found = evaluate(dd.take(applies), d_frob[applies],
-                             l_frob[applies])
+            found = evaluate(dd.take(applies))
         for bid, value in zip(ids, found):
             values[_ROW[bid], applies] = value
     return values

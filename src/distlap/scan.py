@@ -186,8 +186,8 @@ def _scan_chunk(result, adj, n, weight=None, listed=None):
         return
     if not tested.all():
         dd, rows, weight = dd.take(tested), rows[tested], weight[tested]
-    upper_strict = bound_L_d2(dd, np.sqrt(dd.dist2))
-    upper_trace = bound_L_n3(dd, np.sqrt(dd.tr2 + dd.dist2))
+    upper_strict = bound_L_d2(dd)
+    upper_trace = bound_L_n3(dd)
     margin = upper_strict - upper_trace
     result.graphs_tested += int(weight.sum())
     low = float(margin.min())

@@ -2,6 +2,7 @@
 
 import collections
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from distlap import (
     BOUND_META, BoundId, Side, Target, compute_all_bounds, encode_graph6,
     enumerate_connected, sample_connected, slack_for)
 from distlap.bounds import (
-    _BATTERY, _ROW, _sqrt_guarded, bound_L_n2, bound_L_n3, bound_values)
+    _BATTERY, _INT64_N, _ROW, _root, bound_L_d2, bound_L_n2, bound_L_n3,
+    bound_L_transmission_regular, bound_Q_cs7, bound_Q_quadratic,
+    bound_values)
 from distlap.errors import ConsistencyError
 from distlap.graphs import (
     adjacency_stack, batch_of_one, connected_distances, distance_data)
@@ -143,12 +146,18 @@ def test_vertex_pair_bound_matches_pair_loop():
 
 
 def test_complete_graph_trace_bound_is_exact():
-    # the L_N3 radicand of K_n is exactly 0; in floats it rounds to about
-    # -1.85e-9 at n = 208, beyond the sqrt guard's tolerance
-    for n in (2, 3, 12, 208, 577, 1199):
+    # the L_N3 and L_R2 radicands of K_n are exactly 0, and the Q_CS7 one
+    # is n^2 (n-1), whose scaled root is n - 1. Squared Frobenius norms in
+    # floats rounded the L_N3 radicand to -1.85e-9 at n = 208, and put
+    # L_R2 at 5.0000000516 on K5 and 1.9e-6 above n on K150
+    for n in (*range(2, 301), 577, 1199):
         dist = np.ones((1, n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
         dd = distance_data(dist)
-        assert bound_L_n3(dd, np.sqrt(dd.tr2 + dd.dist2)).tolist() == [n]
+        assert bound_L_n3(dd).tolist() == [n]
+        assert bound_L_transmission_regular(dd)[1].tolist() == [n]
+        assert bound_Q_cs7(dd).tolist() == [2 * (n - 1)]
+    assert compute_all_bounds(complete_graph(5)).entry(
+        BoundId.L_R2).value == 5.0
     r = compute_all_bounds(complete_graph(208))
     assert r.entry(BoundId.L_N3).value == 208.0
     assert r.entry(BoundId.L_N3).diagnosis.certificate == "complete-graph"
@@ -251,10 +260,62 @@ def test_one_graph_computes_each_bound_once(monkeypatch):
 
 
 def test_sqrt_guard():
-    roots = _sqrt_guarded(np.array([4.0, -1e-12, 2.0]), "x")
+    # an integer radicand of 0 passes, and a negative one raises however
+    # small the scale makes it: there is no float tolerance
+    roots = _root(np.array([4, 0, 2]), 1.0, "x")
     assert roots.tolist() == [2.0, 0.0, math.sqrt(2.0)]
-    with pytest.raises(ConsistencyError, match="radicand -1.0 is negative"):
-        _sqrt_guarded(np.array([4.0, -1.0]), "x")
+    assert _root(np.array([9, 8]), np.array([1 / 9, 0.5]), "x").tolist() == [
+        1.0, 2.0]
+    with pytest.raises(ConsistencyError, match="x: radicand -1 is negative"):
+        _root(np.array([4, -1]), 1e-30, "x")
+    # Python ints, as on a batch above _INT64_N vertices
+    wide = np.array([1 << 70, 0], dtype=object)
+    assert _root(wide, 1.0, "x").tolist() == [2.0 ** 35, 0.0]
+    with pytest.raises(ConsistencyError, match="x: radicand -1 is negative"):
+        _root(wide - 1, 1.0, "x")
+
+
+def test_radicands_above_the_int64_cap_are_python_ints():
+    # the path and the cycle on 2100 vertices, above _INT64_N: the path's
+    # (n-1) (tr2 + dist2) passes 2^63, so its radicand terms must be Python
+    # ints; each bound against its closed form in Fractions
+    def surd(a, b):
+        return float(a) + math.sqrt(b)
+    n = 2100
+    assert n > _INT64_N
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    for dist in (gap, np.minimum(gap, n - gap)):
+        dd = distance_data(dist[None])
+        tr = dd.tr[0].tolist()
+        dist2, t, big = int(dd.dist2[0]), min(tr), max(tr)
+        w, tr2 = sum(tr) // 2, sum(x * x for x in tr)
+        s = tr2 + dist2
+        if dist is gap:
+            assert (n - 1) * s > np.iinfo(np.int64).max
+        want = {
+            "L_D2": surd(big, Fraction(n * dist2 - tr2, n)),
+            "L_N3": surd(Fraction(2 * w, n - 1), Fraction(
+                (n - 2) * ((n - 1) * s - 4 * w * w), (n - 1) ** 2)),
+            "Q_CS7": surd(Fraction(2 * w, n), Fraction(
+                (n - 1) * (n * s - 4 * w * w), n * n)),
+            "Q_CI5": surd(Fraction(t - 1, 2), Fraction(
+                (t - 1) ** 2 + 8 * (t * t + 2 * w - (n - 1) * t), 4)),
+            "Q_CS6": surd(Fraction(big - 1, 2), Fraction(
+                (big - 1) ** 2 + 8 * (big * big + 2 * w - (n - 1) * big), 4)),
+        }
+        lo, up = bound_Q_quadratic(dd)
+        got = {"L_D2": bound_L_d2(dd), "L_N3": bound_L_n3(dd),
+               "Q_CS7": bound_Q_cs7(dd), "Q_CI5": lo, "Q_CS6": up}
+        if t == big:  # the cycle, transmission-regular
+            c1, c2 = bound_L_transmission_regular(dd)
+            want["L_R1"] = surd(big, dist2 - big * big)
+            want["L_R2"] = surd(Fraction(n * big, n - 1), Fraction(
+                (n - 2) * ((n - 1) * dist2 - n * big * big), (n - 1) ** 2))
+            got.update(L_R1=c1, L_R2=c2)
+        for name, value in got.items():
+            assert value.dtype == np.float64, name
+            assert float(value[0]) == pytest.approx(want[name], rel=1e-12), (
+                name, t == big)
 
 
 def test_slack_for():

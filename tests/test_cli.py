@@ -265,8 +265,8 @@ def test_main_rejects_a_slack_not_finite_and_nonnegative(capsys, slack):
 
 
 def test_main_analyze_large_complete_graph(capsys):
-    # the L_N3 radicand of K_208 is exactly 0 but rounds below the sqrt
-    # guard's tolerance in floats
+    # the L_N3 radicand of K_208 is exactly 0, which squared Frobenius
+    # norms in floats once rounded to -1.85e-9
     assert main(["analyze", "K208", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     n3 = next(b for b in doc["bounds"] if b["id"] == "L_N3")

@@ -1,5 +1,6 @@
 """Conjecture margin sweeps and the soundness sweep."""
 
+import dataclasses
 import math
 import random
 
@@ -85,6 +86,20 @@ def test_full_sweep_n5_finds_the_stars():
     star_margin = math.sqrt(13.6) - 4
     for _, trace_bound, strict_bound in r.counterexamples:
         assert strict_bound - trace_bound == pytest.approx(star_margin, abs=1e-12)
+
+
+def test_n7_classes_list_the_exact_tie_of_k2_join_c5():
+    # K2 joined with C5 (T = 8, W = 26, dist2 = 72, tr2 = 392): both
+    # bounds are exactly 12, d2 = 8 + sqrt(16) and n3 = 26/3 + sqrt(100/9),
+    # and their exact radicands give a margin of exactly 0.0, so its 252
+    # labelings are the only equalities at n = 7
+    r = scan_conjecture(connected_classes(7))
+    assert len(r.equalities) == 252
+    assert r.equalities[0][0] == "FLr~w"
+    assert "F}vvO" in [g6 for g6, _, _ in r.equalities]
+    assert {(trace, strict) for _, trace, strict in r.equalities} == {
+        (12.0, 12.0)}
+    assert len(r.counterexamples) == 45234
 
 
 def test_scan_is_stream_order_independent():
@@ -181,8 +196,8 @@ def per_graph_scan(graphs, slack=1e-7):
         if dd.tmin[0] == dd.tmax[0]:
             result.skipped_regular += 1
             continue
-        upper_strict = float(bound_L_d2(dd, np.sqrt(dd.dist2))[0])
-        upper_trace = float(bound_L_n3(dd, np.sqrt(dd.tr2 + dd.dist2))[0])
+        upper_strict = float(bound_L_d2(dd)[0])
+        upper_trace = float(bound_L_n3(dd)[0])
         margin = upper_strict - upper_trace
         result.graphs_tested += 1
         if result.min_margin is None or margin < result.min_margin:
@@ -241,9 +256,9 @@ def test_regular_graphs_in_a_chunk_never_reach_the_bounds(monkeypatch):
     n = 208
     seen = []
 
-    def spy(dd, l_frob):
+    def spy(dd):
         seen.append((dd.tmin == dd.tmax).tolist())
-        return bound_L_n3(dd, l_frob)
+        return bound_L_n3(dd)
     monkeypatch.setattr(scan, "bound_L_n3", spy)
     result = ScanResult(slack=1e-7)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
@@ -430,10 +445,11 @@ def test_chunked_soundness_reports_violations_as_per_graph(
         monkeypatch.setattr(certify, "equality_tol",
                             lambda x: 0.5 + 1e-8 * abs(x))
     elif mutation == "guard":
-        # the L_N3 radicand goes negative on some graphs
+        # a Wiener index raised by 2% takes the integer L_N3 radicand
+        # below 0 on some graphs
         trace_bound = bounds.bound_L_n3
-        monkeypatch.setattr(bounds, "bound_L_n3", lambda dd, l_frob: (
-            trace_bound(dd, 0.99 * l_frob)))
+        monkeypatch.setattr(bounds, "bound_L_n3", lambda dd: trace_bound(
+            dataclasses.replace(dd, wiener=dd.wiener + dd.wiener // 50)))
     elif mutation == "operators":
         # raise one symmetric off-diagonal pair of Q by 1 on the graphs
         # whose trace is 3 mod 7, which moves their Q row sums off the

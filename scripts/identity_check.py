@@ -6,6 +6,9 @@ Exports the parent ref (default HEAD) and the working tree with
 bench_pairs.export, runs a fixed corpus in each tree through a subprocess
 that imports distlap from that tree's src/, and compares the reprs item by
 item. Exits 1 and prints a diff excerpt per item on any difference, else 0.
+An excerpt starts at the item's first differing line, and each of its
+lines is clipped to a window at the first differing column, since a
+ScanResult repr is one line of up to a few MB.
 
 JSON output is compared by value: each document is parsed and written
 again with sorted keys and a two-space indent in both trees, so a change of
@@ -28,8 +31,9 @@ The corpus:
   - the sha256 of the bytes of connected_classes(n).minima, .table and
     .weights() for n = 1..7, and of the stacks of connected_stacks(7) one
     after another, each with its dtype and length;
-  - the graph6 lines of enumerate_connected(n, dedup) for n = 1..6, of
-    enumerate_connected(7, dedup=True) (853 classes), and of
+  - the graph6 lines of enumerate_connected(n) and of the class minima of
+    connected_classes(n) for n = 1..6, of the class minima for n = 7 (853
+    classes), and of
     sample_connected at (n, count, seed) = (7, 2000, 7), (9, 30, 3) and
     (12, 50, 4);
   - the SoundnessReport and the ScanResult of a seeded, shuffled graph6
@@ -37,17 +41,19 @@ The corpus:
     and of the same stream with every other run of same-n graphs turned
     into one adjacency stack (mixed_items);
   - the SoundnessReport and the ScanResult of the chained stacks
-    connected_stacks(n) for n = 1..6, several sizes of one size class in
-    a row;
+    connected_stacks(n) for n = 1..6, several sizes in a row;
   - the SoundnessReport and the ScanResult of a graph6 stream of long and
     of disconnected graphs with n = 100..300 (long_lines);
   - the SoundnessReports of 20 seeded 32-line graph6 units of n = 5..10,
     sparse and dense, some disconnected (unit_lines), each swept alone;
   - the SoundnessReport and the ScanResult of a graph6 tail with one graph
     of each n = 1..31, K1 and K2 included, and of one with K1, K2 and one
-    graph of each n = 17..31 (tail_lines): no size class fills, so the
-    graphs of all classes are cut together when the stream ends, the
-    second into one chunk that pads K1 to N = 31.
+    graph of each n = 17..31 (tail_lines): no n fills a chunk, so all
+    the graphs are cut together when the stream ends, the second into one
+    chunk that pads K1 to N = 31;
+  - the SoundnessReport and the ScanResult of a seeded 3,000-line graph6
+    stream of n = 3..31, sparse and dense, some disconnected
+    (stream_lines), in which chunks fill while the stream runs at many n.
 """
 
 from __future__ import annotations
@@ -165,6 +171,29 @@ def tail_lines(sizes):
     return [encode_graph6(g) + "\n" for g in graphs]
 
 
+def stream_lines():
+    """3,000 graph6 lines of n = 3..31, seeded: half a random tree plus up
+    to three edges, less one edge in one of ten, half uniform with an edge
+    probability in [0.1, 0.9], so that some are disconnected."""
+    from distlap import Graph, encode_graph6
+
+    rng = random.Random(11)
+    lines = []
+    for _ in range(3000):
+        n = rng.randint(3, 31)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if rng.random() < 0.5:
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            edges |= set(rng.sample(pairs, rng.randint(0, 3)))
+            if rng.random() < 0.1:
+                edges.remove(rng.choice(sorted(edges)))
+        else:
+            density = rng.uniform(0.1, 0.9)
+            edges = {p for p in pairs if rng.random() < density}
+        lines.append(encode_graph6(Graph(n, frozenset(edges))) + "\n")
+    return lines
+
+
 def mixed_items(lines):
     """The graphs of read_graph6_stream(lines), with every other run of
     same-n graphs, the first included, as one adjacency stack."""
@@ -199,7 +228,15 @@ def corpus():
         enumerate_connected, read_graph6_stream, sample_connected,
         scan_conjecture, scan_soundness)
     from distlap.cli import cmd_analyze, cmd_scan
+    from distlap.graphs import adjacency_graphs
     from distlap.named_graphs import FIXTURES, fixture_graph
+
+    def graphs_of(n, dedup):
+        # every labeled graph, or one per class, as a stream of Graphs
+        if not dedup:
+            return enumerate_connected(n)
+        return (g for adj in connected_classes(n).stacks()
+                for g in adjacency_graphs(adj))
 
     def by_value(doc):
         # the same text for the same keys and values, whatever the layout
@@ -214,13 +251,12 @@ def corpus():
     for n in range(3, 7):
         for dedup in (False, True):
             out[f"scan n={n} dedup={dedup}"] = repr(
-                scan_conjecture(enumerate_connected(n, dedup=dedup)))
+                scan_conjecture(graphs_of(n, dedup)))
             out[f"scan-json n={n} dedup={dedup}"] = by_value(json.loads(
                 cmd_scan(enumerate_n=n, dedup=dedup, fmt="json")[1]))
             out[f"scan-table n={n} dedup={dedup}"] = cmd_scan(
                 enumerate_n=n, dedup=dedup)[1]
-    out["scan n=7 dedup=True"] = repr(
-        scan_conjecture(enumerate_connected(7, dedup=True)))
+    out["scan n=7 dedup=True"] = repr(scan_conjecture(graphs_of(7, True)))
     out["scan n=7 dedup=False"] = repr(scan_conjecture(connected_stacks(7)))
     out["scan-json n=7 dedup=False"] = by_value(
         json.loads(cmd_scan(enumerate_n=7, fmt="json")[1]))
@@ -232,9 +268,9 @@ def corpus():
     for n in range(1, 7):
         for dedup in (False, True):
             out[f"enumerate n={n} dedup={dedup}"] = "\n".join(
-                map(encode_graph6, enumerate_connected(n, dedup=dedup)))
+                map(encode_graph6, graphs_of(n, dedup)))
     out["enumerate n=7 dedup=True"] = "\n".join(
-        map(encode_graph6, enumerate_connected(7, dedup=True)))
+        map(encode_graph6, graphs_of(7, True)))
     for n in range(1, 8):
         classes = connected_classes(n)
         for name, a in (("minima", classes.minima), ("table", classes.table),
@@ -260,10 +296,29 @@ def corpus():
                              ("1,2,17..31", [1, 2, *range(17, 32)])):
             out[f"{name} graph6 tail n={label}"] = repr(sweep(
                 g for _, g in read_graph6_stream(tail_lines(sizes))))
+        out[f"{name} graph6 stream n=3..31"] = repr(
+            sweep(g for _, g in read_graph6_stream(stream_lines())))
     for seed in range(20):
         out[f"soundness unit n=5..10 seed={seed}"] = repr(scan_soundness(
             g for _, g in read_graph6_stream(unit_lines(seed))))
     return out
+
+
+def first_difference(a, b):
+    """The first index at which the sequences a and b differ, else the
+    length of the shorter."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
+
+
+def clip(line, col, width=120):
+    """line cut to width characters around column col, '...' marking each
+    cut end."""
+    if len(line) <= width:
+        return line
+    lo = max(0, min(col - width // 3, len(line) - width))
+    return ("..." if lo else "") + line[lo:lo + width] + (
+        "..." if lo + width < len(line) else "")
 
 
 def run_corpus(tree):
@@ -303,13 +358,15 @@ def main():
         # difflib is quadratic in the worst case and runs for many minutes
         # on a 200k-line document, so the excerpt starts at the first line
         # that differs and spans 40 lines of each side
-        start = next((i for i, (a, b) in enumerate(zip(before, after))
-                      if a != b), min(len(before), len(after)))
+        start = first_difference(before, after)
+        col = first_difference(*(
+            lines[start] if start < len(lines) else ""
+            for lines in (before, after)))
         diff = list(difflib.unified_diff(
             before[start:start + 40], after[start:start + 40], "parent",
             "change", n=1, lineterm=""))
         for line in diff[:20] + (["..."] if len(diff) > 20 else []):
-            print(f"  {line}")
+            print(f"  {line[:1]}{clip(line[1:], col)}")
     print(f"{len(parent)} items, {len(differ)} differ "
           f"(parent {args.parent} vs working tree)")
     return 1 if differ else 0

@@ -17,8 +17,7 @@ from .graph6 import (
 from .graphs import (
     ConnectedClasses, DistanceData, Graph, compute_distance_data,
     connected_classes, connected_stacks, enumerate_connected,
-    format_edge_list, parse_edge_list, sample_connected,
-    transmission_regularity)
+    format_edge_list, parse_edge_list, sample_connected)
 from .linalg import eig_symmetric, is_irreducible, multiplicity
 from .named_graphs import (
     FIXTURES, builtin_graph, complete_graph, cycle_graph, fixture_graph,

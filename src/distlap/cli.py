@@ -22,9 +22,7 @@ from .certify import check_han_multiplicity, check_tree_determinant
 from .errors import (
     ConsistencyError, GraphParseError, TheoremViolationError)
 from .graph6 import parse_graph6, read_graph6_stream
-from .graphs import (
-    connected_classes, connected_stacks, parse_edge_list,
-    transmission_regularity)
+from .graphs import connected_classes, parse_edge_list
 from .named_graphs import FIXTURES, builtin_graph, fixture_graph
 from .scan import scan_conjecture
 
@@ -114,7 +112,8 @@ def report_document(report, target="both"):
         },
         "transmissions": [int(t) for t in data.tr],
         "wiener": data.wiener,
-        "transmission_regular": transmission_regularity(data),
+        "transmission_regular": (
+            data.tmin if data.tmin == data.tmax else None),
         "spectra": {
             "distance": report.spectrum_d.tolist(),
             "distance_laplacian": report.spectrum_l.tolist(),
@@ -147,7 +146,6 @@ def _bound_block(report, ids):
 
 def report_table(report, target="both"):
     data = report.data
-    regular = transmission_regularity(data)
     lines = []
     lines.append(
         f"graph: n={report.graph.n} edges={report.graph.edge_count} "
@@ -155,7 +153,7 @@ def report_table(report, target="both"):
     lines.append(
         f"wiener={data.wiener} transmissions in [{int(data.tr.min())}, "
         f"{int(data.tr.max())}] transmission-regular="
-        + ("yes" if regular is not None else "no"))
+        + ("yes" if data.tmin == data.tmax else "no"))
     lines.append(f"radius: L={fmt4(report.radius_l)} Q={fmt4(report.radius_q)}")
     if target in ("L", "both"):
         lines.append("")
@@ -256,8 +254,8 @@ def cmd_scan(enumerate_n=None, graph6_path=None, slack=1e-7, dedup=False,
         if enumerate_n < 3:
             raise ValueError(
                 f"margin scan needs n >= 3, got n={enumerate_n}")
-        source = (connected_stacks(enumerate_n, dedup=True) if dedup
-                  else connected_classes(enumerate_n))
+        classes = connected_classes(enumerate_n)
+        source = classes.stacks() if dedup else classes
         params = {"enumerate": enumerate_n, "dedup": dedup, "slack": slack}
         result = scan_conjecture(source, slack=slack)
     else:

@@ -369,12 +369,6 @@ def connected_distances(adj, n=None):
     return connected, dist.astype(np.int64)
 
 
-def transmission_regularity(dd):
-    """The common transmission k of one graph's DistanceData if every vertex
-    has the same, else None."""
-    return dd.tmin if dd.tmin == dd.tmax else None
-
-
 _ENUM_CAP = 7
 # a component as a vertex bitmask: the narrowest unsigned dtype that holds
 # one on _ENUM_CAP vertices, so raising the cap widens it, never overflows
@@ -572,7 +566,7 @@ def connected_classes(n):
     return ConnectedClasses(n, np.array(minima, dtype=np.int64), table)
 
 
-def connected_stacks(n, dedup=False):
+def connected_stacks(n):
     """Yield every connected labeled graph on n vertices, 1 <= n <= 7, as
     (B, n, n) boolean adjacency stacks of chunk_limit(n) graphs (the last
     one may hold fewer).
@@ -580,17 +574,12 @@ def connected_stacks(n, dedup=False):
     Deterministic: ascending edge-bitmask order over the pair sequence
     (0,1), (0,2), ..., (n-2,n-1). The connected masks are read off a table
     of the components of every graph on n - 1 vertices, with no BFS; only
-    the masks kept become adjacency stacks. With dedup=True it yields one
-    graph per isomorphism class, the one with the smallest bitmask over all
-    vertex relabelings, in ascending order: the stacks of
-    connected_classes(n), whose orbit sweep costs n! relabelings per class,
-    not per labeled graph. Beyond n = 7 the labeled space is too large;
-    feed a graph6 stream instead.
+    the masks kept become adjacency stacks. One graph per isomorphism
+    class, the one with the smallest bitmask over all vertex relabelings,
+    is connected_classes(n).stacks(). Beyond n = 7 the labeled space is
+    too large; feed a graph6 stream instead.
     """
     _check_enumerable(n)
-    if dedup:
-        yield from connected_classes(n).stacks()
-        return
     size = chunk_limit(n)
     held = np.zeros(0, dtype=np.int64)
     for masks in _connected_masks(n):
@@ -602,10 +591,10 @@ def connected_stacks(n, dedup=False):
         yield _int64_stack(held, n)
 
 
-def enumerate_connected(n, dedup=False):
-    """Yield the graphs of connected_stacks(n, dedup) one Graph at a time,
-    in the same order."""
-    for adj in connected_stacks(n, dedup):
+def enumerate_connected(n):
+    """Yield the graphs of connected_stacks(n) one Graph at a time, in the
+    same order."""
+    for adj in connected_stacks(n):
         yield from adjacency_graphs(adj)
 
 

@@ -15,14 +15,14 @@ A stream holds Graphs, (B, n, n) boolean adjacency stacks of same-n graphs
 (such as graphs.connected_stacks yields), or both. Both sweeps evaluate it
 in chunks of at most graphs.chunk_limit(N) graphs, each once as (B, N, N)
 arrays. A stack is evaluated as it comes, in slices of chunk_limit(n),
-unpadded and alone. Graphs share chunks, each padded with isolated
-vertices to the chunk's largest n, N. While the stream runs, a chunk that
-fills holds Graphs of one size class: below 32 vertices n in
-[2^(k-1), 2^k), so a graph is padded to less than 2n; from 32 vertices on
-one n. When the stream ends, the Graphs still held, of every class, are
-sorted by n and cut greedily, a chunk let go before the next graph would
-take it past chunk_limit of its new N, so that a short stream of mixed
-sizes, such as 32 graphs of n = 5..10, pays a chunk's fixed cost once. Every bound, identity and diagnosis reads each
+unpadded and alone. Graphs are held by their exact n while the stream
+runs, and chunk_limit(n) Graphs of one n are let go as one unpadded
+chunk. When the stream ends, the Graphs still held are taken in ascending
+n and cut greedily, each chunk padded with isolated vertices to its
+largest n, N, and let go before the next graph would take it past
+chunk_limit of its new N. Only these tail chunks mix sizes, so that a
+short stream of mixed sizes, such as 32 graphs of n = 5..10, pays a
+chunk's fixed cost once. Every bound, identity and diagnosis reads each
 graph's own vertices only, and each eigensolve runs on unpadded matrices.
 graph6 is written only for a listed graph, at its own n, straight from
 its row of the stack (graph6.encode_graph6_stack); no Graph is built for
@@ -62,36 +62,20 @@ class ScanResult:
     slack: float = 0.0
 
 
-# Graphs on fewer than _PAD_BELOW vertices share chunks by size class (see
-# _size_class); from _PAD_BELOW on, a chunk holds graphs of one n. Below it
-# a chunk's fixed cost dominates a sweep of a short stream of mixed sizes,
-# and padding costs less than it saves. A power of two, so that no class
-# key collides with a size at or above it.
-_PAD_BELOW = 32
-
-
-def _size_class(n):
-    """The key of the chunks that a graph on n vertices joins: below
-    _PAD_BELOW the class 2^(k-1) <= n < 2^k, keyed by its largest size
-    2^k - 1, so a graph is padded to less than 2n vertices; from
-    _PAD_BELOW on, n itself."""
-    return (1 << n.bit_length()) - 1 if n < _PAD_BELOW else n
-
-
 def _each_chunk(source, evaluate, reject):
     """Calls evaluate(adj, n) on the graphs of source in chunks: adj is the
     (B, N, N) boolean adjacency stack of at most chunk_limit(N) graphs and
     n their vertex counts. A same-n adjacency stack of source is evaluated
     as it comes, in slices of chunk_limit(n), unpadded and alone. Graphs
-    are held by size class (_size_class), in stream order per class, each
-    padded with isolated vertices to its chunk's largest n, N; reject is
-    called on each too_sparse Graph, whose stack is never built. A chunk
-    of Graphs is let go once full, or before a graph that would take it
-    past chunk_limit(N) joins it, so memory stays flat over any stream.
-    When the stream ends, the held Graphs of all classes are sorted by n
-    and cut by the same rule, which lets a chunk go before the next graph
-    would take it past chunk_limit of its new N."""
-    pending = {}  # size class -> (held Graphs in order, N, chunk_limit(N))
+    are held by their n, in stream order, and the chunk_limit(n) Graphs of
+    one n are let go as one unpadded chunk; reject is called on each
+    too_sparse Graph, whose stack is never built. So at most one partial
+    chunk per n is held over any stream. When the stream ends, the held
+    Graphs are taken in ascending n and cut greedily, each chunk padded
+    with isolated vertices to its largest n, N, and let go before the next
+    graph would take it past chunk_limit of its new N: the only chunks
+    that mix sizes."""
+    held = {}  # n -> the Graphs on n vertices held, in stream order
     for item in source:
         if not isinstance(item, Graph):
             n = item.shape[-1]
@@ -103,25 +87,17 @@ def _each_chunk(source, evaluate, reject):
         if too_sparse(item):
             reject(item)
             continue
-        key = _size_class(item.n)
-        graphs, n, limit = pending.pop(key, ([], 0, 0))
-        if item.n > n:  # a held chunk is below its limit until N grows
-            n, limit = item.n, chunk_limit(item.n)
-            if len(graphs) >= limit:
+        graphs = held.setdefault(item.n, [])
+        graphs.append(item)
+        if len(graphs) == chunk_limit(item.n):
+            evaluate(*_stack(held.pop(item.n)))
+    graphs = []
+    for n in sorted(held):
+        for item in held[n]:
+            if len(graphs) >= chunk_limit(n):
                 evaluate(*_stack(graphs))
                 graphs = []
-        graphs.append(item)
-        if len(graphs) == limit:
-            evaluate(*_stack(graphs))
-        else:
-            pending[key] = graphs, n, limit
-    graphs = []
-    for item in sorted((g for held, _, _ in pending.values() for g in held),
-                       key=lambda g: g.n):
-        if len(graphs) >= chunk_limit(item.n):
-            evaluate(*_stack(graphs))
-            graphs = []
-        graphs.append(item)
+            graphs.append(item)
     if graphs:
         evaluate(*_stack(graphs))
 
@@ -231,8 +207,9 @@ def scan_conjecture(source, slack=1e-7):
     Transmission-regular graphs are skipped (the strict bound hypothesis
     excludes them). Disconnected or too-small graphs are recorded as
     per-graph errors, not raised. A stream is evaluated in chunks (see
-    _each_chunk): each stack as it comes, Graphs of nearby sizes padded
-    together, so memory stays flat over any stream.
+    _each_chunk): each stack as it comes, Graphs by their exact n, and
+    the Graphs left when the stream ends padded together in its tail, so
+    memory stays flat over any stream.
     ConnectedClasses are evaluated once per isomorphism class and counted
     by orbit size, and each listed class lists every labeled member, so the
     result equals that of the stream connected_stacks(n). This is exact
@@ -411,8 +388,9 @@ def scan_soundness(source):
     Disconnected graphs, and graphs whose eigensolve or bounds fail an
     internal check, are recorded as errors; everything else counts as
     checked, with its violations. The stream is evaluated in chunks (see
-    _each_chunk): each stack as it comes, Graphs of nearby sizes padded
-    together. Both lists are sorted by graph6 encoding.
+    _each_chunk): each stack as it comes, Graphs by their exact n, and
+    the Graphs left when the stream ends padded together in its tail.
+    Both lists are sorted by graph6 encoding.
 
     Unlike scan_conjecture, it has no class path: every labeled graph gets
     its own eigensolve, because eigenvalues are not bit-invariant under

@@ -1,6 +1,7 @@
 """Graph construction, edge-list parsing, distances, enumeration."""
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -13,8 +14,8 @@ from distlap import graphs as graphs_module
 from distlap import (
     DisconnectedGraphError, Graph, GraphParseError, compute_distance_data,
     check_tree_determinant, enumerate_connected, parse_edge_list,
-    sample_connected, scan, scan_conjecture, scan_soundness,
-    transmission_regularity)
+    sample_connected, scan, scan_conjecture, scan_soundness)
+from distlap.cli import cmd_analyze
 from distlap.graphs import (
     _ENUM_CAP, _ENUM_CHUNK, SCAN_CELLS, SCAN_CHUNK, _connected_masks,
     adjacency_graphs, adjacency_stack, connected_classes, connected_distances,
@@ -115,12 +116,12 @@ def test_distance_data_rejects_disconnected():
 
 
 def test_transmission_regularity():
-    assert transmission_regularity(compute_distance_data(cycle_graph(5))) == 6
-    assert transmission_regularity(compute_distance_data(complete_graph(4))) == 3
-    assert transmission_regularity(compute_distance_data(path_graph(4))) is None
-    # single vertex is trivially regular with k = 0
-    assert transmission_regularity(
-        compute_distance_data(Graph(1, frozenset()))) == 0
+    # analyze's transmission_regular: the common transmission k, else null
+    for name, k in (("C5", 6), ("K4", 3), ("P4", None),
+                    # single vertex is trivially regular with k = 0
+                    ("K1", 0)):
+        doc = json.loads(cmd_analyze(name, fmt="json")[1])
+        assert doc["transmission_regular"] == k, name
 
 
 def test_fixture_transmissions():
@@ -188,15 +189,22 @@ def test_enumerate_cap():
         list(enumerate_connected(0))
 
 
+def class_minima(n):
+    """The minimum of each isomorphism class on n vertices as a Graph, in
+    class order."""
+    return [g for adj in connected_classes(n).stacks()
+            for g in adjacency_graphs(adj)]
+
+
 def test_enumerate_dedup_counts():
     for n in range(1, 8):
-        got = sum(1 for _ in enumerate_connected(n, dedup=True))
+        got = len(class_minima(n))
         assert got == oracles.UNLABELED_CONNECTED[n], n
 
 
 def test_enumerate_dedup_classes_match_networkx():
     nx = pytest.importorskip("networkx")
-    reps = list(enumerate_connected(5, dedup=True))
+    reps = class_minima(5)
     for a in range(len(reps)):
         for b in range(a + 1, len(reps)):
             ga = nx.Graph(reps[a].sorted_edges())
@@ -423,23 +431,28 @@ def test_pair_ends_are_the_pair_order_and_read_only():
 
 def test_connected_stacks_chunk_the_enumerated_graphs():
     # full chunks of SCAN_CHUNK graphs (SCAN_CELLS binds above n = 8 only),
-    # holding the graphs of enumerate_connected in its order
+    # holding the graphs of enumerate_connected, or the class minima, in
+    # their order
     for n in range(1, 7):
+        classes = connected_classes(n)
         for dedup in (False, True):
-            stacks = list(connected_stacks(n, dedup=dedup))
+            stacks = list(classes.stacks() if dedup else connected_stacks(n))
             for a in stacks:
                 assert a.dtype == bool and a.shape[1:] == (n, n)
                 assert len(a) <= SCAN_CHUNK and a.size <= SCAN_CELLS
             assert all(len(a) == SCAN_CHUNK for a in stacks[:-1])
             assert len(stacks[-1]) > 0
-            want = adjacency_stack(list(enumerate_connected(n, dedup=dedup)))
-            assert np.array_equal(np.concatenate(stacks), want), (n, dedup)
+            got = adjacency_graphs(np.concatenate(stacks))
+            if dedup:
+                assert [oracles.edge_mask(g.edges, n) for g in got] == (
+                    classes.minima.tolist()), n
+            else:
+                assert got == list(enumerate_connected(n)), n
 
 
 def test_enumerate_dedup_yields_ascending_minimal_representatives():
     for n in range(1, 7):
-        reps = [oracles.edge_mask(g.edges, n)
-                for g in enumerate_connected(n, dedup=True)]
+        reps = [oracles.edge_mask(g.edges, n) for g in class_minima(n)]
         assert reps == sorted(reps)
         assert oracles.canonical_masks(reps, n).tolist() == reps, n
 
@@ -498,8 +511,7 @@ def test_class_members_are_the_orbit_of_each_minimum():
 
 
 def test_enumerate_dedup_at_7_is_one_minimum_per_class():
-    reps = [oracles.edge_mask(g.edges, 7)
-            for g in enumerate_connected(7, dedup=True)]
+    reps = [oracles.edge_mask(g.edges, 7) for g in class_minima(7)]
     assert len(set(reps)) == len(reps)
     assert oracles.canonical_masks(reps, 7).tolist() == reps
     assert (oracles.orbit_sizes(reps, 7).sum()

@@ -15,8 +15,8 @@ from distlap.bounds import bound_L_d2, bound_L_n3
 from distlap.cli import cmd_scan, scan_document, scan_table, to_canonical_json
 from distlap.errors import DisconnectedGraphError
 from distlap.graphs import (
-    DISCONNECTED, SCAN_CELLS, SCAN_CHUNK, adjacency_stack, batch_of_one,
-    chunk_limit, distance_data, too_sparse)
+    DISCONNECTED, SCAN_CELLS, SCAN_CHUNK, adjacency_graphs, adjacency_stack,
+    batch_of_one, chunk_limit, distance_data, too_sparse)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 from distlap.scan import (
@@ -274,10 +274,14 @@ def test_regular_graphs_in_a_chunk_never_reach_the_bounds(monkeypatch):
 
 @pytest.mark.parametrize("dedup", [False, True])
 def test_sweeps_over_stacks_equal_sweeps_over_graphs(dedup):
+    # the labeled stacks of n, or the stacks of its class minima
     for n in range(1, 7):
+        stacks = list(connected_classes(n).stacks() if dedup
+                      else connected_stacks(n))
+        graphs = [g for adj in stacks for g in adjacency_graphs(adj)]
         for sweep in (scan_conjecture, scan_soundness):
-            got = sweep(connected_stacks(n, dedup=dedup))
-            want = sweep(enumerate_connected(n, dedup=dedup))
+            got = sweep(iter(stacks))
+            want = sweep(graphs)
             assert got == want, (sweep.__name__, n)
             assert repr(got) == repr(want), (sweep.__name__, n)
 
@@ -350,9 +354,10 @@ def test_mixed_stream_of_graphs_and_stacks_equals_the_graph_stream(
 
 
 def test_stacks_of_one_size_class_pass_through_unpadded(monkeypatch):
-    # n = 4, 5 and 6 share a size class, yet each stack is evaluated as it
-    # comes, in unpadded slices of chunk_limit(n); the n = 5 stacks are
-    # joined into one, which spans three slices
+    # stacks of n = 4, 5 and 6 in a row, each evaluated as it comes, in
+    # unpadded slices of chunk_limit(n), never padded together as the
+    # tail of a Graph stream would be; the n = 5 stacks are joined into
+    # one, which spans three slices
     stacks = list(connected_stacks(4)) + [
         np.concatenate(list(connected_stacks(5)))] + list(connected_stacks(6))
     graphs = [g for n in (4, 5, 6) for g in enumerate_connected(n)]
@@ -497,8 +502,8 @@ def test_chunked_soundness_reports_violations_as_per_graph(
 
 
 def padded_stream():
-    """A shuffled stream in which each size class below 32 vertices holds
-    several sizes and fits one chunk: n = 2 beside n = 3, random graphs of
+    """A shuffled stream of many sizes below 32 vertices, none of which
+    fills a chunk of its own n: n = 2 beside n = 3, random graphs of
     n = 4..24 (some disconnected), regular and complete graphs beside
     smaller non-regular ones, disconnected graphs with enough edges to
     reach the BFS, and the stars on 4 and 5 vertices."""
@@ -550,7 +555,7 @@ def test_padded_chunks_equal_per_graph_evaluation(monkeypatch, sweep):
         assert not got.violations
         assert {msg for _, msg in got.errors} == {DISCONNECTED}
     assert got == want and repr(got) == repr(want)
-    # no size class fills during the stream, so all of it is the tail:
+    # no n fills a chunk during the stream, so all of it is the tail:
     # sorted by n, and cut before the graph that would take a chunk past
     # chunk_limit of its new N (56 at N = 17, 40 at N = 20)
     assert [(len(n), min(n), max(n)) for _, n in chunks] == [
@@ -565,8 +570,8 @@ def test_padded_chunks_equal_per_graph_evaluation(monkeypatch, sweep):
 
 
 def test_a_short_unit_of_six_sizes_forms_one_chunk(monkeypatch):
-    # 32 graph6 lines of n = 5..10, as one unit of a sampled stream: the
-    # size classes 4..7 and 8..15 never fill, so the tail holds all 32 in
+    # 32 graph6 lines of n = 5..10, as one unit of a sampled stream: no n
+    # fills a chunk of chunk_limit(n) graphs, so the tail holds all 32 in
     # one chunk, padded to N = 10
     rng = random.Random(31)
     graphs = [g for n in range(5, 11)
@@ -585,3 +590,48 @@ def test_a_short_unit_of_six_sizes_forms_one_chunk(monkeypatch):
     got = scan_soundness(g for _, g in read_graph6_stream(lines))
     assert got.graphs_checked == len(lines) == 32
     assert chunks == [((32, 10, 10), sorted(g.n for g in graphs))]
+
+
+@pytest.mark.parametrize("sweep", ["margin", "soundness"])
+def test_graphs_fill_unpadded_chunks_of_one_n(monkeypatch, sweep):
+    # chunk_limit(n) + extra graphs that reach a chunk at each n, beside
+    # too sparse ones, shuffled: while the stream runs, every chunk holds
+    # chunk_limit(n) graphs of one n, unpadded, and only the tail, the
+    # graphs left of each n, mixes sizes
+    rng = random.Random(41)
+    stream = []
+    count = {n: chunk_limit(n) + extra for n, extra in (
+        (4, 30), (5, 9), (6, 41), (7, 256 + 17), (17, 56 + 5), (18, 23),
+        (19, 1), (20, 30))}
+    for n, k in count.items():
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        while k:
+            density = rng.uniform(0.15, 0.95)
+            stream.append(Graph(n, frozenset(
+                p for p in pairs if rng.random() < density)))
+            k -= not too_sparse(stream[-1])
+    rng.shuffle(stream)
+    chunks = []
+
+    def spy(parts):
+        adj, n = stack(parts)
+        chunks.append((adj.shape, n.tolist()))
+        return adj, n
+    stack = scan._stack
+    monkeypatch.setattr(scan, "_stack", spy)
+    if sweep == "margin":
+        got, want = scan_conjecture(stream), per_graph_scan(stream)
+        assert got.counterexamples and got.skipped_regular
+    else:
+        got, want = scan_soundness(stream), per_graph_soundness(stream)
+        assert not got.violations
+    assert {msg for _, msg in got.errors} == {DISCONNECTED}
+    assert got == want and repr(got) == repr(want)
+    full = sum(k // chunk_limit(n) for n, k in count.items())
+    assert full == 10
+    for (b, size, _), n in chunks[:full]:
+        assert set(n) == {size} and b == chunk_limit(size)
+    tail = chunks[full:]
+    assert sum((n for _, n in tail), []) == sorted(
+        n for n, k in count.items() for _ in range(k % chunk_limit(n)))
+    assert any(len(set(n)) > 1 for _, n in tail)

@@ -29,8 +29,12 @@ The corpus:
   - the SoundnessReport of all labeled graphs with n <= 6 plus the
     fixtures;
   - the sha256 of the bytes of connected_classes(n).minima, .table and
-    .weights() for n = 1..7, and of the stacks of connected_stacks(7) one
-    after another, each with its dtype and length;
+    .weights() for n = 1..7, of the stacks of connected_stacks(7) one
+    after another, and of the member stacks of every class,
+    connected_classes(n).members, for n = 1..7 (n = 7 in slices of 64
+    classes), each with its dtype and length; and of the ScanResult repr
+    of the class path at n = 7, scan_conjecture(connected_classes(7)),
+    which lists the labeled members of its 52 counterexample classes;
   - the graph6 lines of enumerate_connected(n) and of the class minima of
     connected_classes(n) for n = 1..6, of the class minima for n = 7 (853
     classes), and of
@@ -223,6 +227,7 @@ def digest(arrays):
 
 def corpus():
     """repr of every corpus item by name, from the distlap on sys.path."""
+    import numpy as np
     from distlap import (
         connected_classes, connected_stacks, encode_graph6,
         enumerate_connected, read_graph6_stream, sample_connected,
@@ -276,6 +281,12 @@ def corpus():
         for name, a in (("minima", classes.minima), ("table", classes.table),
                         ("weights", classes.weights())):
             out[f"classes n={n} {name} sha256"] = digest([a])
+        every = np.arange(len(classes.minima))
+        out[f"members n={n} sha256"] = digest(itertools.chain.from_iterable(
+            classes.members(every[k:k + 64])
+            for k in range(0, len(every), 64)))
+    out["scan n=7 classes sha256"] = hashlib.sha256(repr(scan_conjecture(
+        connected_classes(7))).encode()).hexdigest()
     out["connected_stacks n=7 sha256"] = digest(connected_stacks(7))
     for n, count, seed in ((7, 2000, 7), (9, 30, 3), (12, 50, 4)):
         out[f"sample n={n} count={count} seed={seed}"] = "\n".join(

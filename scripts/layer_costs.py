@@ -17,6 +17,16 @@ enumeration layers, the whole of N:
   diagnose     certify.diagnose
   identities   the soundness sweep's identity checks
   render       cmd_analyze's table and JSON text of each graph's report
+  listing      the graph6 lines of every labeled member of the classes
+               that the margin scan of all labeled graphs on N vertices
+               lists (its counterexamples and equalities), in the calls
+               that scan_conjecture(connected_classes(N)) makes (members,
+               then graph6), per member; absent where it lists none
+
+Each layer runs alone on inputs that stay warm in cache, so the rows
+understate what a layer costs inside a sweep: the layers from graph6 to
+identities, scaled to the 32 graphs of one soundness-sample unit, summed
+to ~1.1 ms, against the ~1.8-2.1 ms that the unit took end to end.
 
 A pass runs every layer once, in this order; the script prints the min and
 the median over K passes. With --parent, the distlap of REF, exported with
@@ -50,10 +60,12 @@ def layer_calls(n, seed):
     sys.path."""
     from distlap import (
         compute_all_bounds, connected_classes, connected_stacks,
-        encode_graph6, read_graph6_stream, sample_connected)
+        encode_graph6, read_graph6_stream, sample_connected, scan,
+        scan_conjecture)
     from distlap.bounds import bound_values
     from distlap.certify import diagnose, is_complete
     from distlap.cli import report_document, report_table, to_canonical_json
+    from distlap.graph6 import encode_graph6_stack
     from distlap.graphs import (
         adjacency_stack, chunk_limit, connected_distances, distance_data)
     from distlap.operators import operator_spectra
@@ -67,8 +79,25 @@ def layer_calls(n, seed):
     complete = is_complete(dd)
     values = bound_values(dd, dd.tmin == dd.tmax)
     reports = [compute_all_bounds(g) for g in graphs]
-    classes = len(connected_classes(n).minima)
+    classes = connected_classes(n)
     labeled = sum(len(a) for a in connected_stacks(n))
+    # the rows of each listing call of the labeled margin scan, read by a
+    # spy on members while the scan runs
+    calls = []
+    members = type(classes).members
+
+    def spy(self, rows):
+        calls.append(rows.copy())
+        return members(self, rows)
+
+    type(classes).members = spy
+    try:
+        scan_conjecture(classes)
+    finally:
+        type(classes).members = members
+    # a tree without scan._member_lines encodes each class on its own
+    member_lines = getattr(scan, "_member_lines", lambda c, rows: [
+        encode_graph6_stack(a) for a in c.members(rows)])
 
     def read_stacks():
         for _ in connected_stacks(n):
@@ -79,8 +108,13 @@ def layer_calls(n, seed):
             report_table(report)
             to_canonical_json(report_document(report))
 
+    def listing():
+        for rows in calls:
+            member_lines(classes, rows)
+
+    listed = sum(int(classes.weights()[rows].sum()) for rows in calls)
     return (
-        ("classes", lambda: connected_classes(n), classes),
+        ("classes", lambda: connected_classes(n), len(classes.minima)),
         ("labeled", read_stacks, labeled),
         ("graph6", lambda: list(read_graph6_stream(lines)), len(graphs)),
         ("distances", lambda: connected_distances(adj), len(graphs)),
@@ -92,7 +126,7 @@ def layer_calls(n, seed):
         ("identities", lambda: _identity_failures(dd, complete, ops[2],
                                                   spectra), len(graphs)),
         ("render", render, len(graphs)),
-    )
+    ) + ((("listing", listing, listed),) if calls else ())
 
 
 def serve(n, seed):

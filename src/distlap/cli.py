@@ -207,10 +207,11 @@ def scan_document(result, params):
             "skipped_regular": result.skipped_regular,
             "min_margin": result.min_margin,
             "has_counterexamples": bool(result.counterexamples),
-            "counterexamples": [list(c) for c in result.counterexamples],
-            "equalities_within_tolerance": [list(c) for c in result.equalities],
+            # json writes each tuple as an array, the bytes of a list
+            "counterexamples": result.counterexamples,
+            "equalities_within_tolerance": result.equalities,
             "histogram": result.histogram,
-            "errors": [list(e) for e in result.errors],
+            "errors": result.errors,
         },
     }
 

@@ -31,6 +31,7 @@ it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -186,6 +187,15 @@ def _scan_chunk(result, adj, n, weight=None, listed=None):
                     upper_strict[found].tolist()) for g6 in g6s]
 
 
+def _member_lines(classes, rows):
+    """The graph6 lines of every member of each class of the ascending
+    class indices rows, one list per class, from one encode of all their
+    members."""
+    stacks = classes.members(rows)
+    lines = iter(encode_graph6_stack(np.concatenate(stacks)))
+    return [list(itertools.islice(lines, len(a))) for a in stacks]
+
+
 def _scan_classes(result, classes):
     """_scan_chunk over the class minima of a ConnectedClasses, each row
     weighted by its orbit size and listing every member of its class."""
@@ -195,8 +205,7 @@ def _scan_classes(result, classes):
         _scan_chunk(
             result, adj, np.full(len(adj), classes.n),
             weight[first:first + len(adj)],
-            lambda rows, first=first: [
-                encode_graph6_stack(a) for a in classes.members(first + rows)])
+            lambda rows, first=first: _member_lines(classes, first + rows))
         first += len(adj)
 
 

@@ -134,6 +134,10 @@ def test_ex2_transmission_regular_collapses():
 def test_vertex_pair_bound_matches_pair_loop():
     graphs = [fixture_graph(name) for name in ("ex1", "ex2", "g1", "g2")]
     graphs += list(sample_connected(9, 30, seed=3))
+    # the graphs above take one block of pairs; the 8,256 pairs of a path
+    # on 129 vertices take many, and its largest distance, 128, is past
+    # int8's +127
+    graphs.append(path_graph(129))
     for g in graphs:
         dd = one_graph(g)
         d = dd.dist[0].tolist()

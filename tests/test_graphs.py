@@ -17,8 +17,8 @@ from distlap import (
     sample_connected, scan, scan_conjecture, scan_soundness)
 from distlap.cli import cmd_analyze
 from distlap.graphs import (
-    _ENUM_CAP, _ENUM_CHUNK, SCAN_CELLS, SCAN_CHUNK, _connected_masks,
-    adjacency_graphs, adjacency_stack, connected_classes, connected_distances,
+    _ENUM_CAP, _ENUM_CHUNK, SCAN_CELLS, SCAN_CHUNK, ConnectedClasses,
+    _connected_masks, adjacency_graphs, adjacency_stack, connected_classes, connected_distances,
     connected_stacks, distance_data, format_edge_list)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
@@ -493,21 +493,46 @@ def test_relabelings_follow_itertools_permutations():
 
 
 def test_class_members_are_the_orbit_of_each_minimum():
-    classes = connected_classes(5)
-    weights = classes.weights()
-    picked = np.array([0, 3, 4, 11, 20])
-    stacks = classes.members(picked)
-    assert len(stacks) == len(picked)
-    for c, stack in zip(picked.tolist(), stacks):
-        masks = [oracles.edge_mask(g.edges, 5)
-                 for g in adjacency_graphs(stack)]
-        assert len(masks) == weights[c] and masks == sorted(masks), c
-        assert set(oracles.canonical_masks(masks, 5).tolist()) == {
-            int(classes.minima[c])}, c
-    every = classes.members(np.arange(len(classes.minima)))
-    assert sorted(oracles.edge_mask(g.edges, 5) for stack in every
-                  for g in adjacency_graphs(stack)) == (
-        np.concatenate(list(_connected_masks(5))).tolist())
+    for n in range(1, 7):
+        classes = connected_classes(n)
+        weights = classes.weights()
+        every = classes.members(np.arange(len(classes.minima)))
+        assert len(every) == len(classes.minima), n
+        for c, stack in enumerate(every):
+            masks = [oracles.edge_mask(g.edges, n)
+                     for g in adjacency_graphs(stack)]
+            assert len(masks) == weights[c] and masks == sorted(masks), (n, c)
+            assert set(oracles.canonical_masks(masks, n).tolist()) == {
+                int(classes.minima[c])}, (n, c)
+        assert sorted(oracles.edge_mask(g.edges, n) for stack in every
+                      for g in adjacency_graphs(stack)) == (
+            np.concatenate(list(_connected_masks(n))).tolist()), n
+
+
+def test_members_of_the_classes_the_labeled_scan_lists_at_7(monkeypatch):
+    # the rows come from the scan itself, through a spy on members; each
+    # class's members are the brute-force orbit of its minimum, ascending
+    calls = []
+    members = ConnectedClasses.members
+
+    def spy(self, rows):
+        calls.append(rows.copy())
+        return members(self, rows)
+
+    monkeypatch.setattr(ConnectedClasses, "members", spy)
+    classes = connected_classes(7)
+    scan_conjecture(classes)
+    monkeypatch.undo()
+    listed = np.concatenate(calls)
+    # 52 classes of strict counterexamples, 1 of equalities within tolerance
+    assert len(listed) == 53
+    orbits = np.stack(list(oracles.relabeled_masks(classes.minima[listed], 7)))
+    for c, stack, orbit in zip(listed.tolist(), classes.members(listed),
+                               orbits.T):
+        assert stack.dtype == bool, c
+        assert [oracles.edge_mask(g.edges, 7)
+                for g in adjacency_graphs(stack)] == sorted(set(
+                    orbit.tolist())), c
 
 
 def test_enumerate_dedup_at_7_is_one_minimum_per_class():

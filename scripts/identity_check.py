@@ -16,10 +16,11 @@ layout alone is no difference, while every key, string and float repr
 still is.
 
 The corpus:
-  - cmd_analyze JSON (without timing_ms) and table output for the five
-    fixtures, K1, K2, P3, S4, C4, K5, P4, C6, S5, K12, K16, P20, C30, S16,
-    K150, K208, P100, C200 and P300 (K1..C4 sit at the bounds' min_n edges,
-    with a regular and a non-regular n = 4 graph);
+  - cmd_analyze JSON (without the timing_ms that schema version 1 wrote)
+    and table output for the five fixtures, K1, K2, P3, S4, C4, K5, P4,
+    C6, S5, K12, K16, P20, C30, S16, K150, K208, P100, C200 and P300
+    (K1..C4 sit at the bounds' min_n edges, with a regular and a
+    non-regular n = 4 graph);
   - the ScanResult of labeled and of deduplicated n = 3..6, and the
     `scan --enumerate` JSON and table output of the same sweeps, plus the
     ScanResult of deduplicated n = 7, and the ScanResult of the labeled
@@ -250,7 +251,7 @@ def corpus():
     out = {}
     for name in ANALYZED:
         doc = json.loads(cmd_analyze(name, fmt="json")[1])
-        del doc["timing_ms"]
+        doc.pop("timing_ms", None)
         out[f"analyze-json {name}"] = by_value(doc)
         out[f"analyze-table {name}"] = cmd_analyze(name)[1]
     for n in range(3, 7):

@@ -19,9 +19,10 @@ enumeration layers, the whole of N:
   render       cmd_analyze's table and JSON text of each graph's report
   listing      the graph6 lines of every labeled member of the classes
                that the margin scan of all labeled graphs on N vertices
-               lists (its counterexamples and equalities), in the calls
-               that scan_conjecture(connected_classes(N)) makes (members,
-               then graph6), per member; absent where it lists none
+               lists (its counterexamples and equalities), in the listing
+               calls that scan_conjecture(connected_classes(N)) makes
+               (members, then one graph6 encode), per member; absent
+               where it lists none
 
 Each layer runs alone on inputs that stay warm in cache, so the rows
 understate what a layer costs inside a sweep: the layers from graph6 to
@@ -65,7 +66,6 @@ def layer_calls(n, seed):
     from distlap.bounds import bound_values
     from distlap.certify import diagnose, is_complete
     from distlap.cli import report_document, report_table, to_canonical_json
-    from distlap.graph6 import encode_graph6_stack
     from distlap.graphs import (
         adjacency_stack, chunk_limit, connected_distances, distance_data)
     from distlap.operators import operator_spectra
@@ -81,23 +81,33 @@ def layer_calls(n, seed):
     reports = [compute_all_bounds(g) for g in graphs]
     classes = connected_classes(n)
     labeled = sum(len(a) for a in connected_stacks(n))
-    # the rows of each listing call of the labeled margin scan, read by a
-    # spy on members while the scan runs
+    # each listing call of the labeled margin scan, as (call, rows), read
+    # by a spy on the listings of scan._class_chunks while the scan runs;
+    # a tree from before scan._class_chunks lists through
+    # scan._member_lines, and its calls are read by a spy on members
     calls = []
-    members = type(classes).members
+    if hasattr(scan, "_class_chunks"):
+        owner, name, class_chunks = scan, "_class_chunks", scan._class_chunks
 
-    def spy(self, rows):
-        calls.append(rows.copy())
-        return members(self, rows)
+        def spy(source):
+            for *chunk, listed in class_chunks(source):
+                def spied(rows, listed=listed):
+                    calls.append((listed, rows.copy()))
+                    return listed(rows)
+                yield (*chunk, spied)
+    else:
+        owner, name, members = type(classes), "members", type(classes).members
 
-    type(classes).members = spy
+        def spy(self, rows):
+            calls.append((lambda rows: scan._member_lines(classes, rows),
+                          rows.copy()))
+            return members(self, rows)
+    original = getattr(owner, name)
+    setattr(owner, name, spy)
     try:
         scan_conjecture(classes)
     finally:
-        type(classes).members = members
-    # a tree without scan._member_lines encodes each class on its own
-    member_lines = getattr(scan, "_member_lines", lambda c, rows: [
-        encode_graph6_stack(a) for a in c.members(rows)])
+        setattr(owner, name, original)
 
     def read_stacks():
         for _ in connected_stacks(n):
@@ -109,10 +119,10 @@ def layer_calls(n, seed):
             to_canonical_json(report_document(report))
 
     def listing():
-        for rows in calls:
-            member_lines(classes, rows)
+        for call, rows in calls:
+            call(rows)
 
-    listed = sum(int(classes.weights()[rows].sum()) for rows in calls)
+    listed = sum(len(lines) for call, rows in calls for lines in call(rows))
     return (
         ("classes", lambda: connected_classes(n), len(classes.minima)),
         ("labeled", read_stacks, labeled),

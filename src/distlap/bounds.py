@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -381,7 +380,6 @@ class BoundReport:
     radius_l: float
     radius_q: float
     entries: tuple
-    timing_ms: dict
 
     def entry(self, bound_id):
         """The entry of bound_id; entries are in BoundId order."""
@@ -402,13 +400,10 @@ def compute_all_bounds(g):
     """
     from .certify import CERT_NONE, EqualityDiagnosis, diagnose, is_complete
 
-    t0 = time.perf_counter()
     dd = distance_data(batch_of_one(g))
-    t1 = time.perf_counter()
     ops, spectra = operator_spectra(dd)
     spectrum_d, spectrum_l, spectrum_q = spectra[:, 0]
     radius_l, radius_q = spectra[1:, 0, 0].tolist()
-    t2 = time.perf_counter()
 
     values = bound_values(dd, dd.tmin == dd.tmax)
     satisfied, gap = bound_checks(values, spectra[1, :, 0], spectra[2, :, 0])
@@ -431,16 +426,7 @@ def compute_all_bounds(g):
             bid, meta.target, meta.side, applicable,
             *(found if applicable else (None, None, None)),
             diagnoses.get(bid) if applicable else None))
-    t3 = time.perf_counter()
-
-    timing = {
-        "distances": round((t1 - t0) * 1000.0, 3),
-        "spectra": round((t2 - t1) * 1000.0, 3),
-        "bounds": round((t3 - t2) * 1000.0, 3),
-        "total": round((t3 - t0) * 1000.0, 3),
-    }
     return BoundReport(
         graph=g, graph6=encode_graph6(g), data=data, operators=ops[:, 0],
         spectrum_d=spectrum_d, spectrum_l=spectrum_l, spectrum_q=spectrum_q,
-        radius_l=radius_l, radius_q=radius_q, entries=tuple(entries),
-        timing_ms=timing)
+        radius_l=radius_l, radius_q=radius_q, entries=tuple(entries))

@@ -26,7 +26,7 @@ from .graphs import connected_classes, parse_edge_list
 from .named_graphs import FIXTURES, builtin_graph, fixture_graph
 from .scan import scan_conjecture
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 L_TABLE = (BoundId.L_I1, BoundId.L_D1, BoundId.L_D2,
            BoundId.L_N1, BoundId.L_N2, BoundId.L_N3)
@@ -129,7 +129,6 @@ def report_document(report, target="both"):
             "tree_determinant": check_tree_determinant(report.graph, data),
         },
         "bounds": bounds,
-        "timing_ms": report.timing_ms,
     }
 
 

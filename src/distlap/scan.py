@@ -11,22 +11,29 @@ scan_soundness runs the full bound battery plus the proven identities on
 every graph and collects violations instead of raising; compute_all_bounds
 runs the same pipeline on one graph as a batch of one.
 
+Both sweeps run on one driver. A chunk is (adj, n, weight, listed): a
+(B, N, N) boolean adjacency stack of at most graphs.chunk_limit(N) graphs,
+their own vertex counts n, the labeled graphs weight[i] that row i stands
+for, and listed(rows), the graph6 lines of those graphs for each row of
+the index array rows. _stream_chunks cuts a stream into chunks whose rows
+stand for themselves; _class_chunks yields the class minima of a
+ConnectedClasses, each row weighted by its orbit and listing every member
+of its class. One rule, _rejected, names the error of a graph too small
+for the sweep or disconnected, and two places record it: _sweep, for a
+row of a chunk, under every graph6 the row lists, and _stream_chunks, for
+a too_sparse Graph, which is never stacked. Each sweep binds one min_n
+for both. _sweep yields the DistanceData of the rows left, whose
+(B, N, N) arrays the sweep evaluates at once.
+
 A stream holds Graphs, (B, n, n) boolean adjacency stacks of same-n graphs
-(such as graphs.connected_stacks yields), or both. Both sweeps evaluate it
-in chunks of at most graphs.chunk_limit(N) graphs, each once as (B, N, N)
-arrays. A stack is evaluated as it comes, in slices of chunk_limit(n),
-unpadded and alone. Graphs are held by their exact n while the stream
-runs, and chunk_limit(n) Graphs of one n are let go as one unpadded
-chunk. When the stream ends, the Graphs still held are taken in ascending
-n and cut greedily, each chunk padded with isolated vertices to its
-largest n, N, and let go before the next graph would take it past
-chunk_limit of its new N. Only these tail chunks mix sizes, so that a
-short stream of mixed sizes, such as 32 graphs of n = 5..10, pays a
-chunk's fixed cost once. Every bound, identity and diagnosis reads each
-graph's own vertices only, and each eigensolve runs on unpadded matrices.
-graph6 is written only for a listed graph, at its own n, straight from
-its row of the stack (graph6.encode_graph6_stack); no Graph is built for
-it.
+(such as graphs.connected_stacks yields), or both, and _stream_chunks
+gives its chunk rule. Only the chunks cut when the stream ends mix sizes,
+so that a short stream of mixed sizes, such as 32 graphs of n = 5..10,
+pays a chunk's fixed cost once. Every bound, identity and diagnosis reads
+each graph's own vertices only, and each eigensolve runs on unpadded
+matrices. graph6 is written only for a listed graph, at its own n,
+straight from its row of the stack (graph6.encode_graph6_stack); no Graph
+is built for it.
 """
 
 from __future__ import annotations
@@ -63,19 +70,39 @@ class ScanResult:
     slack: float = 0.0
 
 
-def _each_chunk(source, evaluate, reject):
-    """Calls evaluate(adj, n) on the graphs of source in chunks: adj is the
-    (B, N, N) boolean adjacency stack of at most chunk_limit(N) graphs and
-    n their vertex counts. A same-n adjacency stack of source is evaluated
-    as it comes, in slices of chunk_limit(n), unpadded and alone. Graphs
-    are held by their n, in stream order, and the chunk_limit(n) Graphs of
-    one n are let go as one unpadded chunk; reject is called on each
-    too_sparse Graph, whose stack is never built. So at most one partial
-    chunk per n is held over any stream. When the stream ends, the held
-    Graphs are taken in ascending n and cut greedily, each chunk padded
-    with isolated vertices to its largest n, N, and let go before the next
-    graph would take it past chunk_limit of its new N: the only chunks
-    that mix sizes."""
+def _rejected(n, min_n):
+    """The error of a graph on n vertices that a sweep of graphs on at
+    least min_n vertices rejects: too small below min_n, else disconnected.
+    Only the margin sweep has a min_n above 1, so the message names it."""
+    if n < min_n:
+        return f"margin needs n >= {min_n}, got n={n}"
+    return DISCONNECTED
+
+
+def _chunk(adj, n):
+    """The chunk of a padded adjacency stack of graphs on n vertices, each
+    row of weight 1 and listing its own graph6."""
+    return adj, n, np.ones(len(n), dtype=np.int64), lambda rows: [
+        [g6] for g6 in encode_graph6_stack(adj[rows], n[rows])]
+
+
+def _stack(graphs):
+    """The chunk of a list of Graphs, each padded with isolated vertices to
+    the largest vertex count."""
+    return _chunk(adjacency_stack(graphs), np.array([g.n for g in graphs]))
+
+
+def _stream_chunks(source, errors, min_n):
+    """The chunks of a stream of Graphs and same-n adjacency stacks. A
+    same-n stack is cut as it comes, in slices of chunk_limit(n), unpadded
+    and alone. Graphs are held by their n, in stream order, and the
+    chunk_limit(n) Graphs of one n are let go as one unpadded chunk, so at
+    most one partial chunk per n is held over any stream. A too_sparse
+    Graph is never stacked: its error (_rejected) goes to errors at once.
+    When the stream ends, the held Graphs are taken in ascending n and cut
+    greedily, each chunk padded with isolated vertices to its largest n,
+    N, and let go before the next graph would take it past chunk_limit of
+    its new N: the only chunks that mix sizes."""
     held = {}  # n -> the Graphs on n vertices held, in stream order
     for item in source:
         if not isinstance(item, Graph):
@@ -83,54 +110,72 @@ def _each_chunk(source, evaluate, reject):
             size = chunk_limit(n)
             for start in range(0, len(item), size):
                 part = item[start:start + size]
-                evaluate(part, np.full(len(part), n))
+                yield _chunk(part, np.full(len(part), n))
             continue
         if too_sparse(item):
-            reject(item)
+            errors.append((encode_graph6(item), _rejected(item.n, min_n)))
             continue
         graphs = held.setdefault(item.n, [])
         graphs.append(item)
         if len(graphs) == chunk_limit(item.n):
-            evaluate(*_stack(held.pop(item.n)))
+            yield _stack(held.pop(item.n))
     graphs = []
     for n in sorted(held):
         for item in held[n]:
             if len(graphs) >= chunk_limit(n):
-                evaluate(*_stack(graphs))
+                yield _stack(graphs)
                 graphs = []
             graphs.append(item)
     if graphs:
-        evaluate(*_stack(graphs))
+        yield _stack(graphs)
 
 
-def _stack(graphs):
-    """(adj, n) of a chunk of Graphs: their adjacency stack, each graph
-    padded with isolated vertices to the largest vertex count, and each
-    graph's own vertex count."""
-    return adjacency_stack(graphs), np.array([g.n for g in graphs])
+def _class_chunks(classes):
+    """The chunks of the class minima of a ConnectedClasses, each row
+    weighted by its orbit size and listing every member of its class,
+    ascending, from one encode of all the members of one listing call."""
+    weight = classes.weights()
+    first = 0
+    for adj in classes.stacks():
+        def listed(rows, first=first):
+            stacks = classes.members(first + rows)
+            lines = iter(encode_graph6_stack(np.concatenate(stacks)))
+            return [list(itertools.islice(lines, len(a))) for a in stacks]
+        yield (adj, np.full(len(adj), classes.n),
+               weight[first:first + len(adj)], listed)
+        first += len(adj)
 
 
-def _too_small(n):
-    """The error of a graph on n < 3 vertices, which has no margin."""
-    return f"margin needs n >= 3, got n={n}"
+def _sweep(chunks, errors, min_n):
+    """(dd, weight, listed) for the connected rows on at least min_n
+    vertices of each chunk: their DistanceData, their weights and the
+    listing of the chunk restricted to them, listed(rows) reading rows as
+    indices into dd. Every other row goes to errors, once under each graph6
+    it lists (see _rejected)."""
+    for adj, n, weight, listed in chunks:
+        kept = n >= min_n
+        if not kept.all():
+            adj = adj[kept]
+        connected, dist = connected_distances(adj, n[kept])
+        kept[kept] = connected
+        if not kept.all():
+            rows = np.flatnonzero(~kept)
+            errors += [(g6, _rejected(k, min_n)) for k, g6s in zip(
+                n[rows].tolist(), listed(rows)) for g6 in g6s]
+        rows = np.flatnonzero(kept)
+        if len(rows):
+            yield (distance_data(dist, n[rows]), weight[rows],
+                   lambda found, rows=rows, listed=listed: listed(
+                       rows[found]))
 
 
-def _listed_rows(adj, n):
-    """listed for the rows of a padded adjacency stack of graphs on n
-    vertices that stand for themselves: one graph6 per row."""
-    return lambda rows: [
-        [g6] for g6 in encode_graph6_stack(adj[rows], n[rows])]
-
-
-def _scan_chunk(result, adj, n, weight=None, listed=None):
-    """Margins of a padded adjacency stack of graphs on n vertices, as
-    array expressions over the stack.
+def _scan_chunk(result, dd, weight, listed):
+    """Margins of the connected graphs of a padded batch's DistanceData dd,
+    as array expressions over the batch.
 
     Row i stands for weight[i] labeled graphs, and listed(rows) gives the
     graph6 of each graph that the rows of the index array rows stand for,
     one list per row; it is called only for the rows that a list records.
-    By default, as for a plain stream, each row has weight 1 and lists
-    itself, so graph6 is encoded only for listed graphs.
 
     A row may stand for a whole isomorphism class because the regularity
     test and the margin read only integers that relabeling leaves
@@ -138,31 +183,14 @@ def _scan_chunk(result, adj, n, weight=None, listed=None):
     margin equals the row's bit for bit. A float reduction that depends on
     the vertex order would break that; adding one means dropping the class
     path of scan_conjecture."""
-    if weight is None:
-        weight = np.ones(len(n), dtype=np.int64)
-    if listed is None:
-        listed = _listed_rows(adj, n)
-    rows = np.arange(len(n))
-    small = n < 3
-    if small.any():
-        result.errors += [
-            (g6, _too_small(k)) for k, g6s in zip(
-                n[small].tolist(), listed(rows[small])) for g6 in g6s]
-        adj, n, rows = adj[~small], n[~small], rows[~small]
-    connected, dist = connected_distances(adj, n)
-    if not connected.all():
-        result.errors += [(g6, DISCONNECTED) for g6s in listed(
-            rows[~connected]) for g6 in g6s]
-        n, rows = n[connected], rows[connected]
-    dd = distance_data(dist, n)
-    weight = weight[rows]
     # transmission-regular graphs never reach the bounds, as one at a time
     tested = dd.tmin != dd.tmax
     result.skipped_regular += int(weight[~tested].sum())
-    if not tested.any():
+    rows = np.flatnonzero(tested)
+    if not len(rows):
         return
-    if not tested.all():
-        dd, rows, weight = dd.take(tested), rows[tested], weight[tested]
+    if len(rows) < len(tested):
+        dd, weight = dd.take(tested), weight[rows]
     upper_strict = bound_L_d2(dd)
     upper_trace = bound_L_n3(dd)
     margin = upper_strict - upper_trace
@@ -187,38 +215,16 @@ def _scan_chunk(result, adj, n, weight=None, listed=None):
                     upper_strict[found].tolist()) for g6 in g6s]
 
 
-def _member_lines(classes, rows):
-    """The graph6 lines of every member of each class of the ascending
-    class indices rows, one list per class, from one encode of all their
-    members."""
-    stacks = classes.members(rows)
-    lines = iter(encode_graph6_stack(np.concatenate(stacks)))
-    return [list(itertools.islice(lines, len(a))) for a in stacks]
-
-
-def _scan_classes(result, classes):
-    """_scan_chunk over the class minima of a ConnectedClasses, each row
-    weighted by its orbit size and listing every member of its class."""
-    weight = classes.weights()
-    first = 0
-    for adj in classes.stacks():
-        _scan_chunk(
-            result, adj, np.full(len(adj), classes.n),
-            weight[first:first + len(adj)],
-            lambda rows, first=first: _member_lines(classes, first + rows))
-        first += len(adj)
-
-
 def scan_conjecture(source, slack=1e-7):
     """Margin sweep of d2 - n3 over a stream of graphs, or over the
     ConnectedClasses of one n.
 
     Transmission-regular graphs are skipped (the strict bound hypothesis
-    excludes them). Disconnected or too-small graphs are recorded as
-    per-graph errors, not raised. A stream is evaluated in chunks (see
-    _each_chunk): each stack as it comes, Graphs by their exact n, and
-    the Graphs left when the stream ends padded together in its tail, so
-    memory stays flat over any stream.
+    excludes them). Disconnected graphs and graphs on fewer than 3
+    vertices are recorded as per-graph errors, not raised. A stream is
+    evaluated in chunks (see _stream_chunks): each stack as it comes,
+    Graphs by their exact n, and the Graphs left when the stream ends
+    padded together in its tail, so memory stays flat over any stream.
     ConnectedClasses are evaluated once per isomorphism class and counted
     by orbit size, and each listed class lists every labeled member, so the
     result equals that of the stream connected_stacks(n). This is exact
@@ -231,15 +237,11 @@ def scan_conjecture(source, slack=1e-7):
         raise ValueError(f"slack must be finite and >= 0, got {slack!r}")
     result = ScanResult(slack=slack)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
-
-    def reject(g):
-        message = _too_small(g.n) if g.n < 3 else DISCONNECTED
-        result.errors.append((encode_graph6(g), message))
-    if isinstance(source, ConnectedClasses):
-        _scan_classes(result, source)
-    else:
-        _each_chunk(
-            source, lambda adj, n: _scan_chunk(result, adj, n), reject)
+    min_n = 3
+    chunks = (_class_chunks(source) if isinstance(source, ConnectedClasses)
+              else _stream_chunks(source, result.errors, min_n))
+    for dd, weight, listed in _sweep(chunks, result.errors, min_n):
+        _scan_chunk(result, dd, weight, listed)
     result.counterexamples.sort(key=lambda item: item[0])
     result.equalities.sort(key=lambda item: item[0])
     result.errors.sort(key=lambda item: item[0])
@@ -397,7 +399,7 @@ def scan_soundness(source):
     Disconnected graphs, and graphs whose eigensolve or bounds fail an
     internal check, are recorded as errors; everything else counts as
     checked, with its violations. The stream is evaluated in chunks (see
-    _each_chunk): each stack as it comes, Graphs by their exact n, and
+    _stream_chunks): each stack as it comes, Graphs by their exact n, and
     the Graphs left when the stream ends padded together in its tail.
     Both lists are sorted by graph6 encoding.
 
@@ -408,19 +410,11 @@ def scan_soundness(source):
     Laplacian radius.
     """
     report = SoundnessReport()
-
-    def check(adj, n):
-        connected, dist = connected_distances(adj, n)
-        if not connected.all():
-            report.errors += [
-                (g6, DISCONNECTED) for g6 in encode_graph6_stack(
-                    adj[~connected], n[~connected])]
-        if len(dist):
-            _check_soundness(report, distance_data(dist, n[connected]))
-
-    def reject(g):
-        report.errors.append((encode_graph6(g), DISCONNECTED))
-    _each_chunk(source, check, reject)
+    min_n = 1
+    for dd, _, _ in _sweep(
+            _stream_chunks(source, report.errors, min_n), report.errors,
+            min_n):
+        _check_soundness(report, dd)
     report.violations.sort(key=lambda item: item[0])
     report.errors.sort(key=lambda item: item[0])
     return report

@@ -362,7 +362,6 @@ def test_report_structure():
     assert type(r.radius_l) is float and type(r.radius_q) is float
     assert r.radius_l == r.spectrum_l[0]
     assert r.radius_q == r.spectrum_q[0]
-    assert set(r.timing_ms) == {"distances", "spectra", "bounds", "total"}
     assert r.entry(BoundId.L_D1).value == 11.0
     assert all(r.entry(bid).bound_id is bid for bid in BoundId)
     assert {type(e.diagnosis.certificate) for e in r.entries

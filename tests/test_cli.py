@@ -131,7 +131,8 @@ def test_json_reserialization_is_byte_identical():
 def test_analyze_json_document_shape():
     code, text = cmd_analyze("ex1", fmt="json")
     doc = json.loads(text)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
+    assert "timing_ms" not in doc
     assert doc["graph"]["n"] == 5
     assert doc["graph"]["edge_count"] == 7
     assert doc["wiener"] == 13

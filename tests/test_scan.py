@@ -20,8 +20,24 @@ from distlap.graphs import (
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 from distlap.scan import (
-    HISTOGRAM_EDGES, HISTOGRAM_LABELS, ScanResult, _scan_chunk)
+    HISTOGRAM_EDGES, HISTOGRAM_LABELS, ScanResult, _scan_chunk, _sweep)
 from oracles import labeled_connected_count, per_graph_soundness
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """The (adj.shape, n.tolist()) of each chunk that a sweep cuts its
+    stream into, in order, read by a spy on scan._stream_chunks."""
+    seen = []
+
+    def spy(source, errors, min_n):
+        for chunk in stream_chunks(source, errors, min_n):
+            adj, n = chunk[:2]
+            seen.append((adj.shape, n.tolist()))
+            yield chunk
+    stream_chunks = scan._stream_chunks
+    monkeypatch.setattr(scan, "_stream_chunks", spy)
+    return seen
 
 
 def test_star5_is_a_strict_counterexample():
@@ -65,6 +81,31 @@ def test_error_records_instead_of_raises():
     assert any("n >= 3" in m for m in messages)
     assert any("disconnected" in m.lower() or "not connected" in m.lower()
                for m in messages)
+
+
+def test_too_small_and_disconnected_rows_follow_one_rule():
+    # K1, K2, the edgeless graphs on 2 and 3 vertices and P3, as Graphs
+    # (the edgeless ones too sparse to be stacked), as one-graph stacks
+    # and, for margins, as the classes of n <= 3: the margin sweep lists a
+    # graph below 3 vertices as too small before connectivity is tested,
+    # and the soundness sweep lists the disconnected graphs only
+    k1, k2, e2, e3, p3 = graphs = [
+        complete_graph(1), complete_graph(2), Graph(2, frozenset()),
+        Graph(3, frozenset()), path_graph(3)]
+    stacks = [adjacency_stack([g]) for g in graphs]
+    too_small = sorted((encode_graph6(g), f"margin needs n >= 3, got n={g.n}")
+                       for g in (k1, k2, e2))
+    margin = sorted(too_small + [(encode_graph6(e3), DISCONNECTED)])
+    assert scan_conjecture(graphs).errors == margin
+    assert scan_conjecture(stacks).errors == margin
+    classes = sorted(sum((scan_conjecture(connected_classes(n)).errors
+                          for n in (1, 2, 3)), []))
+    assert classes == scan_conjecture([k1, k2, p3]).errors == [
+        row for row in too_small if row[0] != encode_graph6(e2)]
+    soundness = sorted((encode_graph6(g), DISCONNECTED) for g in (e2, e3))
+    for form in (graphs, stacks):
+        got = scan_soundness(form)
+        assert got.errors == soundness and got.graphs_checked == 3
 
 
 def test_full_sweep_n4():
@@ -262,9 +303,15 @@ def test_regular_graphs_in_a_chunk_never_reach_the_bounds(monkeypatch):
     monkeypatch.setattr(scan, "bound_L_n3", spy)
     result = ScanResult(slack=1e-7)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
-    _scan_chunk(result, adjacency_stack([complete_graph(n), star_graph(n)]),
-                np.array([n, n]))
+    # one chunk of both rows, as no stream of n = 208 would cut it
+    stack = adjacency_stack([complete_graph(n), star_graph(n)])
+    rows = []
+    for dd, weight, listed in _sweep(
+            [scan._chunk(stack, np.array([n, n]))], result.errors, 3):
+        rows.append(len(dd.n))
+        _scan_chunk(result, dd, weight, listed)
     want = per_graph_scan([complete_graph(n), star_graph(n)])
+    assert rows == [2]
     assert seen == [[False]]
     assert result.skipped_regular == want.skipped_regular == 1
     assert result.graphs_tested == want.graphs_tested == 1
@@ -304,7 +351,7 @@ def test_class_weighted_scan_equals_the_per_graph_scan():
 
 
 def test_mixed_stream_of_graphs_and_stacks_equals_the_graph_stream(
-        monkeypatch):
+        chunks):
     # runs of same-n graphs, each run either stacked (up to three chunks
     # long, so a stack spans chunks) or left as single Graphs, shuffled
     rng = random.Random(17)
@@ -330,14 +377,8 @@ def test_mixed_stream_of_graphs_and_stacks_equals_the_graph_stream(
     plain = [g for _, run in pieces for g in run]
     assert {type(item) for item in mixed} == {Graph, np.ndarray}
 
-    chunks = []
-
-    def spy(result, adj, n):
-        chunks.append(adj.shape)
-        scan_chunk(result, adj, n)
-    scan_chunk = scan._scan_chunk
-    monkeypatch.setattr(scan, "_scan_chunk", spy)
     got = scan_conjecture(mixed)
+    chunks = [shape for shape, _ in chunks]
     # a single Graph too sparse to connect is an error without a chunk
     rejected = sum(isinstance(item, Graph) and too_sparse(item)
                    for item in mixed)
@@ -353,7 +394,7 @@ def test_mixed_stream_of_graphs_and_stacks_equals_the_graph_stream(
     assert got == want and repr(got) == repr(want)
 
 
-def test_stacks_of_one_size_class_pass_through_unpadded(monkeypatch):
+def test_stacks_of_one_size_class_pass_through_unpadded(chunks):
     # stacks of n = 4, 5 and 6 in a row, each evaluated as it comes, in
     # unpadded slices of chunk_limit(n), never padded together as the
     # tail of a Graph stream would be; the n = 5 stacks are joined into
@@ -364,15 +405,6 @@ def test_stacks_of_one_size_class_pass_through_unpadded(monkeypatch):
     assert sum(map(len, stacks)) == len(graphs)
     want = {sweep: sweep(graphs) for sweep in (scan_conjecture,
                                                scan_soundness)}
-    chunks = []
-
-    def spy(source, evaluate, reject):
-        def spied(adj, n):
-            chunks.append((adj.shape, n.tolist()))
-            evaluate(adj, n)
-        each_chunk(source, spied, reject)
-    each_chunk = scan._each_chunk
-    monkeypatch.setattr(scan, "_each_chunk", spy)
     for sweep, result in want.items():
         chunks.clear()
         got = sweep(iter(stacks))
@@ -529,17 +561,9 @@ def padded_stream():
 
 
 @pytest.mark.parametrize("sweep", ["margin", "soundness"])
-def test_padded_chunks_equal_per_graph_evaluation(monkeypatch, sweep):
+def test_padded_chunks_equal_per_graph_evaluation(chunks, sweep):
     # every chunk mixes sizes, each graph padded to the chunk's largest n,
     # and the result is the one of the graphs taken one at a time
-    chunks = []
-
-    def spy(parts):
-        adj, n = stack(parts)
-        chunks.append((adj.shape, n.tolist()))
-        return adj, n
-    stack = scan._stack
-    monkeypatch.setattr(scan, "_stack", spy)
     stream = padded_stream()
     if sweep == "margin":
         got, want = scan_conjecture(stream), per_graph_scan(stream)
@@ -569,7 +593,7 @@ def test_padded_chunks_equal_per_graph_evaluation(monkeypatch, sweep):
         assert len(set(n)) > 1
 
 
-def test_a_short_unit_of_six_sizes_forms_one_chunk(monkeypatch):
+def test_a_short_unit_of_six_sizes_forms_one_chunk(chunks):
     # 32 graph6 lines of n = 5..10, as one unit of a sampled stream: no n
     # fills a chunk of chunk_limit(n) graphs, so the tail holds all 32 in
     # one chunk, padded to N = 10
@@ -579,21 +603,13 @@ def test_a_short_unit_of_six_sizes_forms_one_chunk(monkeypatch):
     graphs += list(sample_connected(7, 2, seed=1))
     rng.shuffle(graphs)
     lines = [encode_graph6(g) + "\n" for g in graphs]
-    chunks = []
-
-    def spy(parts):
-        adj, n = stack(parts)
-        chunks.append((adj.shape, n.tolist()))
-        return adj, n
-    stack = scan._stack
-    monkeypatch.setattr(scan, "_stack", spy)
     got = scan_soundness(g for _, g in read_graph6_stream(lines))
     assert got.graphs_checked == len(lines) == 32
     assert chunks == [((32, 10, 10), sorted(g.n for g in graphs))]
 
 
 @pytest.mark.parametrize("sweep", ["margin", "soundness"])
-def test_graphs_fill_unpadded_chunks_of_one_n(monkeypatch, sweep):
+def test_graphs_fill_unpadded_chunks_of_one_n(chunks, sweep):
     # chunk_limit(n) + extra graphs that reach a chunk at each n, beside
     # too sparse ones, shuffled: while the stream runs, every chunk holds
     # chunk_limit(n) graphs of one n, unpadded, and only the tail, the
@@ -611,14 +627,6 @@ def test_graphs_fill_unpadded_chunks_of_one_n(monkeypatch, sweep):
                 p for p in pairs if rng.random() < density)))
             k -= not too_sparse(stream[-1])
     rng.shuffle(stream)
-    chunks = []
-
-    def spy(parts):
-        adj, n = stack(parts)
-        chunks.append((adj.shape, n.tolist()))
-        return adj, n
-    stack = scan._stack
-    monkeypatch.setattr(scan, "_stack", spy)
     if sweep == "margin":
         got, want = scan_conjecture(stream), per_graph_scan(stream)
         assert got.counterexamples and got.skipped_regular

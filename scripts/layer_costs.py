@@ -1,7 +1,7 @@
 """Per-layer costs of distlap, in microseconds per graph at a fixed n.
 
     python3 scripts/layer_costs.py [--n N] [--passes K] [--seed S] \
-        [--parent REF]
+        [--graph NAME] [--parent REF]
 
 Times each layer of the pipeline in one process, on seeded inputs built
 before any timer starts: one sweep chunk of chunk_limit(N) uniform
@@ -17,6 +17,14 @@ enumeration layers, the whole of N:
   diagnose     certify.diagnose
   identities   the soundness sweep's identity checks
   render       cmd_analyze's table and JSON text of each graph's report
+  one-graph    what one cmd_analyze request computes, per call:
+               compute_all_bounds on one graph, the first of the chunk or
+               the --graph NAME that cmd_analyze resolves (a fixture such
+               as g1, or a builtin such as K12), plus its table and JSON
+               text; a pass makes 20 calls in a row, as a closed loop of
+               requests does
+  one-bounds   compute_all_bounds alone on that graph, per call, 20 calls
+               in a row
   listing      the graph6 lines of every labeled member of the classes
                that the margin scan of all labeled graphs on N vertices
                lists (its counterexamples and equalities), in the listing
@@ -51,21 +59,25 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_pairs import ROOT, export  # noqa: E402
 
+# calls in a row of each one-graph row per pass
+ONE_GRAPH_CALLS = 20
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 
 
-def layer_calls(n, seed):
+def layer_calls(n, seed, name=None):
     """(layer, call, graphs) for every layer, call timing one run of it and
     graphs the count to divide that time by, from the distlap on
-    sys.path."""
+    sys.path; the one-graph rows run on the graph that cmd_analyze resolves
+    name to, or on the chunk's first graph."""
     from distlap import (
         compute_all_bounds, connected_classes, connected_stacks,
         encode_graph6, read_graph6_stream, sample_connected, scan,
         scan_conjecture)
     from distlap.bounds import bound_values
     from distlap.certify import diagnose, is_complete
-    from distlap.cli import report_document, report_table, to_canonical_json
+    from distlap.cli import (
+        report_document, report_table, resolve_graph_input, to_canonical_json)
     from distlap.graphs import (
         adjacency_stack, chunk_limit, connected_distances, distance_data)
     from distlap.operators import operator_spectra
@@ -79,6 +91,7 @@ def layer_calls(n, seed):
     complete = is_complete(dd)
     values = bound_values(dd, dd.tmin == dd.tmax)
     reports = [compute_all_bounds(g) for g in graphs]
+    one = graphs[0] if name is None else resolve_graph_input(name)
     classes = connected_classes(n)
     labeled = sum(len(a) for a in connected_stacks(n))
     # each listing call of the labeled margin scan, as (call, rows), read
@@ -118,6 +131,16 @@ def layer_calls(n, seed):
             report_table(report)
             to_canonical_json(report_document(report))
 
+    def one_graph():
+        for _ in range(ONE_GRAPH_CALLS):
+            report = compute_all_bounds(one)
+            report_table(report)
+            to_canonical_json(report_document(report))
+
+    def one_bounds():
+        for _ in range(ONE_GRAPH_CALLS):
+            compute_all_bounds(one)
+
     def listing():
         for call, rows in calls:
             call(rows)
@@ -136,14 +159,16 @@ def layer_calls(n, seed):
         ("identities", lambda: _identity_failures(dd, complete, ops[2],
                                                   spectra), len(graphs)),
         ("render", render, len(graphs)),
+        ("one-graph", one_graph, ONE_GRAPH_CALLS),
+        ("one-bounds", one_bounds, ONE_GRAPH_CALLS),
     ) + ((("listing", listing, listed),) if calls else ())
 
 
-def serve(n, seed):
+def serve(n, seed, name):
     """Worker loop: build the inputs, print "ready", then answer each line
     of standard input with one pass, a JSON object of us per graph by
     layer."""
-    calls = layer_calls(n, seed)
+    calls = layer_calls(n, seed, name)
     for _, call, _ in calls:  # warm-up
         call()
     print("ready", flush=True)
@@ -156,12 +181,12 @@ def serve(n, seed):
         print(json.dumps(got), flush=True)
 
 
-def start(tree, n, seed):
+def start(tree, n, seed, name):
     """A worker process on the distlap in tree/src."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **THREAD_ENV)
     proc = subprocess.Popen(
         [sys.executable, os.path.abspath(__file__), "--serve", "--n", str(n),
-         "--seed", str(seed)],
+         "--seed", str(seed)] + ([] if name is None else ["--graph", name]),
         cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         text=True)
     if proc.stdout.readline().strip() != "ready":
@@ -197,12 +222,15 @@ def main():
                         help="passes per side (default 20)")
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the sampled chunk (default 1)")
+    parser.add_argument("--graph", metavar="NAME",
+                        help="graph of the one-graph rows, as cmd_analyze "
+                             "resolves it (default: the chunk's first)")
     parser.add_argument("--parent", help="git ref to compare against")
     parser.add_argument("--serve", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.serve:
-        serve(args.n, args.seed)
+        serve(args.n, args.seed, args.graph)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"change": ROOT}
@@ -212,7 +240,7 @@ def main():
         procs = {}
         try:
             for side, tree in sides.items():
-                procs[side] = start(tree, args.n, args.seed)
+                procs[side] = start(tree, args.n, args.seed, args.graph)
             passes = {side: [] for side in procs}
             for k in range(args.passes):
                 order = list(procs) if k % 2 == 0 else list(procs)[::-1]
@@ -222,8 +250,9 @@ def main():
             for proc in procs.values():
                 stop(proc)
     print(f"us per graph at n = {args.n}, seed {args.seed}, min / median of "
-          f"{args.passes} passes" + (f"; parent {args.parent}"
-                                     if args.parent else ""))
+          f"{args.passes} passes" + (f"; one graph {args.graph}"
+                                     if args.graph else "")
+          + (f"; parent {args.parent}" if args.parent else ""))
     head = f"{'layer':<11}" + "".join(
         f"{side + ' min':>14}{side + ' med':>14}" for side in passes)
     if args.parent:

@@ -1,16 +1,17 @@
 """Spectral-radius bounds for distance Laplacian and signless Laplacian matrices.
 
-Each bound_* function takes the DistanceData of a batch and returns the
-bound value of each graph. A square-root bound builds its radicand exactly
-from the batch's integer fields (n, dist2, tr2, wiener, tmin, tmax) and
-takes one float root of it (_root), so a radicand that is exactly 0, as
+bound_values evaluates the whole battery on the DistanceData of a batch as
+one (K, B) array, a row per bound in BoundId order and a column per graph:
+a stack of the closed forms in the batch's integers (closed_form_bounds),
+two plain rows and three per-vertex expressions, reduced over each graph's
+real vertices at once. A square-root bound builds its radicand exactly
+from the batch's integer fields (n, dist2, tr2, wiener, tmin, tmax), and
+one float root is taken of the stack, so a radicand that is exactly 0, as
 on complete graphs, gives a root of exactly 0. A batch may pad its graphs
 to a common size: each formula reads each graph's own n, and its min and
-max reductions run over real vertices only. bound_values runs the battery
-into one (K, B) array, a row per bound in BoundId order and a column per
-graph, and is the one place that applies BOUND_META (min_n,
-regular_only): a bound is NaN on a graph the table excludes, and a bound_*
-function assumes graphs the table admits.
+max reductions run over real vertices only. BOUND_META (min_n,
+regular_only) decides, through applicability, where a bound applies: a
+bound is NaN on a graph the table excludes.
 bound_checks compares that array with the radii, row by row.
 compute_all_bounds runs the same pipeline on one graph, a batch of one, and
 reports applicability, satisfaction against the true radii, and equality
@@ -24,15 +25,15 @@ so sweeps can aggregate them.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConsistencyError, TheoremViolationError
 from .graph6 import encode_graph6
-from .graphs import batch_of_one, distance_data
+from .graphs import _pair_ends, batch_of_one, distance_data
 from .operators import operator_spectra
 
 SLACK_ABS = 1e-7
@@ -111,38 +112,174 @@ BOUND_META = {
 }
 
 
-# the row of each bound in bound_values, and BOUND_META's targets and sides
-# as arrays by row; BOUND_META lists the bounds in BoundId order
+# the row of each bound in bound_values, and BOUND_META as arrays by row:
+# targets, sides, and each bound's min_n and whether it admits a graph
+# that is not transmission-regular; BOUND_META lists the bounds in BoundId
+# order
 _ROW = {bid: k for k, bid in enumerate(BOUND_META)}
 _ON_L = np.array([meta.target is Target.L for meta in BOUND_META.values()])
 _UPPER = np.array([meta.side is Side.UPPER for meta in BOUND_META.values()])
+_MIN_N = np.array([[meta.min_n] for meta in BOUND_META.values()])
+_ANY_GRAPH = np.array([[not meta.regular_only]
+                       for meta in BOUND_META.values()])
+
+# The bounds that are closed forms in the integer fields of DistanceData
+# (closed_form_bounds): the square-root bounds in the order their radicands
+# are guarded, the margin sweep's L_D2 and L_N3 first, then L_D1 and the
+# transmission interval Q_TB
+CLOSED_FORMS = (BoundId.L_D2, BoundId.L_N3, BoundId.L_R1, BoundId.L_R2,
+                BoundId.Q_CI5, BoundId.Q_CS6, BoundId.Q_CS7, BoundId.L_D1,
+                BoundId.Q_TB_LO, BoundId.Q_TB_UP)
+_CLOSED_ROWS = [_ROW[bid] for bid in CLOSED_FORMS]
+_CLOSED_MIN_N, _CLOSED_ANY = _MIN_N[_CLOSED_ROWS], _ANY_GRAPH[_CLOSED_ROWS]
+
+# the integer fields of DistanceData that the closed forms are polynomials
+# in
+_VARIABLES = ("n", "wiener", "tmin", "tmax", "dist2", "tr2")
 
 
-# Each radicand term of a connected graph on N vertices is below N^6: every
-# transmission is at most N(N-1)/2, so N * tr2 and 4 W^2 are below N^6 / 4,
-# and N * dist2 is below N^5. _INT64_N is the largest N whose N^6 fits in
-# int64; on a batch padded above it, the terms are Python ints instead.
-_INT64_N = int(np.iinfo(np.int64).max ** (1 / 6))
+def _closed_forms(n, w, t, big, dist2, tr2):
+    """Each bound of CLOSED_FORMS as (r, a_num, a_den, s_num, s_den), its
+    value a + sqrt(s r) with a = a_num / a_den and s = s_num / s_den, every
+    term a polynomial in n, the Wiener index W, the least and greatest
+    transmissions t and T, dist2 = ||D||_F^2 and tr2 = sum(tr^2); r = 0
+    where a bound has no root. S = tr2 + dist2 is the squared Frobenius
+    norm of L and Q, and k = T on the transmission-regular graphs where
+    L_R1 and L_R2 apply."""
+    s = tr2 + dist2
+    k = big
+
+    def quadratic(e):
+        # the quadratic row-sum root (e - 1 + sqrt(r)) / 2 at a
+        # transmission e, t or T
+        return ((e - 1) ** 2 + 8 * (e * e + 2 * w - (n - 1) * e),
+                e - 1, 2, 1, 4)
+    return (
+        # L_D2 = T + sqrt(||D||_F^2 - tr2 / n), strict
+        (n * dist2 - tr2, big, 1, 1, n),
+        # L_N3 = 2W/(n-1) + sqrt((n-2)/(n-1) (S - (2W)^2/(n-1)))
+        ((n - 1) * s - 4 * w * w, 2 * w, n - 1, n - 2, (n - 1) ** 2),
+        # L_R1 = k + sqrt(||D||_F^2 - k^2), strict
+        (dist2 - k * k, k, 1, 1, 1),
+        # L_R2 = nk/(n-1) + sqrt((n-2)/(n-1) (||D||_F^2 - nk^2/(n-1)))
+        ((n - 1) * dist2 - n * k * k, n * k, n - 1, n - 2, (n - 1) ** 2),
+        # Q_CI5 and Q_CS6, the roots at t and at T
+        quadratic(t), quadratic(big),
+        # Q_CS7 = 2W/n + sqrt((n-1)/n (S - (2W)^2/n))
+        (n * s - 4 * w * w, 2 * w, n, n - 1, n * n),
+        # L_D1 = 2W - n(n-2)
+        (0, 2 * w - n * (n - 2), 1, 0, 1),
+        # Q_TB = 2t and 2T
+        (0, 2 * t, 1, 0, 1), (0, 2 * big, 1, 0, 1))
 
 
-def _exact(dd):
-    """dd, or, on a batch padded above _INT64_N vertices, a copy whose
-    integer fields n, dist2, tr2, wiener, tmin and tmax are Python ints, so
-    that radicands built from them never wrap."""
-    if dd.dist.shape[-1] <= _INT64_N:
-        return dd
-    return replace(dd, **{
-        name: getattr(dd, name).astype(object)
-        for name in ("n", "dist2", "tr2", "wiener", "tmin", "tmax")})
+class _Poly(dict):
+    """An integer polynomial in _VARIABLES, as {exponents: coefficient},
+    for expanding _closed_forms once into coefficient arrays."""
+
+    @classmethod
+    def of(cls, x):
+        return x if isinstance(x, _Poly) else cls({(0,) * len(_VARIABLES): x})
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for exponents, c in _Poly.of(other).items():
+            out[exponents] = out.get(exponents, 0) + c
+        return out
+
+    def __mul__(self, other):
+        out = _Poly()
+        for e1, c1 in self.items():
+            for e2, c2 in _Poly.of(other).items():
+                e = tuple(map(sum, zip(e1, e2)))
+                out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    def __sub__(self, other):
+        return self + -1 * _Poly.of(other)
+
+    def __pow__(self, power):
+        return functools.reduce(_Poly.__mul__, [self] * power, _Poly.of(1))
+
+    __rmul__ = __mul__
 
 
-def _root(exact, scale, what):
-    """sqrt(scale * exact) of an integer radicand array exact and a float
-    scale. Each radicand is >= 0 by a theorem, so a negative one is an
-    internal error."""
-    if (exact < 0).any():
-        raise ConsistencyError(f"{what}: radicand {exact.min()} is negative")
-    return np.sqrt(scale * exact.astype(np.float64))
+def _expand():
+    """_closed_forms expanded: (factors, coefficients). Each of the M
+    monomials that occur is a product of as many rows of
+    (1, *_VARIABLES) as its degree, padded with row 0; factors holds their
+    row indices as a (degree, M) array. coefficients holds the
+    (5, len(CLOSED_FORMS), M) int64 coefficients of r, a_num, s_num, a_den
+    and s_den over the monomials."""
+    unit = np.eye(len(_VARIABLES), dtype=int)
+    terms = list(zip(*_closed_forms(
+        *(_Poly({tuple(e): 1}) for e in unit.tolist()))))
+    polys = [_Poly.of(p) for k in (0, 1, 3, 2, 4) for p in terms[k]]
+    monomials = sorted({e for p in polys for e in p})
+    rows = [[k + 1 for k, power in enumerate(e) for _ in range(power)]
+            for e in monomials]
+    degree = max(map(len, rows))
+    factors = np.array([r + [0] * (degree - len(r)) for r in rows]).T
+    coefficients = np.array([[p.get(e, 0) for e in monomials] for p in polys])
+    return factors, coefficients.reshape(5, len(CLOSED_FORMS), -1)
+
+
+_FACTORS, _COEFFICIENTS = _expand()
+_FLOAT_COEFFICIENTS = _COEFFICIENTS.astype(np.float64)
+
+# The checks of closed_form_bounds, each greater > lesser + slack_for(of)
+# by the rows of CLOSED_FORMS: c2 = L_R2 above c1 = L_R1, and Q_CI5 below
+# 2t or Q_CS6 above 2T
+_CHECKS = np.array([[CLOSED_FORMS.index(bid) for bid in rows] for rows in (
+    (BoundId.L_R2, BoundId.Q_TB_LO, BoundId.Q_CS6),
+    (BoundId.L_R1, BoundId.Q_CI5, BoundId.Q_TB_UP),
+    (BoundId.L_R1, BoundId.Q_CI5, BoundId.Q_CS6))])
+
+# The rows that bound_values evaluates, in evaluation order: the closed
+# forms, L_N1, L_N2, then the minima and the maxima over vertices of its
+# three per-vertex expressions; the minimum of the first is unused (None).
+# Q_I2 is the L_I1 expression, which bounds the signless radius too.
+_EVALUATED = (
+    *CLOSED_FORMS, BoundId.L_N1, BoundId.L_N2, None, BoundId.Q_I3,
+    BoundId.Q_I5, BoundId.L_I1, BoundId.Q_I4, BoundId.Q_I6)
+_TAKE = np.array([_EVALUATED.index(
+    BoundId.L_I1 if bid is BoundId.Q_I2 else bid) for bid in BOUND_META])
+
+
+def applicability(n, regular, min_n=_MIN_N, any_graph=_ANY_GRAPH):
+    """Where each bound applies, as a (K, B) boolean array by the rows of
+    bound_values: on each graph with n >= its min_n and, for a
+    regular-only bound, that regular flags. min_n and any_graph are the
+    (K, 1) columns of BOUND_META, or those of some of its rows."""
+    return (n >= min_n) & (regular | any_graph)
+
+
+# Each closed-form polynomial of a connected graph on N vertices has terms
+# whose absolute values sum below N^6: every transmission is at most
+# N(N-1)/2, so N * tr2 and 4 W^2 are below N^6 / 4, N * dist2 is below
+# N^5, and the rest are smaller. _FLOAT_N is the largest N whose N^6 is
+# below 2^53, so that float64 holds every monomial, term and partial sum
+# exactly; on a batch padded above it, the terms are Python ints instead.
+_FLOAT_N = int(2 ** (53 / 6))
+while _FLOAT_N ** 6 >= 1 << 53:
+    _FLOAT_N -= 1
+
+
+def _polynomials(dd, count):
+    """The (5, count, B) values of the polynomials of _expand for the
+    first count bounds of CLOSED_FORMS on the batch dd, exact: float64 up
+    to _FLOAT_N vertices, Python ints above."""
+    fields = [np.ones_like(dd.n)] + [getattr(dd, name) for name in _VARIABLES]
+    if dd.dist.shape[-1] > _FLOAT_N:
+        found = np.array(fields).astype(object)
+        coefficients = _COEFFICIENTS.astype(object)
+    else:
+        found = np.array(fields, dtype=np.float64)
+        coefficients = _FLOAT_COEFFICIENTS
+    # one two-dimensional product
+    coefficients = coefficients[:, :count].reshape(5 * count, -1)
+    return (coefficients @ found.take(_FACTORS, axis=0).prod(axis=0)
+            ).reshape(5, count, -1)
 
 
 def _first(bad, *xs):
@@ -151,30 +288,71 @@ def _first(bad, *xs):
     return [float(x[i]) for x in xs]
 
 
-def bound_L_i1(dd):
-    """Upper bound from each vertex's transmission and distance-column energy:
-    max over i of tr_i + sqrt((n-1) * sum_k dist_ki^2)."""
-    col2 = (dd.dist.astype(np.float64) ** 2).sum(axis=-2)
-    vals = dd.tr + np.sqrt((dd.n - 1)[..., None] * col2)
-    # a padded vertex's value is 0, never above a real one's
-    return vals.max(axis=-1)
+def closed_form_bounds(dd, regular, count=len(CLOSED_FORMS)):
+    """The first count bounds of CLOSED_FORMS, all of them by default, on
+    every graph of the batch dd, as one (count, B) float64 array by its
+    rows, NaN where BOUND_META excludes a graph (regular flags the
+    transmission-regular graphs).
 
+    Each bound is a + sqrt(s r), as _closed_forms gives it; every term is
+    a polynomial in the batch's integers, and all of them are one product
+    of a coefficient array with the batch's monomials (_polynomials). The
+    radicands r are exact integers, so a radicand that is exactly 0, as on
+    complete graphs, gives a root of exactly 0, and one float root is
+    taken of the whole stack. A divisor that is 0 on one vertex, where no
+    bound that divides by it applies, is 1 there.
 
-def bound_L_d1(dd):
-    """Upper bound 2W - n(n-2)."""
-    return 2.0 * dd.wiener - dd.n * (dd.n - 2)
+    Each radicand is >= 0 by a theorem, c2 = L_R2 <= c1 = L_R1, and the
+    quadratic pair stays inside [2t, 2T]; a graph that breaks one is an
+    internal error, raised as ConsistencyError in the battery's order: the
+    radicands of L_D2, L_N3, L_R1 and L_R2, then c2 <= c1, then the
+    quadratic radicands, then the interval, then the Q_CS7 radicand. A
+    negative radicand names its bound and the batch's smallest radicand of
+    it. Fewer than all the bounds are guarded by their radicands alone.
+    """
+    polys = _polynomials(dd, count)
+    applies = applicability(
+        dd.n, regular, _CLOSED_MIN_N[:count], _CLOSED_ANY[:count])
+    exact = np.where(applies, polys[0], 0)
+    # the leads a and the scales s, float64 also from Python ints
+    a, scale = np.asarray(polys[1:3] / np.maximum(polys[3:], 1),
+                          dtype=np.float64)
+    # a negative radicand is raised below, before any check reads its root
+    negative = exact < 0
+    values = np.where(applies, a + np.sqrt(scale * np.asarray(
+        np.maximum(exact, 0), dtype=np.float64)), np.nan)
+    if count == len(CLOSED_FORMS):
+        # a check on a graph where its bounds do not apply compares NaN,
+        # which is False
+        greater, lesser, of = values.take(_CHECKS, axis=0)
+        failed = greater > lesser + slack_for(of)
+    else:
+        failed = np.zeros((len(_CHECKS), len(dd.n)), dtype=bool)
+    if negative.any() or failed.any():
+        def radicand(what, rows):
+            # rows is a slice, empty past count
+            return (negative[rows], lambda: f"{what}: radicand "
+                    f"{int(exact[rows].min())} is negative")
 
+        def regular_pair():
+            got1, got2 = _first(failed[0], *values[2:4])
+            return f"expected c2 <= c1, got c1={got1!r} c2={got2!r}"
 
-def bound_L_d2(dd):
-    """Strict upper bound max tr + sqrt(||D||_F^2 - sum(tr^2)/n), whose
-    radicand is (n dist2 - tr2) / n."""
-    x = _exact(dd)
-    return dd.tmax + _root(x.n * x.dist2 - x.tr2, 1.0 / dd.n, "L_D2")
-
-
-def bound_L_n1(dd):
-    """Upper bound: sum of row maxima of the distance matrix."""
-    return 1.0 * dd.p.sum(axis=-1)
+        def interval():
+            got = _first(failed[1] | failed[2], *values[4:6], dd.tmin,
+                         dd.tmax)
+            return (f"quadratic pair ({got[0]!r}, {got[1]!r}) escapes "
+                    f"[2t, 2T] = ({2 * got[2]!r}, {2 * got[3]!r})")
+        for bad, message in (
+                *(radicand(bid.value, slice(row, row + 1))
+                  for row, bid in enumerate(CLOSED_FORMS[:4])),
+                (failed[0], regular_pair),
+                radicand("Q_quadratic", slice(4, 6)),
+                (failed[1] | failed[2], interval),
+                radicand("Q_CS7", slice(6, 7))):
+            if bad.any():
+                raise ConsistencyError(message())
+    return values
 
 
 # Entries of each bound_L_n2 temporary, 128 KB of int64, fixed so that its
@@ -186,128 +364,24 @@ _PAIR_CELLS = 1 << 14
 
 def bound_L_n2(dd):
     """Upper bound over vertex pairs:
-    max (tr_i + tr_j + 2 dist_ij + sum_{k != i,j} |dist_ik - dist_jk|) / 2."""
+    max (tr_i + tr_j + 2 dist_ij + sum_{k != i,j} |dist_ik - dist_jk|) / 2,
+    as an int64 array. As a + b + |a - b| = 2 max(a, b), and the terms
+    k = i and k = j give the 2 dist_ij, it is the max over pairs i < j of
+    sum_k max(dist_ik, dist_jk), an integer."""
     d = dd.dist
-    tr = dd.tr
     n = d.shape[-1]
-    first, second = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    first, second = _pair_ends(n)
     step = max(1, _PAIR_CELLS * n // d.size)
-    best = 0
-    for s in range(0, len(first), step):
-        i, j = first[s:s + step], second[s:s + step]
-        # the k = i and k = j terms of the l1 distance contribute dist_ij
-        # each, which is the 2 dist_ij term; d[..., i, :] is a copy, so the
-        # difference and its absolute value reuse it
-        l1 = d[..., i, :]
-        l1 -= d[..., j, :]
-        l1 = np.abs(l1, out=l1).sum(axis=-1)
-        # a real i and a padded j give 2 tr_i, never above the value of i
-        # and a real j, which the triangle inequality puts at 2 tr_i or more
-        best = np.maximum(best, (tr[..., i] + tr[..., j] + l1).max(axis=-1))
-    return best / 2.0
 
-
-def bound_L_n3(dd):
-    """Upper bound from the Laplacian trace 2W and Frobenius norm, whose
-    square is S = tr2 + dist2:
-    2W/(n-1) + sqrt((n-2)/(n-1) * (S - (2W)^2/(n-1))), whose radicand is
-    ((n-1) S - 4W^2) (n-2)/(n-1)^2."""
-    x, n = _exact(dd), dd.n
-    return 2.0 * dd.wiener / (n - 1) + _root(
-        (x.n - 1) * (x.tr2 + x.dist2) - 4 * x.wiener * x.wiener,
-        (n - 2) / (n - 1) ** 2, "L_N3")
-
-
-def bound_L_transmission_regular(dd):
-    """The two upper bounds available only for transmission-regular graphs,
-    of transmission k.
-
-    Returns (c1, c2) with
-      c1 = k + sqrt(||D||_F^2 - k^2)                      (strict)
-      c2 = nk/(n-1) + sqrt((n-2)/(n-1)*(||D||_F^2 - nk^2/(n-1)))
-    and checks c2 <= c1 before returning. The radicand of c2 is
-    ((n-1) dist2 - n k^2) (n-2)/(n-1)^2.
-    """
-    x, k, n = _exact(dd), dd.tmax, dd.n
-    c1 = k + _root(x.dist2 - x.tmax * x.tmax, 1.0, "L_R1")
-    c2 = n * k / (n - 1) + _root(
-        (x.n - 1) * x.dist2 - x.n * x.tmax * x.tmax, (n - 2) / (n - 1) ** 2,
-        "L_R2")
-    bad = c2 > c1 + slack_for(c1)
-    if bad.any():
-        c1, c2 = _first(bad, c1, c2)
-        raise ConsistencyError(f"expected c2 <= c1, got c1={c1!r} c2={c2!r}")
-    return c1, c2
-
-
-def bound_Q_tb(dd):
-    """Signless radius sits between twice the min and twice the max transmission."""
-    return 2.0 * dd.tmin, 2.0 * dd.tmax
-
-
-def bound_Q_hong_ratio(dd):
-    """Lower/upper pair min/max over i of tr_i + sdd_i / tr_i."""
-    # a padded vertex's 0 / 0 never happens: it divides 0 by 1
-    vals = dd.over_real(dd.tr + dd.sdd / np.where(dd.real, dd.tr, 1))
-    return vals.min(axis=-1), vals.max(axis=-1)
-
-
-def bound_Q_hong_sqrt(dd):
-    """Lower/upper pair min/max over i of sqrt(2 sdd_i + 2 tr_i^2)."""
-    vals = dd.over_real(
-        np.sqrt(2.0 * dd.sdd + 2.0 * dd.tr.astype(np.float64) ** 2))
-    return vals.min(axis=-1), vals.max(axis=-1)
-
-
-def bound_Q_quadratic(dd):
-    """Lower/upper pair from a quadratic row-sum argument, evaluated at the
-    min and max transmission. Checks the pair stays inside [2t, 2T]."""
-    # both ends in one (2, B) stack; integer transmissions are exact floats
-    x = _exact(dd)
-    e = np.stack((x.tmin, x.tmax))
-    rad = (e - 1) ** 2 + 8 * (e * e + 2 * x.wiener - (x.n - 1) * e)
-    ends = e.astype(float)
-    roots = (ends - 1.0 + _root(rad, 1.0, "Q_quadratic")) / 2.0
-    (lo, up), (t, big) = roots, ends
-    pad, twice = slack_for(roots), 2.0 * ends
-    bad = (lo + pad[0] < twice[0]) | (up > twice[1] + pad[1])
-    if bad.any():
-        lo, up, t, big = _first(bad, lo, up, t, big)
-        raise ConsistencyError(
-            f"quadratic pair ({lo!r}, {up!r}) escapes [2t, 2T] = "
-            f"({2 * t!r}, {2 * big!r})")
-    return lo, up
-
-
-def bound_Q_cs7(dd):
-    """Upper bound 2W/n + sqrt((n-1)/n * (||Q||_F^2 - (2W)^2/n)), where
-    ||Q||_F^2 = S = tr2 + dist2, whose radicand is (n S - 4W^2) (n-1)/n^2."""
-    x, n = _exact(dd), dd.n
-    return 2.0 * dd.wiener / n + _root(
-        x.n * (x.tr2 + x.dist2) - 4 * x.wiener * x.wiener, (n - 1) / n ** 2,
-        "Q_CS7")
-
-
-# The battery in evaluation order: each function of the distance data and
-# the ids of the bounds whose values it returns; the ids of one entry share
-# min_n and regular_only. The lambdas look the bound_* functions up when
-# called, so every caller runs the current ones. Q_I2 is the L_I1
-# expression, which bounds the signless radius too.
-_BATTERY = (
-    ((BoundId.L_I1, BoundId.Q_I2), lambda dd: (bound_L_i1(dd),) * 2),
-    ((BoundId.L_D1,), lambda dd: (bound_L_d1(dd),)),
-    ((BoundId.L_D2,), lambda dd: (bound_L_d2(dd),)),
-    ((BoundId.L_N1,), lambda dd: (bound_L_n1(dd),)),
-    ((BoundId.L_N2,), lambda dd: (bound_L_n2(dd),)),
-    ((BoundId.L_N3,), lambda dd: (bound_L_n3(dd),)),
-    ((BoundId.L_R1, BoundId.L_R2),
-     lambda dd: bound_L_transmission_regular(dd)),
-    ((BoundId.Q_TB_LO, BoundId.Q_TB_UP), lambda dd: bound_Q_tb(dd)),
-    ((BoundId.Q_I3, BoundId.Q_I4), lambda dd: bound_Q_hong_ratio(dd)),
-    ((BoundId.Q_I5, BoundId.Q_I6), lambda dd: bound_Q_hong_sqrt(dd)),
-    ((BoundId.Q_CI5, BoundId.Q_CS6), lambda dd: bound_Q_quadratic(dd)),
-    ((BoundId.Q_CS7,), lambda dd: (bound_Q_cs7(dd),)),
-)
+    def block(s):
+        # the rows of i are a copy, so the maximum reuses it
+        rows = d.take(first[s:s + step], axis=-2)
+        rows = np.maximum(rows, d.take(second[s:s + step], axis=-2), out=rows)
+        # a real i and a padded j give tr_i, never above the value of i and
+        # a real j; one vertex has no pair, and its block is empty
+        return rows.sum(axis=-1).max(axis=-1, initial=0)
+    return functools.reduce(
+        np.maximum, map(block, range(0, max(len(first), 1), step)))
 
 
 def bound_values(dd, regular):
@@ -315,29 +389,30 @@ def bound_values(dd, regular):
     float64 array: row _ROW[bid] holds bound bid, in BoundId order, and
     column b graph b.
 
-    BOUND_META decides where a bound applies: on each graph with n >= its
-    min_n and, for a regular-only bound, that regular flags; elsewhere it is
-    NaN, and its bound_* function never sees that graph. A ConsistencyError
-    of any bound propagates.
+    The battery is one stack of rows: the closed forms
+    (closed_form_bounds); L_N1, the sum of row maxima of the distance
+    matrix; L_N2 (bound_L_n2); and, over each graph's real vertices, the
+    maximum of tr_i + sqrt((n-1) sum_k dist_ki^2) (L_I1, and Q_I2) and the
+    minimum and maximum of tr_i + sdd_i / tr_i (Q_I3, Q_I4) and of
+    sqrt(2 sdd_i + 2 tr_i^2) (Q_I5, Q_I6).
+
+    applicability decides where a bound applies; elsewhere it is NaN. Every
+    row is evaluated on every graph, but a divisor that a graph the table
+    excludes would take to 0 is 1 there. A ConsistencyError of
+    closed_form_bounds propagates.
     """
-    smallest = dd.n.min()
-    every = regular.all()
-    values = np.full((len(BOUND_META), len(dd.n)), np.nan)
-    for ids, evaluate in _BATTERY:
-        meta = BOUND_META[ids[0]]
-        if smallest >= meta.min_n and (every or not meta.regular_only):
-            applies = slice(None)
-            found = evaluate(dd)
-        else:
-            applies = dd.n >= meta.min_n
-            if meta.regular_only:
-                applies &= regular
-            if not applies.any():
-                continue
-            found = evaluate(dd.take(applies))
-        for bid, value in zip(ids, found):
-            values[_ROW[bid], applies] = value
-    return values
+    n, tr, d = dd.n, dd.tr, dd.dist
+    # each square root is of an exact integer, as in closed_form_bounds
+    vertex = dd.over_real(np.array((
+        tr + np.sqrt((n - 1)[:, None] * (d * d).sum(axis=-2)),
+        # tr_i is 0 only at padding and on one vertex, divided by 1 there
+        tr + dd.sdd / np.maximum(tr, 1),
+        np.sqrt(2 * (dd.sdd + tr * tr)))))
+    found = np.concatenate((
+        closed_form_bounds(dd, regular), dd.p.sum(axis=-1)[None],
+        bound_L_n2(dd)[None], vertex.min(axis=-1), vertex.max(axis=-1)))
+    return np.where(applicability(n, regular), found.take(_TAKE, axis=0),
+                    np.nan)
 
 
 def bound_checks(values, radius_l, radius_q):
@@ -348,7 +423,8 @@ def bound_checks(values, radius_l, radius_q):
     does not apply, is never unsatisfied."""
     radius = np.where(_ON_L[:, None], radius_l, radius_q)
     gap = np.where(_UPPER[:, None], values - radius, radius - values)
-    return ~(gap < -slack_for(radius)), gap
+    # -slack_for(radius), exactly
+    return ~(gap < np.abs(radius) * -SLACK_REL - SLACK_ABS), gap
 
 
 @dataclass
@@ -368,7 +444,11 @@ class BoundReport:
     """Everything computed for one graph: its DistanceData (data), its
     operators D, L and Q as one (3, n, n) int64 array
     (operators.build_operators), spectra (descending float64 arrays), radii
-    (floats), and bound entries."""
+    (floats), and the battery as four rows in BoundId order: values (floats,
+    None where a bound does not apply), satisfied (bools), gaps (floats)
+    and diagnoses (the EqualityDiagnosis of each applicable bound that has
+    one), each None where a bound does not apply or has no diagnosis.
+    entries holds the same rows as one BoundEntry per bound."""
 
     graph: object
     graph6: str
@@ -379,7 +459,20 @@ class BoundReport:
     spectrum_q: np.ndarray
     radius_l: float
     radius_q: float
-    entries: tuple
+    values: list
+    satisfied: list
+    gaps: list
+    diagnoses: list
+
+    @functools.cached_property
+    def entries(self):
+        """The BoundEntry of each bound, in BoundId order."""
+        return tuple(
+            BoundEntry(bid, meta.target, meta.side, value is not None, value,
+                       ok, gap, diagnosis)
+            for (bid, meta), value, ok, gap, diagnosis in zip(
+                BOUND_META.items(), self.values, self.satisfied, self.gaps,
+                self.diagnoses))
 
     def entry(self, bound_id):
         """The entry of bound_id; entries are in BoundId order."""
@@ -390,26 +483,24 @@ def compute_all_bounds(g):
     """Run every bound on one connected graph and diagnose equality cases.
 
     The graph runs the soundness sweep's pipeline as a batch of one,
-    certify.diagnose included, and each EqualityDiagnosis is built from
-    column 0 of its certificates. Bounds whose preconditions fail (small n,
-    not transmission-regular) come back as inapplicable entries, never as
-    numbers, and with no diagnosis; BOUND_META decides which. Every bound
-    is evaluated before the diagnoses, so a ConsistencyError of a bound
-    takes precedence over the TheoremViolationError of the first failed
-    diagnosis, which is raised.
+    certify.diagnose included, and its report's rows are column 0 of the
+    batch's arrays, each EqualityDiagnosis built from column 0 of its
+    certificates. Bounds whose preconditions fail (small n, not
+    transmission-regular) come back as inapplicable, never as numbers, and
+    with no diagnosis; BOUND_META decides which. Every bound is evaluated
+    before the diagnoses, so a ConsistencyError of a bound takes precedence
+    over the TheoremViolationError of the first failed diagnosis, which is
+    raised.
     """
     from .certify import CERT_NONE, EqualityDiagnosis, diagnose, is_complete
 
     dd = distance_data(batch_of_one(g))
     ops, spectra = operator_spectra(dd)
-    spectrum_d, spectrum_l, spectrum_q = spectra[:, 0]
-    radius_l, radius_q = spectra[1:, 0, 0].tolist()
-
+    radius_l, radius_q = spectra[1:, :, 0]
     values = bound_values(dd, dd.tmin == dd.tmax)
-    satisfied, gap = bound_checks(values, spectra[1, :, 0], spectra[2, :, 0])
-    data = dd.row(0)
+    satisfied, gaps = bound_checks(values, radius_l, radius_q)
     certificates, failures = diagnose(
-        values, spectra[1], spectra[2, :, 0], ops[1], dd, is_complete(dd))
+        values, spectra[1], radius_q, ops[1], dd, is_complete(dd))
     for failed, message in failures:
         if failed[0]:
             raise TheoremViolationError(message(0))
@@ -418,15 +509,16 @@ def compute_all_bounds(g):
         cert = str(certs[0])
         diagnoses[bid] = EqualityDiagnosis(bid, cert != CERT_NONE, cert)
     diagnoses[BoundId.Q_TB_LO] = diagnoses[BoundId.Q_TB_UP]
-    entries = []
-    for (bid, meta), *found in zip(BOUND_META.items(), *(
-            a[:, 0].tolist() for a in (values, satisfied, gap))):
-        applicable = not math.isnan(found[0])
-        entries.append(BoundEntry(
-            bid, meta.target, meta.side, applicable,
-            *(found if applicable else (None, None, None)),
-            diagnoses.get(bid) if applicable else None))
+    # column 0 as Python floats, satisfied as 1.0 or 0.0; a value is NaN,
+    # unequal to itself, where its bound does not apply
+    column = np.array((values[:, 0], satisfied[:, 0], gaps[:, 0])).tolist()
+    rows = [(value, ok == 1.0, gap, diagnoses.get(bid)) if value == value
+            else (None,) * 4
+            for bid, value, ok, gap in zip(BOUND_META, *column)]
+    value_row, ok_row, gap_row, diagnosis_row = map(list, zip(*rows))
     return BoundReport(
-        graph=g, graph6=encode_graph6(g), data=data, operators=ops[:, 0],
-        spectrum_d=spectrum_d, spectrum_l=spectrum_l, spectrum_q=spectrum_q,
-        radius_l=radius_l, radius_q=radius_q, entries=tuple(entries))
+        graph=g, graph6=encode_graph6(g), data=dd.row(0), operators=ops[:, 0],
+        spectrum_d=spectra[0, 0], spectrum_l=spectra[1, 0],
+        spectrum_q=spectra[2, 0], radius_l=float(radius_l[0]),
+        radius_q=float(radius_q[0]), values=value_row, satisfied=ok_row,
+        gaps=gap_row, diagnoses=diagnosis_row)

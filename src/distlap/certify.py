@@ -29,6 +29,8 @@ CERT_COMPLETE = "complete-graph"
 CERT_THREE_L = "three-distinct-L-eigenvalues"
 CERT_B_REDUCIBLE = "B-reducible-necessary"
 CERT_REGULAR = "transmission-regular"
+_CERTIFICATES = np.array(
+    (CERT_NONE, CERT_COMPLETE, CERT_THREE_L, CERT_B_REDUCIBLE, CERT_REGULAR))
 
 
 def equality_tol(x):
@@ -54,8 +56,9 @@ class EqualityDiagnosis:
 
 def is_complete(dd):
     """Whether every off-diagonal distance is 1, one flag per graph of a
-    batch; a padded vertex's eccentricity is 0, never above a real one's."""
-    return (dd.n == 1) | (dd.p.max(axis=-1) == 1)
+    batch: a connected graph's are each at least 1, so they are all 1
+    exactly when their squares sum to n(n - 1); padding adds 0."""
+    return dd.dist2 == dd.n * (dd.n - 1)
 
 
 # the rows of bound_values that the diagnoses read, in this order, and
@@ -94,7 +97,7 @@ def diagnose(values, spectrum_l, radius_q, l_mats, dd, complete):
     - Q_CS7: the signless trace/Frobenius bound meets the signless radius
       iff the graph is complete; both directions are enforced.
     """
-    rows = values[_DIAGNOSED]
+    rows = values.take(_DIAGNOSED, axis=0)
     n1, _, lo, up, cs7 = rows
     radius_l = spectrum_l[:, 0]
     met_n1, met_n3, eq_lo, eq_up, eq_cs7 = _meets(
@@ -124,13 +127,11 @@ def diagnose(values, spectrum_l, radius_q, l_mats, dd, complete):
             np.where(middle, np.abs(spectrum_l - mid[:, None]), 0.0)
             .max(axis=-1) > equality_tol(mid))
 
-    certificates = {
-        BoundId.L_N1: np.where(met_n1, CERT_B_REDUCIBLE, CERT_NONE),
-        BoundId.L_N3: np.where(
-            met_n3, np.where(full, CERT_COMPLETE, CERT_THREE_L), CERT_NONE),
-        BoundId.Q_TB_UP: np.where(regular, CERT_REGULAR, CERT_NONE),
-        BoundId.Q_CS7: np.where(eq_cs7, CERT_COMPLETE, CERT_NONE),
-    }
+    # each certificate as its index in _CERTIFICATES, all four at once
+    codes = np.array((met_n1 * 3, met_n3 * (2 - full), regular * 4, eq_cs7))
+    certificates = dict(zip(
+        (BoundId.L_N1, BoundId.L_N3, BoundId.Q_TB_UP, BoundId.Q_CS7),
+        _CERTIFICATES.take(codes)))
 
     def interval(i):
         return (f"(radius {float(radius_q[i])!r}, interval "
@@ -147,16 +148,17 @@ def diagnose(values, spectrum_l, radius_q, l_mats, dd, complete):
          "trace/Frobenius equality without the predicted three-value "
          f"spectrum (middle block {spectrum_l[i, 1:n[i] - 1].tolist()!r} "
          f"vs {float(mid[i])!r})"),
-        ((eq_lo | eq_up) & ~regular, lambda i:
+        # between flags, a > b is a and not b
+        ((eq_lo | eq_up) > regular, lambda i:
          "transmission endpoint met by a non-transmission-regular graph "
          + interval(i)),
-        (regular & ~(eq_lo & eq_up), lambda i:
+        (regular > (eq_lo & eq_up), lambda i:
          "transmission-regular graph missed its endpoint equality "
          + interval(i)),
-        (eq_cs7 & ~complete, lambda i:
+        (eq_cs7 > complete, lambda i:
          "signless trace/Frobenius equality on a non-complete graph "
          f"(value {float(cs7[i])!r}, radius {float(radius_q[i])!r})"),
-        (complete & ~eq_cs7, lambda i:
+        (complete > eq_cs7, lambda i:
          "complete graph missed signless trace/Frobenius equality "
          f"(value {float(cs7[i])!r}, radius {float(radius_q[i])!r})"),
     ]

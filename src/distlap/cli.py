@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .bounds import BoundId, Side, Target, compute_all_bounds
+from .bounds import _ROW, BOUND_META, BoundId, compute_all_bounds
 from .certify import check_han_multiplicity, check_tree_determinant
 from .errors import (
     ConsistencyError, GraphParseError, TheoremViolationError)
@@ -33,6 +33,10 @@ L_TABLE = (BoundId.L_I1, BoundId.L_D1, BoundId.L_D2,
 Q_LOWER_TABLE = (BoundId.Q_I3, BoundId.Q_I5, BoundId.Q_CI5)
 Q_UPPER_TABLE = (BoundId.Q_I4, BoundId.Q_I6, BoundId.Q_I2,
                  BoundId.Q_CS6, BoundId.Q_CS7)
+# the id, target and side of each bound as the document writes them, in
+# the BoundId order of a report's rows
+_LABELS = tuple((bid.value, meta.target.value, meta.side.value)
+                for bid, meta in BOUND_META.items())
 
 
 def fmt4(x):
@@ -76,32 +80,19 @@ def resolve_graph_input(arg):
     return parse_graph6(arg)
 
 
-def _diagnosis_dict(diag):
-    if diag is None:
-        return None
-    return {"equality_within_tol": diag.equality_within_tol,
-            "certificate": diag.certificate}
-
-
 def report_document(report, target="both"):
     """JSON-ready dict for one analyzed graph."""
     data = report.data
-    bounds = []
-    for entry in report.entries:
-        if target == "L" and entry.target is not Target.L:
-            continue
-        if target == "Q" and entry.target is not Target.Q:
-            continue
-        bounds.append({
-            "id": entry.bound_id.value,
-            "target": entry.target.value,
-            "side": entry.side.value,
-            "applicable": entry.applicable,
-            "value": entry.value,
-            "satisfied": entry.satisfied,
-            "gap": entry.gap,
-            "equality": _diagnosis_dict(entry.diagnosis),
-        })
+    bounds = [
+        {"id": bid, "target": on, "side": side,
+         "applicable": value is not None, "value": value, "satisfied": ok,
+         "gap": gap, "equality": None if diagnosis is None else {
+             "equality_within_tol": diagnosis.equality_within_tol,
+             "certificate": diagnosis.certificate}}
+        for (bid, on, side), value, ok, gap, diagnosis in zip(
+            _LABELS, report.values, report.satisfied, report.gaps,
+            report.diagnoses)
+        if target in ("both", on)]
     return {
         "schema_version": SCHEMA_VERSION,
         "graph": {
@@ -110,7 +101,7 @@ def report_document(report, target="both"):
             "edges": [[u, v] for u, v in report.graph.sorted_edges()],
             "graph6": report.graph6,
         },
-        "transmissions": [int(t) for t in data.tr],
+        "transmissions": data.tr.tolist(),
         "wiener": data.wiener,
         "transmission_regular": (
             data.tmin if data.tmin == data.tmax else None),
@@ -137,51 +128,51 @@ def _row(cells, width=10):
 
 
 def _bound_block(report, ids):
-    names = [bid.value for bid in ids]
-    values = [fmt4(report.entry(bid).value) for bid in ids]
-    width = max(len(s) for s in names + values)
+    rows = [_ROW[bid] for bid in ids]
+    names = [_LABELS[k][0] for k in rows]
+    values = [fmt4(report.values[k]) for k in rows]
+    width = max(map(len, names + values))
     return [_row(names, width), _row(values, width)]
 
 
 def report_table(report, target="both"):
     data = report.data
+    values = report.values
     lines = []
     lines.append(
         f"graph: n={report.graph.n} edges={report.graph.edge_count} "
         f"graph6={report.graph6}")
     lines.append(
-        f"wiener={data.wiener} transmissions in [{int(data.tr.min())}, "
-        f"{int(data.tr.max())}] transmission-regular="
+        f"wiener={data.wiener} transmissions in [{data.tmin}, "
+        f"{data.tmax}] transmission-regular="
         + ("yes" if data.tmin == data.tmax else "no"))
     lines.append(f"radius: L={fmt4(report.radius_l)} Q={fmt4(report.radius_q)}")
     if target in ("L", "both"):
         lines.append("")
         lines.append("L spectrum: " + ", ".join(
-            fmt4(v) for v in report.spectrum_l))
+            map(fmt4, report.spectrum_l.tolist())))
         lines.append("L upper bounds:")
         lines.extend("  " + s for s in _bound_block(report, L_TABLE))
-        r1 = report.entry(BoundId.L_R1)
-        r2 = report.entry(BoundId.L_R2)
-        if r1.applicable:
+        r1 = values[_ROW[BoundId.L_R1]]
+        if r1 is not None:
             lines.append(
-                f"transmission-regular bounds: r1={fmt4(r1.value)} "
-                f"r2={fmt4(r2.value)}")
+                f"transmission-regular bounds: r1={fmt4(r1)} "
+                f"r2={fmt4(values[_ROW[BoundId.L_R2]])}")
     if target in ("Q", "both"):
         lines.append("")
         lines.append("Q spectrum: " + ", ".join(
-            fmt4(v) for v in report.spectrum_q))
+            map(fmt4, report.spectrum_q.tolist())))
         lines.append("Q lower bounds:")
         lines.extend("  " + s for s in _bound_block(report, Q_LOWER_TABLE))
         lines.append("Q upper bounds:")
         lines.extend("  " + s for s in _bound_block(report, Q_UPPER_TABLE))
-        lo = report.entry(BoundId.Q_TB_LO)
-        up = report.entry(BoundId.Q_TB_UP)
         lines.append(
-            f"transmission interval: [{fmt4(lo.value)}, {fmt4(up.value)}]")
+            f"transmission interval: [{fmt4(values[_ROW[BoundId.Q_TB_LO]])}, "
+            f"{fmt4(values[_ROW[BoundId.Q_TB_UP]])}]")
     fired = [
-        f"{e.bound_id.value}:{e.diagnosis.certificate}"
-        for e in report.entries
-        if e.diagnosis is not None and e.diagnosis.equality_within_tol]
+        f"{bid}:{diagnosis.certificate}"
+        for (bid, _, _), diagnosis in zip(_LABELS, report.diagnoses)
+        if diagnosis is not None and diagnosis.equality_within_tol]
     lines.append("")
     lines.append("equalities: " + (", ".join(sorted(set(fired))) or "none"))
     return "\n".join(lines) + "\n"

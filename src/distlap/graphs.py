@@ -217,6 +217,9 @@ def compute_distance_data(g):
     return distance_data(batch_of_one(g)).row(0)
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def distance_data(dist, n=None):
     """DistanceData of a (B, N, N) int64 stack of distance matrices, every
     derived field computed along the leading batch axis. n holds each
@@ -226,14 +229,16 @@ def distance_data(dist, n=None):
     n = np.full(len(dist), size) if n is None else n
     real = np.arange(size) < n[:, None]
     tr = dist.sum(axis=-1)
-    # a padded vertex's transmission is 0, never above a real one's
-    tmax = tr.max(axis=-1)
+    sdd = (dist @ tr[..., None])[..., 0]
     return DistanceData(
         n=n, dist=dist, tr=tr, wiener=tr.sum(axis=-1) // 2,
-        p=dist.max(axis=-1), sdd=(dist @ tr[..., None])[..., 0],
-        dist2=(dist * dist).sum(axis=(-2, -1)), tr2=(tr * tr).sum(axis=-1),
-        tmin=tr.min(axis=-1, where=real, initial=np.iinfo(tr.dtype).max),
-        tmax=tmax,
+        p=dist.max(axis=-1), sdd=sdd,
+        dist2=(dist * dist).sum(axis=(-2, -1)),
+        # sum_i (D tr)_i = sum_k tr_k^2, as D is symmetric
+        tr2=sdd.sum(axis=-1),
+        tmin=tr.min(axis=-1, where=real, initial=_INT64_MAX),
+        # a padded vertex's transmission is 0, never above a real one's
+        tmax=tr.max(axis=-1),
         real=real)
 
 
@@ -288,32 +293,46 @@ def _reach_levels(adj, n=None):
     the walks of length at most 2^k.
 
     n holds each graph's vertex count, padded with isolated vertices up to
-    N; None stands for no padding. Returns (levels, complete): the list of
-    boolean stacks R_0..R_K, and a flag per graph that is True when R_K
-    joins every ordered pair of distinct vertices of its own, so when it is
-    (strongly) connected. The diagonal is set on every level, padding
-    included, so a graph is complete at n^2 + N - n set entries, whatever
-    adj holds on its diagonal. Stops once every graph is complete, which a
-    connected graph is after at most ceil(log2(n - 1)) squarings, or once a
-    squaring changes no graph, which leaves the rest disconnected.
+    N; None stands for no padding. Returns (levels, degrees, complete): the
+    list of boolean stacks R_0..R_K; the diagonal of each product R_k R_k
+    that made R_{k+1} for k < K - 1, as a (B, N) float32 stack, which for
+    an undirected graph is each vertex's degree in R_k, its own diagonal
+    entry included; and a flag per graph that is True when R_K joins every
+    ordered pair of distinct vertices of its own, so when it is (strongly)
+    connected. The diagonal is set on every level, padding included, so a
+    graph is complete at n^2 + N - n set entries, whatever adj holds on
+    its diagonal. Stops once every graph is complete, which a connected
+    graph is after at most ceil(log2(n - 1)) squarings, or once a squaring
+    changes no graph, which leaves the rest disconnected.
     """
     size = adj.shape[-1]
     n = np.full(len(adj), size) if n is None else n
     full = n * n + size - n
     # no graph exceeds its full count, so the stack's total tells them all
     total = full.sum()
-    levels = [adj | np.eye(size, dtype=bool)]
+    levels = [adj.copy()]
+    levels[0].reshape(-1, size * size)[:, ::size + 1] = True
+    degrees = []
     reached = np.count_nonzero(levels[0])
+    walks = None
     while reached < total:
+        if walks is not None:
+            # a copy, so that the product is freed; the last product's
+            # degrees are never read
+            degrees.append(walks.diagonal(0, -2, -1).copy())
         r = levels[-1].astype(np.float32)  # walk counts <= N stay exact
-        levels.append(r @ r > 0)
+        walks = r @ r
+        levels.append(walks > 0)
         # a level holds the one below, so a count that stops growing is a
         # level that squaring leaves as it is
         below, reached = reached, np.count_nonzero(levels[-1])
         if reached == below:
             levels.pop()
-            return levels, np.count_nonzero(levels[-1], axis=(1, 2)) == full
-    return levels, np.ones(len(adj), dtype=bool)
+            if degrees:
+                degrees.pop()
+            return levels, degrees, (
+                np.count_nonzero(levels[-1], axis=(1, 2)) == full)
+    return levels, degrees, np.ones(len(adj), dtype=bool)
 
 
 def connected_distances(adj, n=None):
@@ -336,10 +355,11 @@ def connected_distances(adj, n=None):
     elsewhere, as its square R_K joins every pair: D = 2 R_K - R_{K-1} off
     the diagonal. Below, with T the distances of R_{k+1},
     D = 2T - [T R_k < T deg(R_k)], taken entrywise with deg(R_k) the
-    degree of the column's vertex; the diagonal of R_k adds T to both
-    sides, so it changes nothing. Every product is of integers at most
-    N^2, exact in float64. The levels stay boolean, about K N^2 bytes for
-    one graph, and each is copied to float64 only for its own product.
+    degree of the column's vertex, the diagonal of the squaring that made
+    R_{k+1}; the diagonal of R_k adds T to both sides, so it changes
+    nothing. Every product is of integers at most N^2, exact in float64.
+    The levels stay boolean, about K N^2 bytes for one graph, and each is
+    copied to float64 only for its own product.
     """
     size = adj.shape[-1]
     n = np.full(len(adj), size) if n is None else n
@@ -348,20 +368,20 @@ def connected_distances(adj, n=None):
         adj, n = adj[connected], n[connected]
     if not len(adj):
         return connected, np.zeros((0, size, size), dtype=np.int64)
-    levels, complete = _reach_levels(adj, n)
+    levels, degrees, complete = _reach_levels(adj, n)
     connected[connected] = complete
     if not complete.all():
         levels = [r[complete] for r in levels]
+        degrees = [deg[complete] for deg in degrees]
     # R_{K-1}, or R_0 when R_0 is complete, is at distance 1 on its edges
-    # and 2 elsewhere
+    # and 2 elsewhere; the diagonal is 0
     below = levels[max(len(levels) - 2, 0)]
-    dist = np.add(levels[-1] ^ np.eye(size, dtype=bool), levels[-1] > below,
-                  dtype=np.float64)
-    for r in reversed(levels[:-2]):
+    dist = np.add(levels[-1], levels[-1] > below, dtype=np.float64)
+    diagonal = dist.reshape(-1, size * size)[:, ::size + 1]
+    diagonal[...] = 0
+    for r, deg in zip(reversed(levels[:-2]), reversed(degrees)):
         # T R_k < T deg(R_k) entrywise is T (R_k - diag(deg(R_k))) < 0
         a = r.astype(np.float64)
-        # row sums, as einsum: faster than sum on a stack of small matrices
-        deg = np.einsum("bij->bi", a)
         a.reshape(-1, size * size)[:, ::size + 1] -= deg
         less = dist @ a < 0
         dist *= 2
@@ -401,8 +421,8 @@ SCAN_CELLS = SCAN_CHUNK * 8 * 8
 
 def chunk_limit(n):
     """Graphs per chunk of a sweep over graphs on n vertices, or padded to
-    n vertices."""
-    return min(SCAN_CHUNK, max(1, SCAN_CELLS // n ** 2))
+    n vertices; graphs with no vertex count as graphs on one."""
+    return min(SCAN_CHUNK, max(1, SCAN_CELLS // max(n, 1) ** 2))
 
 
 def _mask_stack(raw, n):
@@ -638,6 +658,6 @@ def sample_connected(n, count, seed):
         adj = _mask_stack(
             np.frombuffer(raw, dtype=np.uint8).reshape(size, width), n)
         graphs = adjacency_graphs(
-            adj[_reach_levels(adj)[1]])[:count]
+            adj[_reach_levels(adj)[2]])[:count]
         count -= len(graphs)
         yield from graphs

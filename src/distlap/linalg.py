@@ -20,33 +20,35 @@ def eig_symmetric(m, n=None):
     one the matrix gets alone; matrix b's spectrum fills the first n[b]
     entries, and 0 pads the rest.
 
-    Rejects non-square or non-symmetric input (entry-for-entry equality is
-    required, which integer-built matrices always satisfy). Cross-checks each
+    Rejects non-square, non-finite or non-symmetric input (entry-for-entry
+    equality is required, which integer-built matrices always satisfy; an
+    integer matrix is finite, and is not scanned for it). Cross-checks each
     matrix's eigenvalue sum against its trace to 1e-9 * ||m||_F before
     returning; the first matrix of a stack that drifts raises. Each check
     runs once over the whole stack, padding included, which adds zeros to
     every side of it.
     """
+    integer = np.asarray(m).dtype.kind in "biu"
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[-1] == 0:
         raise ValueError("empty matrix")
-    if not np.isfinite(a).all():
+    if not (integer or np.isfinite(a).all()):
         raise ValueError("matrix contains non-finite entries")
     if not (a == np.swapaxes(a, -1, -2)).all():
         raise ValueError("matrix is not symmetric")
-    if n is None:
+    sizes = {a.shape[-1]} if n is None else set(n.tolist())
+    if sizes == {a.shape[-1]}:  # no padding
         w = np.ascontiguousarray(np.linalg.eigvalsh(a)[..., ::-1])
     else:
         w = np.zeros(a.shape[:-1])
-        sizes = set(n.tolist())
         for k in sizes:
             # one size is every matrix, a view rather than a copy of a
             rows = n == k if len(sizes) > 1 else slice(None)
             w[..., rows, :k] = np.linalg.eigvalsh(
                 a[..., rows, :k, :k])[..., ::-1]
-    drift = np.abs(w.sum(axis=-1) - np.trace(a, axis1=-2, axis2=-1))
+    drift = np.abs(w.sum(axis=-1) - a.trace(axis1=-2, axis2=-1))
     drifted = drift > 1e-9 * np.sqrt((a * a).sum(axis=(-2, -1))) + 1e-12
     if drifted.any():
         raise ConsistencyError(
@@ -76,7 +78,7 @@ def is_irreducible(m, n=None):
     n = np.full(len(stack), size) if n is None else n
     real = np.arange(size) < n[:, None]
     pattern = (stack != 0) & real[:, :, None] & real[:, None, :]
-    flags = np.where(n == 1, pattern[:, 0, 0], _reach_levels(pattern, n)[1])
+    flags = np.where(n == 1, pattern[:, 0, 0], _reach_levels(pattern, n)[2])
     return bool(flags[0]) if a.ndim == 2 else flags
 
 

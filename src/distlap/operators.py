@@ -16,8 +16,11 @@ def build_operators(dd):
     operator_spectra solves them. L is singular with zero row sums; a padded
     row and column is 0 in all three."""
     d = dd.dist
-    t = dd.tr[..., None] * np.eye(d.shape[-1], dtype=d.dtype)
-    return np.stack((d, t - d, t + d))
+    size = d.shape[-1]
+    ops = np.array((d, -d, d))
+    # the transmissions on the diagonals of L and Q, where D is 0
+    ops[1:].reshape(2, -1, size * size)[..., ::size + 1] += dd.tr
+    return ops
 
 
 def operator_spectra(dd):

@@ -18,12 +18,12 @@ for, and listed(rows), the graph6 lines of those graphs for each row of
 the index array rows. _stream_chunks cuts a stream into chunks whose rows
 stand for themselves; _class_chunks yields the class minima of a
 ConnectedClasses, each row weighted by its orbit and listing every member
-of its class. One rule, _rejected, names the error of a graph too small
-for the sweep or disconnected, and two places record it: _sweep, for a
-row of a chunk, under every graph6 the row lists, and _stream_chunks, for
-a too_sparse Graph, which is never stacked. Each sweep binds one min_n
-for both. _sweep yields the DistanceData of the rows left, whose
-(B, N, N) arrays the sweep evaluates at once.
+of its class. One rule, _rejected, names the error of a graph with no
+vertices, too small for the sweep or disconnected, and two places record
+it: _sweep, for a row of a chunk, under every graph6 the row lists, and
+_stream_chunks, for a too_sparse Graph, which is never stacked. Each
+sweep binds one min_n for both. _sweep yields the DistanceData of the
+rows left, whose (B, N, N) arrays the sweep evaluates at once.
 
 A stream holds Graphs, (B, n, n) boolean adjacency stacks of same-n graphs
 (such as graphs.connected_stacks yields), or both, and _stream_chunks
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
-    _ROW, bound_checks, bound_L_d2, bound_L_n3, bound_values, slack_for)
+    _ROW, bound_checks, bound_values, closed_form_bounds, slack_for)
 from .certify import diagnose, han_multiplicity_holds, is_complete
 from .errors import ConsistencyError
 from .graph6 import encode_graph6, encode_graph6_stack
@@ -54,6 +54,8 @@ from .graphs import (
     connected_distances, distance_data, too_sparse)
 from .operators import operator_spectra
 
+# the error entry of a graph with no vertices, in either sweep
+EMPTY = "graph has no vertices"
 HISTOGRAM_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
 HISTOGRAM_LABELS = ("< 0", "[0, 0.5)", "[0.5, 1)", "[1, 2)", "[2, 5)", ">= 5")
 
@@ -72,8 +74,11 @@ class ScanResult:
 
 def _rejected(n, min_n):
     """The error of a graph on n vertices that a sweep of graphs on at
-    least min_n vertices rejects: too small below min_n, else disconnected.
-    Only the margin sweep has a min_n above 1, so the message names it."""
+    least min_n >= 1 vertices rejects: empty at n = 0, too small below
+    min_n, else disconnected. Only the margin sweep has a min_n above 1, so
+    the second message names it."""
+    if n < 1:
+        return EMPTY
     if n < min_n:
         return f"margin needs n >= {min_n}, got n={n}"
     return DISCONNECTED
@@ -191,8 +196,8 @@ def _scan_chunk(result, dd, weight, listed):
         return
     if len(rows) < len(tested):
         dd, weight = dd.take(tested), weight[rows]
-    upper_strict = bound_L_d2(dd)
-    upper_trace = bound_L_n3(dd)
+    # L_D2 and L_N3, the first two closed forms
+    upper_strict, upper_trace = closed_form_bounds(dd, dd.tmin == dd.tmax, 2)
     margin = upper_strict - upper_trace
     result.graphs_tested += int(weight.sum())
     low = float(margin.min())

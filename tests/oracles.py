@@ -18,6 +18,7 @@ import heapq
 import itertools
 import math
 import random
+from fractions import Fraction
 from math import comb, inf
 
 import numpy as np
@@ -197,6 +198,68 @@ def bfs_distance_matrix(n, edges):
                         nxt.append(y)
             queue = nxt
     return dist
+
+
+def bound_formulas(n, edges, pairs=True):
+    """Every bound of the battery on one connected graph, by bound id,
+    each written from its formula over plain BFS distances in Python ints,
+    Fractions and math.sqrt; None where the bound does not apply (n below
+    its least vertex count, or a regular-only bound on a graph that is not
+    transmission-regular). pairs=False leaves out L_N2, whose pair loop
+    costs O(n^3) Python steps."""
+    d = bfs_distance_matrix(n, edges)
+    tr = [sum(row) for row in d]
+    w = sum(tr) // 2
+    t, big = min(tr), max(tr)
+    dist2 = sum(x * x for row in d for x in row)
+    tr2 = sum(x * x for x in tr)
+    frob2 = tr2 + dist2  # ||L||_F^2 = ||Q||_F^2
+    sdd = [sum(d[i][k] * tr[k] for k in range(n)) for i in range(n)]
+    col2 = [sum(d[k][i] ** 2 for k in range(n)) for i in range(n)]
+    regular = t == big
+
+    def surd(lead, radicand):
+        return float(lead) + math.sqrt(radicand)
+
+    def quadratic(e):
+        # the larger root of x^2 - (e - 1) x - 2 (e^2 + 2W - (n - 1) e)
+        return (e - 1 + math.sqrt(
+            (e - 1) ** 2 + 8 * (e * e + 2 * w - (n - 1) * e))) / 2
+    i1 = max(tr[i] + math.sqrt((n - 1) * col2[i]) for i in range(n))
+    ratio = ([tr[i] + Fraction(sdd[i], tr[i]) for i in range(n)]
+             if n > 1 else [])
+    root = [math.sqrt(2 * sdd[i] + 2 * tr[i] ** 2) for i in range(n)]
+    out = {
+        "L_I1": i1, "Q_I2": i1,
+        "L_D1": 2 * w - n * (n - 2) if n >= 4 else None,
+        "L_N1": sum(max(row) for row in d),
+        "Q_TB_LO": 2 * t, "Q_TB_UP": 2 * big,
+        "Q_I5": min(root), "Q_I6": max(root),
+        "Q_CI5": quadratic(t), "Q_CS6": quadratic(big),
+        "Q_CS7": surd(Fraction(2 * w, n), Fraction(n - 1, n) * (
+            frob2 - Fraction(4 * w * w, n))),
+    }
+    out.update(dict.fromkeys(
+        ("L_D2", "L_N3", "Q_I3", "Q_I4", "L_R1", "L_R2")
+        + (("L_N2",) if pairs else ())))
+    if n >= 2:
+        out.update({
+            "L_D2": surd(big, dist2 - Fraction(tr2, n)),
+            "L_N3": surd(Fraction(2 * w, n - 1), Fraction(n - 2, n - 1) * (
+                frob2 - Fraction(4 * w * w, n - 1))),
+            "Q_I3": float(min(ratio)), "Q_I4": float(max(ratio)),
+        })
+        if pairs:
+            out["L_N2"] = max(
+                tr[i] + tr[j] + 2 * d[i][j] + sum(
+                    abs(d[i][k] - d[j][k]) for k in range(n)
+                    if k not in (i, j))
+                for i in range(n) for j in range(i + 1, n)) / 2
+        if regular:
+            out["L_R1"] = surd(big, dist2 - big * big)
+            out["L_R2"] = surd(Fraction(n * big, n - 1), Fraction(
+                n - 2, n - 1) * (dist2 - Fraction(n * big * big, n - 1)))
+    return out
 
 
 def sample_connected_edges(n, count, seed):

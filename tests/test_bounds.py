@@ -1,6 +1,7 @@
 """Bound values on fixtures, applicability rules, report structure."""
 
 import collections
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,17 +11,20 @@ import pytest
 from distlap import (
     bounds, certify, linalg, operators, scan)
 from distlap import (
-    BOUND_META, BoundId, Side, Target, compute_all_bounds, encode_graph6,
-    enumerate_connected, sample_connected, slack_for)
+    BOUND_META, BoundId, Side, Target, compute_all_bounds,
+    connected_classes, encode_graph6, enumerate_connected, sample_connected,
+    slack_for)
 from distlap.bounds import (
-    _BATTERY, _INT64_N, _ROW, _root, bound_L_d2, bound_L_n2, bound_L_n3,
-    bound_L_transmission_regular, bound_Q_cs7, bound_Q_quadratic,
-    bound_values)
+    _FLOAT_N, _ROW, CLOSED_FORMS, bound_L_n2, bound_values,
+    closed_form_bounds)
 from distlap.errors import ConsistencyError
 from distlap.graphs import (
-    adjacency_stack, batch_of_one, connected_distances, distance_data)
+    DistanceData, adjacency_graphs, adjacency_stack, batch_of_one,
+    connected_distances, distance_data)
 from distlap.named_graphs import (
-    complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
+    FIXTURES, complete_graph, cycle_graph, fixture_graph, path_graph,
+    star_graph)
+from oracles import bound_formulas
 
 # printed-table precision for the 12-vertex fixtures
 TOL = 5e-4
@@ -33,6 +37,12 @@ def values_of(report):
 def one_graph(g):
     """The DistanceData of g as a batch of one, the bound functions' input."""
     return distance_data(batch_of_one(g))
+
+
+def forms_of(dd):
+    """The rows of closed_form_bounds on the batch dd, by bound name."""
+    rows = closed_form_bounds(dd, dd.tmin == dd.tmax)
+    return {bid.value: row for bid, row in zip(CLOSED_FORMS, rows)}
 
 
 def test_ex1_bounds_hand_derived():
@@ -149,6 +159,47 @@ def test_vertex_pair_bound_matches_pair_loop():
         assert bound_L_n2(dd).tolist() == [best / 2.0]
 
 
+def assert_matches_formulas(values, graphs, ids=tuple(BoundId), pairs=True):
+    """Each row of ids in the (len(ids), B) values of graphs within
+    slack_for of bound_formulas, and NaN exactly where it gives None."""
+    for i, g in enumerate(graphs):
+        want = bound_formulas(g.n, g.edges, pairs)
+        for k, bid in enumerate(ids):
+            got = float(values[k, i])
+            if bid.value not in want:
+                assert bid is BoundId.L_N2 and not pairs
+            elif want[bid.value] is None:
+                assert math.isnan(got), (g.n, bid)
+            else:
+                assert abs(got - want[bid.value]) <= slack_for(
+                    want[bid.value]), (g.n, sorted(g.edges), bid, got)
+
+
+def test_bound_values_match_the_formula_oracle():
+    # every class on n <= 6 vertices and the fixtures, padded together to
+    # 15 vertices, against each bound's formula over BFS distances; then
+    # K150 and P300 as batches of one, and the closed forms of the path and
+    # the cycle on 500 vertices, above _FLOAT_N, whose radicands are Python
+    # ints
+    graphs = [g for n in range(1, 7) for adj in connected_classes(n).stacks()
+              for g in adjacency_graphs(adj)]
+    graphs += [fixture_graph(name) for name in FIXTURES]
+    n = np.array([g.n for g in graphs])
+    dd = distance_data(connected_distances(adjacency_stack(graphs), n)[1], n)
+    assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 112 + len(FIXTURES)
+    assert_matches_formulas(bound_values(dd, dd.tmin == dd.tmax), graphs)
+    for g in (complete_graph(150), path_graph(300)):
+        dd = one_graph(g)
+        assert_matches_formulas(
+            bound_values(dd, dd.tmin == dd.tmax), [g], pairs=False)
+    assert 500 > _FLOAT_N
+    for g in (path_graph(500), cycle_graph(500)):
+        dd = one_graph(g)
+        assert_matches_formulas(
+            closed_form_bounds(dd, dd.tmin == dd.tmax), [g], CLOSED_FORMS,
+            pairs=False)
+
+
 def test_complete_graph_trace_bound_is_exact():
     # the L_N3 and L_R2 radicands of K_n are exactly 0, and the Q_CS7 one
     # is n^2 (n-1), whose scaled root is n - 1. Squared Frobenius norms in
@@ -156,10 +207,10 @@ def test_complete_graph_trace_bound_is_exact():
     # L_R2 at 5.0000000516 on K5 and 1.9e-6 above n on K150
     for n in (*range(2, 301), 577, 1199):
         dist = np.ones((1, n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-        dd = distance_data(dist)
-        assert bound_L_n3(dd).tolist() == [n]
-        assert bound_L_transmission_regular(dd)[1].tolist() == [n]
-        assert bound_Q_cs7(dd).tolist() == [2 * (n - 1)]
+        forms = forms_of(distance_data(dist))
+        assert forms["L_N3"].tolist() == [n]
+        assert forms["L_R2"].tolist() == [n]
+        assert forms["Q_CS7"].tolist() == [2 * (n - 1)]
     assert compute_all_bounds(complete_graph(5)).entry(
         BoundId.L_R2).value == 5.0
     r = compute_all_bounds(complete_graph(208))
@@ -240,8 +291,9 @@ def test_a_padded_batch_matches_single_graphs():
 
 
 def test_one_graph_computes_each_bound_once(monkeypatch):
-    # one eigensolve for D, L and Q, and the diagnoses read the values the
-    # battery computed instead of evaluating their bounds again
+    # one eigensolve for D, L and Q, one pass of the battery, and the
+    # diagnoses read the values the battery computed instead of evaluating
+    # their bounds again
     calls = collections.Counter()
 
     def counted(name, func):
@@ -249,8 +301,8 @@ def test_one_graph_computes_each_bound_once(monkeypatch):
             calls[name] += 1
             return func(*args, **kwargs)
         return spy
-    names = ("eig_symmetric", "bound_L_n1", "bound_L_n3", "bound_Q_tb",
-             "bound_Q_cs7")
+    names = ("eig_symmetric", "bound_values", "closed_form_bounds",
+             "bound_L_n2")
     for module in (linalg, operators, bounds, certify, scan):
         for name in names:
             if hasattr(module, name):
@@ -265,28 +317,59 @@ def test_one_graph_computes_each_bound_once(monkeypatch):
 
 def test_sqrt_guard():
     # an integer radicand of 0 passes, and a negative one raises however
-    # small the scale makes it: there is no float tolerance
-    roots = _root(np.array([4, 0, 2]), 1.0, "x")
-    assert roots.tolist() == [2.0, 0.0, math.sqrt(2.0)]
-    assert _root(np.array([9, 8]), np.array([1 / 9, 0.5]), "x").tolist() == [
-        1.0, 2.0]
-    with pytest.raises(ConsistencyError, match="x: radicand -1 is negative"):
-        _root(np.array([4, -1]), 1e-30, "x")
-    # Python ints, as on a batch above _INT64_N vertices
-    wide = np.array([1 << 70, 0], dtype=object)
-    assert _root(wide, 1.0, "x").tolist() == [2.0 ** 35, 0.0]
-    with pytest.raises(ConsistencyError, match="x: radicand -1 is negative"):
-        _root(wide - 1, 1.0, "x")
+    # small its scale makes it: there is no float tolerance. The guard
+    # names the first bound, in CLOSED_FORMS order, whose radicand is
+    # negative, and the batch's smallest radicand of it, on the whole stack
+    # and on the margin sweep's first two rows
+    dd = distance_data(np.stack([batch_of_one(g)[0] for g in (
+        path_graph(4), star_graph(4), cycle_graph(4), complete_graph(4))]))
+    forms = forms_of(dd)
+    assert forms["L_N3"][3] == 4.0 and forms["L_R2"][3] == 4.0
+
+    def radicands(w):
+        n, s = dd.n.tolist(), (dd.tr2 + dd.dist2).tolist()
+        return [(k - 1) * x - 4 * v * v for k, x, v in zip(n, s, w)]
+    # a Wiener index raised by 1 takes every L_N3 radicand of the batch
+    # below 0, the cycle's lowest, and leaves L_D2's as they are
+    raised = dataclasses.replace(dd, wiener=dd.wiener + 1)
+    low = min(radicands(raised.wiener.tolist()))
+    assert low == -60
+    for count in (len(CLOSED_FORMS), 2):
+        with pytest.raises(ConsistencyError, match=f"^L_N3: radicand {low} "
+                           "is negative$"):
+            closed_form_bounds(raised, raised.tmin == raised.tmax, count)
+    # a raised tr2 takes L_D2's below 0 first, which the guard names
+    with pytest.raises(ConsistencyError, match="^L_D2: radicand -"):
+        closed_form_bounds(dataclasses.replace(raised, tr2=raised.tr2 * 9),
+                           raised.tmin == raised.tmax)
+    # a graph the table excludes is not guarded: L_R2's radicand
+    # (n - 1) dist2 - n T^2 of the path is -24, but the path is not regular
+    assert ((dd.n - 1) * dd.dist2 - dd.n * dd.tmax ** 2)[0] == -24
+    assert math.isnan(forms["L_R2"][0])
+    # Python ints, as on a batch padded above _FLOAT_N vertices
+    big = _FLOAT_N + 1
+    wide = DistanceData(
+        n=np.array([big]), dist=np.zeros((1, big, big), dtype=np.int64),
+        tr=np.zeros((1, big), dtype=np.int64), wiener=np.array([1 << 40]),
+        p=np.zeros((1, big), dtype=np.int64),
+        sdd=np.zeros((1, big), dtype=np.int64), dist2=np.array([1]),
+        tr2=np.array([1]), tmin=np.array([1]), tmax=np.array([1]),
+        real=np.ones((1, big), dtype=bool))
+    low = (big - 1) * 2 - 4 * (1 << 80)
+    assert low < np.iinfo(np.int64).min
+    with pytest.raises(ConsistencyError, match=f"^L_N3: radicand {low} is "
+                       "negative$"):
+        closed_form_bounds(wide, np.array([True]))
 
 
 def test_radicands_above_the_int64_cap_are_python_ints():
-    # the path and the cycle on 2100 vertices, above _INT64_N: the path's
+    # the path and the cycle on 2100 vertices, above _FLOAT_N: the path's
     # (n-1) (tr2 + dist2) passes 2^63, so its radicand terms must be Python
     # ints; each bound against its closed form in Fractions
     def surd(a, b):
         return float(a) + math.sqrt(b)
     n = 2100
-    assert n > _INT64_N
+    assert n > _FLOAT_N
     gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     for dist in (gap, np.minimum(gap, n - gap)):
         dd = distance_data(dist[None])
@@ -307,16 +390,13 @@ def test_radicands_above_the_int64_cap_are_python_ints():
             "Q_CS6": surd(Fraction(big - 1, 2), Fraction(
                 (big - 1) ** 2 + 8 * (big * big + 2 * w - (n - 1) * big), 4)),
         }
-        lo, up = bound_Q_quadratic(dd)
-        got = {"L_D2": bound_L_d2(dd), "L_N3": bound_L_n3(dd),
-               "Q_CS7": bound_Q_cs7(dd), "Q_CI5": lo, "Q_CS6": up}
         if t == big:  # the cycle, transmission-regular
-            c1, c2 = bound_L_transmission_regular(dd)
             want["L_R1"] = surd(big, dist2 - big * big)
             want["L_R2"] = surd(Fraction(n * big, n - 1), Fraction(
                 (n - 2) * ((n - 1) * dist2 - n * big * big), (n - 1) ** 2))
-            got.update(L_R1=c1, L_R2=c2)
-        for name, value in got.items():
+        got = forms_of(dd)
+        assert math.isnan(got["L_R1"][0]) is (t != big)
+        for name, value in ((name, got[name]) for name in want):
             assert value.dtype == np.float64, name
             assert float(value[0]) == pytest.approx(want[name], rel=1e-12), (
                 name, t == big)
@@ -342,15 +422,27 @@ def test_meta_table():
 
 
 def test_each_battery_entry_shares_one_applicability():
-    # bound_values applies BOUND_META[ids[0]] to every id of a battery
-    # entry, so the ids of an entry must share min_n and regular_only, and
-    # the battery must hold every bound exactly once
-    ids = [bid for group, _ in _BATTERY for bid in group]
-    assert collections.Counter(ids) == collections.Counter(BoundId)
-    for group, _ in _BATTERY:
-        rules = {(BOUND_META[bid].min_n, BOUND_META[bid].regular_only)
-                 for bid in group}
-        assert len(rules) == 1, group
+    # bound_values evaluates every bound once, in one stack, and masks each
+    # row by its own BOUND_META entry: on a padded batch of K1, K2, P3,
+    # C4, the star on 4 vertices and ex1, a bound is a number exactly on
+    # the graphs with n >= its min_n that its regular_only admits, and each
+    # closed-form row is closed_form_bounds' row bit for bit
+    graphs = [path_graph(1), path_graph(2), path_graph(3), cycle_graph(4),
+              star_graph(4), fixture_graph("ex1")]
+    n = np.array([g.n for g in graphs])
+    dd = distance_data(connected_distances(adjacency_stack(graphs), n)[1], n)
+    regular = dd.tmin == dd.tmax
+    values = bound_values(dd, regular)
+    assert regular.tolist() == [True, True, False, True, False, False]
+    for bid, meta in BOUND_META.items():
+        want = (n >= meta.min_n) & (regular | (not meta.regular_only))
+        assert (values[_ROW[bid]] == values[_ROW[bid]]).tolist() == (
+            want.tolist()), bid
+    forms = closed_form_bounds(dd, regular)
+    for bid, row in zip(CLOSED_FORMS, forms):
+        assert values[_ROW[bid]].tobytes() == row.tobytes(), bid
+    assert values[_ROW[BoundId.Q_I2]].tobytes() == (
+        values[_ROW[BoundId.L_I1]].tobytes())
 
 
 def test_report_structure():

@@ -11,7 +11,7 @@ from distlap import (
     Graph, bounds, certify, connected_classes, connected_stacks,
     encode_graph6, enumerate_connected, operators, read_graph6_stream,
     sample_connected, scan, scan_conjecture, scan_soundness)
-from distlap.bounds import bound_L_d2, bound_L_n3
+from distlap.bounds import _ROW, CLOSED_FORMS, BoundId, closed_form_bounds
 from distlap.cli import cmd_scan, scan_document, scan_table, to_canonical_json
 from distlap.errors import DisconnectedGraphError
 from distlap.graphs import (
@@ -106,6 +106,21 @@ def test_too_small_and_disconnected_rows_follow_one_rule():
     for form in (graphs, stacks):
         got = scan_soundness(form)
         assert got.errors == soundness and got.graphs_checked == 3
+
+
+def test_graphs_with_no_vertices_are_error_entries():
+    # a Graph on 0 vertices and a (1, 0, 0) stack, alone and beside a
+    # graph that both sweeps check, become an error entry in either sweep;
+    # chunk_limit counts them as graphs on one vertex
+    assert chunk_limit(0) == chunk_limit(1) == SCAN_CHUNK
+    empty = ("?", scan.EMPTY)
+    for form in (Graph(0, frozenset()), np.zeros((1, 0, 0), dtype=bool)):
+        for sweep in (scan_soundness, scan_conjecture):
+            assert sweep([form]).errors == [empty], (sweep, form)
+            got = sweep([form, star_graph(5), form])
+            assert got.errors == [empty, empty], (sweep, form)
+        assert scan_soundness([form, star_graph(5)]).graphs_checked == 1
+        assert scan_conjecture([star_graph(5), form]).graphs_tested == 1
 
 
 def test_full_sweep_n4():
@@ -220,8 +235,8 @@ def test_a_reversed_pair_is_listed_under_the_real_graph():
 
 
 def per_graph_scan(graphs, slack=1e-7):
-    """The margin sweep one graph at a time: bound_L_d2/bound_L_n3 on every
-    graph of the stream as a batch of one."""
+    """The margin sweep one graph at a time: the L_D2 and L_N3 rows of
+    closed_form_bounds on every graph of the stream as a batch of one."""
     result = ScanResult(slack=slack)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
     for g in graphs:
@@ -237,8 +252,9 @@ def per_graph_scan(graphs, slack=1e-7):
         if dd.tmin[0] == dd.tmax[0]:
             result.skipped_regular += 1
             continue
-        upper_strict = float(bound_L_d2(dd)[0])
-        upper_trace = float(bound_L_n3(dd)[0])
+        forms = closed_form_bounds(dd, dd.tmin == dd.tmax)[:, 0].tolist()
+        upper_strict = forms[CLOSED_FORMS.index(BoundId.L_D2)]
+        upper_trace = forms[CLOSED_FORMS.index(BoundId.L_N3)]
         margin = upper_strict - upper_trace
         result.graphs_tested += 1
         if result.min_margin is None or margin < result.min_margin:
@@ -293,14 +309,14 @@ def test_chunked_scan_equals_per_graph_evaluation():
 
 def test_regular_graphs_in_a_chunk_never_reach_the_bounds(monkeypatch):
     # a regular graph is skipped before the bounds, as one graph at a time,
-    # however the chunk is mixed: bound_L_n3 sees the star only
+    # however the chunk is mixed: closed_form_bounds sees the star only
     n = 208
     seen = []
 
-    def spy(dd):
+    def spy(dd, regular, count):
         seen.append((dd.tmin == dd.tmax).tolist())
-        return bound_L_n3(dd)
-    monkeypatch.setattr(scan, "bound_L_n3", spy)
+        return closed_form_bounds(dd, regular, count)
+    monkeypatch.setattr(scan, "closed_form_bounds", spy)
     result = ScanResult(slack=1e-7)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
     # one chunk of both rows, as no stream of n = 208 would cut it
@@ -465,28 +481,34 @@ def test_chunked_soundness_reports_violations_as_per_graph(
     # each mutation of shared code makes some graphs of the stream fail, so
     # the chunked sweep has to single them out as one graph at a time does
     eigvalsh = np.linalg.eigvalsh
-    if mutation == "bound":
-        # lower Q_I5 and raise Q_I6 above the radius on most graphs
-        hong_sqrt = bounds.bound_Q_hong_sqrt
-        monkeypatch.setattr(bounds, "bound_Q_hong_sqrt", lambda dd: tuple(
-            v * 1.001 for v in hong_sqrt(dd)))
-    elif mutation == "two bounds":
-        # halve L_I1 (and Q_I2, the same expression) and L_D1, so that a
-        # graph fails bounds of two battery entries, which the sweep must
-        # list in the order one graph reports them
-        for name in ("bound_L_i1", "bound_L_d1"):
-            monkeypatch.setattr(bounds, name, lambda dd, bound=getattr(
-                bounds, name): 0.5 * bound(dd))
+    if mutation in ("bound", "two bounds"):
+        # "bound" raises Q_I5 and Q_I6, which takes the lower bound Q_I5
+        # above the radius on most graphs; "two bounds" halves L_I1 (and
+        # Q_I2, the same expression) and L_D1, so that a graph fails two
+        # bounds, which the sweep must list in the order one graph reports
+        # them. bound_values is looked up by name in bounds and in scan
+        factor = np.ones((len(BoundId), 1))
+        if mutation == "bound":
+            factor[[_ROW[BoundId.Q_I5], _ROW[BoundId.Q_I6]]] = 1.001
+        else:
+            factor[[_ROW[BoundId.L_I1], _ROW[BoundId.Q_I2],
+                    _ROW[BoundId.L_D1]]] = 0.5
+        for module in (bounds, scan):
+            monkeypatch.setattr(
+                module, "bound_values", lambda dd, regular, bound=getattr(
+                    module, "bound_values"): factor * bound(dd, regular))
     elif mutation == "certificate":
         # every diagnosis meets its radius, so certificates fail
         monkeypatch.setattr(certify, "equality_tol",
                             lambda x: 0.5 + 1e-8 * abs(x))
     elif mutation == "guard":
-        # a Wiener index raised by 2% takes the integer L_N3 radicand
-        # below 0 on some graphs
-        trace_bound = bounds.bound_L_n3
-        monkeypatch.setattr(bounds, "bound_L_n3", lambda dd: trace_bound(
-            dataclasses.replace(dd, wiener=dd.wiener + dd.wiener // 50)))
+        # a Wiener index raised by 2% in the closed forms takes the
+        # integer L_N3 radicand below 0 on some graphs
+        forms = bounds.closed_form_bounds
+        monkeypatch.setattr(
+            bounds, "closed_form_bounds", lambda dd, regular: forms(
+                dataclasses.replace(dd, wiener=dd.wiener + dd.wiener // 50),
+                regular))
     elif mutation == "operators":
         # raise one symmetric off-diagonal pair of Q by 1 on the graphs
         # whose trace is 3 mod 7, which moves their Q row sums off the

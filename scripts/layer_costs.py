@@ -31,11 +31,15 @@ enumeration layers, the whole of N:
                calls that scan_conjecture(connected_classes(N)) makes
                (members, then one graph6 encode), per member; absent
                where it lists none
+  soundness-unit
+               scan_soundness over a seeded stream of 32 graph6 lines of
+               connected graphs on 5..10 vertices (sample_connected, n
+               drawn uniformly), read through read_graph6_stream: the
+               shape of one soundness-sample unit, per graph, whatever N
 
 Each layer runs alone on inputs that stay warm in cache, so the rows
-understate what a layer costs inside a sweep: the layers from graph6 to
-identities, scaled to the 32 graphs of one soundness-sample unit, summed
-to ~1.1 ms, against the ~1.8-2.1 ms that the unit took end to end.
+understate what a layer costs inside a sweep; the soundness-unit row runs
+them all in a row, as a sweep does.
 
 A pass runs every layer once, in this order; the script prints the min and
 the median over K passes. With --parent, the distlap of REF, exported with
@@ -50,6 +54,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -61,6 +66,9 @@ from bench_pairs import ROOT, export  # noqa: E402
 
 # calls in a row of each one-graph row per pass
 ONE_GRAPH_CALLS = 20
+# graphs and their vertex counts in the stream of the soundness-unit row
+UNIT_GRAPHS = 32
+UNIT_SIZES = (5, 10)
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 
@@ -73,7 +81,7 @@ def layer_calls(n, seed, name=None):
     from distlap import (
         compute_all_bounds, connected_classes, connected_stacks,
         encode_graph6, read_graph6_stream, sample_connected, scan,
-        scan_conjecture)
+        scan_conjecture, scan_soundness)
     from distlap.bounds import bound_values
     from distlap.certify import diagnose, is_complete
     from distlap.cli import (
@@ -146,6 +154,13 @@ def layer_calls(n, seed, name=None):
             call(rows)
 
     listed = sum(len(lines) for call, rows in calls for lines in call(rows))
+    rng = random.Random(f"soundness-unit:{seed}")
+    unit = [encode_graph6(next(sample_connected(
+        rng.randint(*UNIT_SIZES), 1, rng.getrandbits(32)))) + "\n"
+        for _ in range(UNIT_GRAPHS)]
+
+    def soundness_unit():
+        scan_soundness(g for _, g in read_graph6_stream(unit))
     return (
         ("classes", lambda: connected_classes(n), len(classes.minima)),
         ("labeled", read_stacks, labeled),
@@ -161,7 +176,8 @@ def layer_calls(n, seed, name=None):
         ("render", render, len(graphs)),
         ("one-graph", one_graph, ONE_GRAPH_CALLS),
         ("one-bounds", one_bounds, ONE_GRAPH_CALLS),
-    ) + ((("listing", listing, listed),) if calls else ())
+    ) + ((("listing", listing, listed),) if calls else ()) + (
+        ("soundness-unit", soundness_unit, UNIT_GRAPHS),)
 
 
 def serve(n, seed, name):
@@ -253,14 +269,14 @@ def main():
           f"{args.passes} passes" + (f"; one graph {args.graph}"
                                      if args.graph else "")
           + (f"; parent {args.parent}" if args.parent else ""))
-    head = f"{'layer':<11}" + "".join(
+    head = f"{'layer':<15}" + "".join(
         f"{side + ' min':>14}{side + ' med':>14}" for side in passes)
     if args.parent:
         head += f"{'ratio min':>11}{'ratio med':>11}"
     print(head)
     for layer in passes["change"][0]:
         got = {side: spread(p, layer) for side, p in passes.items()}
-        row = f"{layer:<11}" + "".join(
+        row = f"{layer:<15}" + "".join(
             f"{lo:>14.3f}{med:>14.3f}" for lo, med in got.values())
         if args.parent:
             row += "".join(f"{c / p:>11.3f}" for p, c in zip(

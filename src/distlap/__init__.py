@@ -15,9 +15,9 @@ from .errors import (
 from .graph6 import (
     encode_graph6, encode_graph6_stack, parse_graph6, read_graph6_stream)
 from .graphs import (
-    ConnectedClasses, DistanceData, Graph, compute_distance_data,
-    connected_classes, connected_stacks, enumerate_connected,
-    format_edge_list, parse_edge_list, sample_connected)
+    ConnectedClasses, DistanceData, Graph, connected_classes,
+    connected_stacks, enumerate_connected, format_edge_list, parse_edge_list,
+    sample_connected)
 from .linalg import eig_symmetric, is_irreducible, multiplicity
 from .named_graphs import (
     FIXTURES, builtin_graph, complete_graph, cycle_graph, fixture_graph,

@@ -212,11 +212,6 @@ def batch_of_one(g):
     return dist
 
 
-def compute_distance_data(g):
-    """DistanceData of one connected graph, row 0 of its batch of one."""
-    return distance_data(batch_of_one(g)).row(0)
-
-
 _INT64_MAX = np.iinfo(np.int64).max
 
 

@@ -18,7 +18,9 @@ def eig_symmetric(m, n=None):
     stands for no padding. The matrices of one size are solved in one
     eigvalsh call on their unpadded k x k blocks, so every eigenvalue is the
     one the matrix gets alone; matrix b's spectrum fills the first n[b]
-    entries, and 0 pads the rest.
+    entries, and 0 pads the rest. Each run of one size, in stack order, is
+    a slice of the stack and one eigvalsh call: a sweep's tail chunk, whose
+    sizes ascend, makes one call per size.
 
     Rejects non-square, non-finite or non-symmetric input (entry-for-entry
     equality is required, which integer-built matrices always satisfy; an
@@ -38,16 +40,20 @@ def eig_symmetric(m, n=None):
         raise ValueError("matrix contains non-finite entries")
     if not (a == np.swapaxes(a, -1, -2)).all():
         raise ValueError("matrix is not symmetric")
-    sizes = {a.shape[-1]} if n is None else set(n.tolist())
-    if sizes == {a.shape[-1]}:  # no padding
+    size = a.shape[-1]
+    # the sizes as a list: a few Python steps over B ints cost less than
+    # the numpy calls that would find their runs
+    sizes = [] if n is None else n.tolist()
+    if all(k == size for k in sizes):  # no padding
         w = np.ascontiguousarray(np.linalg.eigvalsh(a)[..., ::-1])
     else:
         w = np.zeros(a.shape[:-1])
-        for k in sizes:
-            # one size is every matrix, a view rather than a copy of a
-            rows = n == k if len(sizes) > 1 else slice(None)
-            w[..., rows, :k] = np.linalg.eigvalsh(
-                a[..., rows, :k, :k])[..., ::-1]
+        # each run of one size is a slice of the stack, a view of a
+        cuts = [b for b in range(1, len(sizes)) if sizes[b] != sizes[b - 1]]
+        for lo, hi in zip([0, *cuts], [*cuts, len(sizes)]):
+            k = sizes[lo]
+            w[..., lo:hi, :k] = np.linalg.eigvalsh(
+                a[..., lo:hi, :k, :k])[..., ::-1]
     drift = np.abs(w.sum(axis=-1) - a.trace(axis1=-2, axis2=-1))
     drifted = drift > 1e-9 * np.sqrt((a * a).sum(axis=(-2, -1))) + 1e-12
     if drifted.any():

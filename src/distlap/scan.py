@@ -108,7 +108,8 @@ def _stream_chunks(source, errors, min_n):
     greedily, each chunk padded with isolated vertices to its largest n,
     N, and let go before the next graph would take it past chunk_limit of
     its new N: the only chunks that mix sizes."""
-    held = {}  # n -> the Graphs on n vertices held, in stream order
+    # n -> (chunk_limit(n), the Graphs on n vertices held, in stream order)
+    held = {}
     for item in source:
         if not isinstance(item, Graph):
             n = item.shape[-1]
@@ -120,14 +121,18 @@ def _stream_chunks(source, errors, min_n):
         if too_sparse(item):
             errors.append((encode_graph6(item), _rejected(item.n, min_n)))
             continue
-        graphs = held.setdefault(item.n, [])
+        if item.n not in held:
+            held[item.n] = chunk_limit(item.n), []
+        size, graphs = held[item.n]
         graphs.append(item)
-        if len(graphs) == chunk_limit(item.n):
-            yield _stack(held.pop(item.n))
+        if len(graphs) == size:
+            del held[item.n]
+            yield _stack(graphs)
     graphs = []
     for n in sorted(held):
-        for item in held[n]:
-            if len(graphs) >= chunk_limit(n):
+        size, run = held[n]
+        for item in run:
+            if len(graphs) >= size:
                 yield _stack(graphs)
                 graphs = []
             graphs.append(item)
@@ -265,80 +270,92 @@ class SoundnessReport:
     errors: list = field(default_factory=list)
 
 
+# the messages of the six eigenvalue sum and square-sum identities, the
+# first rows of _identity_failures
+_SUM_MESSAGES = tuple(
+    f"{name} eigenvalue {what}"
+    for name in ("distance", "laplacian", "signless")
+    for what in ("sum misses the trace", "square sum misses the norm"))
+
+
 def _identity_failures(dd, complete, q_mat, vals):
     """The proven identities checked on top of the bound battery, over a
-    padded batch: (failed, message) pairs in report order, failed one flag
-    per graph and message a function of a failed graph's row, from the
-    batch's complete flags (certify.is_complete), its Q matrices q_mat and
-    its spectra vals (operators.operator_spectra). Each check reads a
-    graph's own vertices and the first n of its eigenvalues, of D, L and Q;
-    0 pads the rest."""
+    padded batch: (failed, message), failed an (I, B) boolean array with
+    one row per identity, in report order, and one column per graph, and
+    message(k, i) the message of identity k on a graph i that fails it.
+    They read the batch's complete flags (certify.is_complete), its Q
+    matrices q_mat and its spectra vals (operators.operator_spectra). Each
+    check reads a graph's own vertices and the first n of its eigenvalues,
+    of D, L and Q; 0 pads the rest."""
     n = dd.n
-    tw = 2.0 * dd.wiener
-    lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
-    trace = np.array((np.zeros_like(tw), tw, tw))
-    frob2 = np.array((dd.dist2, lq2, lq2))
-    sums = np.abs(vals.sum(axis=-1) - trace) > 1e-8 * (1.0 + np.abs(trace))
-    squares = (np.abs((vals * vals).sum(axis=-1) - frob2)
-               > 1e-8 * (1.0 + frob2))
-    failures = []
-    for k, name in enumerate(("distance", "laplacian", "signless")):
-        failures.append(
-            (sums[k], lambda i, name=name:
-             f"{name} eigenvalue sum misses the trace"))
-        failures.append(
-            (squares[k], lambda i, name=name:
-             f"{name} eigenvalue square sum misses the norm"))
-
-    lvals = vals[1]
-    failures.append(
-        (np.abs(lvals[np.arange(len(n)), n - 1]) > slack_for(np.sqrt(lq2)),
-         lambda i: "laplacian smallest eigenvalue is not zero"))
-    # every other laplacian eigenvalue is at least n
-    below = ((lvals < (n - slack_for(n))[:, None])
-             & (np.arange(lvals.shape[-1]) < (n - 1)[:, None]))
-    failures.append(
-        (below.any(axis=-1), lambda i:
-         f"laplacian eigenvalue {below[i].argmax()} below the vertex count"))
-
-    holds = han_multiplicity_holds(lvals, complete, n)
-    failures.append(
-        (~holds & (n > 2),
-         lambda i: "largest laplacian eigenvalue multiplicity escapes"))
-
-    # integer interval for the distance-weighted transmission sums
-    t = dd.tmin
-    big = dd.tmax
     w2 = 2 * dd.wiener
-    lo = (w2 - (n - 1) * t)[:, None] + (t - 1)[:, None] * dd.tr
-    up = (w2 - (n - 1) * big)[:, None] + (big - 1)[:, None] * dd.tr
+    lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
+    # rows 0-5: the eigenvalue sums and square sums of D, L and Q against
+    # their traces and squared norms, as one (2, 3, B) test
+    target = np.array(((0 * w2, w2, w2), (dd.dist2, lq2, lq2)),
+                      dtype=np.float64)
+    missed = (np.abs(np.array((vals, vals * vals)).sum(axis=-1) - target)
+              > 1e-8 * (1.0 + target))
+
+    # exact integers: the row sums q1 = Q 1 and q2 = Q^2 1 = Q q1, and the
+    # interval [lo, up] of the distance-weighted transmission sums, whose
+    # ends read t = tmin and T = tmax alike
+    q1 = q_mat @ np.ones(q_mat.shape[-1], dtype=q_mat.dtype)
+    q2 = (q_mat @ q1[..., None])[..., 0]
+    ends = np.array((dd.tmin, dd.tmax))
+    scale = (ends - 1)[..., None]
+    lo, up = (w2 - (n - 1) * ends)[..., None] + scale * dd.tr
     escapes = ((dd.sdd < lo) | (dd.sdd > up)) & dd.real
+    # the quadratic p(x) = x^2 - (t - 1) x of the row-sum sandwich, at q
+    # over the real vertices and at the signless radius
+    rows_p = dd.over_real((q2 - scale[0] * q1).astype(np.float64))
+    low, high = rows_p.min(axis=-1), rows_p.max(axis=-1)
+    rq = vals[2, :, 0]
+    value = rq * rq - scale[0, :, 0] * rq
+    # the slack at n, at ||L||_F and at max |p(q)|
+    slack = slack_for(np.array((n, np.sqrt(lq2), np.maximum(high, -low))))
+
+    # the smallest laplacian eigenvalue, in column n - 1, is zero, and
+    # every other is at least n: one comparison against each column's
+    # threshold, n - slack before column n - 1 and none from it on
+    # (folding the zero check in as -|x| < -slack took more numpy calls)
+    lvals = vals[1]
+    under = lvals < np.where(np.arange(lvals.shape[-1]) < (n - 1)[:, None],
+                             (n - slack[0])[:, None], -np.inf)
 
     def escaped(i):
         u = escapes[i].argmax()
         return (f"weighted transmission sum at vertex {u} escapes "
                 f"[{lo[i, u]}, {up[i, u]}]")
-    failures.append((escapes.any(axis=-1), escaped))
+    # every further identity's flags beside its message: a string, or a
+    # function of a failing graph where it names an eigenvalue or a vertex
+    checks = (
+        (np.abs(lvals[np.arange(len(n)), n - 1]) > slack[1],
+         "laplacian smallest eigenvalue is not zero"),
+        (under.any(axis=-1), lambda i: (
+            f"laplacian eigenvalue {under[i].argmax()} below the vertex "
+            "count")),
+        (~han_multiplicity_holds(lvals, complete, n) & (n > 2),
+         "largest laplacian eigenvalue multiplicity escapes"),
+        (escapes.any(axis=-1), escaped),
+        # q2 against its closed form 2 (tr^2 + sdd); a padded row is 0 on
+        # both sides
+        ((q2 != 2 * (dd.tr * dd.tr + dd.sdd)).any(axis=-1),
+         "squared signless row sums break the closed form"),
+        (~((low - slack[2] <= value) & (value <= high + slack[2])),
+         "radius escapes the quadratic row-sum sandwich"))
+    failed = np.concatenate((missed.transpose(1, 0, 2).reshape(6, -1),
+                             [bad for bad, _ in checks]))
+    messages = _SUM_MESSAGES + tuple(text for _, text in checks)
 
-    # row sums q1 = Q 1 and q2 = Q^2 1 = Q q1, exact integers; q2 against
-    # the closed form, where a padded row is 0 on both sides
-    q1 = q_mat.sum(axis=-1)
-    q2 = (q_mat @ q1[..., None])[..., 0]
-    failures.append(
-        ((q2 != 2 * dd.tr ** 2 + 2 * dd.sdd).any(axis=-1),
-         lambda i: "squared signless row sums break the closed form"))
+    def message(k, i):
+        text = messages[k]
+        return text if isinstance(text, str) else text(i)
+    return failed, message
 
-    # quadratic row-sum sandwich for p(x) = x^2 - (t - 1) x at the radius
-    rows_p = dd.over_real((q2 - (t - 1)[:, None] * q1).astype(np.float64))
-    rq = vals[2, :, 0]
-    value = rq * rq - (t - 1) * rq
-    pad = slack_for(np.abs(rows_p).max(axis=-1))
-    inside = ((rows_p.min(axis=-1) - pad <= value)
-              & (value <= rows_p.max(axis=-1) + pad))
-    failures.append(
-        (~inside,
-         lambda i: "radius escapes the quadratic row-sum sandwich"))
-    return failures
+
+# the name of each bound, by its row of bound_values
+_BOUND_NAMES = tuple(bid.value for bid in _ROW)
 
 
 def _violations(dd):
@@ -348,30 +365,36 @@ def _violations(dd):
     diagnoses (certify.diagnose) alone, else its unsatisfied bounds and
     then its failed identities. Bounds come in BoundId order, the rows of
     bound_values. A ConsistencyError of the eigensolve or of a bound
-    propagates."""
+    propagates. Every check is a row of one boolean array, and messages
+    are made for its flagged entries alone."""
     ops, spectra = operator_spectra(dd)
-    radius_l, radius_q = spectra[1, :, 0], spectra[2, :, 0]
+    radius_q = spectra[2, :, 0]
     complete = is_complete(dd)
     values = bound_values(dd, dd.tmin == dd.tmax)
-    satisfied, gap = bound_checks(values, radius_l, radius_q)
+    satisfied, gap = bound_checks(values, spectra[1, :, 0], radius_q)
+    checks = diagnose(values, spectra[1], radius_q, ops[1], dd, complete)[1]
+    identities, identity_message = _identity_failures(
+        dd, complete, ops[2], spectra)
+    # one row per diagnosis, bound and identity, in that order
+    failed = np.concatenate(
+        ([bad for bad, _ in checks], ~satisfied, identities))
+    first = len(checks) + len(satisfied)  # the first identity's row
+
+    def message(k, i):
+        if k < len(checks):
+            return checks[k][1](i)
+        if k >= first:
+            return identity_message(k - first, i)
+        k -= len(checks)
+        return (f"{_BOUND_NAMES[k]} unsatisfied: value "
+                f"{float(values[k, i])!r} vs radius gap {float(gap[k, i])!r}")
 
     found = {}
-    for failed, message in diagnose(
-            values, spectra[1], radius_q, ops[1], dd, complete)[1]:
-        for i in np.flatnonzero(failed).tolist():
-            found.setdefault(i, [message(i)])
-
-    failures = [
-        (~satisfied[k], lambda i, k=k, bid=bid:
-         f"{bid.value} unsatisfied: value {float(values[k, i])!r} vs "
-         f"radius gap {float(gap[k, i])!r}")
-        for bid, k in _ROW.items()]
-    failures += _identity_failures(dd, complete, ops[2], spectra)
-
-    failed = np.array([bad for bad, _ in failures]).any(axis=0)
-    for i in np.flatnonzero(failed).tolist():
-        if i not in found:
-            found[i] = [message(i) for bad, message in failures if bad[i]]
+    for i in np.flatnonzero(failed.any(axis=0)).tolist():
+        rows = np.flatnonzero(failed[:, i]).tolist()
+        if rows[0] < len(checks):
+            rows = rows[:1]  # a failed diagnosis is reported alone
+        found[i] = [message(k, i) for k in rows]
     return found
 
 
@@ -392,10 +415,11 @@ def _check_soundness(report, dd):
         _check_soundness(report, dd.take(~first))
         return
     report.graphs_checked += len(dd.n)
-    rows = sorted(found)
-    for i, g6 in zip(
-            rows, encode_graph6_stack(dd.dist[rows] == 1, dd.n[rows])):
-        report.violations += [(g6, message) for message in found[i]]
+    if found:
+        rows = sorted(found)
+        for i, g6 in zip(
+                rows, encode_graph6_stack(dd.dist[rows] == 1, dd.n[rows])):
+            report.violations += [(g6, message) for message in found[i]]
 
 
 def scan_soundness(source):

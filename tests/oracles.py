@@ -29,6 +29,13 @@ from distlap import (
 from distlap.errors import (
     ConsistencyError, DisconnectedGraphError, GraphParseError,
     TheoremViolationError)
+from distlap.graphs import batch_of_one, distance_data
+
+
+def distance_row(g):
+    """The DistanceData of connected graph g alone, row 0 of its batch of
+    one; raises DisconnectedGraphError as batch_of_one does."""
+    return distance_data(batch_of_one(g)).row(0)
 
 
 def lu_determinant(a):

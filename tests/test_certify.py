@@ -8,8 +8,7 @@ import pytest
 
 from distlap import (
     BoundId, EqualityDiagnosis, check_han_multiplicity,
-    check_tree_determinant, compute_all_bounds, compute_distance_data,
-    diagnose, equality_tol)
+    check_tree_determinant, compute_all_bounds, diagnose, equality_tol)
 from distlap.bounds import bound_values
 from distlap.certify import is_complete
 from distlap.graphs import adjacency_stack, connected_distances, distance_data
@@ -17,6 +16,7 @@ from distlap.errors import TheoremViolationError
 from distlap.operators import operator_spectra
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
+from oracles import distance_row
 
 
 def spectrum_of(values):
@@ -205,7 +205,7 @@ def test_han_multiplicity():
 def test_tree_determinant_small_closed_forms():
     for g, want in ((path_graph(2), -1.0), (path_graph(3), 4.0),
                     (star_graph(4), -12.0), (path_graph(4), -12.0)):
-        dd = compute_distance_data(g)
+        dd = distance_row(g)
         det = float(np.linalg.det(dd.dist.astype(float)))
         assert det == pytest.approx(want, abs=1e-9)
         assert check_tree_determinant(g, dd)
@@ -213,12 +213,12 @@ def test_tree_determinant_small_closed_forms():
 
 def test_tree_determinant_rejects_non_tree():
     g = cycle_graph(4)
-    assert check_tree_determinant(g, compute_distance_data(g)) is None
+    assert check_tree_determinant(g, distance_row(g)) is None
 
 
 def test_tree_determinant_single_vertex():
     g = path_graph(1)
-    assert check_tree_determinant(g, compute_distance_data(g))
+    assert check_tree_determinant(g, distance_row(g))
 
 
 def test_tree_determinant_beyond_the_float_range():

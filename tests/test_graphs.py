@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 import oracles
 from distlap import graphs as graphs_module
 from distlap import (
-    DisconnectedGraphError, Graph, GraphParseError, compute_distance_data,
-    check_tree_determinant, enumerate_connected, parse_edge_list,
-    sample_connected, scan, scan_conjecture, scan_soundness)
+    DisconnectedGraphError, Graph, GraphParseError, check_tree_determinant,
+    enumerate_connected, parse_edge_list, sample_connected, scan,
+    scan_conjecture, scan_soundness)
 from distlap.cli import cmd_analyze
 from distlap.graphs import (
     _ENUM_CAP, _ENUM_CHUNK, SCAN_CELLS, SCAN_CHUNK, ConnectedClasses,
@@ -83,18 +83,18 @@ def test_format_edge_list_round_trip():
 def test_connectivity_and_trees():
     # connectivity is decided where distances are computed; a connected
     # graph is a tree exactly when it has n - 1 edges
-    compute_distance_data(path_graph(6))
-    compute_distance_data(Graph(1, frozenset()))
+    oracles.distance_row(path_graph(6))
+    oracles.distance_row(Graph(1, frozenset()))
     for edges in ([(0, 1), (2, 3)], [(0, 1), (1, 2), (0, 2)]):
         with pytest.raises(DisconnectedGraphError):
-            compute_distance_data(Graph(4, frozenset(edges)))
+            oracles.distance_row(Graph(4, frozenset(edges)))
     for g, want in ((star_graph(5), True), (path_graph(6), True),
                     (cycle_graph(4), None), (complete_graph(4), None)):
-        assert check_tree_determinant(g, compute_distance_data(g)) is want, g
+        assert check_tree_determinant(g, oracles.distance_row(g)) is want, g
 
 
 def test_distance_data_path4():
-    dd = compute_distance_data(path_graph(4))
+    dd = oracles.distance_row(path_graph(4))
     assert dd.dist.tolist() == [
         [0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]
     assert dd.tr.tolist() == [6, 4, 4, 6]
@@ -105,14 +105,14 @@ def test_distance_data_path4():
 
 
 def test_distance_data_single_vertex():
-    dd = compute_distance_data(Graph(1, frozenset()))
+    dd = oracles.distance_row(Graph(1, frozenset()))
     assert dd.dist.tolist() == [[0]]
     assert dd.wiener == 0 and dd.p.tolist() == [0] and dd.sdd.tolist() == [0]
 
 
 def test_distance_data_rejects_disconnected():
     with pytest.raises(DisconnectedGraphError):
-        compute_distance_data(Graph(3, frozenset([(0, 1)])))
+        oracles.distance_row(Graph(3, frozenset([(0, 1)])))
 
 
 def test_transmission_regularity():
@@ -133,7 +133,7 @@ def test_fixture_transmissions():
         "g3": [24, 22, 22, 22, 24, 22, 24, 22, 22, 22, 22, 24],
     }
     for name, tr in want.items():
-        dd = compute_distance_data(fixture_graph(name))
+        dd = oracles.distance_row(fixture_graph(name))
         assert dd.tr.tolist() == tr, name
 
 
@@ -246,7 +246,7 @@ def test_distance_matrix_properties(data):
             for i in range(n - 1)]
     extra = data.draw(st.lists(st.sampled_from(pairs), max_size=8))
     g = Graph(n, frozenset(tree) | frozenset(extra))
-    dd = compute_distance_data(g)
+    dd = oracles.distance_row(g)
     d = dd.dist
     assert (d == d.T).all()
     assert (np.diag(d) == 0).all()
@@ -304,7 +304,7 @@ def test_connected_distances_match_oracle(stack):
 
 def test_distance_data_batch_matches_single():
     graphs = list(enumerate_connected(5))[::37]
-    singles = [compute_distance_data(g) for g in graphs]
+    singles = [oracles.distance_row(g) for g in graphs]
     batch = distance_data(np.stack([dd.dist for dd in singles]))
     for b, dd in enumerate(singles):
         assert dd.dist2 == int((dd.dist ** 2).sum())
@@ -395,7 +395,7 @@ def test_too_few_edges_is_disconnected_before_any_bfs(monkeypatch):
         assert scan_conjecture(sparse).errors == want
         assert scan_soundness(sparse).errors == want
         with pytest.raises(DisconnectedGraphError, match="vertex 0"):
-            compute_distance_data(sparse[1])
+            oracles.distance_row(sparse[1])
 
 
 def test_enumerate_yields_ascending_connected_masks():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from distlap import (
-    ConsistencyError, build_operators, compute_distance_data, eig_symmetric,
-    is_irreducible, multiplicity, sample_connected)
+    ConsistencyError, build_operators, eig_symmetric, is_irreducible,
+    multiplicity, sample_connected)
 from distlap.graphs import distance_data
 from distlap.named_graphs import complete_graph, path_graph
 
@@ -36,7 +36,7 @@ def test_eig_symmetric_stack_matches_single():
     # the D, L and Q stacks of same-n graphs in one call give every matrix's
     # spectrum bit for bit, and multiplicity counts per spectrum
     for n in (1, 2, 5, 7, 12, 30):
-        dist = np.stack([compute_distance_data(g).dist
+        dist = np.stack([oracles.distance_row(g).dist
                          for g in sample_connected(n, 6, seed=n)])
         mats = build_operators(distance_data(dist)).astype(np.float64)
         stacked = eig_symmetric(mats)
@@ -87,22 +87,30 @@ def test_eig_symmetric_stack_checks_drift_per_matrix(monkeypatch):
 
 def test_eig_symmetric_padded_stack_matches_single(monkeypatch):
     # the D, L and Q stack of graphs on 1..12 vertices, padded to 12, gives
-    # each graph's unpadded spectrum bit for bit, 0 past its n; a drifted
-    # matrix raises from the padded stack as from its own solve
+    # each graph's unpadded spectrum bit for bit, 0 past its n, in stream
+    # order, with its sizes ascending (one run per size) and shuffled (runs
+    # of one matrix or a few); a drifted matrix raises from the padded
+    # stack as from its own solve
     graphs = [g for n in (1, 2, 3, 5, 7, 12, 7, 5)
               for g in sample_connected(n, 3, seed=n)]
     n = np.array([g.n for g in graphs])
     dist = np.zeros((len(graphs), 12, 12), dtype=np.int64)
     for i, g in enumerate(graphs):
-        dist[i, :g.n, :g.n] = compute_distance_data(g).dist
+        dist[i, :g.n, :g.n] = oracles.distance_row(g).dist
     mats = build_operators(distance_data(dist, n))
-    stacked = eig_symmetric(mats, n)
-    assert stacked.shape == (3, len(graphs), 12)
-    for k in range(3):
-        for i, size in enumerate(n.tolist()):
-            single = eig_symmetric(mats[k, i, :size, :size])
-            assert stacked[k, i, :size].tolist() == single.tolist()
-            assert not stacked[k, i, size:].any()
+    ascending = np.argsort(n, kind="stable")
+    shuffled = np.random.default_rng(5).permutation(len(graphs))
+    assert (np.diff(n[ascending]) >= 0).all()
+    assert (np.diff(n[shuffled]) < 0).any()
+    for order in (np.arange(len(graphs)), ascending, shuffled):
+        stacked = eig_symmetric(mats[:, order], n[order])
+        assert stacked.shape == (3, len(graphs), 12)
+        for k in range(3):
+            for row, i in enumerate(order.tolist()):
+                size = n[i]
+                single = eig_symmetric(mats[k, i, :size, :size])
+                assert stacked[k, row, :size].tolist() == single.tolist()
+                assert not stacked[k, row, size:].any()
     eigvalsh = np.linalg.eigvalsh
 
     def drifting(a):
@@ -112,7 +120,7 @@ def test_eig_symmetric_padded_stack_matches_single(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", drifting)
     # the L of P3 (trace 8) padded beside two 4 x 4 matrices, and P3 alone
     p3 = np.zeros((3, 4, 4))
-    p3[:, :3, :3] = build_operators(compute_distance_data(path_graph(3)))
+    p3[:, :3, :3] = build_operators(oracles.distance_row(path_graph(3)))
     stack = np.stack([np.eye(4), np.diag([1.0, 2.0, 3.0, 5.0]), p3[1]])
     with pytest.raises(ConsistencyError) as many:
         eig_symmetric(stack, np.array([4, 4, 3]))
@@ -145,14 +153,14 @@ def test_is_irreducible_cases():
         is_irreducible(np.zeros((0, 0)))
     assert is_irreducible([[5.0]])
     # distance matrices of connected graphs are positive off-diagonal
-    d = compute_distance_data(path_graph(4)).dist
+    d = oracles.distance_row(path_graph(4)).dist
     assert is_irreducible(d)
     # a non-zero diagonal is no pair of the pattern: these stay irreducible
     assert is_irreducible([[1, 1], [1, 1]])
     assert is_irreducible(np.ones((4, 4)))
     # L + 1p^T: row 0 of P3's is (5, 0, 0), while P4's joins every vertex
     for n, irreducible in ((3, False), (4, True)):
-        dd = compute_distance_data(path_graph(n))
+        dd = oracles.distance_row(path_graph(n))
         assert is_irreducible(build_operators(dd)[1] + dd.p) == irreducible
 
 
@@ -193,7 +201,7 @@ def test_multiplicity():
 def test_complete_graph_multiplicity():
     s = eig_symmetric(
         build_operators(
-            compute_distance_data(complete_graph(6)))[1].astype(float))
+            oracles.distance_row(complete_graph(6)))[1].astype(float))
     assert multiplicity(s, 6.0) == 5
 
 

@@ -475,7 +475,8 @@ def test_chunked_soundness_equals_per_graph_evaluation():
 @pytest.mark.parametrize(
     "mutation",
     ["bound", "two bounds", "certificate", "guard", "drift", "spectrum",
-     "sandwich", "operators"])
+     "sandwich", "operators", "zero", "below", "multiplicity",
+     "transmission"])
 def test_chunked_soundness_reports_violations_as_per_graph(
         monkeypatch, mutation):
     # each mutation of shared code makes some graphs of the stream fail, so
@@ -524,6 +525,43 @@ def test_chunked_soundness_reports_violations_as_per_graph(
                 q[..., 1, 0] += hit
             return ops
         monkeypatch.setattr(operators, "build_operators", raised)
+    elif mutation == "transmission":
+        # raise the weighted transmission sum of vertex 0 past its interval
+        # on the graphs whose Wiener index is 3 mod 7: it gains more than
+        # 2W + tmax^2, the most the interval's top reaches. distance_data is
+        # looked up by name in bounds and in scan
+        for module in (bounds, scan):
+            def raised(dist, n=None, data=getattr(module, "distance_data")):
+                dd = data(dist, n)
+                hit = dd.wiener % 7 == 3
+                dd.sdd[:, 0] += hit * (2 * dd.wiener + dd.tmax ** 2 + 1)
+                return dd
+            monkeypatch.setattr(module, "distance_data", raised)
+    elif mutation in ("zero", "below", "multiplicity"):
+        # reshape the Laplacian spectra, the matrices with a negative entry,
+        # whose trace is 3 mod 7, keeping each sum: "zero" moves 1e-3 from
+        # the largest eigenvalue to the smallest, "below" takes the second
+        # smallest to n - 0.5 and gives the rest to the largest, and
+        # "multiplicity" sets all but the smallest to their mean, which
+        # repeats the largest n - 1 times
+        def reshaped(a):
+            w = eigvalsh(a)
+            size = a.shape[-1]
+            hit = ((np.trace(a, axis1=-2, axis2=-1) % 7 == 3)
+                   & (a < 0).any(axis=(-2, -1)))
+            if mutation == "zero":
+                w[..., 0] += hit * 1e-3
+                w[..., -1] -= hit * 1e-3
+            elif mutation == "below" and size > 2:
+                shift = hit * (w[..., 1] - (size - 0.5))
+                w[..., 1] -= shift
+                w[..., -1] += shift
+            elif mutation == "multiplicity" and size > 1:
+                w[..., 1:] = np.where(
+                    hit[..., None], w[..., 1:].mean(axis=-1, keepdims=True),
+                    w[..., 1:])
+            return w
+        monkeypatch.setattr(np.linalg, "eigvalsh", reshaped)
     else:
         # shift the spectra of the L and Q matrices whose trace is 3 mod 7:
         # "drift" moves their eigenvalue sums off the trace, "spectrum"
@@ -549,6 +587,10 @@ def test_chunked_soundness_reports_violations_as_per_graph(
              "spectrum": "square sum misses",
              "sandwich": "escapes the quadratic row-sum sandwich",
              "operators": "squared signless row sums break the closed form",
+             "zero": "laplacian smallest eigenvalue is not zero",
+             "below": "below the vertex count",
+             "multiplicity": "largest laplacian eigenvalue multiplicity escapes",
+             "transmission": "weighted transmission sum at vertex 0 escapes",
              }[mutation]
     assert any(found in message
                for _, message in got.violations + got.errors)

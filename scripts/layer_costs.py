@@ -15,7 +15,8 @@ enumeration layers, the whole of N:
   spectra      operator_spectra: D, L and Q and their eigensolve
   bounds       bound_values
   diagnose     certify.diagnose
-  identities   the soundness sweep's identity checks
+  identities   certify.identity_failures, the soundness sweep's identity
+               checks
   render       cmd_analyze's table and JSON text of each graph's report
   one-graph    what one cmd_analyze request computes, per call:
                compute_all_bounds on one graph, the first of the chunk or
@@ -89,7 +90,10 @@ def layer_calls(n, seed, name=None):
     from distlap.graphs import (
         adjacency_stack, chunk_limit, connected_distances, distance_data)
     from distlap.operators import operator_spectra
-    from distlap.scan import _identity_failures
+    try:
+        from distlap.certify import identity_failures
+    except ImportError:  # a tree from before the checks moved to certify
+        from distlap.scan import _identity_failures as identity_failures
 
     graphs = list(sample_connected(n, chunk_limit(n), seed))
     lines = [encode_graph6(g) + "\n" for g in graphs]
@@ -103,32 +107,21 @@ def layer_calls(n, seed, name=None):
     classes = connected_classes(n)
     labeled = sum(len(a) for a in connected_stacks(n))
     # each listing call of the labeled margin scan, as (call, rows), read
-    # by a spy on the listings of scan._class_chunks while the scan runs;
-    # a tree from before scan._class_chunks lists through
-    # scan._member_lines, and its calls are read by a spy on members
+    # by a spy on the listings of scan._class_chunks while the scan runs
     calls = []
-    if hasattr(scan, "_class_chunks"):
-        owner, name, class_chunks = scan, "_class_chunks", scan._class_chunks
+    class_chunks = scan._class_chunks
 
-        def spy(source):
-            for *chunk, listed in class_chunks(source):
-                def spied(rows, listed=listed):
-                    calls.append((listed, rows.copy()))
-                    return listed(rows)
-                yield (*chunk, spied)
-    else:
-        owner, name, members = type(classes), "members", type(classes).members
-
-        def spy(self, rows):
-            calls.append((lambda rows: scan._member_lines(classes, rows),
-                          rows.copy()))
-            return members(self, rows)
-    original = getattr(owner, name)
-    setattr(owner, name, spy)
+    def spy(source):
+        for *chunk, listed in class_chunks(source):
+            def spied(rows, listed=listed):
+                calls.append((listed, rows.copy()))
+                return listed(rows)
+            yield (*chunk, spied)
+    scan._class_chunks = spy
     try:
         scan_conjecture(classes)
     finally:
-        setattr(owner, name, original)
+        scan._class_chunks = class_chunks
 
     def read_stacks():
         for _ in connected_stacks(n):
@@ -171,8 +164,8 @@ def layer_calls(n, seed, name=None):
          len(graphs)),
         ("diagnose", lambda: diagnose(values, spectra[1], spectra[2, :, 0],
                                       ops[1], dd, complete), len(graphs)),
-        ("identities", lambda: _identity_failures(dd, complete, ops[2],
-                                                  spectra), len(graphs)),
+        ("identities", lambda: identity_failures(dd, complete, ops[2],
+                                                 spectra), len(graphs)),
         ("render", render, len(graphs)),
         ("one-graph", one_graph, ONE_GRAPH_CALLS),
         ("one-bounds", one_bounds, ONE_GRAPH_CALLS),

@@ -208,9 +208,10 @@ def _expand():
     """_closed_forms expanded: (factors, coefficients). Each of the M
     monomials that occur is a product of as many rows of
     (1, *_VARIABLES) as its degree, padded with row 0; factors holds their
-    row indices as a (degree, M) array. coefficients holds the
-    (5, len(CLOSED_FORMS), M) int64 coefficients of r, a_num, s_num, a_den
-    and s_den over the monomials."""
+    row indices as a (degree, M) array. coefficients holds the int64
+    coefficients of r, a_num, s_num, a_den and s_den over the monomials,
+    each a block of len(CLOSED_FORMS) rows, as one (5 len(CLOSED_FORMS), M)
+    matrix."""
     unit = np.eye(len(_VARIABLES), dtype=int)
     terms = list(zip(*_closed_forms(
         *(_Poly({tuple(e): 1}) for e in unit.tolist()))))
@@ -221,7 +222,7 @@ def _expand():
     degree = max(map(len, rows))
     factors = np.array([r + [0] * (degree - len(r)) for r in rows]).T
     coefficients = np.array([[p.get(e, 0) for e in monomials] for p in polys])
-    return factors, coefficients.reshape(5, len(CLOSED_FORMS), -1)
+    return factors, coefficients
 
 
 _FACTORS, _COEFFICIENTS = _expand()
@@ -265,10 +266,10 @@ while _FLOAT_N ** 6 >= 1 << 53:
     _FLOAT_N -= 1
 
 
-def _polynomials(dd, count):
-    """The (5, count, B) values of the polynomials of _expand for the
-    first count bounds of CLOSED_FORMS on the batch dd, exact: float64 up
-    to _FLOAT_N vertices, Python ints above."""
+def _polynomials(dd):
+    """The (5, len(CLOSED_FORMS), B) values of the polynomials of _expand
+    on the batch dd, exact: float64 up to _FLOAT_N vertices, Python ints
+    above."""
     fields = [np.ones_like(dd.n)] + [getattr(dd, name) for name in _VARIABLES]
     if dd.dist.shape[-1] > _FLOAT_N:
         found = np.array(fields).astype(object)
@@ -277,9 +278,8 @@ def _polynomials(dd, count):
         found = np.array(fields, dtype=np.float64)
         coefficients = _FLOAT_COEFFICIENTS
     # one two-dimensional product
-    coefficients = coefficients[:, :count].reshape(5 * count, -1)
     return (coefficients @ found.take(_FACTORS, axis=0).prod(axis=0)
-            ).reshape(5, count, -1)
+            ).reshape(5, len(CLOSED_FORMS), -1)
 
 
 def _first(bad, *xs):
@@ -288,11 +288,10 @@ def _first(bad, *xs):
     return [float(x[i]) for x in xs]
 
 
-def closed_form_bounds(dd, regular, count=len(CLOSED_FORMS)):
-    """The first count bounds of CLOSED_FORMS, all of them by default, on
-    every graph of the batch dd, as one (count, B) float64 array by its
-    rows, NaN where BOUND_META excludes a graph (regular flags the
-    transmission-regular graphs).
+def closed_form_bounds(dd, regular):
+    """The bounds of CLOSED_FORMS on every graph of the batch dd, as one
+    (len(CLOSED_FORMS), B) float64 array by its rows, NaN where BOUND_META
+    excludes a graph (regular flags the transmission-regular graphs).
 
     Each bound is a + sqrt(s r), as _closed_forms gives it; every term is
     a polynomial in the batch's integers, and all of them are one product
@@ -308,11 +307,10 @@ def closed_form_bounds(dd, regular, count=len(CLOSED_FORMS)):
     radicands of L_D2, L_N3, L_R1 and L_R2, then c2 <= c1, then the
     quadratic radicands, then the interval, then the Q_CS7 radicand. A
     negative radicand names its bound and the batch's smallest radicand of
-    it. Fewer than all the bounds are guarded by their radicands alone.
+    it.
     """
-    polys = _polynomials(dd, count)
-    applies = applicability(
-        dd.n, regular, _CLOSED_MIN_N[:count], _CLOSED_ANY[:count])
+    polys = _polynomials(dd)
+    applies = applicability(dd.n, regular, _CLOSED_MIN_N, _CLOSED_ANY)
     exact = np.where(applies, polys[0], 0)
     # the leads a and the scales s, float64 also from Python ints
     a, scale = np.asarray(polys[1:3] / np.maximum(polys[3:], 1),
@@ -321,16 +319,12 @@ def closed_form_bounds(dd, regular, count=len(CLOSED_FORMS)):
     negative = exact < 0
     values = np.where(applies, a + np.sqrt(scale * np.asarray(
         np.maximum(exact, 0), dtype=np.float64)), np.nan)
-    if count == len(CLOSED_FORMS):
-        # a check on a graph where its bounds do not apply compares NaN,
-        # which is False
-        greater, lesser, of = values.take(_CHECKS, axis=0)
-        failed = greater > lesser + slack_for(of)
-    else:
-        failed = np.zeros((len(_CHECKS), len(dd.n)), dtype=bool)
+    # a check on a graph where its bounds do not apply compares NaN, which
+    # is False
+    greater, lesser, of = values.take(_CHECKS, axis=0)
+    failed = greater > lesser + slack_for(of)
     if negative.any() or failed.any():
         def radicand(what, rows):
-            # rows is a slice, empty past count
             return (negative[rows], lambda: f"{what}: radicand "
                     f"{int(exact[rows].min())} is negative")
 

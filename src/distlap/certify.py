@@ -1,4 +1,7 @@
-"""Equality-case diagnosis and proven-identity checks.
+"""Every proven check of the soundness sweep, each source as a list of
+(flags, message) pairs in the order one graph reports them: flags holds
+one bool per graph of a padded batch, and message is a string or a
+function of a failing graph's index.
 
 diagnose compares the bound values that the battery (bounds.bound_values)
 computed for a padded batch with the relevant spectral radii at the
@@ -8,7 +11,10 @@ characterization is an iff, both directions are enforced. A failure is a
 flagged row with its TheoremViolationError message: that error on a valid
 connected graph would mean the implementation (or the statement) is wrong,
 so sweeps report it as a violation, not an error, and compute_all_bounds
-raises it for its batch of one.
+raises it for its batch of one. identity_failures checks the trace and
+Frobenius identities of D, L and Q and further proven facts of their
+spectra and row sums; violations stacks a batch's diagnoses, bounds and
+identities into one boolean array.
 """
 
 from __future__ import annotations
@@ -18,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _ON_L, _ROW, BoundId
+from .bounds import (
+    _ON_L, _ROW, BoundId, bound_checks, bound_values, slack_for)
 from .linalg import is_irreducible, multiplicity
+from .operators import operator_spectra
 
 DIAG_ABS = 1e-6
 DIAG_REL = 1e-8
@@ -200,3 +208,119 @@ def check_tree_determinant(g, dd):
     expected = math.log(n - 1) + (n - 2) * math.log(2.0)
     return bool(sign == (-1) ** (n - 1)
                 and abs(logdet - expected) <= 1e-6)
+
+
+# the messages of the six eigenvalue sum and square-sum identities, the
+# first pairs of identity_failures
+_SUM_MESSAGES = tuple(
+    f"{name} eigenvalue {what}"
+    for name in ("distance", "laplacian", "signless")
+    for what in ("sum misses the trace", "square sum misses the norm"))
+
+
+def identity_failures(dd, complete, q_mat, vals):
+    """The proven identities checked on top of the bound battery, over a
+    padded batch, as (flags, message) pairs in report order. They read the
+    batch's complete flags (is_complete), its Q matrices q_mat and its
+    spectra vals (operators.operator_spectra). Each check reads a graph's
+    own vertices and the first n of its eigenvalues, of D, L and Q; 0 pads
+    the rest."""
+    n = dd.n
+    w2 = 2 * dd.wiener
+    lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
+    # the eigenvalue sums and square sums of D, L and Q against their
+    # traces and squared norms, as one (2, 3, B) test
+    target = np.array(((0 * w2, w2, w2), (dd.dist2, lq2, lq2)),
+                      dtype=np.float64)
+    missed = (np.abs(np.array((vals, vals * vals)).sum(axis=-1) - target)
+              > 1e-8 * (1.0 + target))
+
+    # exact integers: the row sums q1 = Q 1 and q2 = Q^2 1 = Q q1, and the
+    # interval [lo, up] of the distance-weighted transmission sums, whose
+    # ends read t = tmin and T = tmax alike
+    q1 = q_mat @ np.ones(q_mat.shape[-1], dtype=q_mat.dtype)
+    q2 = (q_mat @ q1[..., None])[..., 0]
+    ends = np.array((dd.tmin, dd.tmax))
+    scale = (ends - 1)[..., None]
+    lo, up = (w2 - (n - 1) * ends)[..., None] + scale * dd.tr
+    escapes = ((dd.sdd < lo) | (dd.sdd > up)) & dd.real
+    # the quadratic p(x) = x^2 - (t - 1) x of the row-sum sandwich, at q
+    # over the real vertices and at the signless radius
+    rows_p = dd.over_real((q2 - scale[0] * q1).astype(np.float64))
+    low, high = rows_p.min(axis=-1), rows_p.max(axis=-1)
+    rq = vals[2, :, 0]
+    value = rq * rq - scale[0, :, 0] * rq
+    # the slack at n, at ||L||_F and at max |p(q)|
+    slack = slack_for(np.array((n, np.sqrt(lq2), np.maximum(high, -low))))
+
+    # the smallest laplacian eigenvalue, in column n - 1, is zero, and
+    # every other is at least n: one comparison against each column's
+    # threshold, n - slack before column n - 1 and none from it on
+    # (folding the zero check in as -|x| < -slack took more numpy calls)
+    lvals = vals[1]
+    under = lvals < np.where(np.arange(lvals.shape[-1]) < (n - 1)[:, None],
+                             (n - slack[0])[:, None], -np.inf)
+
+    def escaped(i):
+        u = escapes[i].argmax()
+        return (f"weighted transmission sum at vertex {u} escapes "
+                f"[{lo[i, u]}, {up[i, u]}]")
+    return [
+        *zip(missed.transpose(1, 0, 2).reshape(6, -1), _SUM_MESSAGES),
+        (np.abs(lvals[np.arange(len(n)), n - 1]) > slack[1],
+         "laplacian smallest eigenvalue is not zero"),
+        (under.any(axis=-1), lambda i: (
+            f"laplacian eigenvalue {under[i].argmax()} below the vertex "
+            "count")),
+        (~han_multiplicity_holds(lvals, complete, n) & (n > 2),
+         "largest laplacian eigenvalue multiplicity escapes"),
+        (escapes.any(axis=-1), escaped),
+        # q2 against its closed form 2 (tr^2 + sdd); a padded row is 0 on
+        # both sides
+        ((q2 != 2 * (dd.tr * dd.tr + dd.sdd)).any(axis=-1),
+         "squared signless row sums break the closed form"),
+        (~((low - slack[2] <= value) & (value <= high + slack[2])),
+         "radius escapes the quadratic row-sum sandwich"),
+    ]
+
+
+# the name of each bound, by its row of bound_values
+_BOUND_NAMES = tuple(bid.value for bid in _ROW)
+
+
+def _unsatisfied(name, value, gap):
+    """The message of the bound name on a graph i that misses it, from the
+    bound's rows of values and gaps."""
+    return lambda i: (f"{name} unsatisfied: value {float(value[i])!r} vs "
+                      f"radius gap {float(gap[i])!r}")
+
+
+def violations(dd):
+    """Violation messages of the connected graphs of a padded batch's
+    DistanceData dd, by row, for the rows that have any, each row's
+    messages in the order one graph reports them: the first failure of its
+    diagnoses (diagnose) alone, else its unsatisfied bounds, in BoundId
+    order, and then its failed identities (identity_failures). A
+    ConsistencyError of the eigensolve or of a bound propagates. Every
+    check is a row of one boolean array, and messages are made for its
+    flagged entries alone."""
+    ops, spectra = operator_spectra(dd)
+    radius_q = spectra[2, :, 0]
+    complete = is_complete(dd)
+    values = bound_values(dd, dd.tmin == dd.tmax)
+    satisfied, gap = bound_checks(values, spectra[1, :, 0], radius_q)
+    diagnoses = diagnose(values, spectra[1], radius_q, ops[1], dd, complete)[1]
+    checks = (diagnoses
+              + [(bad, _unsatisfied(*row)) for bad, *row in zip(
+                  ~satisfied, _BOUND_NAMES, values, gap)]
+              + identity_failures(dd, complete, ops[2], spectra))
+    failed = np.array([flags for flags, _ in checks])
+    found = {}
+    for i in np.flatnonzero(failed.any(axis=0)).tolist():
+        rows = np.flatnonzero(failed[:, i]).tolist()
+        if rows[0] < len(diagnoses):
+            rows = rows[:1]  # a failed diagnosis is reported alone
+        texts = (checks[k][1] for k in rows)
+        found[i] = [text if isinstance(text, str) else text(i)
+                    for text in texts]
+    return found

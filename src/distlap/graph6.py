@@ -74,15 +74,26 @@ def _read_n(vals):
     return n, 8
 
 
+def _body(line):
+    """The text of a graph6 line that is decoded: the line without its
+    surrounding whitespace and one leading >>graph6<< prefix, empty on a
+    blank or bare header line."""
+    s = line.strip()
+    return s[len(HEADER):] if s.startswith(HEADER) else s
+
+
 def parse_graph6(line):
     """Decode one graph6-encoded graph into a Graph.
 
-    Tolerates a leading >>graph6<< prefix and surrounding whitespace. Raises
-    GraphParseError on bad bytes, truncated or oversized body, or n = 0.
+    Tolerates one leading >>graph6<< prefix and surrounding whitespace
+    (_body). Raises GraphParseError on bad bytes, truncated or oversized
+    body, or n = 0.
     """
-    s = line.strip()
-    if s.startswith(HEADER):
-        s = s[len(HEADER):]
+    return _decode(_body(line))
+
+
+def _decode(s):
+    """The Graph of the body s of a graph6 line (see parse_graph6)."""
     vals = _decode_bytes(s)
     n, pos = _read_n(vals)
     if n == 0:
@@ -177,17 +188,16 @@ def encode_graph6_stack(adj, n=None):
 def read_graph6_stream(lines):
     """Yield (lineno, Graph) from an iterable of graph6 lines.
 
-    Blank lines and bare format-header lines are skipped; a header prefix glued
-    to the first graph is handled by parse_graph6. Parse errors are re-raised
+    Each line is read as parse_graph6 reads it (_body), so a line is
+    accepted here exactly when parse_graph6 accepts it, except that a
+    blank or bare format-header line is skipped. Parse errors are re-raised
     with the stream line number attached.
     """
     for lineno, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if s.startswith(HEADER):
-            s = s[len(HEADER):].strip()
+        s = _body(raw)
         if not s:
             continue
         try:
-            yield lineno, parse_graph6(s)
+            yield lineno, _decode(s)
         except GraphParseError as exc:
             raise GraphParseError(str(exc), line=lineno) from None

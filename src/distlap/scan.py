@@ -7,9 +7,9 @@ positive. Strict counterexamples (margin < -slack) and near-equalities
 (margin in (-slack, 0]) are reported separately so both the strict and the
 weak reading of "improves" can be answered from one result.
 
-scan_soundness runs the full bound battery plus the proven identities on
-every graph and collects violations instead of raising; compute_all_bounds
-runs the same pipeline on one graph as a batch of one.
+scan_soundness runs every proven check (certify.violations) on every
+graph and collects violations instead of raising; compute_all_bounds runs
+the same pipeline on one graph as a batch of one. No check lives here.
 
 Both sweeps run on one driver. A chunk is (adj, n, weight, listed): a
 (B, N, N) boolean adjacency stack of at most graphs.chunk_limit(N) graphs,
@@ -44,15 +44,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    _ROW, bound_checks, bound_values, closed_form_bounds, slack_for)
-from .certify import diagnose, han_multiplicity_holds, is_complete
+from .bounds import closed_form_bounds
+from .certify import violations
 from .errors import ConsistencyError
 from .graph6 import encode_graph6, encode_graph6_stack
 from .graphs import (
     DISCONNECTED, ConnectedClasses, Graph, adjacency_stack, chunk_limit,
     connected_distances, distance_data, too_sparse)
-from .operators import operator_spectra
 
 # the error entry of a graph with no vertices, in either sweep
 EMPTY = "graph has no vertices"
@@ -202,7 +200,7 @@ def _scan_chunk(result, dd, weight, listed):
     if len(rows) < len(tested):
         dd, weight = dd.take(tested), weight[rows]
     # L_D2 and L_N3, the first two closed forms
-    upper_strict, upper_trace = closed_form_bounds(dd, dd.tmin == dd.tmax, 2)
+    upper_strict, upper_trace = closed_form_bounds(dd, dd.tmin == dd.tmax)[:2]
     margin = upper_strict - upper_trace
     result.graphs_tested += int(weight.sum())
     low = float(margin.min())
@@ -270,141 +268,13 @@ class SoundnessReport:
     errors: list = field(default_factory=list)
 
 
-# the messages of the six eigenvalue sum and square-sum identities, the
-# first rows of _identity_failures
-_SUM_MESSAGES = tuple(
-    f"{name} eigenvalue {what}"
-    for name in ("distance", "laplacian", "signless")
-    for what in ("sum misses the trace", "square sum misses the norm"))
-
-
-def _identity_failures(dd, complete, q_mat, vals):
-    """The proven identities checked on top of the bound battery, over a
-    padded batch: (failed, message), failed an (I, B) boolean array with
-    one row per identity, in report order, and one column per graph, and
-    message(k, i) the message of identity k on a graph i that fails it.
-    They read the batch's complete flags (certify.is_complete), its Q
-    matrices q_mat and its spectra vals (operators.operator_spectra). Each
-    check reads a graph's own vertices and the first n of its eigenvalues,
-    of D, L and Q; 0 pads the rest."""
-    n = dd.n
-    w2 = 2 * dd.wiener
-    lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
-    # rows 0-5: the eigenvalue sums and square sums of D, L and Q against
-    # their traces and squared norms, as one (2, 3, B) test
-    target = np.array(((0 * w2, w2, w2), (dd.dist2, lq2, lq2)),
-                      dtype=np.float64)
-    missed = (np.abs(np.array((vals, vals * vals)).sum(axis=-1) - target)
-              > 1e-8 * (1.0 + target))
-
-    # exact integers: the row sums q1 = Q 1 and q2 = Q^2 1 = Q q1, and the
-    # interval [lo, up] of the distance-weighted transmission sums, whose
-    # ends read t = tmin and T = tmax alike
-    q1 = q_mat @ np.ones(q_mat.shape[-1], dtype=q_mat.dtype)
-    q2 = (q_mat @ q1[..., None])[..., 0]
-    ends = np.array((dd.tmin, dd.tmax))
-    scale = (ends - 1)[..., None]
-    lo, up = (w2 - (n - 1) * ends)[..., None] + scale * dd.tr
-    escapes = ((dd.sdd < lo) | (dd.sdd > up)) & dd.real
-    # the quadratic p(x) = x^2 - (t - 1) x of the row-sum sandwich, at q
-    # over the real vertices and at the signless radius
-    rows_p = dd.over_real((q2 - scale[0] * q1).astype(np.float64))
-    low, high = rows_p.min(axis=-1), rows_p.max(axis=-1)
-    rq = vals[2, :, 0]
-    value = rq * rq - scale[0, :, 0] * rq
-    # the slack at n, at ||L||_F and at max |p(q)|
-    slack = slack_for(np.array((n, np.sqrt(lq2), np.maximum(high, -low))))
-
-    # the smallest laplacian eigenvalue, in column n - 1, is zero, and
-    # every other is at least n: one comparison against each column's
-    # threshold, n - slack before column n - 1 and none from it on
-    # (folding the zero check in as -|x| < -slack took more numpy calls)
-    lvals = vals[1]
-    under = lvals < np.where(np.arange(lvals.shape[-1]) < (n - 1)[:, None],
-                             (n - slack[0])[:, None], -np.inf)
-
-    def escaped(i):
-        u = escapes[i].argmax()
-        return (f"weighted transmission sum at vertex {u} escapes "
-                f"[{lo[i, u]}, {up[i, u]}]")
-    # every further identity's flags beside its message: a string, or a
-    # function of a failing graph where it names an eigenvalue or a vertex
-    checks = (
-        (np.abs(lvals[np.arange(len(n)), n - 1]) > slack[1],
-         "laplacian smallest eigenvalue is not zero"),
-        (under.any(axis=-1), lambda i: (
-            f"laplacian eigenvalue {under[i].argmax()} below the vertex "
-            "count")),
-        (~han_multiplicity_holds(lvals, complete, n) & (n > 2),
-         "largest laplacian eigenvalue multiplicity escapes"),
-        (escapes.any(axis=-1), escaped),
-        # q2 against its closed form 2 (tr^2 + sdd); a padded row is 0 on
-        # both sides
-        ((q2 != 2 * (dd.tr * dd.tr + dd.sdd)).any(axis=-1),
-         "squared signless row sums break the closed form"),
-        (~((low - slack[2] <= value) & (value <= high + slack[2])),
-         "radius escapes the quadratic row-sum sandwich"))
-    failed = np.concatenate((missed.transpose(1, 0, 2).reshape(6, -1),
-                             [bad for bad, _ in checks]))
-    messages = _SUM_MESSAGES + tuple(text for _, text in checks)
-
-    def message(k, i):
-        text = messages[k]
-        return text if isinstance(text, str) else text(i)
-    return failed, message
-
-
-# the name of each bound, by its row of bound_values
-_BOUND_NAMES = tuple(bid.value for bid in _ROW)
-
-
-def _violations(dd):
-    """Violation messages of the connected graphs of a padded batch's
-    DistanceData dd, by row, for the rows that have any, each row's
-    messages in the order one graph reports them: the first failure of its
-    diagnoses (certify.diagnose) alone, else its unsatisfied bounds and
-    then its failed identities. Bounds come in BoundId order, the rows of
-    bound_values. A ConsistencyError of the eigensolve or of a bound
-    propagates. Every check is a row of one boolean array, and messages
-    are made for its flagged entries alone."""
-    ops, spectra = operator_spectra(dd)
-    radius_q = spectra[2, :, 0]
-    complete = is_complete(dd)
-    values = bound_values(dd, dd.tmin == dd.tmax)
-    satisfied, gap = bound_checks(values, spectra[1, :, 0], radius_q)
-    checks = diagnose(values, spectra[1], radius_q, ops[1], dd, complete)[1]
-    identities, identity_message = _identity_failures(
-        dd, complete, ops[2], spectra)
-    # one row per diagnosis, bound and identity, in that order
-    failed = np.concatenate(
-        ([bad for bad, _ in checks], ~satisfied, identities))
-    first = len(checks) + len(satisfied)  # the first identity's row
-
-    def message(k, i):
-        if k < len(checks):
-            return checks[k][1](i)
-        if k >= first:
-            return identity_message(k - first, i)
-        k -= len(checks)
-        return (f"{_BOUND_NAMES[k]} unsatisfied: value "
-                f"{float(values[k, i])!r} vs radius gap {float(gap[k, i])!r}")
-
-    found = {}
-    for i in np.flatnonzero(failed.any(axis=0)).tolist():
-        rows = np.flatnonzero(failed[:, i]).tolist()
-        if rows[0] < len(checks):
-            rows = rows[:1]  # a failed diagnosis is reported alone
-        found[i] = [message(k, i) for k in rows]
-    return found
-
-
 def _check_soundness(report, dd):
     """Soundness of the connected graphs of a padded batch's DistanceData
     dd. A graph whose eigensolve or bounds raise is recorded as an error on
     its own, as one at a time: a failing batch is split until it is
     found. A connected graph's adjacency is its distance matrix == 1."""
     try:
-        found = _violations(dd)
+        found = violations(dd)
     except ConsistencyError as exc:
         if len(dd.n) == 1:
             report.errors.append(

@@ -112,6 +112,22 @@ def test_stream_reader_reports_line_number():
         list(read_graph6_stream(["Bw", "B\x1e"]))
 
 
+@pytest.mark.parametrize(
+    "line", [">>graph6<<>>graph6<<Bw", ">>graph6<< Bw", ">>graph6<<Bw"])
+def test_stream_reader_and_parser_agree_on_a_line(line):
+    # one prefix, then the body as it stands: a line inside a stream is
+    # accepted exactly when it is accepted alone
+    def outcome(read):
+        try:
+            return read(line)
+        except GraphParseError as exc:
+            return str(exc).removeprefix("line 1: ")
+    alone = outcome(parse_graph6)
+    streamed = outcome(lambda s: next(read_graph6_stream([s]))[1])
+    assert streamed == alone
+    assert (alone == complete_graph(3)) == (line == ">>graph6<<Bw")
+
+
 def test_stack_encoder_matches_per_graph_on_connected_stacks():
     for n in range(1, 7):
         for adj in connected_stacks(n):

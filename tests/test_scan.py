@@ -313,9 +313,9 @@ def test_regular_graphs_in_a_chunk_never_reach_the_bounds(monkeypatch):
     n = 208
     seen = []
 
-    def spy(dd, regular, count):
+    def spy(dd, regular):
         seen.append((dd.tmin == dd.tmax).tolist())
-        return closed_form_bounds(dd, regular, count)
+        return closed_form_bounds(dd, regular)
     monkeypatch.setattr(scan, "closed_form_bounds", spy)
     result = ScanResult(slack=1e-7)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
@@ -487,14 +487,14 @@ def test_chunked_soundness_reports_violations_as_per_graph(
         # above the radius on most graphs; "two bounds" halves L_I1 (and
         # Q_I2, the same expression) and L_D1, so that a graph fails two
         # bounds, which the sweep must list in the order one graph reports
-        # them. bound_values is looked up by name in bounds and in scan
+        # them. bound_values is looked up by name in bounds and in certify
         factor = np.ones((len(BoundId), 1))
         if mutation == "bound":
             factor[[_ROW[BoundId.Q_I5], _ROW[BoundId.Q_I6]]] = 1.001
         else:
             factor[[_ROW[BoundId.L_I1], _ROW[BoundId.Q_I2],
                     _ROW[BoundId.L_D1]]] = 0.5
-        for module in (bounds, scan):
+        for module in (bounds, certify):
             monkeypatch.setattr(
                 module, "bound_values", lambda dd, regular, bound=getattr(
                     module, "bound_values"): factor * bound(dd, regular))

@@ -84,24 +84,32 @@ def layer_calls(n, seed, name=None):
         encode_graph6, read_graph6_stream, sample_connected, scan,
         scan_conjecture, scan_soundness)
     from distlap.bounds import bound_values
-    from distlap.certify import diagnose, is_complete
+    from distlap.certify import diagnose, identity_failures
     from distlap.cli import (
         report_document, report_table, resolve_graph_input, to_canonical_json)
     from distlap.graphs import (
         adjacency_stack, chunk_limit, connected_distances, distance_data)
     from distlap.operators import operator_spectra
-    try:
-        from distlap.certify import identity_failures
-    except ImportError:  # a tree from before the checks moved to certify
-        from distlap.scan import _identity_failures as identity_failures
 
     graphs = list(sample_connected(n, chunk_limit(n), seed))
     lines = [encode_graph6(g) + "\n" for g in graphs]
     adj = adjacency_stack(graphs)
     dd = distance_data(connected_distances(adj)[1])
     ops, spectra = operator_spectra(dd)
-    complete = is_complete(dd)
-    values = bound_values(dd, dd.tmin == dd.tmax)
+    # the bounds, diagnose and identities stages, on this tree's signatures
+    try:
+        from distlap.certify import is_complete
+    except ImportError:
+        stages = (lambda: bound_values(dd),
+                  lambda: diagnose(values, ops, spectra, dd),
+                  lambda: identity_failures(dd, ops, spectra))
+    else:  # a tree whose stages take flags that its batch does not hold
+        complete = is_complete(dd)
+        stages = (lambda: bound_values(dd, dd.tmin == dd.tmax),
+                  lambda: diagnose(values, spectra[1], spectra[2, :, 0],
+                                   ops[1], dd, complete),
+                  lambda: identity_failures(dd, complete, ops[2], spectra))
+    values = stages[0]()
     reports = [compute_all_bounds(g) for g in graphs]
     one = graphs[0] if name is None else resolve_graph_input(name)
     classes = connected_classes(n)
@@ -160,12 +168,8 @@ def layer_calls(n, seed, name=None):
         ("graph6", lambda: list(read_graph6_stream(lines)), len(graphs)),
         ("distances", lambda: connected_distances(adj), len(graphs)),
         ("spectra", lambda: operator_spectra(dd), len(graphs)),
-        ("bounds", lambda: bound_values(dd, dd.tmin == dd.tmax),
-         len(graphs)),
-        ("diagnose", lambda: diagnose(values, spectra[1], spectra[2, :, 0],
-                                      ops[1], dd, complete), len(graphs)),
-        ("identities", lambda: identity_failures(dd, complete, ops[2],
-                                                 spectra), len(graphs)),
+        *((layer, stage, len(graphs)) for layer, stage in zip(
+            ("bounds", "diagnose", "identities"), stages)),
         ("render", render, len(graphs)),
         ("one-graph", one_graph, ONE_GRAPH_CALLS),
         ("one-bounds", one_bounds, ONE_GRAPH_CALLS),

@@ -4,15 +4,17 @@ bound_values evaluates the whole battery on the DistanceData of a batch as
 one (K, B) array, a row per bound in BoundId order and a column per graph:
 a stack of the closed forms in the batch's integers (closed_form_bounds),
 two plain rows and three per-vertex expressions, reduced over each graph's
-real vertices at once. A square-root bound builds its radicand exactly
-from the batch's integer fields (n, dist2, tr2, wiener, tmin, tmax), and
-one float root is taken of the stack, so a radicand that is exactly 0, as
-on complete graphs, gives a root of exactly 0. A batch may pad its graphs
-to a common size: each formula reads each graph's own n, and its min and
-max reductions run over real vertices only. BOUND_META (min_n,
-regular_only) decides, through applicability, where a bound applies: a
-bound is NaN on a graph the table excludes.
-bound_checks compares that array with the radii, row by row.
+real vertices at once. Each input is a field that graphs.distance_data
+computed once. A square-root bound builds its radicand exactly from the
+integer fields (n, dist2, tr2, wiener, tmin, tmax, or a vertex's dsq or
+q2), and one float root is taken of the stack, so a radicand that is
+exactly 0, as on complete graphs, gives a root of exactly 0. A batch may
+pad its graphs to a common size: each formula reads each graph's own n,
+and its min and max reductions run over real vertices only. BOUND_META
+(min_n, regular_only) decides, through applicability on the batch's n
+and regular fields, where a bound applies: a bound is NaN on a graph the
+table excludes.
+bound_checks compares that array with the radii of the spectra, row by row.
 compute_all_bounds runs the same pipeline on one graph, a batch of one, and
 reports applicability, satisfaction against the true radii, and equality
 diagnoses for the bounds that have characterized equality cases.
@@ -84,7 +86,6 @@ class BoundId(enum.Enum):
 class BoundMeta:
     target: Target
     side: Side
-    strict: bool = False
     min_n: int = 1
     regular_only: bool = False
 
@@ -92,12 +93,11 @@ class BoundMeta:
 BOUND_META = {
     BoundId.L_I1: BoundMeta(Target.L, Side.UPPER),
     BoundId.L_D1: BoundMeta(Target.L, Side.UPPER, min_n=4),
-    BoundId.L_D2: BoundMeta(Target.L, Side.UPPER, strict=True, min_n=2),
+    BoundId.L_D2: BoundMeta(Target.L, Side.UPPER, min_n=2),
     BoundId.L_N1: BoundMeta(Target.L, Side.UPPER),
     BoundId.L_N2: BoundMeta(Target.L, Side.UPPER, min_n=2),
     BoundId.L_N3: BoundMeta(Target.L, Side.UPPER, min_n=2),
-    BoundId.L_R1: BoundMeta(Target.L, Side.UPPER, strict=True, min_n=2,
-                           regular_only=True),
+    BoundId.L_R1: BoundMeta(Target.L, Side.UPPER, min_n=2, regular_only=True),
     BoundId.L_R2: BoundMeta(Target.L, Side.UPPER, min_n=2, regular_only=True),
     BoundId.Q_TB_LO: BoundMeta(Target.Q, Side.LOWER),
     BoundId.Q_TB_UP: BoundMeta(Target.Q, Side.UPPER),
@@ -247,12 +247,12 @@ _TAKE = np.array([_EVALUATED.index(
     BoundId.L_I1 if bid is BoundId.Q_I2 else bid) for bid in BOUND_META])
 
 
-def applicability(n, regular, min_n=_MIN_N, any_graph=_ANY_GRAPH):
-    """Where each bound applies, as a (K, B) boolean array by the rows of
-    bound_values: on each graph with n >= its min_n and, for a
-    regular-only bound, that regular flags. min_n and any_graph are the
-    (K, 1) columns of BOUND_META, or those of some of its rows."""
-    return (n >= min_n) & (regular | any_graph)
+def applicability(dd, min_n=_MIN_N, any_graph=_ANY_GRAPH):
+    """Where each bound applies on the batch dd, as a (K, B) boolean array
+    by the rows of bound_values: on each graph with n >= its min_n, and
+    only on the regular ones for a regular_only bound. min_n and any_graph
+    are the (K, 1) columns of BOUND_META, or those of some of its rows."""
+    return (dd.n >= min_n) & (dd.regular | any_graph)
 
 
 # Each closed-form polynomial of a connected graph on N vertices has terms
@@ -288,10 +288,10 @@ def _first(bad, *xs):
     return [float(x[i]) for x in xs]
 
 
-def closed_form_bounds(dd, regular):
+def closed_form_bounds(dd):
     """The bounds of CLOSED_FORMS on every graph of the batch dd, as one
     (len(CLOSED_FORMS), B) float64 array by its rows, NaN where BOUND_META
-    excludes a graph (regular flags the transmission-regular graphs).
+    excludes a graph.
 
     Each bound is a + sqrt(s r), as _closed_forms gives it; every term is
     a polynomial in the batch's integers, and all of them are one product
@@ -310,7 +310,7 @@ def closed_form_bounds(dd, regular):
     it.
     """
     polys = _polynomials(dd)
-    applies = applicability(dd.n, regular, _CLOSED_MIN_N, _CLOSED_ANY)
+    applies = applicability(dd, _CLOSED_MIN_N, _CLOSED_ANY)
     exact = np.where(applies, polys[0], 0)
     # the leads a and the scales s, float64 also from Python ints
     a, scale = np.asarray(polys[1:3] / np.maximum(polys[3:], 1),
@@ -378,7 +378,7 @@ def bound_L_n2(dd):
         np.maximum, map(block, range(0, max(len(first), 1), step)))
 
 
-def bound_values(dd, regular):
+def bound_values(dd):
     """Value of every bound on every graph of the batch dd, as one (K, B)
     float64 array: row _ROW[bid] holds bound bid, in BoundId order, and
     column b graph b.
@@ -386,36 +386,36 @@ def bound_values(dd, regular):
     The battery is one stack of rows: the closed forms
     (closed_form_bounds); L_N1, the sum of row maxima of the distance
     matrix; L_N2 (bound_L_n2); and, over each graph's real vertices, the
-    maximum of tr_i + sqrt((n-1) sum_k dist_ki^2) (L_I1, and Q_I2) and the
-    minimum and maximum of tr_i + sdd_i / tr_i (Q_I3, Q_I4) and of
-    sqrt(2 sdd_i + 2 tr_i^2) (Q_I5, Q_I6).
+    maximum of tr_i + sqrt((n-1) dsq_i) (L_I1, and Q_I2) and the minimum
+    and maximum of tr_i + sdd_i / tr_i (Q_I3, Q_I4) and of sqrt(q2_i), the
+    root of the i-th row sum of Q^2 (Q_I5, Q_I6).
 
     applicability decides where a bound applies; elsewhere it is NaN. Every
     row is evaluated on every graph, but a divisor that a graph the table
     excludes would take to 0 is 1 there. A ConsistencyError of
     closed_form_bounds propagates.
     """
-    n, tr, d = dd.n, dd.tr, dd.dist
+    tr = dd.tr
     # each square root is of an exact integer, as in closed_form_bounds
     vertex = dd.over_real(np.array((
-        tr + np.sqrt((n - 1)[:, None] * (d * d).sum(axis=-2)),
+        tr + np.sqrt((dd.n - 1)[:, None] * dd.dsq),
         # tr_i is 0 only at padding and on one vertex, divided by 1 there
         tr + dd.sdd / np.maximum(tr, 1),
-        np.sqrt(2 * (dd.sdd + tr * tr)))))
+        np.sqrt(dd.q2))))
     found = np.concatenate((
-        closed_form_bounds(dd, regular), dd.p.sum(axis=-1)[None],
+        closed_form_bounds(dd), dd.p.sum(axis=-1)[None],
         bound_L_n2(dd)[None], vertex.min(axis=-1), vertex.max(axis=-1)))
-    return np.where(applicability(n, regular), found.take(_TAKE, axis=0),
-                    np.nan)
+    return np.where(applicability(dd), found.take(_TAKE, axis=0), np.nan)
 
 
-def bound_checks(values, radius_l, radius_q):
+def bound_checks(values, spectra):
     """(satisfied, gap) of the (K, B) array values of bound_values against
-    each graph's radius, as (K, B) arrays by the same rows. The gap is
-    value - radius for an upper bound, radius - value for a lower one, and
-    at least -slack_for(radius) where satisfied; a NaN value, where a bound
-    does not apply, is never unsatisfied."""
-    radius = np.where(_ON_L[:, None], radius_l, radius_q)
+    each graph's radius, the first eigenvalue of its L or Q spectrum in the
+    (3, B, N) spectra of operators.operator_spectra, as (K, B) arrays by
+    the same rows. The gap is value - radius for an upper bound, radius -
+    value for a lower one, and at least -slack_for(radius) where satisfied;
+    a NaN value, where a bound does not apply, is never unsatisfied."""
+    radius = np.where(_ON_L[:, None], spectra[1, :, 0], spectra[2, :, 0])
     gap = np.where(_UPPER[:, None], values - radius, radius - values)
     # -slack_for(radius), exactly
     return ~(gap < np.abs(radius) * -SLACK_REL - SLACK_ABS), gap
@@ -486,15 +486,13 @@ def compute_all_bounds(g):
     over the TheoremViolationError of the first failed diagnosis, which is
     raised.
     """
-    from .certify import CERT_NONE, EqualityDiagnosis, diagnose, is_complete
+    from .certify import CERT_NONE, EqualityDiagnosis, diagnose
 
     dd = distance_data(batch_of_one(g))
     ops, spectra = operator_spectra(dd)
-    radius_l, radius_q = spectra[1:, :, 0]
-    values = bound_values(dd, dd.tmin == dd.tmax)
-    satisfied, gaps = bound_checks(values, radius_l, radius_q)
-    certificates, failures = diagnose(
-        values, spectra[1], radius_q, ops[1], dd, is_complete(dd))
+    values = bound_values(dd)
+    satisfied, gaps = bound_checks(values, spectra)
+    certificates, failures = diagnose(values, ops, spectra, dd)
     for failed, message in failures:
         if failed[0]:
             raise TheoremViolationError(message(0))
@@ -513,6 +511,6 @@ def compute_all_bounds(g):
     return BoundReport(
         graph=g, graph6=encode_graph6(g), data=dd.row(0), operators=ops[:, 0],
         spectrum_d=spectra[0, 0], spectrum_l=spectra[1, 0],
-        spectrum_q=spectra[2, 0], radius_l=float(radius_l[0]),
-        radius_q=float(radius_q[0]), values=value_row, satisfied=ok_row,
+        spectrum_q=spectra[2, 0], radius_l=float(spectra[1, 0, 0]),
+        radius_q=float(spectra[2, 0, 0]), values=value_row, satisfied=ok_row,
         gaps=gap_row, diagnoses=diagnosis_row)

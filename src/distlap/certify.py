@@ -1,7 +1,10 @@
 """Every proven check of the soundness sweep, each source as a list of
 (flags, message) pairs in the order one graph reports them: flags holds
 one bool per graph of a padded batch, and message is a string or a
-function of a failing graph's index.
+function of a failing graph's index. A check reads the batch's
+DistanceData, whose fields (the regular and complete flags among them)
+graphs.distance_data computed once, and its operators and spectra
+(operators.operator_spectra).
 
 diagnose compares the bound values that the battery (bounds.bound_values)
 computed for a padded batch with the relevant spectral radii at the
@@ -62,13 +65,6 @@ class EqualityDiagnosis:
                 "certificate must be 'none' exactly when equality is absent")
 
 
-def is_complete(dd):
-    """Whether every off-diagonal distance is 1, one flag per graph of a
-    batch: a connected graph's are each at least 1, so they are all 1
-    exactly when their squares sum to n(n - 1); padding adds 0."""
-    return dd.dist2 == dd.n * (dd.n - 1)
-
-
 # the rows of bound_values that the diagnoses read, in this order, and
 # which of them meet the Laplacian radius rather than the signless one
 _DIAGNOSED = np.array([_ROW[bid] for bid in (
@@ -77,18 +73,20 @@ _DIAGNOSED = np.array([_ROW[bid] for bid in (
 _DIAGNOSED_ON_L = _ON_L[_DIAGNOSED, None]
 
 
-def diagnose(values, spectrum_l, radius_q, l_mats, dd, complete):
+def diagnose(values, ops, spectra, dd):
     """The equality diagnoses of a padded batch: (certificates, failures).
 
     The batch is its (K, B) array of bound_values (NaN where a bound does
-    not apply, which meets no radius), its Laplacian spectra, signless
-    radii, Laplacian matrices, DistanceData and complete flags
-    (is_complete), each 0 past a graph's own n. certificates maps L_N1,
-    L_N3, Q_TB_UP and Q_CS7 to one certificate per graph; Q_TB_UP's covers
-    the interval pair Q_TB_LO/Q_TB_UP. failures holds (failed, message)
-    pairs in the order one graph checks them, n1, n3, tb, cs7: failed is
-    one flag per graph, and message(i) is graph i's TheoremViolationError
-    message. On a graph that fails, its certificates mean nothing.
+    not apply, which meets no radius), its operators and spectra, of which
+    diagnose reads the Laplacian matrices and spectra and the signless
+    radii, and its DistanceData, whose regular and complete flags decide
+    the iff characterizations; each is 0 past a graph's own n.
+    certificates maps L_N1, L_N3, Q_TB_UP and Q_CS7 to one certificate per
+    graph; Q_TB_UP's covers the interval pair Q_TB_LO/Q_TB_UP. failures
+    holds (failed, message) pairs in the order one graph checks them, n1,
+    n3, tb, cs7: failed is one flag per graph, and message(i) is graph i's
+    TheoremViolationError message. On a graph that fails, its certificates
+    mean nothing.
 
     - L_N1: the row-maxima sum meeting the Laplacian radius requires the
       rank-one (Brauer) shift L + 1 p^T of L by the eccentricities p to be
@@ -107,11 +105,11 @@ def diagnose(values, spectrum_l, radius_q, l_mats, dd, complete):
     """
     rows = values.take(_DIAGNOSED, axis=0)
     n1, _, lo, up, cs7 = rows
-    radius_l = spectrum_l[:, 0]
+    l_mats, spectrum_l = ops[1], spectra[1]
+    radius_l, radius_q = spectra[1:, :, 0]
     met_n1, met_n3, eq_lo, eq_up, eq_cs7 = _meets(
         rows, np.where(_DIAGNOSED_ON_L, radius_l, radius_q))
-    n = dd.n
-    regular = dd.tmin == dd.tmax
+    n, regular, complete = dd.n, dd.regular, dd.complete
 
     irreducible = met_n1  # all False where no graph meets n1
     if met_n1.any():
@@ -173,24 +171,21 @@ def diagnose(values, spectrum_l, radius_q, l_mats, dd, complete):
     return certificates, failures
 
 
-def han_multiplicity_holds(spectrum_l, complete, n):
+def han_multiplicity_holds(spectrum_l, dd):
     """Largest Laplacian eigenvalue has multiplicity at most n - 2 unless the
     graph is complete, where it is exactly n - 1. For a stack of spectra,
-    complete, n and the result are one per spectrum. A spectrum padded with
-    zeros past its n eigenvalues counts the same: for n >= 2 the largest
-    eigenvalue is at least n, far from 0."""
+    dd is their batch's DistanceData and the result is one per spectrum. A
+    spectrum padded with zeros past its n eigenvalues counts the same: for
+    n >= 2 the largest eigenvalue is at least n, far from 0."""
     m = multiplicity(spectrum_l, spectrum_l[..., 0])
-    return np.where(complete, m == n - 1, m <= n - 2)
+    return np.where(dd.complete, m == dd.n - 1, m <= dd.n - 2)
 
 
-def check_han_multiplicity(spectrum_l, g):
-    """han_multiplicity_holds for the spectrum of graph g: True when the
-    spectrum respects it, None for n <= 2, where it does not apply."""
-    n = g.n
-    if n <= 2:
-        return None
-    return bool(han_multiplicity_holds(
-        spectrum_l, g.edge_count == n * (n - 1) // 2, n))
+def check_han_multiplicity(spectrum_l, dd):
+    """han_multiplicity_holds for the spectrum of one graph, whose
+    DistanceData is dd: True when the spectrum respects it, None for
+    n <= 2, where it does not apply."""
+    return None if dd.n <= 2 else bool(han_multiplicity_holds(spectrum_l, dd))
 
 
 def check_tree_determinant(g, dd):
@@ -218,22 +213,21 @@ _SUM_MESSAGES = tuple(
     for what in ("sum misses the trace", "square sum misses the norm"))
 
 
-def identity_failures(dd, complete, q_mat, vals):
+def identity_failures(dd, ops, spectra):
     """The proven identities checked on top of the bound battery, over a
     padded batch, as (flags, message) pairs in report order. They read the
-    batch's complete flags (is_complete), its Q matrices q_mat and its
-    spectra vals (operators.operator_spectra). Each check reads a graph's
-    own vertices and the first n of its eigenvalues, of D, L and Q; 0 pads
-    the rest."""
-    n = dd.n
+    batch's DistanceData dd, the Q matrices of its operators ops and its D,
+    L and Q spectra; each reads a graph's own vertices and the first n of
+    its eigenvalues, and 0 pads the rest."""
+    n, q_mat = dd.n, ops[2]
     w2 = 2 * dd.wiener
     lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
     # the eigenvalue sums and square sums of D, L and Q against their
     # traces and squared norms, as one (2, 3, B) test
     target = np.array(((0 * w2, w2, w2), (dd.dist2, lq2, lq2)),
                       dtype=np.float64)
-    missed = (np.abs(np.array((vals, vals * vals)).sum(axis=-1) - target)
-              > 1e-8 * (1.0 + target))
+    missed = (np.abs(np.array((spectra, spectra * spectra)).sum(axis=-1)
+                     - target) > 1e-8 * (1.0 + target))
 
     # exact integers: the row sums q1 = Q 1 and q2 = Q^2 1 = Q q1, and the
     # interval [lo, up] of the distance-weighted transmission sums, whose
@@ -248,7 +242,7 @@ def identity_failures(dd, complete, q_mat, vals):
     # over the real vertices and at the signless radius
     rows_p = dd.over_real((q2 - scale[0] * q1).astype(np.float64))
     low, high = rows_p.min(axis=-1), rows_p.max(axis=-1)
-    rq = vals[2, :, 0]
+    rq = spectra[2, :, 0]
     value = rq * rq - scale[0, :, 0] * rq
     # the slack at n, at ||L||_F and at max |p(q)|
     slack = slack_for(np.array((n, np.sqrt(lq2), np.maximum(high, -low))))
@@ -257,7 +251,7 @@ def identity_failures(dd, complete, q_mat, vals):
     # every other is at least n: one comparison against each column's
     # threshold, n - slack before column n - 1 and none from it on
     # (folding the zero check in as -|x| < -slack took more numpy calls)
-    lvals = vals[1]
+    lvals = spectra[1]
     under = lvals < np.where(np.arange(lvals.shape[-1]) < (n - 1)[:, None],
                              (n - slack[0])[:, None], -np.inf)
 
@@ -272,12 +266,12 @@ def identity_failures(dd, complete, q_mat, vals):
         (under.any(axis=-1), lambda i: (
             f"laplacian eigenvalue {under[i].argmax()} below the vertex "
             "count")),
-        (~han_multiplicity_holds(lvals, complete, n) & (n > 2),
+        (~han_multiplicity_holds(lvals, dd) & (n > 2),
          "largest laplacian eigenvalue multiplicity escapes"),
         (escapes.any(axis=-1), escaped),
-        # q2 against its closed form 2 (tr^2 + sdd); a padded row is 0 on
-        # both sides
-        ((q2 != 2 * (dd.tr * dd.tr + dd.sdd)).any(axis=-1),
+        # Q^2 1 against its closed form dd.q2 = 2 (tr^2 + sdd); a padded
+        # row is 0 on both sides
+        ((q2 != dd.q2).any(axis=-1),
          "squared signless row sums break the closed form"),
         (~((low - slack[2] <= value) & (value <= high + slack[2])),
          "radius escapes the quadratic row-sum sandwich"),
@@ -305,15 +299,13 @@ def violations(dd):
     check is a row of one boolean array, and messages are made for its
     flagged entries alone."""
     ops, spectra = operator_spectra(dd)
-    radius_q = spectra[2, :, 0]
-    complete = is_complete(dd)
-    values = bound_values(dd, dd.tmin == dd.tmax)
-    satisfied, gap = bound_checks(values, spectra[1, :, 0], radius_q)
-    diagnoses = diagnose(values, spectra[1], radius_q, ops[1], dd, complete)[1]
+    values = bound_values(dd)
+    satisfied, gap = bound_checks(values, spectra)
+    diagnoses = diagnose(values, ops, spectra, dd)[1]
     checks = (diagnoses
               + [(bad, _unsatisfied(*row)) for bad, *row in zip(
                   ~satisfied, _BOUND_NAMES, values, gap)]
-              + identity_failures(dd, complete, ops[2], spectra))
+              + identity_failures(dd, ops, spectra))
     failed = np.array([flags for flags, _ in checks])
     found = {}
     for i in np.flatnonzero(failed.any(axis=0)).tolist():

@@ -103,8 +103,7 @@ def report_document(report, target="both"):
         },
         "transmissions": data.tr.tolist(),
         "wiener": data.wiener,
-        "transmission_regular": (
-            data.tmin if data.tmin == data.tmax else None),
+        "transmission_regular": data.tmin if data.regular else None,
         "spectra": {
             "distance": report.spectrum_d.tolist(),
             "distance_laplacian": report.spectrum_l.tolist(),
@@ -116,7 +115,7 @@ def report_document(report, target="both"):
         },
         "checks": {
             "han_multiplicity": check_han_multiplicity(
-                report.spectrum_l, report.graph),
+                report.spectrum_l, data),
             "tree_determinant": check_tree_determinant(report.graph, data),
         },
         "bounds": bounds,
@@ -145,7 +144,7 @@ def report_table(report, target="both"):
     lines.append(
         f"wiener={data.wiener} transmissions in [{data.tmin}, "
         f"{data.tmax}] transmission-regular="
-        + ("yes" if data.tmin == data.tmax else "no"))
+        + ("yes" if data.regular else "no"))
     lines.append(f"radius: L={fmt4(report.radius_l)} Q={fmt4(report.radius_q)}")
     if target in ("L", "both"):
         lines.append("")
@@ -241,6 +240,8 @@ def cmd_scan(enumerate_n=None, graph6_path=None, slack=1e-7, dedup=False,
     counterexamples; the output carries the distinction."""
     if (enumerate_n is None) == (graph6_path is None):
         raise ValueError("exactly one of --enumerate and --graph6 is required")
+    if dedup and enumerate_n is None:
+        raise ValueError("--dedup requires --enumerate")
     if enumerate_n is not None:
         if enumerate_n < 3:
             raise ValueError(
@@ -305,8 +306,6 @@ def main(argv=None):
             code, text = cmd_analyze(
                 args.input, fmt=args.format, target=args.target)
         else:
-            if args.dedup and args.enumerate_n is None:
-                parser.error("--dedup requires --enumerate")
             code, text = cmd_scan(
                 enumerate_n=args.enumerate_n, graph6_path=args.graph6,
                 slack=args.slack, dedup=args.dedup, fmt=args.format)

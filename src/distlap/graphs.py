@@ -141,15 +141,20 @@ class DistanceData:
     wiener: sum of dist over unordered pairs
     p:      row maxima of dist (eccentricities)
     sdd:    distance-weighted transmission sums, sdd[i] = sum_k dist[i,k]*tr[k]
-    dist2:  squared Frobenius norm of dist, sum of dist^2
+    dsq:    column (and, as dist is symmetric, row) sums of dist^2
+    q2:     row sums of Q^2, q2[i] = 2 (tr[i]^2 + sdd[i])
+    dist2:  squared Frobenius norm of dist, the sum of dsq
     tr2:    sum of tr^2
     tmin:   smallest transmission of a real vertex
     tmax:   largest transmission
+    regular: tmin == tmax, the graph is transmission-regular
+    complete: dist2 == n(n - 1): every off-diagonal distance, each >= 1, is 1
     real:   True at each graph's real vertices, False at its padding
 
     Padding leaves every integer field exact: a padded vertex adds 0 to
-    each sum, and its tr, p and sdd are 0. row(i) is graph i alone,
-    trimmed to its own n: n x n dist, length-n fields and int scalars.
+    each sum, and its tr, p, sdd, dsq and q2 are 0. row(i) is graph i
+    alone, trimmed to its own n: n x n dist, length-n fields, and Python
+    int and bool scalars.
     """
 
     n: np.ndarray
@@ -158,21 +163,23 @@ class DistanceData:
     wiener: np.ndarray
     p: np.ndarray
     sdd: np.ndarray
+    dsq: np.ndarray
+    q2: np.ndarray
     dist2: np.ndarray
     tr2: np.ndarray
     tmin: np.ndarray
     tmax: np.ndarray
+    regular: np.ndarray
+    complete: np.ndarray
     real: np.ndarray
 
     def row(self, i):
         """Graph i of the batch as its own DistanceData."""
         k = int(self.n[i])
-        return DistanceData(
-            n=k, dist=self.dist[i, :k, :k], tr=self.tr[i, :k],
-            wiener=int(self.wiener[i]), p=self.p[i, :k], sdd=self.sdd[i, :k],
-            dist2=int(self.dist2[i]), tr2=int(self.tr2[i]),
-            tmin=int(self.tmin[i]), tmax=int(self.tmax[i]),
-            real=self.real[i, :k])
+        return DistanceData(*[
+            value[i].item() if value.ndim == 1 else value[i, :k]
+            if value.ndim == 2 else value[i, :k, :k]
+            for value in vars(self).values()])
 
     def take(self, keep):
         """The graphs of the batch where the boolean mask keep holds, as a
@@ -223,18 +230,21 @@ def distance_data(dist, n=None):
     size = dist.shape[-1]
     n = np.full(len(dist), size) if n is None else n
     real = np.arange(size) < n[:, None]
-    tr = dist.sum(axis=-1)
+    # row sums as products with ones, cheaper than axis sums on small stacks
+    ones = np.ones(size, dtype=dist.dtype)
+    tr = dist @ ones
     sdd = (dist @ tr[..., None])[..., 0]
+    dsq = (dist * dist) @ ones
+    dist2 = dsq.sum(axis=-1)
+    tmin = tr.min(axis=-1, where=real, initial=_INT64_MAX)
+    # a padded vertex's transmission is 0, never above a real one's
+    tmax = tr.max(axis=-1)
     return DistanceData(
         n=n, dist=dist, tr=tr, wiener=tr.sum(axis=-1) // 2,
-        p=dist.max(axis=-1), sdd=sdd,
-        dist2=(dist * dist).sum(axis=(-2, -1)),
+        p=dist.max(axis=-1), sdd=sdd, dsq=dsq, q2=2 * (tr * tr + sdd),
         # sum_i (D tr)_i = sum_k tr_k^2, as D is symmetric
-        tr2=sdd.sum(axis=-1),
-        tmin=tr.min(axis=-1, where=real, initial=_INT64_MAX),
-        # a padded vertex's transmission is 0, never above a real one's
-        tmax=tr.max(axis=-1),
-        real=real)
+        dist2=dist2, tr2=sdd.sum(axis=-1), tmin=tmin, tmax=tmax,
+        regular=tmin == tmax, complete=dist2 == n * (n - 1), real=real)
 
 
 def adjacency_stack(graphs):

@@ -192,7 +192,7 @@ def _scan_chunk(result, dd, weight, listed):
     the vertex order would break that; adding one means dropping the class
     path of scan_conjecture."""
     # transmission-regular graphs never reach the bounds, as one at a time
-    tested = dd.tmin != dd.tmax
+    tested = ~dd.regular
     result.skipped_regular += int(weight[~tested].sum())
     rows = np.flatnonzero(tested)
     if not len(rows):
@@ -200,7 +200,7 @@ def _scan_chunk(result, dd, weight, listed):
     if len(rows) < len(tested):
         dd, weight = dd.take(tested), weight[rows]
     # L_D2 and L_N3, the first two closed forms
-    upper_strict, upper_trace = closed_form_bounds(dd, dd.tmin == dd.tmax)[:2]
+    upper_strict, upper_trace = closed_form_bounds(dd)[:2]
     margin = upper_strict - upper_trace
     result.graphs_tested += int(weight.sum())
     low = float(margin.min())

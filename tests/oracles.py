@@ -321,7 +321,7 @@ def soundness_identities(report, violations):
                 f"laplacian eigenvalue {i} below the vertex count")
             break
 
-    if n > 2 and not check_han_multiplicity(report.spectrum_l, report.graph):
+    if n > 2 and not check_han_multiplicity(report.spectrum_l, dd):
         violations.append("largest laplacian eigenvalue multiplicity escapes")
 
     # integer interval for the distance-weighted transmission sums

@@ -41,7 +41,7 @@ def one_graph(g):
 
 def forms_of(dd):
     """The rows of closed_form_bounds on the batch dd, by bound name."""
-    rows = closed_form_bounds(dd, dd.tmin == dd.tmax)
+    rows = closed_form_bounds(dd)
     return {bid.value: row for bid, row in zip(CLOSED_FORMS, rows)}
 
 
@@ -187,17 +187,13 @@ def test_bound_values_match_the_formula_oracle():
     n = np.array([g.n for g in graphs])
     dd = distance_data(connected_distances(adjacency_stack(graphs), n)[1], n)
     assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 112 + len(FIXTURES)
-    assert_matches_formulas(bound_values(dd, dd.tmin == dd.tmax), graphs)
+    assert_matches_formulas(bound_values(dd), graphs)
     for g in (complete_graph(150), path_graph(300)):
-        dd = one_graph(g)
-        assert_matches_formulas(
-            bound_values(dd, dd.tmin == dd.tmax), [g], pairs=False)
+        assert_matches_formulas(bound_values(one_graph(g)), [g], pairs=False)
     assert 500 > _FLOAT_N
     for g in (path_graph(500), cycle_graph(500)):
-        dd = one_graph(g)
         assert_matches_formulas(
-            closed_form_bounds(dd, dd.tmin == dd.tmax), [g], CLOSED_FORMS,
-            pairs=False)
+            closed_form_bounds(one_graph(g)), [g], CLOSED_FORMS, pairs=False)
 
 
 def test_complete_graph_trace_bound_is_exact():
@@ -241,8 +237,7 @@ def test_bound_values_of_a_batch_match_single_graphs():
         if n >= 3:
             graphs += [complete_graph(n), cycle_graph(n), star_graph(n)]
         batch = distance_data(np.concatenate([batch_of_one(g) for g in graphs]))
-        regular = batch.tmin == batch.tmax
-        values = bound_values(batch, regular)
+        values = bound_values(batch)
         assert values.shape == (len(BoundId), len(graphs))
         if n >= 3:
             assert math.isnan(values[_ROW[BoundId.L_R1], -1])  # the star
@@ -274,7 +269,7 @@ def test_a_padded_batch_matches_single_graphs():
     assert adj.shape[-1] == 12 and connected.all()
     dd = distance_data(dist, n)
     _, spectra = operators.operator_spectra(dd)
-    values = bound_values(dd, dd.tmin == dd.tmax)
+    values = bound_values(dd)
     for i, g in enumerate(graphs):
         r = compute_all_bounds(g)
         for k, spectrum in enumerate(
@@ -335,11 +330,10 @@ def test_sqrt_guard():
     assert low == -60
     with pytest.raises(ConsistencyError, match=f"^L_N3: radicand {low} "
                        "is negative$"):
-        closed_form_bounds(raised, raised.tmin == raised.tmax)
+        closed_form_bounds(raised)
     # a raised tr2 takes L_D2's below 0 first, which the guard names
     with pytest.raises(ConsistencyError, match="^L_D2: radicand -"):
-        closed_form_bounds(dataclasses.replace(raised, tr2=raised.tr2 * 9),
-                           raised.tmin == raised.tmax)
+        closed_form_bounds(dataclasses.replace(raised, tr2=raised.tr2 * 9))
     # a graph the table excludes is not guarded: L_R2's radicand
     # (n - 1) dist2 - n T^2 of the path is -24, but the path is not regular
     assert ((dd.n - 1) * dd.dist2 - dd.n * dd.tmax ** 2)[0] == -24
@@ -350,14 +344,17 @@ def test_sqrt_guard():
         n=np.array([big]), dist=np.zeros((1, big, big), dtype=np.int64),
         tr=np.zeros((1, big), dtype=np.int64), wiener=np.array([1 << 40]),
         p=np.zeros((1, big), dtype=np.int64),
-        sdd=np.zeros((1, big), dtype=np.int64), dist2=np.array([1]),
+        sdd=np.zeros((1, big), dtype=np.int64),
+        dsq=np.zeros((1, big), dtype=np.int64),
+        q2=np.zeros((1, big), dtype=np.int64), dist2=np.array([1]),
         tr2=np.array([1]), tmin=np.array([1]), tmax=np.array([1]),
+        regular=np.array([True]), complete=np.array([False]),
         real=np.ones((1, big), dtype=bool))
     low = (big - 1) * 2 - 4 * (1 << 80)
     assert low < np.iinfo(np.int64).min
     with pytest.raises(ConsistencyError, match=f"^L_N3: radicand {low} is "
                        "negative$"):
-        closed_form_bounds(wide, np.array([True]))
+        closed_form_bounds(wide)
 
 
 def test_radicands_above_the_int64_cap_are_python_ints():
@@ -413,7 +410,6 @@ def test_meta_table():
     for bid, meta in BOUND_META.items():
         assert meta.target is (Target.L if bid.value.startswith("L") else Target.Q)
         assert meta.side is (Side.LOWER if bid in lowers else Side.UPPER)
-    assert BOUND_META[BoundId.L_D2].strict
     assert BOUND_META[BoundId.L_R1].regular_only
     assert BOUND_META[BoundId.L_R2].regular_only
     assert BOUND_META[BoundId.L_D1].min_n == 4
@@ -430,13 +426,13 @@ def test_each_battery_entry_shares_one_applicability():
     n = np.array([g.n for g in graphs])
     dd = distance_data(connected_distances(adjacency_stack(graphs), n)[1], n)
     regular = dd.tmin == dd.tmax
-    values = bound_values(dd, regular)
+    values = bound_values(dd)
     assert regular.tolist() == [True, True, False, True, False, False]
     for bid, meta in BOUND_META.items():
         want = (n >= meta.min_n) & (regular | (not meta.regular_only))
         assert (values[_ROW[bid]] == values[_ROW[bid]]).tolist() == (
             want.tolist()), bid
-    forms = closed_form_bounds(dd, regular)
+    forms = closed_form_bounds(dd)
     for bid, row in zip(CLOSED_FORMS, forms):
         assert values[_ROW[bid]].tobytes() == row.tobytes(), bid
     assert values[_ROW[BoundId.Q_I2]].tobytes() == (

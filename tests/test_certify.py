@@ -1,6 +1,7 @@
 """Equality diagnostics: certificates, iff enforcement, identity checks."""
 
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from distlap import (
     BoundId, EqualityDiagnosis, check_han_multiplicity,
     check_tree_determinant, compute_all_bounds, diagnose, equality_tol)
 from distlap.bounds import bound_values
-from distlap.certify import is_complete
 from distlap.graphs import adjacency_stack, connected_distances, distance_data
 from distlap.errors import TheoremViolationError
 from distlap.operators import operator_spectra
@@ -102,12 +102,15 @@ def diagnosed(graphs, spectrum_l=None, radius_q=None, complete=None):
     assert connected.all()
     dd = distance_data(dist, n)
     ops, spectra = operator_spectra(dd)
-    return diagnose(
-        bound_values(dd, dd.tmin == dd.tmax),
-        spectra[1] if spectrum_l is None else spectrum_of([spectrum_l]),
-        spectra[2, :, 0] if radius_q is None else spectrum_of([radius_q]),
-        ops[1], dd, is_complete(dd) if complete is None else
-        np.array([complete]))
+    values = bound_values(dd)
+    spectra = spectra.copy()
+    if spectrum_l is not None:
+        spectra[1] = spectrum_of([spectrum_l])
+    if radius_q is not None:
+        spectra[2, :, 0] = radius_q
+    if complete is not None:
+        dd = dataclasses.replace(dd, complete=np.array([complete]))
+    return diagnose(values, ops, spectra, dd)
 
 
 def first_violation(g, **doctored):
@@ -192,14 +195,17 @@ def test_padded_batch_certificates_match_batches_of_one():
 def test_han_multiplicity():
     for n in range(3, 8):
         r = compute_all_bounds(complete_graph(n))
-        assert check_han_multiplicity(r.spectrum_l, complete_graph(n))
+        assert check_han_multiplicity(r.spectrum_l, r.data)
     r = compute_all_bounds(path_graph(4))
-    assert check_han_multiplicity(r.spectrum_l, path_graph(4))
-    assert check_han_multiplicity(spectrum_of([2.0, 0.0]), path_graph(2)) is None
+    assert check_han_multiplicity(r.spectrum_l, r.data)
+    assert check_han_multiplicity(
+        spectrum_of([2.0, 0.0]), distance_row(path_graph(2))) is None
     # doctored: multiplicity n - 1 on a non-complete graph is a failure
-    assert not check_han_multiplicity(spectrum_of([7.0, 7.0, 7.0, 0.0]), path_graph(4))
+    assert not check_han_multiplicity(
+        spectrum_of([7.0, 7.0, 7.0, 0.0]), distance_row(path_graph(4)))
     # doctored: a complete graph must have exactly n - 1
-    assert not check_han_multiplicity(spectrum_of([4.0, 4.0, 2.0, 0.0]), complete_graph(4))
+    assert not check_han_multiplicity(
+        spectrum_of([4.0, 4.0, 2.0, 0.0]), distance_row(complete_graph(4)))
 
 
 def test_tree_determinant_small_closed_forms():

@@ -236,9 +236,12 @@ def test_cmd_scan_argument_validation():
         cmd_scan(enumerate_n=4, graph6_path="x.g6")
     with pytest.raises(ValueError, match="n >= 3"):
         cmd_scan(enumerate_n=2)
+    # a graph6 stream is never deduplicated, so dedup is an error there
+    with pytest.raises(ValueError, match="^--dedup requires --enumerate$"):
+        cmd_scan(graph6_path="x.g6", dedup=True)
 
 
-def test_main_exit_codes(capsys):
+def test_main_exit_codes(capsys, tmp_path):
     assert main(["analyze", "Bw"]) == 0
     assert "graph: n=3" in capsys.readouterr().out
 
@@ -247,6 +250,11 @@ def test_main_exit_codes(capsys):
 
     assert main(["scan", "--enumerate", "2"]) == 2
     assert "n >= 3" in capsys.readouterr().err
+
+    path = tmp_path / "p3.g6"
+    path.write_text("Bw\n")
+    assert main(["scan", "--graph6", str(path), "--dedup"]) == 2
+    assert "--dedup requires --enumerate" in capsys.readouterr().err
 
     assert main(["scan", "--enumerate", "3", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -314,6 +314,44 @@ def test_distance_data_batch_matches_single():
         for name in ("wiener", "dist2", "tr2"):
             assert type(getattr(dd, name)) is int
             assert int(getattr(batch, name)[b]) == getattr(dd, name)
+    # a padded batch of mixed n: each derived field against plain BFS
+    # distances, 0 past a graph's own n, and carried by take and row
+    graphs = [complete_graph(1), path_graph(2), complete_graph(4),
+              cycle_graph(5), star_graph(6), fixture_graph("ex1"),
+              complete_graph(7), cycle_graph(6)] + graphs[:3]
+    n = np.array([g.n for g in graphs])
+    batch = distance_data(
+        connected_distances(adjacency_stack(graphs), n)[1], n)
+    keep = np.arange(len(graphs)) % 3 != 1
+    taken = batch.take(keep)
+    for name, value in vars(batch).items():
+        assert getattr(taken, name).dtype == value.dtype, name
+        assert getattr(taken, name).tolist() == value[keep].tolist(), name
+    for b, g in enumerate(graphs):
+        d = oracles.bfs_distance_matrix(g.n, g.edges)
+        tr = [sum(row) for row in d]
+        sdd = [sum(x * t for x, t in zip(row, tr)) for row in d]
+        want = {
+            "dsq": [sum(row[i] ** 2 for row in d) for i in range(g.n)],
+            "q2": [2 * (t * t + x) for t, x in zip(tr, sdd)],
+            "regular": min(tr) == max(tr),
+            "complete": all(d[i][j] == 1 for i in range(g.n)
+                            for j in range(g.n) if i != j)}
+        row = batch.row(b)
+        for name in ("dsq", "q2"):
+            assert getattr(batch, name)[b].tolist() == (
+                want[name] + [0] * (n.max() - g.n)), (name, g.n)
+            assert getattr(row, name).tolist() == want[name], (name, g.n)
+        for name in ("regular", "complete"):
+            assert getattr(batch, name).dtype == bool
+            assert type(getattr(row, name)) is bool
+            assert getattr(row, name) is want[name], (name, g.n)
+    # both values of each flag occur: K_n and C_n are regular, the star and
+    # ex1 are not, and only K_n is complete
+    assert batch.regular.tolist()[:8] == [True] * 4 + [False, False] + [
+        True] * 2
+    assert batch.complete.tolist() == [True] * 3 + [False] * 3 + [
+        True] + [False] * 4
 
 
 def random_tree(n, rng):

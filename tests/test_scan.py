@@ -252,7 +252,7 @@ def per_graph_scan(graphs, slack=1e-7):
         if dd.tmin[0] == dd.tmax[0]:
             result.skipped_regular += 1
             continue
-        forms = closed_form_bounds(dd, dd.tmin == dd.tmax)[:, 0].tolist()
+        forms = closed_form_bounds(dd)[:, 0].tolist()
         upper_strict = forms[CLOSED_FORMS.index(BoundId.L_D2)]
         upper_trace = forms[CLOSED_FORMS.index(BoundId.L_N3)]
         margin = upper_strict - upper_trace
@@ -313,9 +313,9 @@ def test_regular_graphs_in_a_chunk_never_reach_the_bounds(monkeypatch):
     n = 208
     seen = []
 
-    def spy(dd, regular):
+    def spy(dd):
         seen.append((dd.tmin == dd.tmax).tolist())
-        return closed_form_bounds(dd, regular)
+        return closed_form_bounds(dd)
     monkeypatch.setattr(scan, "closed_form_bounds", spy)
     result = ScanResult(slack=1e-7)
     result.histogram = {label: 0 for label in HISTOGRAM_LABELS}
@@ -496,8 +496,8 @@ def test_chunked_soundness_reports_violations_as_per_graph(
                     _ROW[BoundId.L_D1]]] = 0.5
         for module in (bounds, certify):
             monkeypatch.setattr(
-                module, "bound_values", lambda dd, regular, bound=getattr(
-                    module, "bound_values"): factor * bound(dd, regular))
+                module, "bound_values", lambda dd, bound=getattr(
+                    module, "bound_values"): factor * bound(dd))
     elif mutation == "certificate":
         # every diagnosis meets its radius, so certificates fail
         monkeypatch.setattr(certify, "equality_tol",
@@ -507,9 +507,8 @@ def test_chunked_soundness_reports_violations_as_per_graph(
         # integer L_N3 radicand below 0 on some graphs
         forms = bounds.closed_form_bounds
         monkeypatch.setattr(
-            bounds, "closed_form_bounds", lambda dd, regular: forms(
-                dataclasses.replace(dd, wiener=dd.wiener + dd.wiener // 50),
-                regular))
+            bounds, "closed_form_bounds", lambda dd: forms(
+                dataclasses.replace(dd, wiener=dd.wiener + dd.wiener // 50)))
     elif mutation == "operators":
         # raise one symmetric off-diagonal pair of Q by 1 on the graphs
         # whose trace is 3 mod 7, which moves their Q row sums off the
@@ -528,13 +527,15 @@ def test_chunked_soundness_reports_violations_as_per_graph(
     elif mutation == "transmission":
         # raise the weighted transmission sum of vertex 0 past its interval
         # on the graphs whose Wiener index is 3 mod 7: it gains more than
-        # 2W + tmax^2, the most the interval's top reaches. distance_data is
-        # looked up by name in bounds and in scan
+        # 2W + tmax^2, the most the interval's top reaches, and q2, the Q^2
+        # row sum 2 (tr^2 + sdd) derived from it, gains twice that.
+        # distance_data is looked up by name in bounds and in scan
         for module in (bounds, scan):
             def raised(dist, n=None, data=getattr(module, "distance_data")):
                 dd = data(dist, n)
-                hit = dd.wiener % 7 == 3
-                dd.sdd[:, 0] += hit * (2 * dd.wiener + dd.tmax ** 2 + 1)
+                gain = (dd.wiener % 7 == 3) * (2 * dd.wiener + dd.tmax ** 2 + 1)
+                dd.sdd[:, 0] += gain
+                dd.q2[:, 0] += 2 * gain
                 return dd
             monkeypatch.setattr(module, "distance_data", raised)
     elif mutation in ("zero", "below", "multiplicity"):

@@ -12,7 +12,8 @@ enumeration layers, the whole of N:
   labeled      connected_stacks(N) read to the end, per labeled graph
   graph6       read_graph6_stream over the chunk's graph6 lines
   distances    connected_distances of the chunk's adjacency stack
-  spectra      operator_spectra: D, L and Q and their eigensolve
+  spectra      what the soundness sweep solves: build_operators and the
+               eigensolve of L and Q
   bounds       bound_values
   diagnose     certify.diagnose
   identities   certify.identity_failures, the soundness sweep's identity
@@ -89,26 +90,26 @@ def layer_calls(n, seed, name=None):
         report_document, report_table, resolve_graph_input, to_canonical_json)
     from distlap.graphs import (
         adjacency_stack, chunk_limit, connected_distances, distance_data)
-    from distlap.operators import operator_spectra
+    from distlap.linalg import eig_symmetric
+    from distlap.operators import build_operators
 
     graphs = list(sample_connected(n, chunk_limit(n), seed))
     lines = [encode_graph6(g) + "\n" for g in graphs]
     adj = adjacency_stack(graphs)
     dd = distance_data(connected_distances(adj)[1])
-    ops, spectra = operator_spectra(dd)
-    # the bounds, diagnose and identities stages, on this tree's signatures
+    # the spectra this tree's checks take, as its sweep solves them
     try:
-        from distlap.certify import is_complete
+        from distlap.operators import operator_spectra
     except ImportError:
-        stages = (lambda: bound_values(dd),
-                  lambda: diagnose(values, ops, spectra, dd),
-                  lambda: identity_failures(dd, ops, spectra))
-    else:  # a tree whose stages take flags that its batch does not hold
-        complete = is_complete(dd)
-        stages = (lambda: bound_values(dd, dd.tmin == dd.tmax),
-                  lambda: diagnose(values, spectra[1], spectra[2, :, 0],
-                                   ops[1], dd, complete),
-                  lambda: identity_failures(dd, complete, ops[2], spectra))
+        def solve():
+            return eig_symmetric(build_operators(dd)[1:], dd.n)
+    else:  # a tree whose sweep solves D, L and Q
+        def solve():
+            return operator_spectra(dd)[1]
+    ops, spectra = build_operators(dd), solve()
+    stages = (lambda: bound_values(dd),
+              lambda: diagnose(values, ops, spectra, dd),
+              lambda: identity_failures(dd, ops, spectra))
     values = stages[0]()
     reports = [compute_all_bounds(g) for g in graphs]
     one = graphs[0] if name is None else resolve_graph_input(name)
@@ -167,7 +168,7 @@ def layer_calls(n, seed, name=None):
         ("labeled", read_stacks, labeled),
         ("graph6", lambda: list(read_graph6_stream(lines)), len(graphs)),
         ("distances", lambda: connected_distances(adj), len(graphs)),
-        ("spectra", lambda: operator_spectra(dd), len(graphs)),
+        ("spectra", solve, len(graphs)),
         *((layer, stage, len(graphs)) for layer, stage in zip(
             ("bounds", "diagnose", "identities"), stages)),
         ("render", render, len(graphs)),

@@ -36,7 +36,8 @@ import numpy as np
 from .errors import ConsistencyError, TheoremViolationError
 from .graph6 import encode_graph6
 from .graphs import _pair_ends, batch_of_one, distance_data
-from .operators import operator_spectra
+from .linalg import eig_symmetric
+from .operators import build_operators
 
 SLACK_ABS = 1e-7
 SLACK_REL = 1e-9
@@ -411,11 +412,11 @@ def bound_values(dd):
 def bound_checks(values, spectra):
     """(satisfied, gap) of the (K, B) array values of bound_values against
     each graph's radius, the first eigenvalue of its L or Q spectrum in the
-    (3, B, N) spectra of operators.operator_spectra, as (K, B) arrays by
-    the same rows. The gap is value - radius for an upper bound, radius -
-    value for a lower one, and at least -slack_for(radius) where satisfied;
-    a NaN value, where a bound does not apply, is never unsatisfied."""
-    radius = np.where(_ON_L[:, None], spectra[1, :, 0], spectra[2, :, 0])
+    (2, B, N) stack of L and Q spectra, as (K, B) arrays by the same rows.
+    The gap is value - radius for an upper bound, radius - value for a
+    lower one, and at least -slack_for(radius) where satisfied; a NaN
+    value, where a bound does not apply, is never unsatisfied."""
+    radius = np.where(_ON_L[:, None], spectra[0, :, 0], spectra[1, :, 0])
     gap = np.where(_UPPER[:, None], values - radius, radius - values)
     # -slack_for(radius), exactly
     return ~(gap < np.abs(radius) * -SLACK_REL - SLACK_ABS), gap
@@ -484,15 +485,17 @@ def compute_all_bounds(g):
     with no diagnosis; BOUND_META decides which. Every bound is evaluated
     before the diagnoses, so a ConsistencyError of a bound takes precedence
     over the TheoremViolationError of the first failed diagnosis, which is
-    raised.
+    raised. One eig_symmetric call solves D, L and Q; the checks read the
+    L and Q rows, as the sweep's do, and the report prints all three.
     """
     from .certify import CERT_NONE, EqualityDiagnosis, diagnose
 
     dd = distance_data(batch_of_one(g))
-    ops, spectra = operator_spectra(dd)
+    ops = build_operators(dd)
+    spectra = eig_symmetric(ops, dd.n)
     values = bound_values(dd)
-    satisfied, gaps = bound_checks(values, spectra)
-    certificates, failures = diagnose(values, ops, spectra, dd)
+    satisfied, gaps = bound_checks(values, spectra[1:])
+    certificates, failures = diagnose(values, ops, spectra[1:], dd)
     for failed, message in failures:
         if failed[0]:
             raise TheoremViolationError(message(0))

@@ -3,8 +3,9 @@
 one bool per graph of a padded batch, and message is a string or a
 function of a failing graph's index. A check reads the batch's
 DistanceData, whose fields (the regular and complete flags among them)
-graphs.distance_data computed once, and its operators and spectra
-(operators.operator_spectra).
+graphs.distance_data computed once, its operators
+(operators.build_operators) and the (2, B, N) stack of its L and Q
+spectra: no check reads D's spectrum.
 
 diagnose compares the bound values that the battery (bounds.bound_values)
 computed for a padded batch with the relevant spectral radii at the
@@ -15,9 +16,9 @@ flagged row with its TheoremViolationError message: that error on a valid
 connected graph would mean the implementation (or the statement) is wrong,
 so sweeps report it as a violation, not an error, and compute_all_bounds
 raises it for its batch of one. identity_failures checks the trace and
-Frobenius identities of D, L and Q and further proven facts of their
+Frobenius identities of L and Q and further proven facts of their
 spectra and row sums; violations stacks a batch's diagnoses, bounds and
-identities into one boolean array.
+identities into one (35, B) boolean array.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 
 from .bounds import (
     _ON_L, _ROW, BoundId, bound_checks, bound_values, slack_for)
-from .linalg import is_irreducible, multiplicity
-from .operators import operator_spectra
+from .linalg import eig_symmetric, is_irreducible, multiplicity
+from .operators import build_operators
 
 DIAG_ABS = 1e-6
 DIAG_REL = 1e-8
@@ -77,10 +78,11 @@ def diagnose(values, ops, spectra, dd):
     """The equality diagnoses of a padded batch: (certificates, failures).
 
     The batch is its (K, B) array of bound_values (NaN where a bound does
-    not apply, which meets no radius), its operators and spectra, of which
-    diagnose reads the Laplacian matrices and spectra and the signless
-    radii, and its DistanceData, whose regular and complete flags decide
-    the iff characterizations; each is 0 past a graph's own n.
+    not apply, which meets no radius), its operators (of which diagnose
+    reads L), the (2, B, N) stack of its L and Q spectra (the L spectra
+    and both radii spectra[:, :, 0]) and its DistanceData, whose regular
+    and complete flags decide the iff characterizations; each is 0 past a
+    graph's own n.
     certificates maps L_N1, L_N3, Q_TB_UP and Q_CS7 to one certificate per
     graph; Q_TB_UP's covers the interval pair Q_TB_LO/Q_TB_UP. failures
     holds (failed, message) pairs in the order one graph checks them, n1,
@@ -105,8 +107,8 @@ def diagnose(values, ops, spectra, dd):
     """
     rows = values.take(_DIAGNOSED, axis=0)
     n1, _, lo, up, cs7 = rows
-    l_mats, spectrum_l = ops[1], spectra[1]
-    radius_l, radius_q = spectra[1:, :, 0]
+    l_mats, spectrum_l = ops[1], spectra[0]
+    radius_l, radius_q = spectra[:, :, 0]
     met_n1, met_n3, eq_lo, eq_up, eq_cs7 = _meets(
         rows, np.where(_DIAGNOSED_ON_L, radius_l, radius_q))
     n, regular, complete = dd.n, dd.regular, dd.complete
@@ -205,27 +207,26 @@ def check_tree_determinant(g, dd):
                 and abs(logdet - expected) <= 1e-6)
 
 
-# the messages of the six eigenvalue sum and square-sum identities, the
+# the messages of the four eigenvalue sum and square-sum identities, the
 # first pairs of identity_failures
 _SUM_MESSAGES = tuple(
     f"{name} eigenvalue {what}"
-    for name in ("distance", "laplacian", "signless")
+    for name in ("laplacian", "signless")
     for what in ("sum misses the trace", "square sum misses the norm"))
 
 
 def identity_failures(dd, ops, spectra):
     """The proven identities checked on top of the bound battery, over a
     padded batch, as (flags, message) pairs in report order. They read the
-    batch's DistanceData dd, the Q matrices of its operators ops and its D,
-    L and Q spectra; each reads a graph's own vertices and the first n of
-    its eigenvalues, and 0 pads the rest."""
+    batch's DistanceData dd, the Q matrices of its operators ops and the
+    (2, B, N) stack of its L and Q spectra; each reads a graph's own
+    vertices and the first n of its eigenvalues, and 0 pads the rest."""
     n, q_mat = dd.n, ops[2]
     w2 = 2 * dd.wiener
     lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
-    # the eigenvalue sums and square sums of D, L and Q against their
-    # traces and squared norms, as one (2, 3, B) test
-    target = np.array(((0 * w2, w2, w2), (dd.dist2, lq2, lq2)),
-                      dtype=np.float64)
+    # the eigenvalue sums and square sums of L and Q against their traces
+    # and squared norms, as one (2, 2, B) test
+    target = np.array(((w2, w2), (lq2, lq2)), dtype=np.float64)
     missed = (np.abs(np.array((spectra, spectra * spectra)).sum(axis=-1)
                      - target) > 1e-8 * (1.0 + target))
 
@@ -242,7 +243,7 @@ def identity_failures(dd, ops, spectra):
     # over the real vertices and at the signless radius
     rows_p = dd.over_real((q2 - scale[0] * q1).astype(np.float64))
     low, high = rows_p.min(axis=-1), rows_p.max(axis=-1)
-    rq = spectra[2, :, 0]
+    rq = spectra[1, :, 0]
     value = rq * rq - scale[0, :, 0] * rq
     # the slack at n, at ||L||_F and at max |p(q)|
     slack = slack_for(np.array((n, np.sqrt(lq2), np.maximum(high, -low))))
@@ -251,7 +252,7 @@ def identity_failures(dd, ops, spectra):
     # every other is at least n: one comparison against each column's
     # threshold, n - slack before column n - 1 and none from it on
     # (folding the zero check in as -|x| < -slack took more numpy calls)
-    lvals = spectra[1]
+    lvals = spectra[0]
     under = lvals < np.where(np.arange(lvals.shape[-1]) < (n - 1)[:, None],
                              (n - slack[0])[:, None], -np.inf)
 
@@ -260,7 +261,7 @@ def identity_failures(dd, ops, spectra):
         return (f"weighted transmission sum at vertex {u} escapes "
                 f"[{lo[i, u]}, {up[i, u]}]")
     return [
-        *zip(missed.transpose(1, 0, 2).reshape(6, -1), _SUM_MESSAGES),
+        *zip(missed.transpose(1, 0, 2).reshape(4, -1), _SUM_MESSAGES),
         (np.abs(lvals[np.arange(len(n)), n - 1]) > slack[1],
          "laplacian smallest eigenvalue is not zero"),
         (under.any(axis=-1), lambda i: (
@@ -294,11 +295,13 @@ def violations(dd):
     DistanceData dd, by row, for the rows that have any, each row's
     messages in the order one graph reports them: the first failure of its
     diagnoses (diagnose) alone, else its unsatisfied bounds, in BoundId
-    order, and then its failed identities (identity_failures). A
-    ConsistencyError of the eigensolve or of a bound propagates. Every
-    check is a row of one boolean array, and messages are made for its
-    flagged entries alone."""
-    ops, spectra = operator_spectra(dd)
+    order, and then its failed identities (identity_failures). Only L and
+    Q are solved, as no check reads D's spectrum. A ConsistencyError of
+    the eigensolve or of a bound propagates. Every check is a row of one
+    (35, B) boolean array, and messages are made for its flagged entries
+    alone."""
+    ops = build_operators(dd)
+    spectra = eig_symmetric(ops[1:], dd.n)
     values = bound_values(dd)
     satisfied, gap = bound_checks(values, spectra)
     diagnoses = diagnose(values, ops, spectra, dd)[1]

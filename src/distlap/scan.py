@@ -303,10 +303,10 @@ def scan_soundness(source):
     Both lists are sorted by graph6 encoding.
 
     Unlike scan_conjecture, it has no class path: every labeled graph gets
-    its own eigensolve, because eigenvalues are not bit-invariant under
-    relabeling. Of 1,500 random relabelings of n = 7 graphs, 1,498 changed
-    the spectra in the last bits (by up to 3.9e-14), and 1,200 changed the
-    Laplacian radius.
+    its own eigensolve of L and Q (no check reads D's spectrum), because
+    eigenvalues are not bit-invariant under relabeling. Of 1,500 random
+    relabelings of n = 7 graphs, 1,498 changed the spectra in the last
+    bits (by up to 3.9e-14), and 1,200 changed the Laplacian radius.
     """
     report = SoundnessReport()
     min_n = 1

@@ -295,14 +295,14 @@ def brauer_shift_spectrum(l_mat, p):
 
 def soundness_identities(report, violations):
     """Proven identities of one graph's BoundReport, appended to violations
-    as messages in check order."""
+    as messages in check order; as in the sweep, they read its L and Q
+    spectra, not its D spectrum."""
     dd = report.data
     n = dd.n
     tw = 2.0 * dd.wiener
     lq2 = dd.tr2 + dd.dist2  # ||L||_F^2 = ||Q||_F^2
 
     for vals, trace, frob2, name in (
-            (report.spectrum_d, 0.0, dd.dist2, "distance"),
             (report.spectrum_l, tw, lq2, "laplacian"),
             (report.spectrum_q, tw, lq2, "signless")):
         if abs(float(vals.sum()) - trace) > 1e-8 * (1.0 + abs(trace)):

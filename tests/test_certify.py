@@ -9,13 +9,16 @@ import pytest
 
 from distlap import (
     BoundId, EqualityDiagnosis, check_han_multiplicity,
-    check_tree_determinant, compute_all_bounds, diagnose, equality_tol)
+    check_tree_determinant, compute_all_bounds, diagnose, equality_tol,
+    sample_connected)
 from distlap.bounds import bound_values
 from distlap.graphs import adjacency_stack, connected_distances, distance_data
 from distlap.errors import TheoremViolationError
-from distlap.operators import operator_spectra
+from distlap.linalg import eig_symmetric
+from distlap.operators import build_operators
 from distlap.named_graphs import (
-    complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
+    FIXTURES, complete_graph, cycle_graph, fixture_graph, path_graph,
+    star_graph)
 from oracles import distance_row
 
 
@@ -95,19 +98,20 @@ def test_fixture_non_equalities():
 
 def diagnosed(graphs, spectrum_l=None, radius_q=None, complete=None):
     """certify.diagnose on graphs as one padded batch, as a sweep pads a
-    chunk. A batch of one graph may take a doctored Laplacian spectrum,
-    signless radius or complete flag in place of its own."""
+    chunk, with its L and Q spectra as the sweep solves them. A batch of
+    one graph may take a doctored Laplacian spectrum, signless radius or
+    complete flag in place of its own."""
     n = np.array([g.n for g in graphs])
     connected, dist = connected_distances(adjacency_stack(graphs), n)
     assert connected.all()
     dd = distance_data(dist, n)
-    ops, spectra = operator_spectra(dd)
+    ops = build_operators(dd)
+    spectra = eig_symmetric(ops[1:], n)
     values = bound_values(dd)
-    spectra = spectra.copy()
     if spectrum_l is not None:
-        spectra[1] = spectrum_of([spectrum_l])
+        spectra[0] = spectrum_of([spectrum_l])
     if radius_q is not None:
-        spectra[2, :, 0] = radius_q
+        spectra[1, :, 0] = radius_q
     if complete is not None:
         dd = dataclasses.replace(dd, complete=np.array([complete]))
     return diagnose(values, ops, spectra, dd)
@@ -206,6 +210,21 @@ def test_han_multiplicity():
     # doctored: a complete graph must have exactly n - 1
     assert not check_han_multiplicity(
         spectrum_of([4.0, 4.0, 2.0, 0.0]), distance_row(complete_graph(4)))
+
+
+def test_distance_spectrum_meets_its_trace_and_norm():
+    # the sweep solves no D spectrum, so D's identities are checked where
+    # one is solved: a report's spectrum_d sums to tr D = 0 and its squares
+    # to ||D||_F^2, within the tolerance 1e-8 (1 + target)
+    graphs = [fixture_graph(name) for name in FIXTURES]
+    graphs += list(sample_connected(9, 30, seed=12))
+    for g in graphs:
+        r = compute_all_bounds(g)
+        spectrum, dist2 = r.spectrum_d, r.data.dist2
+        assert len(spectrum) == g.n
+        assert abs(float(spectrum.sum())) <= 1e-8
+        assert (abs(float((spectrum * spectrum).sum()) - dist2)
+                <= 1e-8 * (1.0 + dist2))
 
 
 def test_tree_determinant_small_closed_forms():

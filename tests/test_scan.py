@@ -512,7 +512,8 @@ def test_chunked_soundness_reports_violations_as_per_graph(
     elif mutation == "operators":
         # raise one symmetric off-diagonal pair of Q by 1 on the graphs
         # whose trace is 3 mod 7, which moves their Q row sums off the
-        # closed form; no graph on one vertex has that trace
+        # closed form; no graph on one vertex has that trace.
+        # build_operators is looked up by name in bounds and in certify
         build = operators.build_operators
 
         def raised(dd):
@@ -523,7 +524,8 @@ def test_chunked_soundness_reports_violations_as_per_graph(
                 q[..., 0, 1] += hit
                 q[..., 1, 0] += hit
             return ops
-        monkeypatch.setattr(operators, "build_operators", raised)
+        for module in (bounds, certify):
+            monkeypatch.setattr(module, "build_operators", raised)
     elif mutation == "transmission":
         # raise the weighted transmission sum of vertex 0 past its interval
         # on the graphs whose Wiener index is 3 mod 7: it gains more than
@@ -596,6 +598,22 @@ def test_chunked_soundness_reports_violations_as_per_graph(
     assert any(found in message
                for _, message in got.violations + got.errors)
     assert got.graphs_checked > 100
+
+
+def test_soundness_solves_the_l_and_q_spectra_alone(monkeypatch):
+    # no check of the sweep reads a D spectrum, so a stream of mixed sizes,
+    # padded tail included, solves two matrices per checked graph: its L
+    # and its Q
+    eigvalsh = np.linalg.eigvalsh
+    solved = []
+
+    def spy(a):
+        solved.append(math.prod(a.shape[:-2]))
+        return eigvalsh(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    got = scan_soundness(soundness_stream())
+    assert got.graphs_checked > 100 and not got.violations
+    assert sum(solved) == 2 * got.graphs_checked
 
 
 def padded_stream():

@@ -411,12 +411,13 @@ _ORBIT = next(t for t in (np.float32, np.float64)
 # costs ~15 us of numpy calls whatever its size, so blocks are large; their
 # temporaries, ~15 bytes per candidate, stay about 1 MB whatever n
 _ENUM_CHUNK = 1 << 16
-# connected masks per slice that connected_classes filters against its class
+# candidate masks per slice that connected_classes filters against its class
 # table at once. A slice taken before the minima found in it have written
 # their orbits lets through masks that those orbits cover, each one a Python
-# check, so slices stay small: ~1,300 checks at n = 6, against all 26,704
-# connected masks for one unsliced block
-_ORBIT_SLICE = 1024
+# check, so slices stay small: 495 checks of the 1,069 candidates at n = 6
+# and 2,042 of the 15,404 at n = 7, against 1,031 and 3,562 with slices of
+# 1,024 and every candidate for one unsliced list
+_ORBIT_SLICE = 256
 # A chunk of graphs padded to N vertices holds at most SCAN_CHUNK graphs and
 # SCAN_CELLS distance-matrix entries. Both are fixed, as they set the memory
 # of a sweep.
@@ -470,23 +471,70 @@ def _component_table(n):
     return comps
 
 
+def _joined(comps, n):
+    """Flags over (r, x) in row-major order, x < 2^(n - 1) and r each
+    column of comps, k columns of _component_table(n - 1): True where the
+    mask x | r << (n - 1), split as in _component_table, is connected, as
+    x touches every component of r."""
+    x = np.arange(1 << n - 1, dtype=_COMPONENT)
+    # hits[c, x]: x touches the component c, or the slot is empty (c = 0)
+    hits = ((x[:, None] & x) != 0) | (x[:, None] == 0)
+    return np.logical_and.reduce(hits[comps])
+
+
 def _connected_masks(n):
     """Edge masks of the connected labeled graphs on n vertices, ascending,
     as one array per block of at most _ENUM_CHUNK candidate masks.
 
-    A mask x | r << (n - 1), split as in _component_table, is connected
-    when x touches every component of r. The flags over (r, x) in
-    row-major order ascend with the mask, so each block of whole rows of r
-    yields its connected masks in order, with no BFS and no adjacency
-    stack."""
+    The _joined flags over (r, x) in row-major order ascend with the mask,
+    so each block of whole rows of r yields its connected masks in order,
+    with no BFS and no adjacency stack."""
     comps = _component_table(n - 1)
-    x = np.arange(1 << n - 1, dtype=_COMPONENT)
-    # hits[c, x]: x touches the component c, or the slot is empty (c = 0)
-    hits = ((x[:, None] & x) != 0) | (x[:, None] == 0)
     rows = max(1, _ENUM_CHUNK >> n - 1)
     for start in range(0, comps.shape[1], rows):
-        connected = np.logical_and.reduce(hits[comps[:, start:start + rows]])
+        connected = _joined(comps[:, start:start + rows], n)
         yield np.flatnonzero(connected) + (start << n - 1)
+
+
+def _pair_maps(perms, n):
+    """The pair maps of a (k, n) array of permutations of range(n): row p
+    sends pair i of _pair_ends(n) to the index of its image under perms[p]."""
+    rows, cols = _pair_ends(n)
+    index = np.zeros((n, n), dtype=np.int64)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    return index[perms[:, rows], perms[:, cols]]
+
+
+def _transposition_minimal(m):
+    """The edge masks on m vertices, ascending, that are no larger than
+    their image under each of the C(m, 2) transpositions of two vertices.
+
+    Built up from k = 2 vertices, a mask on k vertices split as
+    x | r << (k - 1), as in _component_table. A transposition that fixes
+    vertex 0 maps x and r each into its own part and leaves r dominant, so
+    the r of a kept mask is kept on k - 1 vertices: only those r are
+    extended, by every x. Transposition t swaps the ends of pair t, and
+    each image is an _ORBIT product, exact as in connected_classes."""
+    kept = np.zeros(1, dtype=np.int64)
+    for k in range(2, m + 1):
+        masks = (kept[:, None] << k - 1 | np.arange(1 << k - 1)).ravel()
+        a, b = _pair_ends(k)
+        swaps = np.tile(np.arange(k), (len(a), 1))
+        t = np.arange(len(a))
+        swaps[t, a], swaps[t, b] = b, a
+        images = (1 << _pair_maps(swaps, k)).astype(_ORBIT)
+        bits = ((masks[:, None] >> t) & 1).astype(_ORBIT)
+        kept = masks[(bits @ images.T >= masks[:, None]).all(axis=-1)]
+    return kept
+
+
+def _class_candidates(n):
+    """The connected edge masks x | r << (n - 1) on n vertices, ascending,
+    whose top part r, split as in _component_table, is
+    _transposition_minimal: those that connected_classes sweeps."""
+    tops = _transposition_minimal(n - 1)
+    r, x = np.nonzero(_joined(_component_table(n - 1)[:, tops], n))
+    return tops[r] << n - 1 | x
 
 
 def _relabelings(n):
@@ -498,16 +546,13 @@ def _relabelings(n):
     The permutations are built up from m = 1 as one array: those of
     range(m) that start with f are f followed by those of range(m - 1),
     each value v >= f raised by one, which keeps their order."""
-    rows, cols = _pair_ends(n)
-    index = np.zeros((n, n), dtype=np.int64)
-    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
     perms = np.zeros((1, 0), dtype=np.int64)
     for m in range(1, n + 1):
         first = np.repeat(np.arange(m), len(perms))
         rest = np.tile(perms, (m, 1))
         rest += rest >= first[:, None]
         perms = np.column_stack((first, rest))
-    return index[perms[:, rows], perms[:, cols]]
+    return _pair_maps(perms, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,8 +577,9 @@ class ConnectedClasses:
     def weights(self):
         """The labeled graphs in each class, its orbit size n!/|Aut|, as
         int64 in class order."""
-        return np.bincount(self.table[self.table >= 0],
-                           minlength=len(self.minima))
+        # shifted by one, so disconnected masks count in a bin dropped
+        return np.bincount(self.table + 1,
+                           minlength=len(self.minima) + 1)[1:]
 
     def stacks(self):
         """The class minima as (B, n, n) boolean adjacency stacks of
@@ -574,11 +620,22 @@ def _check_enumerable(n):
 
 def connected_classes(n):
     """The ConnectedClasses of the connected labeled graphs on n vertices,
-    1 <= n <= 7, by an orbit sweep over the ascending connected masks of
-    _connected_masks(n).
+    1 <= n <= 7, by an orbit sweep over the ascending candidate masks of
+    _class_candidates(n).
 
-    A relabeled connected graph is connected, so each class lies among
-    those masks, and the first of its masks the sweep meets is its minimum.
+    A candidate is a connected mask x | r << (n - 1), split as in
+    _component_table, whose top part r, the graph on vertices 1..n-1, is no
+    larger than its image under each transposition of two of them. Every
+    class minimum is one: a relabeling of vertices 1..n-1 alone maps x and
+    r each into its own part and leaves r dominant, so a minimum's r is the
+    minimum of its own class on n - 1 vertices (the rule of orderly
+    generation: R. C. Read, "Every one a winner", Ann. Discrete Math. 2,
+    1978; B. D. McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 26, 1998). 43 of the 1,024 top parts pass at n = 6, giving
+    1,069 candidates of the 26,704 connected masks; 276 of 32,768 pass at
+    n = 7, giving 15,404 of 1,866,256.
+
+    So the first candidate of a class that the sweep meets is its minimum.
     That minimum writes its class index over its whole orbit, n!
     relabelings per class, so each later member is skipped: 2^P _CLASS
     entries, 4 MB at n = 7. The orbit is one matvec of the (n!, P) images
@@ -595,15 +652,16 @@ def connected_classes(n):
     # reads each entry as a Python int, faster than a numpy scalar
     entry = memoryview(table)
     minima = []
-    for block in _connected_masks(n):
-        for start in range(0, len(block), _ORBIT_SLICE):
-            masks = block[start:start + _ORBIT_SLICE]
-            # a minimum found earlier in this slice may cover a later mask
-            for m in masks[table[masks] < 0].tolist():
-                if entry[m] < 0:
-                    bits = ((m >> shifts) & 1).astype(_ORBIT)
-                    table[(images @ bits).astype(np.int64)] = len(minima)
-                    minima.append(m)
+    candidates = _class_candidates(n)
+    for start in range(0, len(candidates), _ORBIT_SLICE):
+        masks = candidates[start:start + _ORBIT_SLICE]
+        masks = masks[table[masks] < 0]
+        bits = ((masks[:, None] >> shifts) & 1).astype(_ORBIT)
+        # a minimum found earlier in this slice may cover a later mask
+        for m, b in zip(masks.tolist(), bits):
+            if entry[m] < 0:
+                table[(images @ b).astype(np.int64)] = len(minima)
+                minima.append(m)
     return ConnectedClasses(
         n, np.array(minima, dtype=np.int64), table, images)
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -250,9 +251,9 @@ def scan_conjecture(source, slack=1e-7):
               else _stream_chunks(source, result.errors, min_n))
     for dd, weight, listed in _sweep(chunks, result.errors, min_n):
         _scan_chunk(result, dd, weight, listed)
-    result.counterexamples.sort(key=lambda item: item[0])
-    result.equalities.sort(key=lambda item: item[0])
-    result.errors.sort(key=lambda item: item[0])
+    result.counterexamples.sort(key=itemgetter(0))
+    result.equalities.sort(key=itemgetter(0))
+    result.errors.sort(key=itemgetter(0))
     strict_failures = (result.min_margin is not None
                        and result.min_margin < -slack)
     if bool(result.counterexamples) != strict_failures:
@@ -314,6 +315,6 @@ def scan_soundness(source):
             _stream_chunks(source, report.errors, min_n), report.errors,
             min_n):
         _check_soundness(report, dd)
-    report.violations.sort(key=lambda item: item[0])
-    report.errors.sort(key=lambda item: item[0])
+    report.violations.sort(key=itemgetter(0))
+    report.errors.sort(key=itemgetter(0))
     return report

@@ -517,6 +517,46 @@ def test_class_table_matches_the_oracles():
         connected_classes(_ENUM_CAP + 1)
 
 
+def test_class_candidates_hold_every_class_minimum():
+    # a candidate that is its own canonical form is the minimum of its
+    # class, one per class, so as many of those as classes is every minimum
+    for n in range(1, 8):
+        candidates = graphs_module._class_candidates(n)
+        assert candidates.dtype == np.int64
+        assert (np.diff(candidates) > 0).all(), n
+        connected = np.concatenate(list(_connected_masks(n)))
+        assert np.isin(candidates, connected).all(), n
+        if n < 7:
+            fixed = oracles.canonical_masks(candidates, n) == candidates
+            assert fixed.sum() == oracles.UNLABELED_CONNECTED[n], n
+        # at n = 7 the brute force over 5,040 relabelings is too slow; the
+        # minima that test_enumerate_dedup_at_7_is_one_minimum_per_class
+        # checks against the oracle stand in
+        assert np.isin(connected_classes(n).minima, candidates).all(), n
+    # the reduction itself: a filter that lets more through fails here
+    assert len(graphs_module._class_candidates(6)) == 1_069
+    assert len(graphs_module._class_candidates(7)) == 15_404
+
+
+def test_kept_top_parts_are_the_transposition_minimal_masks():
+    for m in range(2, 7):
+        pairs = list(itertools.combinations(range(m), 2))
+        index = {pair: k for k, pair in enumerate(pairs)}
+        masks = np.arange(1 << len(pairs), dtype=np.int64)
+        bits = (masks[:, None] >> np.arange(len(pairs))) & 1
+        kept = np.ones(len(masks), dtype=bool)
+        swaps = [p for p in itertools.permutations(range(m))
+                 if sum(p[v] != v for v in range(m)) == 2]
+        assert len(swaps) == len(pairs)
+        for p in swaps:
+            pmap = [index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs]
+            kept &= masks <= (bits << pmap).sum(axis=1)
+        got = graphs_module._transposition_minimal(m)
+        assert got.tolist() == np.flatnonzero(kept).tolist(), m
+    assert len(graphs_module._transposition_minimal(5)) == 43
+    assert len(graphs_module._transposition_minimal(6)) == 276
+
+
 def test_relabelings_follow_itertools_permutations():
     # row p maps each pair to its image under the p-th permutation of
     # itertools.permutations, in its order

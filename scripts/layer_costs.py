@@ -9,7 +9,10 @@ connected labeled graphs on N vertices (sample_connected) and, for the
 enumeration layers, the whole of N:
 
   classes      connected_classes(N), per class
-  labeled      connected_stacks(N) read to the end, per labeled graph
+  labeled      connected_stacks(N) read to the end, per labeled graph;
+               it builds connected_classes(N) and lists the connected
+               masks off its class table, so its time includes the
+               classes row's
   graph6       read_graph6_stream over the chunk's graph6 lines
   distances    connected_distances of the chunk's adjacency stack
   spectra      what the soundness sweep solves: build_operators and the
@@ -97,15 +100,10 @@ def layer_calls(n, seed, name=None):
     lines = [encode_graph6(g) + "\n" for g in graphs]
     adj = adjacency_stack(graphs)
     dd = distance_data(connected_distances(adj)[1])
-    # the spectra this tree's checks take, as its sweep solves them
-    try:
-        from distlap.operators import operator_spectra
-    except ImportError:
-        def solve():
-            return eig_symmetric(build_operators(dd)[1:], dd.n)
-    else:  # a tree whose sweep solves D, L and Q
-        def solve():
-            return operator_spectra(dd)[1]
+
+    def solve():
+        # the spectra of L and Q, as the soundness sweep solves them
+        return eig_symmetric(build_operators(dd)[1:], dd.n)
     ops, spectra = build_operators(dd), solve()
     stages = (lambda: bound_values(dd),
               lambda: diagnose(values, ops, spectra, dd),

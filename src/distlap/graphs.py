@@ -407,10 +407,6 @@ _CLASS = np.int16
 # it, never rounds
 _ORBIT = next(t for t in (np.float32, np.float64)
               if _ENUM_CAP * (_ENUM_CAP - 1) // 2 <= np.finfo(t).nmant + 1)
-# candidate edge masks behind each block of _connected_masks. Each block
-# costs ~15 us of numpy calls whatever its size, so blocks are large; their
-# temporaries, ~15 bytes per candidate, stay about 1 MB whatever n
-_ENUM_CHUNK = 1 << 16
 # candidate masks per slice that connected_classes filters against its class
 # table at once. A slice taken before the minima found in it have written
 # their orbits lets through masks that those orbits cover, each one a Python
@@ -449,51 +445,23 @@ def _int64_stack(masks, n):
     return _mask_stack(masks.astype("<i8").view(np.uint8).reshape(-1, 8), n)
 
 
-def _component_table(n):
-    """The components of every graph on n vertices as an (n, 2^P) table of
-    vertex bitmasks: column mask lists, one per slot, the components of the
-    graph with that edge mask, 0 in an empty slot.
-
-    In _pair_ends order a mask on m vertices is x | r << (m - 1): bit j of
-    x is the pair (0, j + 1), and r is the mask of the graph on vertices
-    1..m-1, whose vertex j is vertex j + 1 here. So the components are
-    those of r shifted up one vertex, with each one that x touches merged
-    into vertex 0's. The table for m follows from the one for m - 1, its
-    columns in row-major order over (r, x), which is ascending mask order.
-    """
-    comps = np.zeros((0, 1), dtype=_COMPONENT)
-    for m in range(1, n + 1):
-        r = comps[..., None]
-        touched = (r & np.arange(1 << m - 1, dtype=_COMPONENT)) != 0
-        merged = np.bitwise_or.reduce(r * touched, axis=0, initial=0)
-        comps = np.concatenate(
-            ((merged << 1 | 1)[None], (r * ~touched) << 1)).reshape(m, -1)
-    return comps
+def _mask_chunks(masks, n):
+    """The int64 edge masks on n vertices, in order, as (B, n, n) boolean
+    adjacency stacks of chunk_limit(n) graphs (the last may hold fewer)."""
+    size = chunk_limit(n)
+    for start in range(0, len(masks), size):
+        yield _int64_stack(masks[start:start + size], n)
 
 
 def _joined(comps, n):
     """Flags over (r, x) in row-major order, x < 2^(n - 1) and r each
-    column of comps, k columns of _component_table(n - 1): True where the
-    mask x | r << (n - 1), split as in _component_table, is connected, as
-    x touches every component of r."""
+    column of comps, components on n - 1 vertices as _transposition_minimal
+    carries them: True where the mask x | r << (n - 1) is connected, as x
+    touches every component of r."""
     x = np.arange(1 << n - 1, dtype=_COMPONENT)
     # hits[c, x]: x touches the component c, or the slot is empty (c = 0)
     hits = ((x[:, None] & x) != 0) | (x[:, None] == 0)
     return np.logical_and.reduce(hits[comps])
-
-
-def _connected_masks(n):
-    """Edge masks of the connected labeled graphs on n vertices, ascending,
-    as one array per block of at most _ENUM_CHUNK candidate masks.
-
-    The _joined flags over (r, x) in row-major order ascend with the mask,
-    so each block of whole rows of r yields its connected masks in order,
-    with no BFS and no adjacency stack."""
-    comps = _component_table(n - 1)
-    rows = max(1, _ENUM_CHUNK >> n - 1)
-    for start in range(0, comps.shape[1], rows):
-        connected = _joined(comps[:, start:start + rows], n)
-        yield np.flatnonzero(connected) + (start << n - 1)
 
 
 def _pair_maps(perms, n):
@@ -506,34 +474,48 @@ def _pair_maps(perms, n):
 
 
 def _transposition_minimal(m):
-    """The edge masks on m vertices, ascending, that are no larger than
-    their image under each of the C(m, 2) transpositions of two vertices.
+    """(kept, comps): the edge masks on m vertices, ascending, that are no
+    larger than their image under each of the C(m, 2) transpositions of two
+    vertices, and their components as an (m, len(kept)) table of vertex
+    bitmasks, one per slot, 0 in an empty slot.
 
-    Built up from k = 2 vertices, a mask on k vertices split as
-    x | r << (k - 1), as in _component_table. A transposition that fixes
+    In _pair_ends order a mask on k vertices is x | r << (k - 1): bit j of
+    x is the pair (0, j + 1), and r is the mask of the graph on vertices
+    1..k-1, whose vertex j is vertex j + 1 here. A transposition that fixes
     vertex 0 maps x and r each into its own part and leaves r dominant, so
-    the r of a kept mask is kept on k - 1 vertices: only those r are
-    extended, by every x. Transposition t swaps the ends of pair t, and
-    each image is an _ORBIT product, exact as in connected_classes."""
+    the r of a kept mask is kept on k - 1 vertices: from one vertex up, only
+    those r are extended, by every x, in row-major order over (r, x), which
+    ascends with the mask. A mask's components are r's shifted up one
+    vertex, with each one that x touches merged into vertex 0's.
+    Transposition t swaps the ends of pair t, and each image is an _ORBIT
+    product, exact as in connected_classes."""
     kept = np.zeros(1, dtype=np.int64)
+    comps = np.ones((min(m, 1), 1), dtype=_COMPONENT)
     for k in range(2, m + 1):
-        masks = (kept[:, None] << k - 1 | np.arange(1 << k - 1)).ravel()
+        x = np.arange(1 << k - 1, dtype=_COMPONENT)
+        masks = (kept[:, None] << k - 1 | x).ravel()
         a, b = _pair_ends(k)
         swaps = np.tile(np.arange(k), (len(a), 1))
         t = np.arange(len(a))
         swaps[t, a], swaps[t, b] = b, a
         images = (1 << _pair_maps(swaps, k)).astype(_ORBIT)
         bits = ((masks[:, None] >> t) & 1).astype(_ORBIT)
-        kept = masks[(bits @ images.T >= masks[:, None]).all(axis=-1)]
-    return kept
+        keep = (bits @ images.T >= masks[:, None]).all(axis=-1)
+        kept = masks[keep]
+        r = comps[..., None]
+        touched = (r & x) != 0
+        merged = np.bitwise_or.reduce(r * touched, axis=0, initial=0)
+        comps = np.concatenate(((merged << 1 | 1)[None], (r * ~touched) << 1)
+                               ).reshape(k, -1)[:, keep]
+    return kept, comps
 
 
 def _class_candidates(n):
     """The connected edge masks x | r << (n - 1) on n vertices, ascending,
-    whose top part r, split as in _component_table, is
-    _transposition_minimal: those that connected_classes sweeps."""
-    tops = _transposition_minimal(n - 1)
-    r, x = np.nonzero(_joined(_component_table(n - 1)[:, tops], n))
+    whose top part r is kept by _transposition_minimal(n - 1), read off the
+    components it carries with no BFS: those that connected_classes sweeps."""
+    tops, comps = _transposition_minimal(n - 1)
+    r, x = np.nonzero(_joined(comps, n))
     return tops[r] << n - 1 | x
 
 
@@ -555,6 +537,15 @@ def _relabelings(n):
     return _pair_maps(perms, n)
 
 
+@functools.lru_cache(maxsize=_ENUM_CAP)
+def _orbit_images(n):
+    """ConnectedClasses.images on n vertices, built once per n as one
+    read-only array: 43 KB at n = 6, 423 KB at n = 7."""
+    images = (1 << _relabelings(n)).astype(_ORBIT)
+    images.flags.writeable = False
+    return images
+
+
 @dataclass(frozen=True, eq=False)
 class ConnectedClasses:
     """The isomorphism classes of the connected labeled graphs on n
@@ -567,6 +558,7 @@ class ConnectedClasses:
     images: _ORBIT, the (n!, P) orbit images: row p holds 2^(image of pair
             i under the p-th relabeling) in column i, so images @ bits(m)
             is the orbit of edge mask m, each member once per automorphism
+            (read-only, shared by every result on n vertices)
     """
 
     n: int
@@ -582,12 +574,9 @@ class ConnectedClasses:
                            minlength=len(self.minima) + 1)[1:]
 
     def stacks(self):
-        """The class minima as (B, n, n) boolean adjacency stacks of
-        chunk_limit(n) graphs (the last one may hold fewer), in class
-        order."""
-        size = chunk_limit(self.n)
-        for start in range(0, len(self.minima), size):
-            yield _int64_stack(self.minima[start:start + size], self.n)
+        """The class minima, in class order, as (B, n, n) boolean adjacency
+        stacks of chunk_limit(n) graphs (the last may hold fewer)."""
+        return _mask_chunks(self.minima, self.n)
 
     def members(self, classes):
         """Every labeled graph of each class of classes, a non-empty
@@ -610,30 +599,22 @@ class ConnectedClasses:
                         np.cumsum(first.sum(axis=-1))[:-1])
 
 
-def _check_enumerable(n):
-    """Raise ValueError unless exhaustive enumeration covers n."""
-    if not 1 <= n <= _ENUM_CAP:
-        raise ValueError(
-            f"exhaustive enumeration is capped at n <= {_ENUM_CAP} (got n={n}); "
-            "use a graph6 stream for larger graphs")
-
-
 def connected_classes(n):
     """The ConnectedClasses of the connected labeled graphs on n vertices,
     1 <= n <= 7, by an orbit sweep over the ascending candidate masks of
     _class_candidates(n).
 
     A candidate is a connected mask x | r << (n - 1), split as in
-    _component_table, whose top part r, the graph on vertices 1..n-1, is no
-    larger than its image under each transposition of two of them. Every
-    class minimum is one: a relabeling of vertices 1..n-1 alone maps x and
-    r each into its own part and leaves r dominant, so a minimum's r is the
-    minimum of its own class on n - 1 vertices (the rule of orderly
+    _transposition_minimal, whose top part r, the graph on vertices 1..n-1,
+    is no larger than its image under each transposition of two of them.
+    Every class minimum is one: a relabeling of vertices 1..n-1 alone maps
+    x and r each into its own part and leaves r dominant, so a minimum's r
+    is the minimum of its own class on n - 1 vertices (the rule of orderly
     generation: R. C. Read, "Every one a winner", Ann. Discrete Math. 2,
-    1978; B. D. McKay, "Isomorph-free exhaustive generation", J.
-    Algorithms 26, 1998). 43 of the 1,024 top parts pass at n = 6, giving
-    1,069 candidates of the 26,704 connected masks; 276 of 32,768 pass at
-    n = 7, giving 15,404 of 1,866,256.
+    1978; B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms
+    26, 1998). 43 of the 1,024 top parts pass at n = 6, giving 1,069
+    candidates of the 26,704 connected masks; 276 of 32,768 pass at n = 7,
+    giving 15,404 of 1,866,256.
 
     So the first candidate of a class that the sweep meets is its minimum.
     That minimum writes its class index over its whole orbit, n!
@@ -643,10 +624,13 @@ def connected_classes(n):
     float32 for _ENUM_CAP = 7: each sum is of distinct powers of two below
     2^P <= 2^21, an integer that float32, exact below 2^24, holds exactly,
     and its table is half the bytes of a float64 one to read per class.
-    The images stay on the result, for members: 43 KB at n = 6, 423 KB at
-    n = 7."""
-    _check_enumerable(n)
-    images = (1 << _relabelings(n)).astype(_ORBIT)
+    The images are built once per n (_orbit_images) and stay on the
+    result, for members."""
+    if not 1 <= n <= _ENUM_CAP:
+        raise ValueError(
+            f"exhaustive enumeration is capped at n <= {_ENUM_CAP} (got n={n}); "
+            "use a graph6 stream for larger graphs")
+    images = _orbit_images(n)
     shifts = np.arange(images.shape[1], dtype=np.int64)
     table = np.full(1 << images.shape[1], -1, dtype=_CLASS)
     # reads each entry as a Python int, faster than a numpy scalar
@@ -672,23 +656,14 @@ def connected_stacks(n):
     one may hold fewer).
 
     Deterministic: ascending edge-bitmask order over the pair sequence
-    (0,1), (0,2), ..., (n-2,n-1). The connected masks are read off a table
-    of the components of every graph on n - 1 vertices, with no BFS; only
-    the masks kept become adjacency stacks. One graph per isomorphism
-    class, the one with the smallest bitmask over all vertex relabelings,
-    is connected_classes(n).stacks(). Beyond n = 7 the labeled space is
-    too large; feed a graph6 stream instead.
+    (0,1), (0,2), ..., (n-2,n-1). The connected masks are the entries of
+    connected_classes(n).table that hold a class, with no BFS, listed at
+    once: 15 MB of int64 at n = 7, held while the stacks are read. One
+    graph per isomorphism class, the one with the smallest bitmask over all
+    vertex relabelings, is connected_classes(n).stacks(). Beyond n = 7 the
+    labeled space is too large; feed a graph6 stream instead.
     """
-    _check_enumerable(n)
-    size = chunk_limit(n)
-    held = np.zeros(0, dtype=np.int64)
-    for masks in _connected_masks(n):
-        held = np.concatenate((held, masks))
-        while len(held) >= size:
-            yield _int64_stack(held[:size], n)
-            held = held[size:]
-    if len(held):
-        yield _int64_stack(held, n)
+    yield from _mask_chunks(np.flatnonzero(connected_classes(n).table >= 0), n)
 
 
 def enumerate_connected(n):

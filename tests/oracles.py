@@ -207,6 +207,19 @@ def bfs_distance_matrix(n, edges):
     return dist
 
 
+@functools.lru_cache(maxsize=None)
+def connected_masks(n):
+    """The edge masks of the connected labeled graphs on n vertices, as an
+    ascending tuple: those whose row of vertex 0 in bfs_distance_matrix is
+    finite, over every one of the 2^P masks; meant for n <= 6 (32,768
+    masks). Cached, as several tests read it."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return tuple(
+        mask for mask in range(1 << len(pairs))
+        if inf not in bfs_distance_matrix(
+            n, [p for k, p in enumerate(pairs) if mask >> k & 1])[0])
+
+
 def bound_formulas(n, edges, pairs=True):
     """Every bound of the battery on one connected graph, by bound id,
     each written from its formula over plain BFS distances in Python ints,

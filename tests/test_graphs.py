@@ -17,9 +17,9 @@ from distlap import (
     scan_conjecture, scan_soundness)
 from distlap.cli import cmd_analyze
 from distlap.graphs import (
-    _ENUM_CAP, _ENUM_CHUNK, SCAN_CELLS, SCAN_CHUNK, ConnectedClasses,
-    _connected_masks, adjacency_graphs, adjacency_stack, connected_classes, connected_distances,
-    connected_stacks, distance_data, format_edge_list)
+    _ENUM_CAP, SCAN_CELLS, SCAN_CHUNK, ConnectedClasses, adjacency_graphs,
+    adjacency_stack, connected_classes, connected_distances, connected_stacks,
+    distance_data, format_edge_list)
 from distlap.named_graphs import (
     complete_graph, cycle_graph, fixture_graph, path_graph, star_graph)
 
@@ -154,25 +154,14 @@ def test_enumerate_labeled_counts_match_recurrence():
 
 
 def test_connected_masks_equal_a_bfs_over_every_mask():
-    # the component table against the oracle BFS of all 2^P masks
-    assert [b.tolist() for b in _connected_masks(1)] == [[0]]
-    assert [b.tolist() for b in _connected_masks(2)] == [[1]]
+    # the stacks, read off the class table, against the oracle BFS of all
+    # 2^P masks
     for n in range(1, 7):
-        pairs = list(itertools.combinations(range(n), 2))
-        want = [mask for mask in range(1 << len(pairs))
-                if float("inf") not in oracles.bfs_distance_matrix(
-                    n, [p for k, p in enumerate(pairs) if mask >> k & 1])[0]]
-        blocks = list(_connected_masks(n))
-        assert all(b.dtype == np.int64 for b in blocks)
-        assert np.concatenate(blocks).tolist() == want, n
-
-
-def test_connected_mask_blocks_hold_at_most_enum_chunk_candidates():
-    # block k comes from the k-th run of _ENUM_CHUNK consecutive masks
-    blocks = list(_connected_masks(7))
-    assert len(blocks) == 2 ** 21 // _ENUM_CHUNK
-    for k, block in enumerate(blocks):
-        assert (block // _ENUM_CHUNK == k).all(), k
+        got = [oracles.edge_mask(g.edges, n) for adj in connected_stacks(n)
+               for g in adjacency_graphs(adj)]
+        assert got == list(oracles.connected_masks(n)), n
+    assert oracles.connected_masks(1) == (0,)
+    assert oracles.connected_masks(2) == (1,)
 
 
 def test_enumerate_is_deterministic_and_sorted():
@@ -437,23 +426,9 @@ def test_too_few_edges_is_disconnected_before_any_bfs(monkeypatch):
 
 
 def test_enumerate_yields_ascending_connected_masks():
-    for n in range(1, 6):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        expect = []
-        for mask in range(1 << len(pairs)):
-            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
-            ref = oracles.bfs_distance_matrix(n, edges)
-            if all(x != float("inf") for row in ref for x in row):
-                expect.append(mask)
-        got = [sum(1 << pairs.index(e) for e in g.edges)
-               for g in enumerate_connected(n)]
-        assert got == expect, n
-    # n = 6 spans 32 blocks of _connected_masks, so the order must hold
-    # across blocks
-    pairs = list(itertools.combinations(range(6), 2))
-    got = [sum(1 << pairs.index(e) for e in g.edges)
-           for g in enumerate_connected(6)]
-    assert got == sorted(set(got))
+    for n in range(1, 7):
+        got = [oracles.edge_mask(g.edges, n) for g in enumerate_connected(n)]
+        assert got == list(oracles.connected_masks(n)), n
     assert len(got) == oracles.labeled_connected_count(6)
 
 
@@ -508,8 +483,17 @@ def test_class_table_matches_the_oracles():
         assert count == oracles.UNLABELED_CONNECTED[n], n
         assert classes.weights().sum() == oracles.labeled_connected_count(n)
         assert np.array_equal(classes.table[classes.minima], np.arange(count))
-        connected = np.concatenate(list(_connected_masks(n)))
-        assert np.array_equal(np.flatnonzero(classes.table >= 0), connected)
+        if n < 7:
+            assert np.flatnonzero(classes.table >= 0).tolist() == list(
+                oracles.connected_masks(n)), n
+        else:
+            # the oracle BFS over all 2^21 masks is too slow: the marked
+            # masks are the orbits of the minima, so connected when the
+            # minima are, and as many as A001187 counts (the weights
+            # above), so they are every connected mask
+            connected, _ = connected_distances(
+                graphs_module._int64_stack(classes.minima, n))
+            assert connected.all()
     classes = connected_classes(6)
     assert np.array_equal(classes.weights(),
                           oracles.orbit_sizes(classes.minima, 6))
@@ -524,14 +508,19 @@ def test_class_candidates_hold_every_class_minimum():
         candidates = graphs_module._class_candidates(n)
         assert candidates.dtype == np.int64
         assert (np.diff(candidates) > 0).all(), n
-        connected = np.concatenate(list(_connected_masks(n)))
-        assert np.isin(candidates, connected).all(), n
         if n < 7:
+            assert np.isin(candidates, oracles.connected_masks(n)).all(), n
             fixed = oracles.canonical_masks(candidates, n) == candidates
             assert fixed.sum() == oracles.UNLABELED_CONNECTED[n], n
-        # at n = 7 the brute force over 5,040 relabelings is too slow; the
-        # minima that test_enumerate_dedup_at_7_is_one_minimum_per_class
-        # checks against the oracle stand in
+        else:
+            # at n = 7 the oracle BFS over all 2^21 masks and the brute
+            # force over 5,040 relabelings are too slow: the candidates are
+            # checked by connected_distances, and the minima that
+            # test_enumerate_dedup_at_7_is_one_minimum_per_class checks
+            # against the oracle stand in
+            connected, _ = connected_distances(
+                graphs_module._int64_stack(candidates, n))
+            assert connected.all()
         assert np.isin(connected_classes(n).minima, candidates).all(), n
     # the reduction itself: a filter that lets more through fails here
     assert len(graphs_module._class_candidates(6)) == 1_069
@@ -551,10 +540,34 @@ def test_kept_top_parts_are_the_transposition_minimal_masks():
         for p in swaps:
             pmap = [index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs]
             kept &= masks <= (bits << pmap).sum(axis=1)
-        got = graphs_module._transposition_minimal(m)
+        got, _ = graphs_module._transposition_minimal(m)
         assert got.tolist() == np.flatnonzero(kept).tolist(), m
-    assert len(graphs_module._transposition_minimal(5)) == 43
-    assert len(graphs_module._transposition_minimal(6)) == 276
+    assert len(graphs_module._transposition_minimal(5)[0]) == 43
+    assert len(graphs_module._transposition_minimal(6)[0]) == 276
+
+
+def test_kept_top_parts_carry_their_bfs_components():
+    # each column of comps lists, in some order with empty slots, the
+    # vertex sets that the oracle BFS reaches from each vertex
+    for m in range(0, 7):
+        pairs = list(itertools.combinations(range(m), 2))
+        kept, comps = graphs_module._transposition_minimal(m)
+        assert comps.shape == (m, len(kept)), m
+        for mask, column in zip(kept.tolist(), comps.T.tolist()):
+            dist = oracles.bfs_distance_matrix(
+                m, [p for k, p in enumerate(pairs) if mask >> k & 1])
+            want = {sum(1 << u for u in range(m) if row[u] < float("inf"))
+                    for row in dist}
+            assert sorted(c for c in column if c) == sorted(want), (m, mask)
+
+
+def test_orbit_images_are_built_once_per_n_and_read_only():
+    for n in (6, 7):
+        images = connected_classes(n).images
+        assert connected_classes(n).images is images
+        assert graphs_module._orbit_images(n) is images
+        with pytest.raises(ValueError, match="read-only"):
+            images[0, 0] = 0
 
 
 def test_relabelings_follow_itertools_permutations():
@@ -583,8 +596,8 @@ def test_class_members_are_the_orbit_of_each_minimum():
             assert set(oracles.canonical_masks(masks, n).tolist()) == {
                 int(classes.minima[c])}, (n, c)
         assert sorted(oracles.edge_mask(g.edges, n) for stack in every
-                      for g in adjacency_graphs(stack)) == (
-            np.concatenate(list(_connected_masks(n))).tolist()), n
+                      for g in adjacency_graphs(stack)) == list(
+            oracles.connected_masks(n)), n
 
 
 def test_members_of_the_classes_the_labeled_scan_lists_at_7(monkeypatch):

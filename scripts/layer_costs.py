@@ -34,8 +34,12 @@ enumeration layers, the whole of N:
                that the margin scan of all labeled graphs on N vertices
                lists (its counterexamples and equalities), in the listing
                calls that scan_conjecture(connected_classes(N)) makes
-               (members, then one graph6 encode), per member; absent
+               (member masks and one mask encode), per member; absent
                where it lists none
+  scan-json    the canonical JSON text of that scan's document,
+               to_canonical_json(scan_document(...)) as `scan --enumerate
+               N --fmt json` writes it, per listed graph; absent with the
+               listing row
   soundness-unit
                scan_soundness over a seeded stream of 32 graph6 lines of
                connected graphs on 5..10 vertices (sample_connected, n
@@ -90,7 +94,8 @@ def layer_calls(n, seed, name=None):
     from distlap.bounds import bound_values
     from distlap.certify import diagnose, identity_failures
     from distlap.cli import (
-        report_document, report_table, resolve_graph_input, to_canonical_json)
+        report_document, report_table, resolve_graph_input, scan_document,
+        to_canonical_json)
     from distlap.graphs import (
         adjacency_stack, chunk_limit, connected_distances, distance_data)
     from distlap.linalg import eig_symmetric
@@ -126,9 +131,10 @@ def layer_calls(n, seed, name=None):
             yield (*chunk, spied)
     scan._class_chunks = spy
     try:
-        scan_conjecture(classes)
+        result = scan_conjecture(classes)
     finally:
         scan._class_chunks = class_chunks
+    params = {"enumerate": n, "dedup": False, "slack": result.slack}
 
     def read_stacks():
         for _ in connected_stacks(n):
@@ -153,6 +159,9 @@ def layer_calls(n, seed, name=None):
         for call, rows in calls:
             call(rows)
 
+    def scan_json():
+        to_canonical_json(scan_document(result, params))
+
     listed = sum(len(lines) for call, rows in calls for lines in call(rows))
     rng = random.Random(f"soundness-unit:{seed}")
     unit = [encode_graph6(next(sample_connected(
@@ -172,7 +181,8 @@ def layer_calls(n, seed, name=None):
         ("render", render, len(graphs)),
         ("one-graph", one_graph, ONE_GRAPH_CALLS),
         ("one-bounds", one_bounds, ONE_GRAPH_CALLS),
-    ) + ((("listing", listing, listed),) if calls else ()) + (
+    ) + ((("listing", listing, listed), ("scan-json", scan_json, listed))
+         if calls else ()) + (
         ("soundness-unit", soundness_unit, UNIT_GRAPHS),)
 
 

@@ -50,7 +50,11 @@ def fmt4(x):
 
 
 def to_canonical_json(doc):
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """doc as one line of JSON with sorted keys and no spaces. doc is a
+    tree that scan_document or report_document has just built, so the
+    encoder's cycle check is skipped: a cyclic doc raises RecursionError."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      check_circular=False) + "\n"
 
 
 def resolve_graph_input(arg):

@@ -185,6 +185,62 @@ def encode_graph6_stack(adj, n=None):
     return lines
 
 
+@functools.lru_cache(maxsize=64)
+def _mask_tables(n):
+    """(tables, base, size) of the edge masks on n vertices, n(n - 1)/2 <=
+    63. A graph6 line on n vertices, its newline included, is size bytes,
+    laid out in the little-endian bytes of a row of little-endian uint64
+    words. tables[b, v] is the row of the bits of byte b of a mask, of
+    value v, each at its place in the line's body bytes; base is the row of
+    the header, 63 in each body byte and the newline; both are read-only.
+    Each body byte of an OR of table rows is at most 63, so adding base
+    carries into no other byte. Cached per n, as a sweep asks once per
+    listing call: 6 KB at n = 7."""
+    if n * (n - 1) // 2 > 63:
+        raise ValueError(f"an int64 edge mask holds no graph on n={n}")
+    # bit k of a mask is pair (i, j) k of the row-major upper triangle, and
+    # body bit pos = j(j - 1)/2 + i: bit 5 - pos % 6 of line byte
+    # 1 + pos // 6. place[k] is mask bit k alone as a line, and one table,
+    # all 0, stands for the empty mask on one vertex
+    i, j = np.triu_indices(n, 1)
+    pos = j * (j - 1) // 2 + i
+    size = 2 + -(-len(pos) // 6)
+    place = np.zeros((-(-max(len(pos), 1) // 8) * 8, -(-size // 8) * 8),
+                     dtype=np.uint8)
+    place[np.arange(len(pos)), 1 + pos // 6] = 1 << 5 - pos % 6
+    place = place.view("<u8").reshape(-1, 1, 8, place.shape[1] // 8)
+    bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
+    tables = np.bitwise_or.reduce(
+        np.where(bits[..., None], place, np.uint64(0)), axis=2)
+    line = np.zeros(place.shape[-1] * 8, dtype=np.uint8)
+    line[0], line[1:size - 1], line[size - 1] = n + 63, 63, ord("\n")
+    base = line.view("<u8")
+    for a in (tables, base):
+        a.flags.writeable = False
+    return tables, base, size
+
+
+def encode_graph6_masks(masks, n):
+    """The graph6 line of each of an int array of edge masks on n vertices,
+    n(n - 1)/2 <= 63, in order: bit k of a mask is pair k of (0,1), (0,2),
+    ..., (n-2,n-1), as graphs orders its masks. Each byte of a mask is one
+    lookup in its table of _mask_tables, and every line is written into
+    one byte array, decoded once and split once, so no adjacency stack or
+    Graph is built. No masks cost nothing."""
+    if not len(masks):
+        return []
+    tables, base, size = _mask_tables(n)
+    raw = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(
+        -1, 8)
+    lines = tables[0].take(raw[:, 0], axis=0)
+    for b in range(1, len(tables)):
+        lines |= tables[b].take(raw[:, b], axis=0)
+    lines += base
+    # the last newline is dropped, so that the split leaves no empty line
+    return lines.view(np.uint8)[:, :size].tobytes()[:-1].decode(
+        "ascii").split("\n")
+
+
 def read_graph6_stream(lines):
     """Yield (lineno, Graph) from an iterable of graph6 lines.
 

@@ -473,6 +473,21 @@ def _pair_maps(perms, n):
     return index[perms[:, rows], perms[:, cols]]
 
 
+@functools.lru_cache(maxsize=_ENUM_CAP)
+def _swap_images(k):
+    """The _ORBIT images of the C(k, 2) transpositions of two vertices on k
+    vertices, built once per k as one read-only array: row t, for the
+    transposition of the ends of pair t of _pair_ends(k), holds 2^(image of
+    pair i) in column i."""
+    a, b = _pair_ends(k)
+    swaps = np.tile(np.arange(k), (len(a), 1))
+    t = np.arange(len(a))
+    swaps[t, a], swaps[t, b] = b, a
+    images = (1 << _pair_maps(swaps, k)).astype(_ORBIT)
+    images.flags.writeable = False
+    return images
+
+
 def _transposition_minimal(m):
     """(kept, comps): the edge masks on m vertices, ascending, that are no
     larger than their image under each of the C(m, 2) transpositions of two
@@ -487,19 +502,16 @@ def _transposition_minimal(m):
     those r are extended, by every x, in row-major order over (r, x), which
     ascends with the mask. A mask's components are r's shifted up one
     vertex, with each one that x touches merged into vertex 0's.
-    Transposition t swaps the ends of pair t, and each image is an _ORBIT
-    product, exact as in connected_classes."""
+    Each image is a product with _swap_images(k), exact as in
+    connected_classes."""
     kept = np.zeros(1, dtype=np.int64)
     comps = np.ones((min(m, 1), 1), dtype=_COMPONENT)
     for k in range(2, m + 1):
         x = np.arange(1 << k - 1, dtype=_COMPONENT)
         masks = (kept[:, None] << k - 1 | x).ravel()
-        a, b = _pair_ends(k)
-        swaps = np.tile(np.arange(k), (len(a), 1))
-        t = np.arange(len(a))
-        swaps[t, a], swaps[t, b] = b, a
-        images = (1 << _pair_maps(swaps, k)).astype(_ORBIT)
-        bits = ((masks[:, None] >> t) & 1).astype(_ORBIT)
+        images = _swap_images(k)
+        bits = ((masks[:, None] >> np.arange(len(images))) & 1).astype(
+            _ORBIT)
         keep = (bits @ images.T >= masks[:, None]).all(axis=-1)
         kept = masks[keep]
         r = comps[..., None]
@@ -578,10 +590,11 @@ class ConnectedClasses:
         stacks of chunk_limit(n) graphs (the last may hold fewer)."""
         return _mask_chunks(self.minima, self.n)
 
-    def members(self, classes):
-        """Every labeled graph of each class of classes, a non-empty
-        ascending int array of class indices, as one (k, n, n) boolean
-        adjacency stack per class in ascending mask order.
+    def member_masks(self, classes):
+        """(masks, counts): the edge masks of every labeled graph of each
+        class of classes, a non-empty ascending int array of class indices,
+        ascending within a class and concatenated in the order of classes,
+        as int64, and the count of each class's masks.
 
         A class's members are the orbit of its minimum, one matvec of the
         images each, sorted with its repeats dropped; the table is not
@@ -595,8 +608,13 @@ class ConnectedClasses:
         # repeats dropped by hand: np.unique per class was ~10x slower
         first = np.ones(orbits.shape, dtype=bool)
         np.not_equal(orbits[:, 1:], orbits[:, :-1], out=first[:, 1:])
-        return np.split(_int64_stack(orbits[first], self.n),
-                        np.cumsum(first.sum(axis=-1))[:-1])
+        return orbits[first], first.sum(axis=-1)
+
+    def members(self, classes):
+        """The member_masks of classes as one (k, n, n) boolean adjacency
+        stack per class, in ascending mask order."""
+        masks, counts = self.member_masks(classes)
+        return np.split(_int64_stack(masks, self.n), np.cumsum(counts)[:-1])
 
 
 def connected_classes(n):

@@ -32,13 +32,13 @@ so that a short stream of mixed sizes, such as 32 graphs of n = 5..10,
 pays a chunk's fixed cost once. Every bound, identity and diagnosis reads
 each graph's own vertices only, and each eigensolve runs on unpadded
 matrices. graph6 is written only for a listed graph, at its own n,
-straight from its row of the stack (graph6.encode_graph6_stack); no Graph
+straight from its row of the stack (graph6.encode_graph6_stack) or, on
+the class path, from its edge mask (graph6.encode_graph6_masks); no Graph
 is built for it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -48,7 +48,7 @@ import numpy as np
 from .bounds import closed_form_bounds
 from .certify import violations
 from .errors import ConsistencyError
-from .graph6 import encode_graph6, encode_graph6_stack
+from .graph6 import encode_graph6, encode_graph6_masks, encode_graph6_stack
 from .graphs import (
     DISCONNECTED, ConnectedClasses, Graph, adjacency_stack, chunk_limit,
     connected_distances, distance_data, too_sparse)
@@ -142,14 +142,15 @@ def _stream_chunks(source, errors, min_n):
 def _class_chunks(classes):
     """The chunks of the class minima of a ConnectedClasses, each row
     weighted by its orbit size and listing every member of its class,
-    ascending, from one encode of all the members of one listing call."""
+    ascending, from one encode of the member masks of one listing call."""
     weight = classes.weights()
     first = 0
     for adj in classes.stacks():
         def listed(rows, first=first):
-            stacks = classes.members(first + rows)
-            lines = iter(encode_graph6_stack(np.concatenate(stacks)))
-            return [list(itertools.islice(lines, len(a))) for a in stacks]
+            masks, counts = classes.member_masks(first + rows)
+            lines = encode_graph6_masks(masks, classes.n)
+            ends = np.cumsum(counts).tolist()
+            return [lines[a:b] for a, b in zip([0] + ends, ends)]
         yield (adj, np.full(len(adj), classes.n),
                weight[first:first + len(adj)], listed)
         first += len(adj)

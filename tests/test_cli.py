@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 import distlap
 import oracles
 from distlap import (
-    Graph, encode_graph6, format_edge_list, parse_edge_list, parse_graph6)
+    Graph, compute_all_bounds, connected_classes, encode_graph6,
+    format_edge_list, parse_edge_list, parse_graph6, scan_conjecture)
 from distlap.cli import (
     cmd_analyze, cmd_scan, fmt4, main, report_document, resolve_graph_input,
-    to_canonical_json)
+    scan_document, to_canonical_json)
 from distlap.errors import GraphParseError
 from distlap.named_graphs import (
     _BUILTIN, complete_graph, cycle_graph, fixture_graph, path_graph,
@@ -126,6 +127,17 @@ def test_json_reserialization_is_byte_identical():
         doc = json.loads(text)
         assert to_canonical_json(doc) == text
         assert text.index("\n") == len(text) - 1  # one line per document
+
+
+def test_canonical_json_is_the_sorted_compact_dump():
+    # the cycle check is skipped; the bytes are those of a checked dump
+    report = report_document(compute_all_bounds(fixture_graph("g1")))
+    scan = scan_document(scan_conjecture(connected_classes(6)), {
+        "enumerate": 6, "dedup": False, "slack": 1e-7})
+    assert len(scan["scan"]["counterexamples"]) == 561
+    for doc in (report, scan):
+        assert to_canonical_json(doc) == json.dumps(
+            doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_analyze_json_document_shape():

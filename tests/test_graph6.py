@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from distlap import (
     Graph, GraphParseError, connected_classes, connected_stacks,
     encode_graph6, encode_graph6_stack, enumerate_connected, parse_graph6,
-    read_graph6_stream)
-from distlap.graphs import adjacency_graphs, adjacency_stack
+    read_graph6_stream, scan_conjecture)
+from distlap.graph6 import encode_graph6_masks
+from distlap.graphs import _int64_stack, adjacency_graphs, adjacency_stack
 from distlap.named_graphs import complete_graph, path_graph
 
 # hand-decoded reference pairs: string -> sorted edge list (offset-63 bytes,
@@ -158,6 +160,30 @@ def test_stack_encoder_of_an_empty_stack():
     assert encode_graph6_stack(np.zeros((0, 5, 5), dtype=bool)) == []
     assert encode_graph6_stack(
         np.zeros((0, 5, 5), dtype=bool), np.zeros(0, dtype=np.int64)) == []
+
+
+def test_mask_encoder_matches_the_stack_encoder():
+    for n in range(1, 7):
+        masks = np.flatnonzero(connected_classes(n).table >= 0)
+        assert encode_graph6_masks(masks, n) == encode_graph6_stack(
+            _int64_stack(masks, n)), n
+    # the members of the 53 classes that the labeled scan at 7 lists: its
+    # strict counterexamples and its equalities within tolerance
+    classes = connected_classes(7)
+    result = scan_conjecture(classes)
+    lines = [g6 for g6, _, _ in result.counterexamples + result.equalities]
+    listed = np.unique(classes.table[[oracles.edge_mask(
+        parse_graph6(g6).edges, 7) for g6 in lines]])
+    assert len(listed) == 53
+    masks, _ = classes.member_masks(listed)
+    got = encode_graph6_masks(masks, 7)
+    assert got == encode_graph6_stack(_int64_stack(masks, 7))
+    assert sorted(got) == sorted(lines)
+    assert encode_graph6_masks(np.zeros(0, dtype=np.int64), 5) == []
+    assert encode_graph6_masks(np.zeros(1, dtype=np.int64), 1) == ["@"]
+    # 66 pairs on 12 vertices, more than an int64 mask holds
+    with pytest.raises(ValueError, match="n=12"):
+        encode_graph6_masks(np.zeros(1, dtype=np.int64), 12)
 
 
 @st.composite

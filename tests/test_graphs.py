@@ -561,6 +561,15 @@ def test_kept_top_parts_carry_their_bfs_components():
             assert sorted(c for c in column if c) == sorted(want), (m, mask)
 
 
+def test_swap_images_are_built_once_per_k_and_read_only():
+    for k in (5, 6):
+        images = graphs_module._swap_images(k)
+        assert graphs_module._swap_images(k) is images
+        assert images.shape == (k * (k - 1) // 2,) * 2
+        with pytest.raises(ValueError, match="read-only"):
+            images[0, 0] = 0
+
+
 def test_orbit_images_are_built_once_per_n_and_read_only():
     for n in (6, 7):
         images = connected_classes(n).images
@@ -600,17 +609,31 @@ def test_class_members_are_the_orbit_of_each_minimum():
             oracles.connected_masks(n)), n
 
 
+def test_members_are_the_split_stacks_of_the_member_masks():
+    for n in range(1, 8):
+        classes = connected_classes(n)
+        rows = np.arange(0, len(classes.minima), 7)
+        masks, counts = classes.member_masks(rows)
+        assert masks.dtype == np.int64 and len(counts) == len(rows), n
+        assert counts.tolist() == classes.weights()[rows].tolist(), n
+        stacks = classes.members(rows)
+        assert [len(a) for a in stacks] == counts.tolist(), n
+        assert np.array_equal(np.concatenate(stacks),
+                              graphs_module._int64_stack(masks, n)), n
+
+
 def test_members_of_the_classes_the_labeled_scan_lists_at_7(monkeypatch):
-    # the rows come from the scan itself, through a spy on members; each
-    # class's members are the brute-force orbit of its minimum, ascending
+    # the rows come from the scan itself, through a spy on member_masks;
+    # each class's members are the brute-force orbit of its minimum,
+    # ascending
     calls = []
-    members = ConnectedClasses.members
+    member_masks = ConnectedClasses.member_masks
 
     def spy(self, rows):
         calls.append(rows.copy())
-        return members(self, rows)
+        return member_masks(self, rows)
 
-    monkeypatch.setattr(ConnectedClasses, "members", spy)
+    monkeypatch.setattr(ConnectedClasses, "member_masks", spy)
     classes = connected_classes(7)
     scan_conjecture(classes)
     monkeypatch.undo()
